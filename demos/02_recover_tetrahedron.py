@@ -94,7 +94,7 @@ loc_grid = build_grid(1878)
 loc_wave = PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([0.0, 0, 1.0]), k=math.pi / 25)
 loc_samples = degree_one_oracle(loc_grid, loc_wave, true_center)
 region = SampleRegion(lower=[0, 0, 0], upper=[100, 100, 100])
-z, value = locate(loc_samples, region)
+z, value, _ = locate(loc_samples, region)
 print(f"\nlocated center: {np.round(z, 4)} (indicator {value:.4f})")
 
 final = shape.translated(z - shape.centroid)

@@ -27,7 +27,7 @@ with open("indicator_scan.txt", "w") as fh:
 print(f"coarse scan: {len(points)} probes, indicator in "
       f"[{values.min():.4f}, {values.max():.4f}] -> indicator_scan.txt")
 
-z, value = locate(samples, region)
+z, value, _ = locate(samples, region)
 print(f"refined location: {np.round(z, 4)} (true {true_center}), I = {value:.4f}")
 
 print("\nindicator along the x-axis through the true center:")

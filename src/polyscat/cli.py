@@ -8,7 +8,7 @@ Verbs::
     polyscat check <obstacle>    admissibility report for an obstacle file
 
 Exit code 0 on success; stage-tagged message on stderr and a nonzero code
-otherwise.  ``POLYSCAT_THREADS`` selects the worker-thread count.
+otherwise.
 """
 
 from __future__ import annotations
@@ -67,12 +67,11 @@ def _cmd_locate(args) -> int:
     if not loc_path.exists():
         pipeline.synthesize_dataset(config)
     samples = forward.load_far_field(loc_path)
-    z, value = locator.locate(
+    z, value, (points, values) = locator.locate(
         samples, config.region, maximize=config.maximize_indicator
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     pipeline._write_location(config.output_dir / "location.csv", z, value)
-    points, values = locator.scan_indicator(samples, config.region)
     pipeline._write_scan(config.output_dir / "indicator_scan.txt", points, values)
     print(f"{z[0]:.6f} {z[1]:.6f} {z[2]:.6f} {value:.6f}")
     return 0

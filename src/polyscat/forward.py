@@ -112,6 +112,8 @@ class FarFieldSamples:
             limit = 1e-9 * max(1.0, float(np.abs(vals).max()))
             if radial.max() > limit:
                 raise ValueError("complex far fields must be tangential")
+        if not np.isfinite(vals).all():
+            raise ValueError("far-field samples must be finite (no NaN or inf)")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

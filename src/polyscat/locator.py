@@ -109,7 +109,8 @@ def locate(
 
     A coarse grid scan picks the best cell, then a clamped compass search
     with step halving refines it down to ``refine_tol``.  Returns
-    ``(z, value)`` with the value in the indicator's native scale.
+    ``(z, value, (points, values))``: the refined point, its indicator
+    value in the native scale, and the coarse scan of :func:`scan_indicator`.
     """
     sign = 1.0 if maximize else -1.0
     G, K, norm2 = _degree_one_projector(samples)
@@ -139,7 +140,7 @@ def locate(
                     moved = True
         if not moved:
             step *= 0.5
-    return z, fz
+    return z, fz, (Z, vals)
 
 
 def degree_one_oracle(

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .geometry import unit_vector
-from .sphgrid import HarmonicExpansion, synthesize
+from .sphgrid import HarmonicExpansion, build_grid, synthesize
 
 
 class DegenerateDirection(ValueError):
@@ -63,15 +62,13 @@ class RecoveryThresholds:
 
     ``e_tol`` deletes weak maxima, ``exclusion_radius`` (radians) removes
     peaks too close to the incident direction, ``cluster_angle`` (radians)
-    merges near-duplicate normals, ``cutoff`` is the harmonic band limit and
-    ``multistart`` the (theta, phi) start-grid shape.
+    merges near-duplicate normals and ``cutoff`` is the harmonic band limit.
     """
 
     e_tol: float = 0.5
     exclusion_radius: float = 0.3
     cluster_angle: float = math.radians(5.0)
     cutoff: int = 10
-    multistart: tuple = (5, 11)
 
     def __post_init__(self):
         if min(self.e_tol, self.exclusion_radius, self.cluster_angle) < 0:
@@ -115,60 +112,145 @@ def normal_and_area_from_peak(xhat, value, d, wavelength):
     return nu, area
 
 
-def _spherical(theta, phi) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+# Step-1 peak search constants: seeding-lattice points per harmonic
+# coefficient, tangent-plane stencil spacing (radians), largest step
+# (radians), step size that ends a polish, and the iteration cap.
+_SEEDS_PER_COEFFICIENT = 20
+_STENCIL_H = 1e-4
+_MAX_STEP = 0.1
+_STEP_TOL = 1e-9
+_MAX_ITERATIONS = 50
+# a gradient below this fraction of the pattern's largest value is flat
+_FLAT_GRADIENT = 1e-10
+
+# tangent-plane offsets (a, b) of the 3 x 3 stencil; index 3 (a + 1) + (b + 1)
+_STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
+
+
+def _grid_seeds(expansion: HarmonicExpansion):
+    """Points of a raw Fibonacci lattice sized to the band limit whose
+    surrogate value is at least that of every triangulation neighbour.
+
+    Returns ``(seeds, scale)`` with ``scale`` the largest modulus on the
+    lattice.
+    """
+    grid = build_grid(
+        _SEEDS_PER_COEFFICIENT * (expansion.cutoff + 1) ** 2, smoothing=0
+    )
+    values = synthesize(expansion, grid.points)
+    tri = grid.triangles
+    neighbour_max = np.full(grid.size, -np.inf)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        np.maximum.at(neighbour_max, tri[:, a], values[tri[:, b]])
+        np.maximum.at(neighbour_max, tri[:, b], values[tri[:, a]])
+    seeds = grid.points[values >= neighbour_max]
+    return seeds, float(np.abs(values).max())
+
+
+def _tangent_bases(x: np.ndarray):
+    """Orthonormal tangent vectors ``(e1, e2)`` at each row of ``x``."""
+    axis = np.eye(3)[np.argmin(np.abs(x), axis=1)]
+    e1 = axis - np.einsum("ij,ij->i", axis, x)[:, None] * x
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return e1, np.cross(x, e1)
+
+
+def _polish(expansion: HarmonicExpansion, seeds: np.ndarray, scale: float):
+    """Projected Newton ascent of all seeds at once.
+
+    Each iteration evaluates the surrogate on a 3 x 3 tangent-plane stencil
+    around every active point (one synthesis), reads off the gradient and
+    2 x 2 Hessian by central differences, takes the Newton step where the
+    Hessian is negative definite and a curvature-scaled gradient step
+    elsewhere, caps it at ``_MAX_STEP`` and retracts onto the sphere.
+
+    Returns ``(points, values, seed_index, n_failed)``: converged points,
+    their values, the seed each came from, and the number of seeds still
+    moving after ``_MAX_ITERATIONS``.
+    """
+    h = _STENCIL_H
+    x = seeds
+    index = np.arange(len(seeds))
+    done_x, done_f, done_i = [np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0, int)]
+    for _ in range(_MAX_ITERATIONS):
+        if len(x) == 0:
+            break
+        e1, e2 = _tangent_bases(x)
+        stencil = x[:, None, :] + h * (
+            _STENCIL[None, :, 0, None] * e1[:, None, :]
+            + _STENCIL[None, :, 1, None] * e2[:, None, :]
+        )
+        stencil /= np.linalg.norm(stencil, axis=2, keepdims=True)
+        f = synthesize(expansion, stencil.reshape(-1, 3)).reshape(len(x), 9)
+        f0 = f[:, 4]
+        ga = (f[:, 7] - f[:, 1]) / (2.0 * h)
+        gb = (f[:, 5] - f[:, 3]) / (2.0 * h)
+        haa = (f[:, 7] - 2.0 * f0 + f[:, 1]) / h**2
+        hbb = (f[:, 5] - 2.0 * f0 + f[:, 3]) / h**2
+        hab = (f[:, 8] - f[:, 6] - f[:, 2] + f[:, 0]) / (4.0 * h**2)
+
+        # Newton step where the Hessian is negative definite; elsewhere a
+        # gradient step scaled per eigendirection by 1/|curvature|, which
+        # leaves saddles along their ascending direction at full speed
+        lam, vec = np.linalg.eigh(
+            np.stack([np.stack([haa, hab], -1), np.stack([hab, hbb], -1)], -2)
+        )
+        g = np.stack([ga, gb], -1)
+        gnorm = np.hypot(ga, gb)
+        floor = np.maximum(gnorm / _MAX_STEP, 1e-300)[:, None]
+        along = np.einsum("kji,kj->ki", vec, g) / np.maximum(np.abs(lam), floor)
+        sa, sb = np.einsum("kij,kj->ik", vec, along)
+        length = np.hypot(sa, sb)
+        cap = np.minimum(1.0, _MAX_STEP / np.maximum(length, 1e-300))
+        sa *= cap
+        sb *= cap
+
+        finished = (length < _STEP_TOL) | (gnorm <= _FLAT_GRADIENT * scale)
+        done_x.append(x[finished])
+        done_f.append(f0[finished])
+        done_i.append(index[finished])
+        moving = ~finished
+        x = x[moving] + sa[moving, None] * e1[moving] + sb[moving, None] * e2[moving]
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        index = index[moving]
+    return (
+        np.concatenate(done_x),
+        np.concatenate(done_f),
+        np.concatenate(done_i),
+        len(x),
+    )
 
 
 def find_local_maxima(
     expansion: HarmonicExpansion,
     incident_direction=None,
     wavelength=None,
-    starts=(5, 11),
     dedup_angle=math.radians(1.0),
 ) -> PeakSet:
-    """Multistart ascent of the band-limited pattern in ``(theta, phi)``.
+    """Local maxima of the band-limited pattern, found in one batch.
 
-    Every start on the uniform ``starts`` mesh of ``[0, pi] x [0, 2 pi]``
-    runs a Nelder-Mead ascent; converged end points closer than
-    ``dedup_angle`` are merged keeping the higher value.  Non-converged
-    starts are only counted, never fatal.
+    Seeds are the discrete maxima of the surrogate on a raw Fibonacci
+    lattice of ``20 (cutoff + 1)^2`` points; all seeds are then polished
+    together by projected Newton ascent on the sphere.  End points closer
+    than ``dedup_angle`` are merged keeping the higher value.  Seeds still
+    moving after the iteration cap are only counted in ``failed_starts``,
+    never fatal.
     """
-    n_theta, n_phi = starts
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
+    seeds, scale = _grid_seeds(expansion)
+    points, values, seed_index, failed = _polish(expansion, seeds, scale)
 
-    def negf(x):
-        return -float(synthesize(expansion, _spherical(x[0], x[1])))
-
-    found = []
-    failed = 0
-    for t0 in thetas:
-        for p0 in phis:
-            res = minimize(
-                negf,
-                np.array([t0, p0]),
-                method="Nelder-Mead",
-                options=dict(xatol=1e-7, fatol=1e-13, maxiter=400),
-            )
-            if not res.success:
-                failed += 1
-                continue
-            found.append((_spherical(res.x[0], res.x[1]), -res.fun))
-
-    found.sort(key=lambda item: -item[1])
-    kept_dirs, kept_vals = [], []
-    for xhat, val in found:
-        if all(angular_distance(xhat, other) > dedup_angle for other in kept_dirs):
-            kept_dirs.append(xhat)
-            kept_vals.append(val)
-    dirs = np.array(kept_dirs) if kept_dirs else np.zeros((0, 3))
-    vals = np.array(kept_vals)
+    order = np.lexsort((seed_index, -values))
+    kept = np.zeros(len(order), dtype=bool)
+    for i in order:
+        dots = points[kept] @ points[i]
+        if np.all(np.arccos(np.clip(dots, -1.0, 1.0)) > dedup_angle):
+            kept[i] = True
+    keep = order[kept[order]]
     if incident_direction is not None:
         incident_direction = unit_vector(incident_direction, "incident direction")
     return PeakSet(
-        directions=dirs,
-        values=vals,
+        directions=points[keep],
+        values=values[keep],
         incident_direction=incident_direction,
         wavelength=wavelength,
         failed_starts=failed,

@@ -14,7 +14,6 @@ Config files are flat ``key = value`` text with one repeated key::
     e_tol = 0.5
     exclusion_radius = 0.3
     cluster_angle_deg = 5
-    multistart = 5 11
     noise_delta = 0
     noise_seed = 7
     location = 50 50 50
@@ -25,22 +24,26 @@ Config files are flat ``key = value`` text with one repeated key::
     merge_vertices = 0
     output_dir = out
 
+A ``multistart = <n_theta> <n_phi>`` line from older configs is accepted
+and ignored with a warning: step 1 seeds its peak search from a lattice
+sized by ``cutoff``.
+
 All stages are deterministic for a fixed config and seed; report files are
-byte-identical across runs.  ``POLYSCAT_THREADS`` controls the number of
-worker threads for the per-direction stage (default 1).
+byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import forward, geometry, locator, maxima, minkowski, sphgrid
+
+log = logging.getLogger("polyscat")
 
 
 class PipelineError(RuntimeError):
@@ -145,8 +148,13 @@ def parse_config(path) -> ExperimentConfig:
         exclusion_radius=float(take("exclusion_radius", 0.3)),
         cluster_angle=math.radians(float(take("cluster_angle_deg", 5.0))),
         cutoff=int(take("cutoff", 10)),
-        multistart=tuple(int(t) for t in take("multistart", "5 11").split()),
     )
+    multistart = take("multistart")
+    if multistart is not None:
+        shape = [int(t) for t in multistart.split()]
+        if len(shape) != 2 or min(shape) < 1:
+            raise ValueError(f"{path}: multistart needs two positive integers")
+        log.warning("%s: 'multistart' is ignored; peaks are seeded from a grid", path)
     noise = forward.NoiseModel(
         delta=float(take("noise_delta", 0.0)), seed=int(take("noise_seed", 7))
     )
@@ -247,20 +255,12 @@ class RecoveryReport:
     files: tuple
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("POLYSCAT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _step1_single(index, samples, thresholds, wavelength):
     expansion = sphgrid.sht_forward(samples, thresholds.cutoff)
     peaks = maxima.find_local_maxima(
         expansion,
         incident_direction=samples.wave.d,
         wavelength=wavelength,
-        starts=thresholds.multistart,
     )
     selected = maxima.select_critical_directions(peaks, thresholds)
     return maxima.peaks_to_faces(selected, source_index=index)
@@ -293,22 +293,10 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
 
     # Step 1: peaks -> normals and areas, one incident direction at a time
     try:
-        threads = _thread_count()
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                face_sets = list(
-                    pool.map(
-                        lambda item: _step1_single(
-                            item[0], item[1], config.thresholds, config.lambda_shape
-                        ),
-                        enumerate(shape_samples),
-                    )
-                )
-        else:
-            face_sets = [
-                _step1_single(i, s, config.thresholds, config.lambda_shape)
-                for i, s in enumerate(shape_samples)
-            ]
+        face_sets = [
+            _step1_single(i, s, config.thresholds, config.lambda_shape)
+            for i, s in enumerate(shape_samples)
+        ]
         raw_faces = maxima.merge_face_sets(face_sets)
         effective = maxima.cluster_effective_normals(
             raw_faces, config.thresholds.cluster_angle
@@ -343,14 +331,13 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
 
     # Step 3: low-frequency location
     try:
-        z_star, ind_val = locator.locate(
+        z_star, ind_val, (scan_pts, scan_vals) = locator.locate(
             loc_samples, config.region, maximize=config.maximize_indicator
         )
         located = reconstructed.translated(z_star - reconstructed.centroid)
     except Exception as exc:
         raise PipelineError("step3", str(exc)) from exc
     files.append(_write_location(out / "location.csv", z_star, ind_val))
-    scan_pts, scan_vals = locator.scan_indicator(loc_samples, config.region)
     files.append(_write_scan(out / "indicator_scan.txt", scan_pts, scan_vals))
     geometry.save_obstacle(reconstructed, out / "recovered.obs")
     files.append(out / "recovered.obs")

@@ -356,7 +356,7 @@ def test_criterion_10_locator():
     )
     samples = degree_one_oracle(grid, wave, [50.0, 50.0, 50.0])
     region = SampleRegion(lower=[0.0, 0.0, 0.0], upper=[100.0, 100.0, 100.0])
-    z, _ = locate(samples, region)
+    z, _, _ = locate(samples, region)
     coord_err = float(np.abs(z - 50.0).max())
     _, vals = scan_indicator(samples, region)
     bounds_ok = vals.min() >= 0.0 and vals.max() <= 1.02

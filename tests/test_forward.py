@@ -251,6 +251,17 @@ class TestSamplesOps:
             save_far_field(loaded, again)
             assert path.read_bytes() == again.read_bytes()
 
+    def test_non_finite_modulus_file_rejected(self, tetra, tmp_path):
+        g = build_grid(500)
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
+        lines = path.read_text().splitlines()
+        coords, _ = lines[5].split("  ")
+        lines[5] = f"{coords}  nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_far_field(path)
+
     def test_plane_wave_validation(self):
         with pytest.raises(ValueError):
             PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([1.0, 0, 0]), k=1.0)

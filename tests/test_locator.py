@@ -102,31 +102,39 @@ class TestIndicator:
 class TestLocate:
     def test_recovers_grid_aligned_center(self, grid):
         samples = degree_one_oracle(grid, LOW_WAVE, [50.0, 50.0, 50.0])
-        z, value = locate(samples, REGION)
+        z, value, _ = locate(samples, REGION)
         assert np.abs(z - 50.0).max() <= 1e-2
         assert 0.9 <= value <= 1.02
+
+    def test_returns_its_coarse_scan(self, grid):
+        samples = degree_one_oracle(grid, LOW_WAVE, [47.3, 52.8, 49.6])
+        _, value, (points, values) = locate(samples, REGION)
+        ref_points, ref_values = scan_indicator(samples, REGION)
+        assert np.array_equal(points, ref_points)
+        assert np.array_equal(values, ref_values)
+        assert value >= values.max()
 
     def test_recovers_off_grid_center(self, grid):
         z0 = np.array([47.3, 52.8, 49.6])
         samples = degree_one_oracle(grid, LOW_WAVE, z0)
-        z, _ = locate(samples, REGION)
+        z, _, _ = locate(samples, REGION)
         assert np.abs(z - z0).max() <= 1e-2
 
     def test_corner_center_clamped(self, grid):
         samples = degree_one_oracle(grid, LOW_WAVE, [0.0, 0.0, 0.0])
-        z, _ = locate(samples, REGION)
+        z, _, _ = locate(samples, REGION)
         assert np.abs(z).max() <= 1e-2
 
     def test_frequency_independent(self, grid):
         z0 = np.array([50.0, 50.0, 50.0])
         half = PlaneWave(d=LOW_WAVE.d, p=LOW_WAVE.p, k=LOW_WAVE.k / 2.0)
-        z1, _ = locate(degree_one_oracle(grid, LOW_WAVE, z0), REGION)
-        z2, _ = locate(degree_one_oracle(grid, half, z0), REGION)
+        z1, _, _ = locate(degree_one_oracle(grid, LOW_WAVE, z0), REGION)
+        z2, _, _ = locate(degree_one_oracle(grid, half, z0), REGION)
         assert np.abs(z1 - z2).max() <= 1e-2
 
     def test_minimize_polarity_supported(self, grid):
         samples = degree_one_oracle(grid, LOW_WAVE, [50.0, 50.0, 50.0])
-        z, value = locate(samples, REGION, maximize=False)
+        z, value, _ = locate(samples, REGION, maximize=False)
         # the minimizer lands away from the translation point
         assert value < 0.5
 

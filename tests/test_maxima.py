@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import RECOVERED_NORMAL_TABLE, TETRA_TRUE_NORMALS, angle_deg
+from conftest import (
+    INCIDENT_TABLE,
+    RECOVERED_NORMAL_TABLE,
+    TETRA_TRUE_NORMALS,
+    angle_deg,
+)
 from polyscat.forward import PlaneWave, sample_phaseless
 from polyscat.maxima import (
     DegenerateDirection,
@@ -24,6 +29,20 @@ from polyscat.sphgrid import build_grid, sht_forward
 
 X1 = np.array([-1.0 / 3.0, 0.0, 2.0 * np.sqrt(2.0) / 3.0])
 D1 = np.array([1.0, 0.0, 0.0])
+
+# Selected peaks (incident index, direction, value) of the paper tetrahedron
+# at lambda = 0.5, cutoff 6 on a 1,000-point grid with the default
+# thresholds, as found by a 5 x 11 Nelder-Mead multistart in (theta, phi).
+MULTISTART_PEAKS_L05 = [
+    (0, (-0.399413510, 0.000003690, 0.916770881), 0.724174588),
+    (1, (0.399588715, 0.000185585, 0.916694510), 0.725209096),
+    (2, (0.000025165, -0.399442425, -0.916758283), 0.724347556),
+    (3, (0.000022911, 0.399316553, -0.916813116), 0.724042698),
+    (4, (0.000000405, 0.948522322, 0.316710285), 0.549702320),
+    (4, (-0.000186160, -0.948603177, 0.316467972), 0.549119245),
+    (5, (0.980174506, -0.000144439, -0.198136108), 0.556226242),
+    (5, (-0.980171223, -0.000213391, -0.198152283), 0.556164161),
+]
 
 
 def table_face_set(rows=RECOVERED_NORMAL_TABLE):
@@ -117,6 +136,22 @@ class TestPeakSearch:
         d_near = min(angle_deg(t, D1) for t in tops)
         x1_near = min(angle_deg(t, X1) for t in tops)
         assert d_near < 8.0 and x1_near < 8.0
+
+    def test_matches_multistart_peaks(self, tetra):
+        g = build_grid(1000)
+        for i, (d, p) in enumerate(INCIDENT_TABLE):
+            w = PlaneWave(d=d, p=p, k=4.0 * math.pi)
+            exp = sht_forward(sample_phaseless(tetra, w, g), 6)
+            peaks = find_local_maxima(exp, incident_direction=d, wavelength=0.5)
+            assert peaks.failed_starts == 0
+            out = select_critical_directions(peaks, RecoveryThresholds())
+            expected = [row for row in MULTISTART_PEAKS_L05 if row[0] == i]
+            assert len(out) == len(expected)
+            for xhat, val, (_, ref_xhat, ref_val) in zip(
+                out.directions, out.values, expected
+            ):
+                assert_allclose(xhat, ref_xhat, atol=1e-5)
+                assert_allclose(val, ref_val, atol=1e-5)
 
     def test_peaks_unit_and_sorted(self, tetra):
         g = build_grid(3000)

@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -22,6 +24,19 @@ FAST = dict(grid_shape=2000, grid_loc=500, cutoff=6, cluster_angle_deg=10.0)
 def workspace(tmp_path, tetra):
     save_obstacle(tetra, tmp_path / "tetra.obs")
     return tmp_path
+
+
+def assert_same_fields(a, b):
+    """Field-by-field equality of (nested) dataclasses holding arrays."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            assert_same_fields(x, y)
+        elif isinstance(x, (np.ndarray, tuple)):
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert x == y, f.name
 
 
 def read_tree(root):
@@ -51,6 +66,23 @@ class TestConfig:
         cfg.write_text("obstacle = tetra.obs\nincident = 1 0 0 0 0 1\nwhat = 3\n")
         with pytest.raises(ValueError):
             parse_config(cfg)
+
+    def test_multistart_is_accepted_and_ignored(self, workspace, caplog):
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        legacy = workspace / "legacy.cfg"
+        legacy.write_text(plain.read_text() + "multistart = 3 4\n")
+        with caplog.at_level(logging.WARNING, logger="polyscat"):
+            config = parse_config(legacy)
+        assert_same_fields(config, parse_config(plain))
+        assert "multistart" in caplog.text and "ignored" in caplog.text
+
+    def test_rejects_malformed_multistart(self, workspace):
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        for value in ("3", "0 4", "3 4 5", "a b"):
+            bad = workspace / "bad.cfg"
+            bad.write_text(plain.read_text() + f"multistart = {value}\n")
+            with pytest.raises(ValueError):
+                parse_config(bad)
 
     def test_rejects_empty_incident(self, workspace):
         cfg = workspace / "bad.cfg"
@@ -135,19 +167,6 @@ class TestRecover:
         with pytest.raises(PipelineError) as err:
             run_pipeline(parse_config(cfg))
         assert "step1" in str(err.value)
-
-
-class TestThreads:
-    def test_worker_threads_do_not_change_results(self, workspace, monkeypatch):
-        trees = []
-        for sub, threads in (("t1", "1"), ("t2", "4")):
-            monkeypatch.setenv("POLYSCAT_THREADS", threads)
-            cfg = write_experiment_config(
-                workspace / f"{sub}.cfg", "tetra.obs", output_dir=sub, **FAST
-            )
-            run_pipeline(parse_config(cfg))
-            trees.append(read_tree(workspace / sub))
-        assert trees[0] == trees[1]
 
 
 class TestMergeVertices:
