@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import forward, geometry, locator, pipeline
+from . import geometry, pipeline
 
 _AXIS_DIRECTIONS = (
     (1.0, 0.0, 0.0),
@@ -63,16 +63,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_locate(args) -> int:
     config = pipeline.parse_config(args.config)
-    loc_path = pipeline._loc_data_path(config)
-    if not loc_path.exists():
-        pipeline.synthesize_dataset(config)
-    samples = forward.load_far_field(loc_path)
-    z, value, (points, values) = locator.locate(
-        samples, config.region, maximize=config.maximize_indicator
-    )
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    pipeline._write_location(config.output_dir / "location.csv", z, value)
-    pipeline._write_scan(config.output_dir / "indicator_scan.txt", points, values)
+    z, value, _ = pipeline.locate_obstacle(config)
     print(f"{z[0]:.6f} {z[1]:.6f} {z[2]:.6f} {value:.6f}")
     return 0
 

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .geometry import ConvexPolyhedron, DegenerateFace, unit_vector
-from .sphgrid import SphericalGrid, flat_triangle_areas
+from .sphgrid import SphericalGrid
 
 MODULUS = "modulus"
 COMPLEX_E = "complex-E"
@@ -324,7 +323,7 @@ def save_far_field(samples: FarFieldSamples, path) -> None:
 
 
 def load_far_field(path) -> FarFieldSamples:
-    """Parse the far-field text format; the grid is re-triangulated."""
+    """Parse the far-field text format; the grid weights are rebuilt."""
     kind = None
     wave = None
     rows = []
@@ -351,20 +350,10 @@ def load_far_field(path) -> FarFieldSamples:
     if kind is None or wave is None:
         raise ValueError(f"{path}: missing kind/wave header lines")
     data = np.array(rows)
-    pts = data[:, :3]
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError(f"{path}: grid points must be unit vectors")
-    hull = ConvexHull(pts)
-    tris = hull.simplices.copy()
-    det = np.einsum(
-        "ij,ij->i", pts[tris[:, 0]], np.cross(pts[tris[:, 1]], pts[tris[:, 2]])
-    )
-    flip = det < 0
-    tris[flip, 1], tris[flip, 2] = tris[flip, 2], tris[flip, 1].copy()
-    grid = SphericalGrid(
-        points=pts, triangles=tris, triangle_areas=flat_triangle_areas(pts, tris)
-    )
+    try:
+        grid = SphericalGrid(points=data[:, :3])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if kind == MODULUS:
         if data.shape[1] != 4:
             raise ValueError(f"{path}: modulus rows need 4 columns")

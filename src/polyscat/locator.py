@@ -6,8 +6,8 @@ phase-translated degree-1 vector spherical harmonics,
 
     ``I(z) = sum_{|m|<=1} |<E, e^{ik(d-x) . z} U_1^m>|^2 + |<E, ... V_1^m>|^2``
 
-normalized by the field's squared norm; inner products use the same
-vertex-sum triangle quadrature as the scalar transform.  When the phase
+normalized by the field's squared norm; inner products use the grid's
+quadrature weights, as the scalar transform does.  When the phase
 factor cancels the translation of the obstacle, the degree-1 projection
 captures the whole field and ``I`` attains its extremum.  Both polarities
 are supported; the default searches for the maximum.

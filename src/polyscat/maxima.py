@@ -134,9 +134,7 @@ def _grid_seeds(expansion: HarmonicExpansion):
     Returns ``(seeds, scale)`` with ``scale`` the largest modulus on the
     lattice.
     """
-    grid = build_grid(
-        _SEEDS_PER_COEFFICIENT * (expansion.cutoff + 1) ** 2, smoothing=0
-    )
+    grid = build_grid(_SEEDS_PER_COEFFICIENT * (expansion.cutoff + 1) ** 2)
     values = synthesize(expansion, grid.points)
     tri = grid.triangles
     neighbour_max = np.full(grid.size, -np.inf)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, IntersectionResult, halfspace_intersection
+from .geometry import IntersectionResult, Unbounded, halfspace_intersection
 
 
 class SpanDeficient(ValueError):

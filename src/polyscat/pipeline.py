@@ -84,8 +84,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.incident:
             raise ValueError("config needs at least one incident direction")
-        if self.lambda_shape <= 0 or self.lambda_loc <= 0:
-            raise ValueError("wavelengths must be positive")
+        if not (0 < self.lambda_shape < math.inf and 0 < self.lambda_loc < math.inf):
+            raise ValueError("wavelengths must be positive and finite")
         for d, p in self.incident:
             if abs(float(np.dot(d, p))) > 1e-12:
                 raise ValueError("incident polarization must be orthogonal to d")
@@ -107,8 +107,18 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _finite_numbers(path, key: str, text: str) -> list:
+    nums = [float(t) for t in text.split()]
+    if not all(math.isfinite(x) for x in nums):
+        raise ValueError(f"{path}: {key} must be finite")
+    return nums
+
+
 def parse_config(path) -> ExperimentConfig:
-    """Read and validate a flat ``key = value`` experiment config."""
+    """Read and validate a flat ``key = value`` experiment config.
+
+    Every real-valued key must be finite: NaN and +-inf raise ``ValueError``.
+    """
     path = Path(path)
     raw: dict = {}
     incident = []
@@ -121,7 +131,7 @@ def parse_config(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in body.split("=", 1))
             if key == "incident":
-                nums = [float(t) for t in value.split()]
+                nums = _finite_numbers(f"{path}:{lineno}", key, value)
                 if len(nums) != 6:
                     raise ValueError(
                         f"{path}:{lineno}: incident needs 6 numbers (d then p)"
@@ -138,15 +148,24 @@ def parse_config(path) -> ExperimentConfig:
     def take(key, default=None):
         return raw.pop(key, default)
 
+    def take_floats(key, default):
+        return _finite_numbers(path, key, take(key, default))
+
+    def take_float(key, default):
+        nums = take_floats(key, str(default))
+        if len(nums) != 1:
+            raise ValueError(f"{path}: {key} needs one number")
+        return nums[0]
+
     base = path.parent
     obstacle = take("obstacle")
     if obstacle is None:
         raise ValueError(f"{path}: missing 'obstacle'")
     output_dir = take("output_dir", "out")
     thresholds = maxima.RecoveryThresholds(
-        e_tol=float(take("e_tol", 0.5)),
-        exclusion_radius=float(take("exclusion_radius", 0.3)),
-        cluster_angle=math.radians(float(take("cluster_angle_deg", 5.0))),
+        e_tol=take_float("e_tol", 0.5),
+        exclusion_radius=take_float("exclusion_radius", 0.3),
+        cluster_angle=math.radians(take_float("cluster_angle_deg", 5.0)),
         cutoff=int(take("cutoff", 10)),
     )
     multistart = take("multistart")
@@ -156,9 +175,9 @@ def parse_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: multistart needs two positive integers")
         log.warning("%s: 'multistart' is ignored; peaks are seeded from a grid", path)
     noise = forward.NoiseModel(
-        delta=float(take("noise_delta", 0.0)), seed=int(take("noise_seed", 7))
+        delta=take_float("noise_delta", 0.0), seed=int(take("noise_seed", 7))
     )
-    region_nums = [float(t) for t in take("region", "0 100 0 100 0 100").split()]
+    region_nums = take_floats("region", "0 100 0 100 0 100")
     if len(region_nums) != 6:
         raise ValueError(f"{path}: region needs 6 numbers (x0 x1 y0 y1 z0 z1)")
     region = locator.SampleRegion(
@@ -173,17 +192,17 @@ def parse_config(path) -> ExperimentConfig:
         obstacle=(base / obstacle).resolve(),
         incident=tuple(incident),
         output_dir=(base / output_dir).resolve(),
-        lambda_shape=float(take("lambda_shape", 0.5)),
-        lambda_loc=float(take("lambda_loc", 50.0)),
+        lambda_shape=take_float("lambda_shape", 0.5),
+        lambda_loc=take_float("lambda_loc", 50.0),
         grid_shape=int(take("grid_shape", 7518)),
         grid_loc=int(take("grid_loc", 1878)),
         thresholds=thresholds,
         noise=noise,
-        location=np.array([float(t) for t in take("location", "0 0 0").split()]),
+        location=np.array(take_floats("location", "0 0 0")),
         region=region,
         step3_oracle=_parse_bool(take("step3_oracle", "true")),
         maximize_indicator=polarity == "max",
-        merge_vertices=float(take("merge_vertices", 0.0)),
+        merge_vertices=take_float("merge_vertices", 0.0),
     )
     if raw:
         raise ValueError(f"{path}: unknown keys {sorted(raw)}")
@@ -330,15 +349,9 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     files.append(_write_fit_report(out / "fit_report.txt", fit, intersection))
 
     # Step 3: low-frequency location
-    try:
-        z_star, ind_val, (scan_pts, scan_vals) = locator.locate(
-            loc_samples, config.region, maximize=config.maximize_indicator
-        )
-        located = reconstructed.translated(z_star - reconstructed.centroid)
-    except Exception as exc:
-        raise PipelineError("step3", str(exc)) from exc
-    files.append(_write_location(out / "location.csv", z_star, ind_val))
-    files.append(_write_scan(out / "indicator_scan.txt", scan_pts, scan_vals))
+    z_star, ind_val, location_files = locate_obstacle(config, loc_samples)
+    files.extend(location_files)
+    located = reconstructed.translated(z_star - reconstructed.centroid)
     geometry.save_obstacle(reconstructed, out / "recovered.obs")
     files.append(out / "recovered.obs")
     geometry.save_obstacle(located, out / "recovered_located.obs")
@@ -354,6 +367,37 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
         located=located,
         files=tuple(files),
     )
+
+
+def locate_obstacle(config: ExperimentConfig, samples=None):
+    """Step 3: locate the obstacle from its low-frequency far field and write
+    ``location.csv`` and ``indicator_scan.txt`` to the output directory.
+
+    ``samples`` defaults to the config's low-frequency data file, which is
+    synthesized first when missing.  Returns ``(z, value, files)``; a
+    failure raises a stage-tagged :class:`PipelineError`.
+    """
+    if samples is None:
+        path = _loc_data_path(config)
+        if not path.exists():
+            synthesize_dataset(config)
+        try:
+            samples = forward.load_far_field(path)
+        except (OSError, ValueError) as exc:
+            raise PipelineError("load", str(exc)) from exc
+    try:
+        z, value, (points, values) = locator.locate(
+            samples, config.region, maximize=config.maximize_indicator
+        )
+    except Exception as exc:
+        raise PipelineError("step3", str(exc)) from exc
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    files = (
+        _write_location(out / "location.csv", z, value),
+        _write_scan(out / "indicator_scan.txt", points, values),
+    )
+    return z, value, files
 
 
 def merge_close_vertices(

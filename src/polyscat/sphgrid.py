@@ -2,6 +2,13 @@
 transform used to turn scattered sphere data into a smooth band-limited
 surrogate.
 
+A grid is a set of distinct unit directions; its quadrature weights come
+from the points alone.  They are the least-norm correction to equal
+weights that integrates every harmonic up to a degree fixed by the grid
+size exactly, the least-squares relative of spherical designs (Sloan &
+Womersley 2004).  The standard grid is the raw Fibonacci lattice
+(Gonzalez 2010).
+
 The scalar basis is real and orthonormal: ``Y(n,0) = Pbar(n,0)`` and
 ``Y(n,+-m) = sqrt(2) Pbar(n,m) {cos,sin}(m phi)`` with fully normalized
 associated Legendre functions ``Pbar`` evaluated by stable three-term
@@ -18,27 +25,44 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, SphericalVoronoi
+from scipy.spatial import ConvexHull
 
 FOUR_PI = 4.0 * math.pi
 _P00 = 1.0 / math.sqrt(FOUR_PI)
+# exact degree D of the weights: the largest with (D + 1)^2 <= N / 16
+_POINTS_PER_COEFFICIENT = 16
 
 
 @dataclass(frozen=True)
 class SphericalGrid:
-    """Near-uniform direction set with a covering triangulation.
+    """Distinct unit directions with quadrature weights computed from them.
+
+    The weights are built, and the points validated, at construction:
+    points that are not unit vectors, exactly repeated points and any
+    nonpositive weight raise ``ValueError``.
 
     Attributes
     ----------
     points : (N, 3) ndarray of unit vectors
-    triangles : (T, 3) int ndarray, outward-oriented vertex triples
-    triangle_areas : (T,) ndarray
-        Flat or spherical triangle areas, fixed at construction.
     """
 
     points: np.ndarray
-    triangles: np.ndarray
-    triangle_areas: np.ndarray
+
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError("grid points must be an (N, 3) array")
+        if not np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-9):
+            raise ValueError("grid points must be unit vectors")
+        if len(np.unique(pts, axis=0)) < len(pts):
+            raise ValueError("grid points must be distinct")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+        if self.point_weights.min() <= 0.0:
+            raise ValueError(
+                "grid points do not cover the sphere: a quadrature weight is "
+                "not positive"
+            )
 
     @property
     def size(self) -> int:
@@ -46,15 +70,26 @@ class SphericalGrid:
 
     @cached_property
     def point_weights(self) -> np.ndarray:
-        """Quadrature weight per point: a third of each incident triangle."""
-        w = np.zeros(self.size)
-        np.add.at(w, self.triangles.ravel(), np.repeat(self.triangle_areas / 3.0, 3))
+        """Quadrature weight per point, exact for harmonics up to degree
+        ``D``, the largest with ``(D + 1)^2 <= N / 16``.
+
+        ``w = 4 pi / N + A y`` with ``A`` the harmonic design matrix and
+        ``(A^T A) y = sqrt(4 pi) e_0 - A^T (4 pi / N)``: the least-norm
+        change to equal weights that makes ``A^T w`` the exact integrals.
+        """
+        degree = max(math.isqrt(self.size // _POINTS_PER_COEFFICIENT) - 1, 0)
+        A = harmonic_basis(self.points, degree)
+        equal = np.full(self.size, FOUR_PI / self.size)
+        rhs = -(A.T @ equal)
+        rhs[0] += math.sqrt(FOUR_PI)
+        w = equal + A @ np.linalg.solve(A.T @ A, rhs)
         w.flags.writeable = False
         return w
 
-    def integrate(self, values: np.ndarray):
-        """Vertex-sum triangle quadrature of per-point samples."""
-        return np.tensordot(self.point_weights, values, axes=(0, 0))
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        """(T, 3) int ndarray, outward-oriented convex-hull triangles."""
+        return _triangulate(self.points)
 
 
 def fibonacci_points(n: int) -> np.ndarray:
@@ -68,107 +103,25 @@ def fibonacci_points(n: int) -> np.ndarray:
     return np.column_stack((st * np.cos(phi), st * np.sin(phi), z))
 
 
-def flat_triangle_areas(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = points[triangles[:, 0]]
-    b = points[triangles[:, 1]]
-    c = points[triangles[:, 2]]
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-
-
-def spherical_triangle_areas(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Spherical excess per triangle (Van Oosterom-Strackee solid angle)."""
-    a = points[triangles[:, 0]]
-    b = points[triangles[:, 1]]
-    c = points[triangles[:, 2]]
-    num = np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)))
-    den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) + np.einsum(
-        "ij,ij->i", c, a
-    )
-    return 2.0 * np.arctan2(num, den)
-
-
-def lloyd_relax(points: np.ndarray, iterations: int, omega: float = 1.9) -> np.ndarray:
-    """Move each point toward the centroid of its spherical Voronoi cell.
-
-    A few dozen over-relaxed sweeps (``omega > 1`` accelerates the linear
-    convergence) turn the Fibonacci lattice into a centroidal mesh with
-    nearly equal, nearly equilateral triangles, which the vertex-sum
-    quadrature needs for its leading error terms to cancel globally.
-    Fully deterministic.
-    """
-    pts = np.asarray(points, dtype=float).copy()
-    for _ in range(iterations):
-        sv = SphericalVoronoi(pts, radius=1.0)
-        sv.sort_vertices_of_regions()
-        lens = np.array([len(r) for r in sv.regions])
-        owner = np.repeat(np.arange(len(pts)), lens)
-        ring = np.concatenate(sv.regions)
-        ring_next = np.concatenate([np.roll(r, -1) for r in sv.regions])
-        a = sv.vertices[ring]
-        b = sv.vertices[ring_next]
-        c = pts[owner]
-        tri_area = 0.5 * np.linalg.norm(np.cross(a - c, b - c), axis=1)
-        tri_cen = (a + b + c) / 3.0
-        acc = np.zeros_like(pts)
-        tot = np.zeros(len(pts))
-        np.add.at(acc, owner, tri_area[:, None] * tri_cen)
-        np.add.at(tot, owner, tri_area)
-        good = tot > 0
-        target = pts.copy()
-        target[good] = acc[good] / tot[good, None]
-        pts = pts + omega * (target - pts)
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts
-
-
 def _triangulate(pts: np.ndarray) -> np.ndarray:
     """Outward-oriented convex-hull triangulation of unit points."""
-    hull = ConvexHull(pts)
-    tris = hull.simplices.copy()
+    tris = ConvexHull(pts).simplices.copy()
     det = np.einsum(
         "ij,ij->i", pts[tris[:, 0]], np.cross(pts[tris[:, 1]], pts[tris[:, 2]])
     )
     flip = det < 0
     tris[flip, 1], tris[flip, 2] = tris[flip, 2], tris[flip, 1].copy()
+    tris.flags.writeable = False
     return tris
 
 
 @lru_cache(maxsize=8)
-def _build_grid_cached(n: int, spherical_areas: bool, smoothing: int) -> SphericalGrid:
-    pts = fibonacci_points(n)
-    if smoothing > 0:
-        pts = lloyd_relax(pts, smoothing)
-    tris = _triangulate(pts)
-    areas = (
-        spherical_triangle_areas(pts, tris)
-        if spherical_areas
-        else flat_triangle_areas(pts, tris)
-    )
-    pts.flags.writeable = False
-    tris.flags.writeable = False
-    areas.flags.writeable = False
-    return SphericalGrid(points=pts, triangles=tris, triangle_areas=areas)
-
-
-def build_grid(n: int, spherical_areas: bool = False, smoothing: int = 60) -> SphericalGrid:
-    """Near-uniform grid of ``n`` points triangulated by its convex hull.
-
-    Points start on a Fibonacci lattice and are relaxed by ``smoothing``
-    Lloyd sweeps (``smoothing=0`` gives the raw lattice).  Construction is
-    deterministic; results are cached per parameter triple.
-
-    Parameters
-    ----------
-    n : int
-        Number of points, at least 12.
-    spherical_areas : bool
-        Attach spherical-excess areas instead of flat triangle areas.
-    smoothing : int
-        Lloyd relaxation sweeps applied to the lattice.
-    """
+def build_grid(n: int) -> SphericalGrid:
+    """Raw Fibonacci lattice of ``n`` points (at least 12) with its exact
+    low-degree quadrature weights.  Deterministic; cached per ``n``."""
     if n < 12:
         raise ValueError("need at least 12 grid points")
-    return _build_grid_cached(int(n), bool(spherical_areas), int(smoothing))
+    return SphericalGrid(points=fibonacci_points(int(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +319,7 @@ def _grid_and_values(samples):
 
 
 def sht_forward(samples, cutoff: int) -> HarmonicExpansion:
-    """Coefficients of per-point sphere data via vertex-sum triangle quadrature.
+    """Coefficients of per-point sphere data by the grid's quadrature weights.
 
     ``samples`` is either phaseless far-field samples (anything exposing
     ``grid`` and scalar ``values``) or an explicit ``(grid, values)`` pair.

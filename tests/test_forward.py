@@ -262,6 +262,27 @@ class TestSamplesOps:
         with pytest.raises(ValueError, match="finite"):
             load_far_field(path)
 
+    def test_duplicated_point_file_rejected(self, tetra, tmp_path):
+        # a repeated point would be counted twice by the quadrature
+        g = build_grid(500)
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[5]]) + "\n")
+        with pytest.raises(ValueError, match="distinct"):
+            load_far_field(path)
+
+    def test_one_hemisphere_file_rejected(self, tetra, tmp_path):
+        # points on half the sphere admit no positive quadrature weights
+        g = build_grid(500)
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
+        lines = path.read_text().splitlines()
+        upper = [r for r in lines[2:] if float(r.split()[2]) > 0.0]
+        path.write_text("\n".join(lines[:2] + upper) + "\n")
+        with pytest.raises(ValueError, match="weight"):
+            load_far_field(path)
+
     def test_plane_wave_validation(self):
         with pytest.raises(ValueError):
             PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([1.0, 0, 0]), k=1.0)

@@ -8,6 +8,7 @@ from conftest import (
     TETRA_OFFSET,
     TETRA_TRUE_NORMALS,
 )
+from polyscat import minkowski
 from polyscat.geometry import Unbounded, halfspace_intersection
 from polyscat.minkowski import SpanDeficient, balance_areas, facet_areas, fit_offsets
 
@@ -82,6 +83,24 @@ class TestFitOffsets:
 
     def test_exact_cube(self):
         fit = fit_offsets(CUBE_NORMALS, np.ones(6))
+        assert_allclose(fit.offsets, 0.5, atol=1e-7)
+        assert fit.residual <= 1e-10
+
+    def test_unbounded_trial_step_is_retried(self, monkeypatch):
+        # a trial step whose half spaces are unbounded is rejected and the
+        # damping raised; it must not escape the fit as another error
+        calls = []
+
+        def first_trial_unbounded(normals, offsets):
+            calls.append(1)
+            # call 1 is the start residual, calls 2..7 the Jacobian columns
+            if len(calls) == len(CUBE_NORMALS) + 2:
+                raise Unbounded("half spaces do not enclose a bounded solid")
+            return facet_areas(normals, offsets)
+
+        monkeypatch.setattr(minkowski, "facet_areas", first_trial_unbounded)
+        fit = fit_offsets(CUBE_NORMALS, np.ones(6))
+        assert len(calls) > len(CUBE_NORMALS) + 2
         assert_allclose(fit.offsets, 0.5, atol=1e-7)
         assert fit.residual <= 1e-10
 

@@ -84,6 +84,28 @@ class TestConfig:
             with pytest.raises(ValueError):
                 parse_config(bad)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "lambda_shape = nan",
+            "lambda_loc = inf",
+            "e_tol = nan",
+            "exclusion_radius = -inf",
+            "cluster_angle_deg = nan",
+            "noise_delta = inf",
+            "merge_vertices = nan",
+            "location = 50 nan 50",
+            "region = 0 100 0 inf 0 100",
+            "incident = 1 0 0  0 0 nan",
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, workspace, line):
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        bad = workspace / "bad.cfg"
+        bad.write_text(plain.read_text() + line + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            parse_config(bad)
+
     def test_rejects_empty_incident(self, workspace):
         cfg = workspace / "bad.cfg"
         cfg.write_text("obstacle = tetra.obs\noutput_dir = out\n")

@@ -9,16 +9,15 @@ from polyscat.forward import NoiseModel, PlaneWave, add_noise, sample_phaseless
 from polyscat.sphgrid import (
     FOUR_PI,
     HarmonicExpansion,
+    SphericalGrid,
     build_grid,
     dump_expansion,
     eval_scalar_harmonic,
     eval_vector_harmonics,
     fibonacci_points,
-    flat_triangle_areas,
     harmonic_basis,
     load_expansion,
     sht_forward,
-    spherical_triangle_areas,
     synthesize,
 )
 
@@ -28,9 +27,15 @@ def random_directions(rng, n):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def gram_error(grid, degree):
+    B = harmonic_basis(grid.points, degree)
+    gram = B.T @ (grid.point_weights[:, None] * B)
+    return float(np.abs(gram - np.eye(B.shape[1])).max())
+
+
 class TestGrid:
     def test_minimal_grid_euler(self):
-        g = build_grid(12, smoothing=5)
+        g = build_grid(12)
         assert g.size == 12
         assert len(g.triangles) == 20
         edges = set()
@@ -40,14 +45,33 @@ class TestGrid:
         assert g.size - len(edges) + len(g.triangles) == 2
 
     def test_area_sums(self):
+        # outward triangles tile the sphere once: signed solid angles sum to
+        # 4 pi (Van Oosterom-Strackee)
         g = build_grid(7518)
-        assert abs(g.triangle_areas.sum() - FOUR_PI) <= 0.02 * FOUR_PI
-        gs = build_grid(7518, spherical_areas=True)
-        assert abs(gs.triangle_areas.sum() - FOUR_PI) <= 1e-9
+        a, b, c = (g.points[g.triangles[:, k]] for k in range(3))
+        num = np.einsum("ij,ij->i", a, np.cross(b, c))
+        den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum(
+            "ij,ij->i", b, c
+        ) + np.einsum("ij,ij->i", c, a)
+        assert num.min() > 0.0
+        assert abs(2.0 * np.arctan2(num, den).sum() - FOUR_PI) <= 1e-9
 
     def test_point_weights_cover_sphere(self):
         g = build_grid(2000)
-        assert_allclose(g.point_weights.sum(), g.triangle_areas.sum(), rtol=1e-12)
+        assert_allclose(g.point_weights.sum(), FOUR_PI, rtol=1e-12)
+        equal = FOUR_PI / g.size
+        assert np.abs(g.point_weights / equal - 1.0).max() <= 0.01
+
+    def test_rejects_bad_point_sets(self):
+        pts = fibonacci_points(200)
+        with pytest.raises(ValueError, match="unit"):
+            SphericalGrid(points=1.01 * pts)
+        with pytest.raises(ValueError, match="unit"):
+            SphericalGrid(points=np.vstack([pts, [[np.nan, 0.0, 1.0]]]))
+        with pytest.raises(ValueError, match="distinct"):
+            SphericalGrid(points=np.vstack([pts, pts[:1]]))
+        with pytest.raises(ValueError, match="weight"):
+            SphericalGrid(points=pts[pts[:, 2] > 0.0])
 
     def test_near_uniform_spacing(self):
         g = build_grid(7518)
@@ -81,20 +105,17 @@ class TestScalarHarmonics:
         assert_allclose(val, math.sqrt(3.0 / FOUR_PI), rtol=1e-14)
 
     def test_orthonormality_gram(self):
-        g = build_grid(7518)
-        B = harmonic_basis(g.points, 10)
-        gram = B.T @ (g.point_weights[:, None] * B)
-        assert np.abs(gram - np.eye(B.shape[1])).max() <= 1e-3
+        assert gram_error(build_grid(7518), 10) <= 1e-3
 
-    def test_quadrature_error_monotone_in_grid_size(self):
-        # raw lattices, fixed degree: denser grids integrate better
-        errs = []
-        for n in (2000, 7518, 20000):
-            g = build_grid(n, smoothing=0)
-            B = harmonic_basis(g.points, 6)
-            gram = B.T @ (g.point_weights[:, None] * B)
-            errs.append(np.abs(gram - np.eye(B.shape[1])).max())
-        assert errs[0] > errs[1] > errs[2]
+    def test_quadrature_exact_at_every_grid_size(self):
+        # weights are exact to degree D with (D + 1)^2 <= n / 16, so the Gram
+        # matrix of the harmonics up to D // 2 is the identity to rounding
+        for n in (12, 500, 1000, 1878, 7518):
+            g = build_grid(n)
+            degree = max(math.isqrt(n // 16) - 1, 0)
+            assert_allclose(g.point_weights.sum(), FOUR_PI, rtol=1e-13)
+            assert g.point_weights.min() > 0.0
+            assert gram_error(g, degree // 2) <= 1e-12
 
     def test_finite_high_degrees(self):
         rng = np.random.default_rng(1)
