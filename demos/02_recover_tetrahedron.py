@@ -80,7 +80,7 @@ for j in range(len(effective)):
         f"  ({best[0]:.2f} deg off true)"
     )
 
-# Step 2: offsets by least squares, then half-space intersection
+# Step 2: offsets by the Minkowski fit, then half-space intersection
 balanced = balance_areas(effective.normals, effective.areas)
 fit = fit_offsets(effective.normals, balanced)
 print(f"\nfitted offsets: {np.round(fit.offsets, 4)} (true {0.2041:.4f})")

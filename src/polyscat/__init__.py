@@ -2,8 +2,8 @@
 
 A physical-optics forward simulator synthesizes phaseless far-field data;
 the recovery runs in three steps: backscattering peaks give face normals
-and areas, a constrained least-squares fit of the face offsets rebuilds the
-polyhedron (Minkowski problem), and a degree-1 harmonic indicator on one
+and areas, a convex Newton fit of the face offsets rebuilds the polyhedron
+(Minkowski problem), and a degree-1 harmonic indicator on one
 low-frequency measurement pins down the location.
 """
 

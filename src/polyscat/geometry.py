@@ -110,16 +110,14 @@ class ConvexPolyhedron:
     @cached_property
     def centroid(self) -> np.ndarray:
         """Volume centroid (center of gravity of the solid)."""
-        acc = np.zeros(3)
-        for j in range(self.num_faces):
-            pts = self.face_vertices(j)
-            nu = self.normals[j]
-            p0 = pts[0]
-            for a, b in zip(pts[1:-1], pts[2:]):
-                tri_area = 0.5 * np.linalg.norm(np.cross(a - p0, b - p0))
-                mids = 0.5 * np.array([p0 + a, a + b, b + p0])
-                # midpoint rule is exact for the quadratic integrand y_c^2 / 2
-                acc += nu * (tri_area / 3.0) * (mids**2).sum(axis=0) / 2.0
+        # fan triangles (p0, a, b) of every face
+        fans = [(f[0], f[m], f[m + 1]) for f in self.faces for m in range(1, len(f) - 1)]
+        face_of = np.repeat(np.arange(self.num_faces), [len(f) - 2 for f in self.faces])
+        p0, a, b = np.moveaxis(self.vertices[np.array(fans)], 1, 0)
+        tri_area = 0.5 * np.linalg.norm(np.cross(a - p0, b - p0), axis=1)
+        # midpoint rule is exact for the quadratic integrand y_c^2 / 2
+        mids_sq = ((p0 + a) ** 2 + (a + b) ** 2 + (b + p0) ** 2) / 4.0
+        acc = (self.normals[face_of] * (tri_area / 6.0)[:, None] * mids_sq).sum(axis=0)
         return acc / self.volume
 
     def face_vertices(self, j: int) -> np.ndarray:
@@ -374,8 +372,12 @@ class IntersectionResult:
     vanished: tuple
 
 
-def _merge_close_points(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Average together points closer than ``tol`` (greedy chaining)."""
+def _merge_close_points(pts: np.ndarray, tol: float):
+    """Average together points closer than ``tol`` (greedy chaining).
+
+    Returns the merged points and, per input point, the index of the
+    merged point it went into.
+    """
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
     groups = []
     assigned = np.full(len(pts), -1)
@@ -390,15 +392,18 @@ def _merge_close_points(pts: np.ndarray, tol: float) -> np.ndarray:
         if not placed:
             assigned[i] = len(groups)
             groups.append([i])
-    return np.array([pts[m].mean(axis=0) for m in groups])
+    return np.array([pts[m].mean(axis=0) for m in groups]), assigned
 
 
 def halfspace_intersection(normals, offsets) -> IntersectionResult:
     """Intersect the half spaces ``{x : x . nu_j <= alpha_j}``.
 
     Uses the polar dual: the hull of the points ``nu_j / alpha_j`` has one
-    facet per vertex of the primal body.  All offsets must be strictly
-    positive (origin interior) and the normals must positively span space.
+    facet per vertex of the primal body, and that vertex lies on exactly the
+    planes whose dual points span the facet, so faces follow the hull's
+    combinatorics rather than a distance tolerance.  All offsets must be
+    strictly positive (origin interior) and the normals must positively
+    span space.
 
     Raises
     ------
@@ -435,14 +440,18 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     # Each dual facet plane n.x = -b maps to the primal vertex n / (-b).
     prim = -eqs[:, :3] / eqs[:, 3:4]
     scale = max(1.0, float(np.abs(prim).max()))
-    verts = _merge_close_points(prim, tol=1e-9 * scale)
+    # triangles qhull cut from one coplanar dual facet share its equation,
+    # so they give the same vertex; distinct vertices may come very close
+    verts, merged_into = _merge_close_points(prim, tol=1e-12 * scale)
+    # a primal vertex lies on exactly the planes of its dual facets
+    incident = np.zeros((len(verts), len(N)), dtype=bool)
+    incident[merged_into[:, None], hull.simplices] = True
 
-    plane_tol = 1e-8 * scale
     faces = []
     plane_index = []
     vanished = []
     for j in range(len(N)):
-        on = np.flatnonzero(np.abs(verts @ N[j] - a[j]) <= plane_tol)
+        on = np.flatnonzero(incident[:, j])
         if len(on) < 3:
             vanished.append(j)
             continue

@@ -4,10 +4,14 @@ and areas.
 The target areas are first projected onto the closed-surface balance
 constraint ``sum_j A_j nu_j = 0`` (necessary and sufficient for a convex
 polytope with those normals to exist, unique up to translation).  The face
-offsets are then fitted by a damped Gauss-Newton loop on the residuals
-``a_j(V, alpha) - A_j``, where ``a_j`` are the facet areas of the half-space
-intersection; vanished facets contribute their full target area as
-residual so the descent pushes their offsets back toward the active region.
+offsets then solve Little's variational form of the Minkowski problem:
+minimize ``F(h) = sum_j A_j h_j - c log vol(h)``, which is convex by
+Brunn-Minkowski.  Its gradient is ``A - c a / vol`` with ``a`` the facet
+areas of the half-space intersection, and its Hessian comes from the
+volume Hessian ``M`` (edge lengths over the sines of the dihedral angles),
+so one intersection per trial step gives everything a damped Newton step
+needs.  At the minimum the facet areas are proportional to ``A``; areas
+are 2-homogeneous, so a final rescale makes them equal.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import IntersectionResult, Unbounded, halfspace_intersection
+from .geometry import GeometryError, IntersectionResult, halfspace_intersection
 
 
 class SpanDeficient(ValueError):
@@ -25,10 +29,11 @@ class SpanDeficient(ValueError):
 
 @dataclass(frozen=True)
 class OffsetFit:
-    """Result of the offset least-squares fit.
+    """Result of the offset fit.
 
-    ``residual`` is the final sum of squared area mismatches and
-    ``history`` the residual after every accepted step (non-increasing).
+    ``residual`` is the final sum of squared area mismatches, ``areas`` the
+    facet areas at the fitted offsets (zero where a facet vanished) and
+    ``history`` the objective after every accepted step (non-increasing).
     """
 
     normals: np.ndarray
@@ -39,6 +44,7 @@ class OffsetFit:
     converged: bool
     vanished: tuple
     history: tuple
+    areas: np.ndarray
 
 
 def balance_areas(normals, areas, floor=None) -> np.ndarray:
@@ -70,9 +76,74 @@ def facet_areas(normals, offsets) -> np.ndarray:
 
 def _areas_from_result(result: IntersectionResult, k: int) -> np.ndarray:
     areas = np.zeros(k)
-    for face_j, plane_j in enumerate(result.plane_index):
-        areas[plane_j] = result.polyhedron.areas[face_j]
+    areas[list(result.plane_index)] = result.polyhedron.areas
     return areas
+
+
+def volume_hessian(normals, result: IntersectionResult) -> np.ndarray:
+    """Hessian of the volume in the offsets, ``M_ij = d a_i / d h_j``.
+
+    Faces ``i`` and ``j`` that share an edge of length ``l`` at normal angle
+    ``theta`` give ``M_ij = l / sin(theta)``; the diagonal is
+    ``M_ii = -sum_j l_ij cot(theta_ij)``.  Read off the face cycles of
+    ``result``, so it costs no further intersection.
+    """
+    N = np.asarray(normals, dtype=float)
+    poly = result.polyhedron
+    owner = {}
+    for face, cycle in enumerate(poly.faces):
+        plane = result.plane_index[face]
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            owner[u, v] = plane
+    rows, cols, ends = [], [], []
+    for (u, v), plane in owner.items():
+        other = owner.get((v, u))
+        if other is not None:
+            rows.append(plane)
+            cols.append(other)
+            ends.append((u, v))
+    ends = np.array(ends).reshape(-1, 2)
+    length = np.linalg.norm(poly.vertices[ends[:, 0]] - poly.vertices[ends[:, 1]], axis=1)
+    cos = np.einsum("ij,ij->i", N[rows], N[cols])
+    sin = np.linalg.norm(np.cross(N[rows], N[cols]), axis=1)
+    M = np.zeros((len(N), len(N)))
+    np.add.at(M, (rows, cols), length / sin)
+    np.add.at(M, (rows, rows), -length * cos / sin)
+    return M
+
+
+@dataclass(frozen=True)
+class _State:
+    """Offsets centred on the body's centroid, with what one intersection
+    tells about them."""
+
+    offsets: np.ndarray
+    areas: np.ndarray
+    volume: float
+    hessian: np.ndarray
+    vanished: tuple
+
+    def scaled(self, s: float) -> "_State":
+        # the body scaled by s about its centroid (the origin)
+        return _State(
+            self.offsets * s, self.areas * s**2, self.volume * s**3,
+            self.hessian * s, self.vanished,
+        )
+
+
+def _state(N: np.ndarray, offsets: np.ndarray) -> _State:
+    """Intersect once and shift the offsets so the centroid sits at the
+    origin, as the polar dual needs; translation leaves the areas, the
+    volume and the Hessian unchanged."""
+    result = halfspace_intersection(N, offsets)
+    poly = result.polyhedron
+    return _State(
+        offsets=offsets - N @ poly.centroid,
+        areas=_areas_from_result(result, len(N)),
+        volume=poly.volume,
+        hessian=volume_hessian(N, result),
+        vanished=result.vanished,
+    )
 
 
 def fit_offsets(
@@ -82,85 +153,88 @@ def fit_offsets(
     max_iterations: int = 120,
     tolerance: float = 1e-14,
 ) -> OffsetFit:
-    """Least-squares face offsets for given normals and target areas.
+    """Face offsets whose facet areas match the given target areas.
 
-    A Levenberg-damped Gauss-Newton loop with forward-difference
-    Jacobian; steps are accepted only when the residual decreases and
-    offsets are kept above a small positive floor so the dual transform
-    stays valid.  Areas are balance-projected before fitting.
+    Damped Newton minimization of ``F(h) = A . h - c log vol(h)`` with the
+    balance-projected targets ``A``.  The start is scaled so its facet areas
+    sum to ``sum A`` and ``c`` is its volume.  Each trial step makes one
+    half-space intersection; a step is accepted when ``F`` decreases, and a
+    trial whose half spaces fail to intersect (any
+    :class:`geometry.GeometryError`) is rejected and the damping raised.
+    The fit has converged once the Newton decrement ``g . H^-1 g`` (twice
+    the fall of ``F`` that a full Newton step predicts) is at most
+    ``tolerance * c``.
 
     Parameters
     ----------
     normals : (k, 3) unit normals spanning 3-space
     areas : (k,) positive target areas
-    alpha0 : optional initial offsets, defaults to all ones.
+    alpha0 : optional positive initial offsets, defaults to all ones.
     """
     N = np.asarray(normals, dtype=float)
     A_raw = np.asarray(areas, dtype=float)
     if np.linalg.matrix_rank(N, tol=1e-9) < 3:
         raise SpanDeficient("normals do not span 3-space")
     A = balance_areas(N, A_raw)
-    alpha_min = 1e-3 * float(np.sqrt(A).mean())
-    alpha = np.full(len(N), 1.0) if alpha0 is None else np.asarray(alpha0, dtype=float)
-    alpha = np.maximum(alpha.copy(), alpha_min)
+    total = float(A.sum())
+    alpha = np.ones(len(N)) if alpha0 is None else np.asarray(alpha0, dtype=float)
 
-    def residual(a):
-        return facet_areas(N, a) - A
+    state = _state(N, alpha)
+    state = state.scaled(np.sqrt(total / state.areas.sum()))
+    c = state.volume
 
-    r = residual(alpha)
-    cost = float(r @ r)
+    def objective(s: _State) -> float:
+        return float(A @ s.offsets) - c * float(np.log(s.volume))
+
+    def newton_terms(s: _State):
+        a, vol = s.areas, s.volume
+        return A - c * a / vol, c * (np.outer(a, a) / vol - s.hessian) / vol
+
+    cost = objective(state)
     history = [cost]
-    mu = 1e-3
+    grad, hess = newton_terms(state)
+    # Levenberg damping on the scale of the Hessian; it also moves the
+    # offsets of vanished facets, whose Hessian rows are zero
+    scale = float(np.abs(np.diag(hess)).mean())
+    mu, mu_min = 1e-3 * scale, 1e-12 * scale
+    eye = np.eye(len(N))
     iterations = 0
     converged = False
     for iterations in range(1, max_iterations + 1):
-        if cost < tolerance:
+        # Newton decrement: twice the fall of F a full Newton step predicts
+        if grad @ np.linalg.solve(hess + mu_min * eye, grad) <= tolerance * c:
             converged = True
             break
-        # forward-difference Jacobian, one column per offset
-        J = np.empty((len(N), len(N)))
-        for j in range(len(N)):
-            h = 1e-5 * alpha[j]
-            bumped = alpha.copy()
-            bumped[j] += h
-            J[:, j] = (residual(bumped) - r) / h
-        g = J.T @ r
-        if float(np.linalg.norm(g)) < 1e-12:
-            converged = True
-            break
-        JTJ = J.T @ J
         improved = False
         for _ in range(12):
+            step = np.linalg.solve(hess + mu * eye, -grad)
             try:
-                step = np.linalg.solve(JTJ + mu * np.eye(len(N)), -g)
-            except np.linalg.LinAlgError:
+                trial = _state(N, state.offsets + step)
+            except GeometryError:
                 mu *= 4.0
                 continue
-            trial = np.maximum(alpha + step, alpha_min)
-            try:
-                r_trial = residual(trial)
-            except Unbounded:
-                mu *= 4.0
-                continue
-            cost_trial = float(r_trial @ r_trial)
+            cost_trial = objective(trial)
             if cost_trial < cost:
-                alpha, r, cost = trial, r_trial, cost_trial
+                state, cost = trial, cost_trial
                 history.append(cost)
-                mu = max(mu / 3.0, 1e-12)
+                grad, hess = newton_terms(state)
+                mu = max(mu / 3.0, mu_min)
                 improved = True
                 break
             mu *= 4.0
         if not improved:
             break
 
-    vanished = tuple(int(i) for i in np.flatnonzero(facet_areas(N, alpha) == 0.0))
+    final = state.scaled(np.sqrt(total / state.areas.sum()))
+    residual = float(np.sum((final.areas - A) ** 2))
     return OffsetFit(
         normals=N,
         target_areas=A,
-        offsets=alpha,
-        residual=cost,
+        offsets=final.offsets,
+        residual=residual,
         iterations=iterations,
-        converged=converged or cost < tolerance,
-        vanished=vanished,
+        converged=converged,
+        vanished=tuple(int(j) for j in final.vanished),
         history=tuple(history),
+        areas=final.areas,
     )

@@ -342,9 +342,7 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     except Exception as exc:
         raise PipelineError("step2", str(exc)) from exc
     files.append(_write_offsets(out / "offsets.csv", fit))
-    files.append(
-        _write_areas(out / "areas.csv", effective, fit)
-    )
+    files.append(_write_areas(out / "areas.csv", effective, fit))
     files.append(_write_vertices(out / "vertices.csv", reconstructed))
     files.append(_write_fit_report(out / "fit_report.txt", fit, intersection))
 
@@ -407,7 +405,7 @@ def merge_close_vertices(
     rebuild the convex hull (faces come back triangulated)."""
     from scipy.spatial import ConvexHull
 
-    merged = geometry._merge_close_points(np.asarray(poly.vertices), tolerance)
+    merged, _ = geometry._merge_close_points(np.asarray(poly.vertices), tolerance)
     if len(merged) == len(poly.vertices):
         return poly
     hull = ConvexHull(merged)
@@ -454,11 +452,10 @@ def _write_offsets(path: Path, fit: minkowski.OffsetFit) -> Path:
 def _write_areas(
     path: Path, effective: maxima.RecoveredFaceSet, fit: minkowski.OffsetFit
 ) -> Path:
-    fitted = minkowski.facet_areas(fit.normals, fit.offsets)
     lines = ["face,recovered_area,balanced_area,fitted_area"]
     for j in range(len(fit.offsets)):
         lines.append(
-            f"{j},{_fmt(effective.areas[j])},{_fmt(fit.target_areas[j])},{_fmt(fitted[j])}"
+            f"{j},{_fmt(effective.areas[j])},{_fmt(fit.target_areas[j])},{_fmt(fit.areas[j])}"
         )
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -495,6 +492,7 @@ def _write_fit_report(
         f"converged = {fit.converged}",
         f"vanished_facets = {list(fit.vanished)}",
         f"intersection_vanished = {list(intersection.vanished)}",
+        "objective_history = [" + ", ".join(f"{v:.9e}" for v in fit.history) + "]",
     ]
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -3,10 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from polyscat.geometry import build_polyhedron
+
+# property tests stay deterministic and quick in the tier-1 suite
+settings.register_profile("polyscat", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("polyscat")
 
 SQRT8 = np.sqrt(8.0)
 

@@ -195,6 +195,26 @@ def test_halfspace_round_trip_random():
             assert abs(rebuilt.offsets[face_j] - poly.offsets[plane_j]) < 1e-9 * scale
 
 
+def test_halfspace_faces_near_degenerate_vertices():
+    # more than three planes meet at most vertices of a hull of random
+    # points; moving the planes by ~1e-9 splits each such vertex into a
+    # cluster of close ones.  Each face must list exactly the vertices its
+    # plane passes through, however close they come to other planes
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        pts = rng.standard_normal((14, 3))
+        hull = ConvexHull(pts)
+        normals = hull.equations[:, :3]
+        offsets = -hull.equations[:, 3] - normals @ pts.mean(axis=0)
+        offsets = offsets + 1e-9 * rng.standard_normal(len(offsets))
+        result = halfspace_intersection(normals, offsets)
+        poly = result.polyhedron
+        for face, plane in zip(poly.faces, result.plane_index):
+            gap = poly.vertices[list(face)] @ normals[plane] - offsets[plane]
+            assert np.abs(gap).max() < 1e-12
+        assert_allclose(poly.volume, ConvexHull(poly.vertices).volume, rtol=1e-12)
+
+
 def test_volume_against_hull_oracle():
     rng = np.random.default_rng(5)
     for _ in range(5):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial import ConvexHull
 
 from conftest import (
     RECOVERED_VERTEX_TABLE,
@@ -9,8 +12,14 @@ from conftest import (
     TETRA_TRUE_NORMALS,
 )
 from polyscat import minkowski
-from polyscat.geometry import Unbounded, halfspace_intersection
-from polyscat.minkowski import SpanDeficient, balance_areas, facet_areas, fit_offsets
+from polyscat.geometry import NotConvex, Unbounded, halfspace_intersection
+from polyscat.minkowski import (
+    SpanDeficient,
+    balance_areas,
+    facet_areas,
+    fit_offsets,
+    volume_hessian,
+)
 
 CUBE_NORMALS = np.vstack([np.eye(3), -np.eye(3)])
 
@@ -86,23 +95,35 @@ class TestFitOffsets:
         assert_allclose(fit.offsets, 0.5, atol=1e-7)
         assert fit.residual <= 1e-10
 
-    def test_unbounded_trial_step_is_retried(self, monkeypatch):
-        # a trial step whose half spaces are unbounded is rejected and the
-        # damping raised; it must not escape the fit as another error
+    @staticmethod
+    def _fit_with_failing_first_trial(monkeypatch, error):
+        # a trial step whose intersection fails is rejected and the damping
+        # raised; it must not escape the fit
         calls = []
 
-        def first_trial_unbounded(normals, offsets):
+        def first_trial_fails(normals, offsets):
             calls.append(1)
-            # call 1 is the start residual, calls 2..7 the Jacobian columns
-            if len(calls) == len(CUBE_NORMALS) + 2:
-                raise Unbounded("half spaces do not enclose a bounded solid")
-            return facet_areas(normals, offsets)
+            # call 1 is the start, call 2 the first trial step
+            if len(calls) == 2:
+                raise error
+            return halfspace_intersection(normals, offsets)
 
-        monkeypatch.setattr(minkowski, "facet_areas", first_trial_unbounded)
-        fit = fit_offsets(CUBE_NORMALS, np.ones(6))
-        assert len(calls) > len(CUBE_NORMALS) + 2
+        monkeypatch.setattr(minkowski, "halfspace_intersection", first_trial_fails)
+        # a 2 x 4 x 6 box start, so the fit must take steps
+        fit = fit_offsets(CUBE_NORMALS, np.ones(6), alpha0=[1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
+        assert len(calls) > 2
         assert_allclose(fit.offsets, 0.5, atol=1e-7)
         assert fit.residual <= 1e-10
+
+    def test_unbounded_trial_step_is_retried(self, monkeypatch):
+        self._fit_with_failing_first_trial(
+            monkeypatch, Unbounded("half spaces do not enclose a bounded solid")
+        )
+
+    def test_not_convex_trial_step_is_retried(self, monkeypatch):
+        self._fit_with_failing_first_trial(
+            monkeypatch, NotConvex("vertex protrudes beyond a face plane")
+        )
 
     def test_exact_prism(self, prism):
         fit = fit_offsets(prism.normals, prism.areas)
@@ -151,3 +172,77 @@ class TestFitOffsets:
         fit = fit_offsets(poly.normals, poly.areas, alpha0=poly.offsets * 1.2)
         areas = facet_areas(poly.normals, fit.offsets)
         assert_allclose(areas, poly.areas, atol=1e-6)
+
+
+def gaussian_hull(rng, n):
+    """Normals, areas, offsets and vertices of the hull of ``n`` Gaussian points."""
+    pts = rng.standard_normal((n, 3))
+    hull = ConvexHull(pts)
+    a, b, c = (pts[hull.simplices[:, i]] for i in range(3))
+    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    return hull.equations[:, :3], areas, -hull.equations[:, 3], pts[hull.vertices]
+
+
+class TestVolumeHessian:
+    @staticmethod
+    def central_differences(normals, offsets, h=1e-6):
+        columns = []
+        for j in range(len(offsets)):
+            step = np.zeros(len(offsets))
+            step[j] = h
+            columns.append(
+                (facet_areas(normals, offsets + step) - facet_areas(normals, offsets - step))
+                / (2.0 * h)
+            )
+        return np.column_stack(columns)
+
+    def check(self, normals, offsets):
+        M = volume_hessian(normals, halfspace_intersection(normals, offsets))
+        assert_allclose(M, M.T, atol=1e-12)
+        fd = self.central_differences(normals, offsets)
+        assert_allclose(M, fd, rtol=1e-5, atol=1e-7 * np.abs(M).max())
+        # translating the body changes no facet area
+        t = np.array([0.3, -0.7, 0.2])
+        assert np.abs(M @ (normals @ t)).max() < 1e-12 * np.abs(M).max()
+        return M
+
+    def test_prism(self, prism):
+        M = self.check(prism.normals, prism.offsets)
+        # caps meet the sides at right angles; sides meet at 120 degrees
+        assert_allclose(M[0, 2:], 1.0, rtol=1e-12)
+        assert_allclose(np.diag(M)[2:], 2.0 / np.sqrt(3.0), rtol=1e-12)
+
+    def test_random_hull(self):
+        # an exact hull has vertices where more than three planes meet, at
+        # which the Hessian has a kink; moving the planes apart makes every
+        # vertex simple, so central differences are second-order accurate
+        rng = np.random.default_rng(17)
+        normals, _, offsets, vertices = gaussian_hull(rng, 14)
+        offsets = offsets - normals @ vertices.mean(axis=0)
+        offsets = offsets + 0.05 * rng.uniform(size=len(offsets))
+        self.check(normals, offsets)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(8, 20))
+def test_fit_recovers_random_polytope(seed, n):
+    rng = np.random.default_rng(seed)
+    normals, areas, offsets, vertices = gaussian_hull(rng, n)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    rotation = q * np.sign(np.diag(r))
+    order = rng.permutation(len(areas))
+    normals, areas, offsets = normals[order] @ rotation.T, areas[order], offsets[order]
+    vertices = vertices @ rotation.T
+
+    fit = fit_offsets(normals, areas)
+    result = halfspace_intersection(normals, fit.offsets)
+    kept = list(result.plane_index)
+    fitted = np.zeros(len(areas))
+    fitted[kept] = result.polyhedron.areas
+    assert np.linalg.norm(fitted - areas) <= 1e-3 * np.linalg.norm(areas)
+    # the offsets leave a translation free; remove it before comparing
+    shift, *_ = np.linalg.lstsq(
+        normals[kept], result.polyhedron.offsets - offsets[kept], rcond=None
+    )
+    got = np.asarray(result.polyhedron.vertices)
+    err = max(float(np.linalg.norm(got - v, axis=1).min()) for v in vertices + shift)
+    assert err <= 1e-2 * float(np.ptp(vertices, axis=0).max())

@@ -161,6 +161,8 @@ class TestRecover:
             "recovered_located.obs",
         ):
             assert (out / name).exists()
+        history = ", ".join(f"{v:.9e}" for v in report.fit.history)
+        assert f"objective_history = [{history}]" in (out / "fit_report.txt").read_text()
         # reconstructed obstacle passes all construction invariants
         rebuilt = load_obstacle(out / "recovered.obs")
         assert rebuilt.num_faces == 4
