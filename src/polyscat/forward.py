@@ -322,38 +322,41 @@ def save_far_field(samples: FarFieldSamples, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_far_field(path) -> FarFieldSamples:
-    """Parse the far-field text format; the grid weights are rebuilt."""
+def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
+    """Parse the far-field text format.
+
+    When the file's points equal ``grid.points`` exactly, the samples share
+    ``grid`` and its weights; otherwise a new grid is built and validated
+    (distinct unit points with positive weights).  The data rows are parsed
+    in one bulk call; a malformed file raises ``ValueError`` naming ``path``.
+    """
     kind = None
     wave = None
-    rows = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("kind="):
-                    kind = body[5:].strip()
-                elif body.startswith("k="):
-                    tokens = body.replace("k=", "").replace("d=", "").replace(
-                        "p=", ""
-                    ).split()
-                    vals = [float(t) for t in tokens]
-                    wave = PlaneWave(d=np.array(vals[1:4]), p=np.array(vals[4:7]), k=vals[0])
-                continue
-            try:
-                rows.append([float(t) for t in line.split()])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        lines = fh.read().splitlines()
+    for raw in lines:
+        line = raw.strip()
+        if not line.startswith("#"):
+            continue
+        body = line[1:].strip()
+        if body.startswith("kind="):
+            kind = body[5:].strip()
+        elif body.startswith("k="):
+            tokens = body.replace("k=", "").replace("d=", "").replace("p=", "").split()
+            vals = [float(t) for t in tokens]
+            wave = PlaneWave(d=np.array(vals[1:4]), p=np.array(vals[4:7]), k=vals[0])
     if kind is None or wave is None:
         raise ValueError(f"{path}: missing kind/wave header lines")
-    data = np.array(rows)
     try:
-        grid = SphericalGrid(points=data[:, :3])
+        data = np.loadtxt(lines, comments="#", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    points = data[:, :3]
+    if grid is None or not np.array_equal(points, grid.points):
+        try:
+            grid = SphericalGrid(points=points)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if kind == MODULUS:
         if data.shape[1] != 4:
             raise ValueError(f"{path}: modulus rows need 4 columns")

@@ -335,10 +335,8 @@ def check_admissibility(
             min_cross.append(None)
             continue
         nus = poly.normals[view.front]
-        best = np.inf
-        for a in range(len(nus)):
-            for b in range(a + 1, len(nus)):
-                best = min(best, float(np.linalg.norm(np.cross(nus[a], nus[b]))))
+        a, b = np.triu_indices(len(nus), 1)
+        best = float(np.linalg.norm(np.cross(nus[a], nus[b]), axis=1).min())
         min_cross.append(best)
         if best < params.h2:
             view_ok = False

@@ -48,12 +48,16 @@ class SampleRegion:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
 
-    def coarse_points(self) -> np.ndarray:
-        axes = [
+    def axes(self) -> list:
+        """Coarse scan coordinates along x, y and z."""
+        return [
             np.linspace(self.lower[i], self.upper[i], self.resolution[i])
             for i in range(3)
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
+
+    def coarse_points(self) -> np.ndarray:
+        """The ``ij`` tensor grid of :meth:`axes`, x slowest, z fastest."""
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
 
     def clamp(self, z: np.ndarray) -> np.ndarray:
@@ -79,13 +83,16 @@ def _degree_one_projector(samples: FarFieldSamples):
     return G, K, norm2
 
 
+def _indicator(G, K, norm2, Z) -> np.ndarray:
+    """Indicator at ``z`` (shape ``(3,)``, a scalar) or at each row of ``Z``."""
+    proj = G @ np.exp(-1j * (K @ Z.T))  # (6,) or (6, nz)
+    return np.sum(np.abs(proj) ** 2, axis=0) / norm2
+
+
 def indicator_values(samples: FarFieldSamples, Z) -> np.ndarray:
     """Indicator at each sampling point ``z`` (rows of ``Z``)."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    G, K, norm2 = _degree_one_projector(samples)
-    phases = np.exp(-1j * (K @ Z.T))  # (N, nz)
-    proj = G @ phases  # (6, nz)
-    return np.sum(np.abs(proj) ** 2, axis=0) / norm2
+    return _indicator(*_degree_one_projector(samples), Z)
 
 
 def indicator_value(samples: FarFieldSamples, z) -> float:
@@ -94,9 +101,24 @@ def indicator_value(samples: FarFieldSamples, z) -> float:
 
 
 def scan_indicator(samples: FarFieldSamples, region: SampleRegion):
-    """Coarse-grid indicator scan; returns ``(points, values)``."""
-    Z = region.coarse_points()
-    return Z, indicator_values(samples, Z)
+    """Indicator over the region's coarse grid; returns ``(points, values)``
+    with ``points = region.coarse_points()``.
+
+    The grid is a tensor product, so ``exp(-i K . z)`` factors into one
+    ``(N, n_i)`` table per axis.  ``G e_x`` as ``(6 n_x, N)`` times
+    ``e_y (x) e_z`` as ``(N, n_y n_z)`` is one complex matmul, with
+    ``N (n_x + n_y + n_z)`` exponentials instead of ``N n_x n_y n_z``.
+    The values equal :func:`indicator_values` at those points up to rounding.
+    """
+    G, K, norm2 = _degree_one_projector(samples)
+    ex, ey, ez = (
+        np.exp(-1j * np.outer(K[:, i], axis)) for i, axis in enumerate(region.axes())
+    )
+    nx, ny, nz = region.resolution
+    left = (G[:, None, :] * ex.T).reshape(6 * nx, len(K))
+    right = (ey[:, :, None] * ez[:, None, :]).reshape(len(K), ny * nz)
+    proj = (left @ right).reshape(6, nx * ny * nz)
+    return region.coarse_points(), np.sum(np.abs(proj) ** 2, axis=0) / norm2
 
 
 def locate(
@@ -114,11 +136,6 @@ def locate(
     """
     sign = 1.0 if maximize else -1.0
     G, K, norm2 = _degree_one_projector(samples)
-
-    def value(z):
-        proj = G @ np.exp(-1j * (K @ z))
-        return float(np.sum(np.abs(proj) ** 2) / norm2)
-
     Z, vals = scan_indicator(samples, region)
     best = int(np.argmax(sign * vals))
     z = Z[best]
@@ -134,7 +151,7 @@ def locate(
         for axis in range(3):
             for sgn in (1.0, -1.0):
                 trial = region.clamp(z + sgn * step * eye[axis])
-                ft = value(trial)
+                ft = float(_indicator(G, K, norm2, trial))
                 if sign * ft > sign * fz:
                     z, fz = trial, ft
                     moved = True

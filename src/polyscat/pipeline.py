@@ -298,10 +298,13 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
         synthesize_dataset(config)
 
     try:
-        shape_samples = [
-            forward.load_far_field(_shape_data_path(config, i))
-            for i in range(len(config.incident))
-        ]
+        # the shape files share one point set: its grid and weights are built once
+        shape_samples = []
+        grid = None
+        for i in range(len(config.incident)):
+            samples = forward.load_far_field(_shape_data_path(config, i), grid)
+            grid = samples.grid
+            shape_samples.append(samples)
         loc_samples = forward.load_far_field(_loc_data_path(config))
     except (OSError, ValueError) as exc:
         raise PipelineError("load", str(exc)) from exc

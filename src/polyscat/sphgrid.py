@@ -220,22 +220,28 @@ def harmonic_basis(points, n_c: int) -> np.ndarray:
     points : (N, 3) array_like of unit vectors
     n_c : int
         Cut-off degree; the matrix has ``(n_c + 1)^2`` columns.
+
+    Each harmonic is filled as one contiguous row of a ``(K, N)`` array; the
+    result is its transpose copied to C order.  The copy matters: BLAS
+    products with a transposed view round differently, which moves report
+    digits at the 1e-13 level.
     """
     ct, st, cphi, sphi, single = _sphere_coords(points)
     P, _, _ = _legendre_tables(n_c, ct, st)
     npts = len(ct)
-    B = np.empty((npts, (n_c + 1) ** 2))
+    B = np.empty(((n_c + 1) ** 2, npts))
     cos_m = np.ones(npts)
     sin_m = np.zeros(npts)
     for n in range(n_c + 1):
-        B[:, n * n + n] = P[_tri_index(n, 0)]
+        B[n * n + n] = P[_tri_index(n, 0)]
     sq2 = math.sqrt(2.0)
     for m in range(1, n_c + 1):
         cos_m, sin_m = cos_m * cphi - sin_m * sphi, sin_m * cphi + cos_m * sphi
         for n in range(m, n_c + 1):
             pnm = P[_tri_index(n, m)]
-            B[:, n * n + n + m] = sq2 * pnm * cos_m
-            B[:, n * n + n - m] = sq2 * pnm * sin_m
+            B[n * n + n + m] = sq2 * pnm * cos_m
+            B[n * n + n - m] = sq2 * pnm * sin_m
+    B = np.ascontiguousarray(B.T)
     return B[0] if single else B
 
 

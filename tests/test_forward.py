@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from polyscat.forward import (
     sample_phaseless,
     save_far_field,
 )
-from polyscat.sphgrid import build_grid
+from polyscat.sphgrid import SphericalGrid, build_grid
 from quadrature_oracle import polygon_quadrature
 
 X1 = np.array([-1.0 / 3.0, 0.0, 2.0 * np.sqrt(2.0) / 3.0])  # specular of d1 in face 1
@@ -259,8 +260,15 @@ class TestSamplesOps:
         coords, _ = lines[5].split("  ")
         lines[5] = f"{coords}  nan"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="finite"):
-            load_far_field(path)
+        for known in (None, g):
+            with pytest.raises(ValueError, match="finite"):
+                load_far_field(path, known)
+        # a NaN coordinate never matches a known grid and fails validation
+        lines[5] = "nan 0 0  1.0"
+        path.write_text("\n".join(lines) + "\n")
+        for known in (None, g):
+            with pytest.raises(ValueError, match="unit vectors"):
+                load_far_field(path, known)
 
     def test_duplicated_point_file_rejected(self, tetra, tmp_path):
         # a repeated point would be counted twice by the quadrature
@@ -269,8 +277,9 @@ class TestSamplesOps:
         save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[5]]) + "\n")
-        with pytest.raises(ValueError, match="distinct"):
-            load_far_field(path)
+        for known in (None, g):
+            with pytest.raises(ValueError, match="distinct"):
+                load_far_field(path, known)
 
     def test_one_hemisphere_file_rejected(self, tetra, tmp_path):
         # points on half the sphere admit no positive quadrature weights
@@ -280,8 +289,47 @@ class TestSamplesOps:
         lines = path.read_text().splitlines()
         upper = [r for r in lines[2:] if float(r.split()[2]) > 0.0]
         path.write_text("\n".join(lines[:2] + upper) + "\n")
-        with pytest.raises(ValueError, match="weight"):
-            load_far_field(path)
+        for known in (None, g):
+            with pytest.raises(ValueError, match="weight"):
+                load_far_field(path, known)
+
+    def test_matching_points_share_the_grid(self, tetra, tmp_path):
+        g = build_grid(500)
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
+        assert load_far_field(path, g).grid is g
+        fresh = load_far_field(path)
+        assert fresh.grid is not g
+        assert np.array_equal(fresh.grid.point_weights, g.point_weights)
+
+    def test_nudged_point_gets_its_own_grid(self, tetra, tmp_path):
+        g = build_grid(500)
+        s = sample_phaseless(tetra, wave(0.5), g)
+        points = g.points.copy()
+        points[7, 0] = np.nextafter(points[7, 0], 2.0)  # one ulp
+        nudged = FarFieldSamples(
+            grid=SphericalGrid(points=points), values=s.values, wave=s.wave, kind=MODULUS
+        )
+        path = tmp_path / "modulus.txt"
+        save_far_field(nudged, path)
+        loaded = load_far_field(path, g)
+        assert loaded.grid is not g
+        assert np.array_equal(loaded.grid.points, points)
+
+    @pytest.mark.parametrize(
+        "row", ["0.5 0.5 abc  1.0", "0.6 0.8 0.0", "0.6 0.8 0.0  1.0 2.0"]
+    )
+    def test_malformed_row_names_the_file(self, tetra, tmp_path, row):
+        # a non-numeric token, a short row and a long row
+        g = build_grid(500)
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
+        lines = path.read_text().splitlines()
+        lines[5] = row
+        path.write_text("\n".join(lines) + "\n")
+        for known in (None, g):
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_far_field(path, known)
 
     def test_plane_wave_validation(self):
         with pytest.raises(ValueError):

@@ -121,6 +121,25 @@ def test_admissibility_tetrahedron(tetra):
     assert "admissible" in report.summary()
 
 
+def test_admissibility_front_pairs_match_loop():
+    rng = np.random.default_rng(11)
+    normals = rng.normal(size=(14, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    poly = halfspace_intersection(normals, np.ones(14)).polyhedron
+    directions = list(np.eye(3)) + list(rng.normal(size=(5, 3)))
+    directions = [d / np.linalg.norm(d) for d in directions]
+    params = AdmissibilityParams(h0=0.1, h1=100.0, h2=0.1, h3=0.01, h4=100.0, h5=0.01)
+    report = check_admissibility(poly, params, directions)
+    for d, got in zip(directions, report.min_front_pair_cross):
+        nus = poly.normals[classify_faces(poly, d, params.h5).front]
+        want = min(
+            np.linalg.norm(np.cross(nus[a], nus[b]))
+            for a in range(len(nus))
+            for b in range(a + 1, len(nus))
+        )
+        assert abs(got - want) <= 1e-15
+
+
 def test_admissibility_cube_small_faces(cube):
     params = AdmissibilityParams(h0=0.1, h1=10.0, h2=0.5, h3=2.0, h4=10.0, h5=0.1)
     report = check_admissibility(cube, params, [np.array([1.0, 0, 0])])

@@ -10,6 +10,7 @@ from polyscat.forward import (
     PlaneWave,
     WrongKind,
     apply_translation_phase,
+    sample_complex,
     sample_phaseless,
 )
 from polyscat.locator import (
@@ -97,6 +98,24 @@ class TestIndicator:
         )
         with pytest.raises(ZeroField):
             indicator_value(zero, [0.0, 0.0, 0.0])
+
+
+class TestScan:
+    @pytest.mark.parametrize("data", ["oracle", "sample_complex"])
+    def test_separable_scan_matches_pointwise(self, grid, tetra, data):
+        # a non-cubic resolution and a nonzero lower corner catch a wrong
+        # axis order or origin in the per-axis phase tables
+        region = SampleRegion(
+            lower=[-7.5, 12.0, 3.25], upper=[41.0, 60.5, 88.0], resolution=(1, 4, 7)
+        )
+        z0 = [20.0, 35.0, 50.0]
+        if data == "oracle":
+            samples = degree_one_oracle(grid, LOW_WAVE, z0)
+        else:
+            samples = apply_translation_phase(sample_complex(tetra, LOW_WAVE, grid), z0)
+        points, values = scan_indicator(samples, region)
+        assert np.array_equal(points, region.coarse_points())
+        assert_allclose(values, indicator_values(samples, points), rtol=1e-12, atol=0)
 
 
 class TestLocate:

@@ -117,6 +117,13 @@ class TestScalarHarmonics:
             assert g.point_weights.min() > 0.0
             assert gram_error(g, degree // 2) <= 1e-12
 
+    def test_basis_is_c_contiguous(self):
+        # BLAS rounds a transposed view differently from a C-order array, so
+        # the layout of the design matrix is part of the reported digits
+        B = harmonic_basis(build_grid(500).points, 6)
+        assert B.shape == (500, 49)
+        assert B.flags.c_contiguous
+
     def test_finite_high_degrees(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
