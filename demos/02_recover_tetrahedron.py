@@ -2,9 +2,9 @@
 so each stage's output is visible.
 
 Step 1 turns six phaseless measurements into face normals and areas via
-band-limited peak hunting; step 2 fits face offsets and intersects half
-spaces (Minkowski reconstruction); step 3 locates the body from one
-low-frequency complex measurement.
+band-limited peak hunting; step 2 fits face offsets whose half spaces
+bound the polyhedron (Minkowski reconstruction); step 3 locates the body
+from one low-frequency complex measurement.
 """
 
 import math
@@ -23,14 +23,12 @@ from polyscat import (
     degree_one_oracle,
     find_local_maxima,
     fit_offsets,
-    halfspace_intersection,
     locate,
     sample_phaseless,
     select_critical_directions,
     sht_forward,
 )
 from polyscat.maxima import merge_face_sets, peaks_to_faces
-from polyscat.minkowski import balance_areas
 
 s8 = 1.0 / np.sqrt(8.0)
 tetra = build_polyhedron(
@@ -80,12 +78,11 @@ for j in range(len(effective)):
         f"  ({best[0]:.2f} deg off true)"
     )
 
-# Step 2: offsets by the Minkowski fit, then half-space intersection
-balanced = balance_areas(effective.normals, effective.areas)
-fit = fit_offsets(effective.normals, balanced)
+# Step 2: offsets by the Minkowski fit, which also returns the polyhedron
+fit = fit_offsets(effective.normals, effective.areas)
 print(f"\nfitted offsets: {np.round(fit.offsets, 4)} (true {0.2041:.4f})")
 print(f"residual {fit.residual:.2e} after {fit.iterations} iterations")
-shape = halfspace_intersection(effective.normals, fit.offsets).polyhedron
+shape = fit.polyhedron
 print("recovered vertices (origin-referenced):")
 print(np.round(shape.vertices, 4))
 

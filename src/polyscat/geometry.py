@@ -135,6 +135,17 @@ class ConvexPolyhedron:
             perimeters=self.perimeters,
         )
 
+    def scaled(self, s: float) -> "ConvexPolyhedron":
+        """The same polyhedron scaled by ``s > 0`` about the origin."""
+        return ConvexPolyhedron(
+            vertices=_frozen(self.vertices * s),
+            faces=self.faces,
+            normals=self.normals,
+            areas=_frozen(self.areas * s**2),
+            offsets=_frozen(self.offsets * s),
+            perimeters=_frozen(self.perimeters * s),
+        )
+
 
 @dataclass(frozen=True)
 class AdmissibilityParams:

@@ -42,11 +42,14 @@ class SampleRegion:
             raise ValueError("region bounds must be 3-vectors")
         if np.any(lower >= upper):
             raise ValueError("region must satisfy lower < upper on every axis")
+        res = np.asarray(self.resolution)
+        if res.shape != (3,) or res.dtype.kind not in "iu" or res.min() < 1:
+            raise ValueError("region resolution must be three integers >= 1")
         lower.flags.writeable = False
         upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
+        object.__setattr__(self, "resolution", tuple(int(r) for r in res))
 
     def axes(self) -> list:
         """Coarse scan coordinates along x, y and z."""

@@ -11,7 +11,9 @@ areas of the half-space intersection, and its Hessian comes from the
 volume Hessian ``M`` (edge lengths over the sines of the dihedral angles),
 so one intersection per trial step gives everything a damped Newton step
 needs.  At the minimum the facet areas are proportional to ``A``; areas
-are 2-homogeneous, so a final rescale makes them equal.
+are 2-homogeneous, so a final rescale makes them equal.  The fit hands
+back the polyhedron of its last intersection, placed at the fitted
+offsets, so step 2 needs no further intersection.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, IntersectionResult, halfspace_intersection
+from .geometry import ConvexPolyhedron, GeometryError, IntersectionResult
+from .geometry import halfspace_intersection
 
 
 class SpanDeficient(ValueError):
@@ -34,6 +37,9 @@ class OffsetFit:
     ``residual`` is the final sum of squared area mismatches, ``areas`` the
     facet areas at the fitted offsets (zero where a facet vanished) and
     ``history`` the objective after every accepted step (non-increasing).
+    ``polyhedron`` is the body at ``offsets``: the last accepted
+    intersection, centred and scaled as the offsets are, with faces in
+    plane order skipping the ``vanished`` planes.
     """
 
     normals: np.ndarray
@@ -45,6 +51,7 @@ class OffsetFit:
     vanished: tuple
     history: tuple
     areas: np.ndarray
+    polyhedron: ConvexPolyhedron
 
 
 def balance_areas(normals, areas, floor=None) -> np.ndarray:
@@ -115,20 +122,27 @@ def volume_hessian(normals, result: IntersectionResult) -> np.ndarray:
 @dataclass(frozen=True)
 class _State:
     """Offsets centred on the body's centroid, with what one intersection
-    tells about them."""
+    tells about them; ``body`` is that intersection before the centring
+    and before scaling by ``scale``."""
 
     offsets: np.ndarray
     areas: np.ndarray
     volume: float
     hessian: np.ndarray
     vanished: tuple
+    body: ConvexPolyhedron
+    scale: float = 1.0
 
     def scaled(self, s: float) -> "_State":
         # the body scaled by s about its centroid (the origin)
         return _State(
             self.offsets * s, self.areas * s**2, self.volume * s**3,
-            self.hessian * s, self.vanished,
+            self.hessian * s, self.vanished, self.body, self.scale * s,
         )
+
+    def polyhedron(self) -> ConvexPolyhedron:
+        """The body at ``offsets``."""
+        return self.body.translated(-self.body.centroid).scaled(self.scale)
 
 
 def _state(N: np.ndarray, offsets: np.ndarray) -> _State:
@@ -143,6 +157,7 @@ def _state(N: np.ndarray, offsets: np.ndarray) -> _State:
         volume=poly.volume,
         hessian=volume_hessian(N, result),
         vanished=result.vanished,
+        body=poly,
     )
 
 
@@ -163,7 +178,8 @@ def fit_offsets(
     :class:`geometry.GeometryError`) is rejected and the damping raised.
     The fit has converged once the Newton decrement ``g . H^-1 g`` (twice
     the fall of ``F`` that a full Newton step predicts) is at most
-    ``tolerance * c``.
+    ``tolerance * c``.  The polyhedron at the fitted offsets comes from the
+    last accepted intersection, with no further intersection.
 
     Parameters
     ----------
@@ -237,4 +253,5 @@ def fit_offsets(
         vanished=tuple(int(j) for j in final.vanished),
         history=tuple(history),
         areas=final.areas,
+        polyhedron=final.polyhedron(),
     )

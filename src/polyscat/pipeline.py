@@ -21,7 +21,6 @@ Config files are flat ``key = value`` text with one repeated key::
     region_resolution = 11 11 11
     step3_oracle = true
     indicator_polarity = max
-    merge_vertices = 0
     output_dir = out
 
 A ``multistart = <n_theta> <n_phi>`` line from older configs is accepted
@@ -79,7 +78,6 @@ class ExperimentConfig:
     )
     step3_oracle: bool = True
     maximize_indicator: bool = True
-    merge_vertices: float = 0.0
 
     def __post_init__(self):
         if not self.incident:
@@ -202,7 +200,6 @@ def parse_config(path) -> ExperimentConfig:
         region=region,
         step3_oracle=_parse_bool(take("step3_oracle", "true")),
         maximize_indicator=polarity == "max",
-        merge_vertices=take_float("merge_vertices", 0.0),
     )
     if raw:
         raise ValueError(f"{path}: unknown keys {sorted(raw)}")
@@ -332,22 +329,16 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
             "step1", f"only {len(effective)} effective normals; need at least 4"
         )
 
-    # Step 2: balanced areas -> offsets -> polyhedron
+    # Step 2: areas -> offsets and the polyhedron they bound
     try:
-        balanced = minkowski.balance_areas(effective.normals, effective.areas)
-        fit = minkowski.fit_offsets(effective.normals, balanced)
-        intersection = geometry.halfspace_intersection(effective.normals, fit.offsets)
-        reconstructed = intersection.polyhedron
-        if config.merge_vertices > 0:
-            reconstructed = merge_close_vertices(
-                reconstructed, config.merge_vertices * reconstructed.diameter
-            )
+        fit = minkowski.fit_offsets(effective.normals, effective.areas)
     except Exception as exc:
         raise PipelineError("step2", str(exc)) from exc
+    reconstructed = fit.polyhedron
     files.append(_write_offsets(out / "offsets.csv", fit))
     files.append(_write_areas(out / "areas.csv", effective, fit))
     files.append(_write_vertices(out / "vertices.csv", reconstructed))
-    files.append(_write_fit_report(out / "fit_report.txt", fit, intersection))
+    files.append(_write_fit_report(out / "fit_report.txt", fit))
 
     # Step 3: low-frequency location
     z_star, ind_val, location_files = locate_obstacle(config, loc_samples)
@@ -401,100 +392,63 @@ def locate_obstacle(config: ExperimentConfig, samples=None):
     return z, value, files
 
 
-def merge_close_vertices(
-    poly: geometry.ConvexPolyhedron, tolerance: float
-) -> geometry.ConvexPolyhedron:
-    """Optional cleanup: average vertices closer than ``tolerance`` and
-    rebuild the convex hull (faces come back triangulated)."""
-    from scipy.spatial import ConvexHull
-
-    merged, _ = geometry._merge_close_points(np.asarray(poly.vertices), tolerance)
-    if len(merged) == len(poly.vertices):
-        return poly
-    hull = ConvexHull(merged)
-    tris = hull.simplices.copy()
-    center = merged.mean(axis=0)
-    for t in tris:
-        nvec = np.cross(merged[t[1]] - merged[t[0]], merged[t[2]] - merged[t[0]])
-        if nvec @ (merged[t[0]] - center) < 0:
-            t[1], t[2] = t[2], t[1]
-    return geometry.build_polyhedron(merged, [tuple(t) for t in tris])
-
-
 # ---------------------------------------------------------------------------
 # report writers (fixed formatting keeps outputs byte-identical)
 
+_FLOAT = "%.9f"
 
-def _fmt(x: float) -> str:
-    return f"{x:.9f}"
+
+def _save_table(path: Path, rows, fmt, header="", delimiter=",") -> Path:
+    # np.savetxt given a path opens it through np.lib._datasource, which
+    # imports gzip; an open file skips that
+    with open(path, "w") as fh:
+        np.savetxt(fh, rows, fmt=fmt, delimiter=delimiter, header=header, comments="")
+    return path
 
 
 def _write_face_table(path: Path, faces: maxima.RecoveredFaceSet) -> Path:
-    lines = ["source_d_index,nu_x,nu_y,nu_z,peak_value,area"]
-    for i in range(len(faces)):
-        nu = faces.normals[i]
-        lines.append(
-            ",".join(
-                [str(int(faces.source_indices[i]))]
-                + [_fmt(c) for c in nu]
-                + [_fmt(faces.peak_values[i]), _fmt(faces.areas[i])]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = np.column_stack(
+        [faces.source_indices, faces.normals, faces.peak_values, faces.areas]
+    )
+    header = "source_d_index,nu_x,nu_y,nu_z,peak_value,area"
+    return _save_table(path, rows, ["%d"] + [_FLOAT] * 5, header)
 
 
 def _write_offsets(path: Path, fit: minkowski.OffsetFit) -> Path:
-    lines = ["face,offset"]
-    for j, a in enumerate(fit.offsets):
-        lines.append(f"{j},{_fmt(a)}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = np.column_stack([np.arange(len(fit.offsets)), fit.offsets])
+    return _save_table(path, rows, ["%d", _FLOAT], "face,offset")
 
 
 def _write_areas(
     path: Path, effective: maxima.RecoveredFaceSet, fit: minkowski.OffsetFit
 ) -> Path:
-    lines = ["face,recovered_area,balanced_area,fitted_area"]
-    for j in range(len(fit.offsets)):
-        lines.append(
-            f"{j},{_fmt(effective.areas[j])},{_fmt(fit.target_areas[j])},{_fmt(fit.areas[j])}"
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = np.column_stack(
+        [np.arange(len(fit.offsets)), effective.areas, fit.target_areas, fit.areas]
+    )
+    header = "face,recovered_area,balanced_area,fitted_area"
+    return _save_table(path, rows, ["%d"] + [_FLOAT] * 3, header)
 
 
 def _write_vertices(path: Path, poly: geometry.ConvexPolyhedron) -> Path:
-    lines = ["vertex,x,y,z"]
-    for i, v in enumerate(poly.vertices):
-        lines.append(f"{i}," + ",".join(_fmt(c) for c in v))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = np.column_stack([np.arange(poly.num_vertices), poly.vertices])
+    return _save_table(path, rows, ["%d"] + [_FLOAT] * 3, "vertex,x,y,z")
 
 
 def _write_location(path: Path, z: np.ndarray, value: float) -> Path:
-    lines = ["z_x,z_y,z_z,indicator", ",".join(_fmt(c) for c in z) + f",{_fmt(value)}"]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _save_table(path, [np.append(z, value)], _FLOAT, "z_x,z_y,z_z,indicator")
 
 
 def _write_scan(path: Path, points: np.ndarray, values: np.ndarray) -> Path:
-    lines = [
-        " ".join([_fmt(c) for c in pt] + [_fmt(v)]) for pt, v in zip(points, values)
-    ]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _save_table(path, np.column_stack([points, values]), _FLOAT, delimiter=" ")
 
 
-def _write_fit_report(
-    path: Path, fit: minkowski.OffsetFit, intersection: geometry.IntersectionResult
-) -> Path:
+def _write_fit_report(path: Path, fit: minkowski.OffsetFit) -> Path:
     lines = [
         f"residual = {fit.residual:.6e}",
         f"iterations = {fit.iterations}",
         f"converged = {fit.converged}",
         f"vanished_facets = {list(fit.vanished)}",
-        f"intersection_vanished = {list(intersection.vanished)}",
+        f"intersection_vanished = {list(fit.vanished)}",
         "objective_history = [" + ", ".join(f"{v:.9e}" for v in fit.history) + "]",
     ]
     path.write_text("\n".join(lines) + "\n")

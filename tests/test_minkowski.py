@@ -89,6 +89,11 @@ class TestFitOffsets:
         assert_allclose(fit.offsets, TETRA_OFFSET, atol=1e-7)
         assert fit.residual <= 1e-10
         assert fit.converged
+        # the start is the solution up to scale, so no step is accepted and
+        # the polyhedron carries the start's scaling as well as the final one
+        assert len(fit.history) == 1
+        rebuilt = halfspace_intersection(tetra.normals, fit.offsets).polyhedron
+        assert_allclose(fit.polyhedron.vertices, rebuilt.vertices, rtol=0, atol=1e-12)
 
     def test_exact_cube(self):
         fit = fit_offsets(CUBE_NORMALS, np.ones(6))
@@ -236,6 +241,13 @@ def test_fit_recovers_random_polytope(seed, n):
     fit = fit_offsets(normals, areas)
     result = halfspace_intersection(normals, fit.offsets)
     kept = list(result.plane_index)
+    # the fit's own polyhedron is the body at its offsets
+    extent = float(np.ptp(result.polyhedron.vertices, axis=0).max())
+    assert fit.polyhedron.faces == result.polyhedron.faces
+    assert_allclose(
+        fit.polyhedron.vertices, result.polyhedron.vertices, rtol=0, atol=1e-12 * extent
+    )
+    assert_allclose(fit.polyhedron.areas, fit.areas[kept], rtol=1e-12)
     fitted = np.zeros(len(areas))
     fitted[kept] = result.polyhedron.areas
     assert np.linalg.norm(fitted - areas) <= 1e-3 * np.linalg.norm(areas)

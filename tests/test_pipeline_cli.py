@@ -7,15 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import INCIDENT_TABLE, make_tetrahedron, write_experiment_config
+from polyscat import geometry
 from polyscat.cli import main
 from polyscat.geometry import load_obstacle, save_obstacle
-from polyscat.pipeline import (
-    PipelineError,
-    merge_close_vertices,
-    parse_config,
-    run_pipeline,
-    synthesize_dataset,
-)
+from polyscat.pipeline import PipelineError, parse_config, run_pipeline, synthesize_dataset
 
 FAST = dict(grid_shape=2000, grid_loc=500, cutoff=6, cluster_angle_deg=10.0)
 
@@ -63,9 +58,27 @@ class TestConfig:
 
     def test_rejects_unknown_keys(self, workspace):
         cfg = workspace / "bad.cfg"
-        cfg.write_text("obstacle = tetra.obs\nincident = 1 0 0 0 0 1\nwhat = 3\n")
-        with pytest.raises(ValueError):
-            parse_config(cfg)
+        # merge_vertices is no longer a key: a stale line fails, it is not ignored
+        for key in ("what", "merge_vertices"):
+            cfg.write_text(f"obstacle = tetra.obs\nincident = 1 0 0 0 0 1\n{key} = 0\n")
+            with pytest.raises(ValueError, match=f"unknown keys.*{key}"):
+                parse_config(cfg)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "region_resolution = 11 11",
+            "region_resolution = 0 11 11",
+            "region_resolution = -2 11 11",
+            "region_resolution = 11 11 11 11",
+        ],
+    )
+    def test_rejects_bad_region_resolution(self, workspace, line):
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        bad = workspace / "bad.cfg"
+        bad.write_text(plain.read_text() + line + "\n")
+        with pytest.raises(ValueError, match="resolution"):
+            parse_config(bad)
 
     def test_multistart_is_accepted_and_ignored(self, workspace, caplog):
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
@@ -93,7 +106,6 @@ class TestConfig:
             "exclusion_radius = -inf",
             "cluster_angle_deg = nan",
             "noise_delta = inf",
-            "merge_vertices = nan",
             "location = 50 nan 50",
             "region = 0 100 0 inf 0 100",
             "incident = 1 0 0  0 0 nan",
@@ -192,23 +204,16 @@ class TestRecover:
             run_pipeline(parse_config(cfg))
         assert "step1" in str(err.value)
 
+    def test_step2_polyhedron_comes_from_the_fit(self, workspace, monkeypatch):
+        # the fit intersects through the name minkowski imported, which this
+        # patch does not reach; any other intersection in step 2 fails the run
+        def no_intersection(*args, **kwargs):
+            raise AssertionError("step 2 intersected outside the offset fit")
 
-class TestMergeVertices:
-    def test_merges_split_corner(self, cube):
-        split = np.vstack([cube.vertices, cube.vertices[-1] + [0.0, 0.0, 1e-3]])
-        from scipy.spatial import ConvexHull
-
-        from polyscat.geometry import build_polyhedron
-
-        hull = ConvexHull(split)
-        tris = hull.simplices.copy()
-        for t in tris:
-            n = np.cross(split[t[1]] - split[t[0]], split[t[2]] - split[t[0]])
-            if n @ (split[t[0]] - split.mean(axis=0)) < 0:
-                t[1], t[2] = t[2], t[1]
-        poly = build_polyhedron(split, [tuple(t) for t in tris], rel_tol=1e-6)
-        merged = merge_close_vertices(poly, 0.02 * poly.diameter)
-        assert merged.num_vertices == 8
+        monkeypatch.setattr(geometry, "halfspace_intersection", no_intersection)
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        report = run_pipeline(parse_config(cfg))
+        assert report.reconstructed is report.fit.polyhedron
 
 
 class TestCli:
