@@ -57,9 +57,9 @@ for idx, (d, p) in enumerate(incident):
     if noise.delta > 0:
         samples = add_noise(samples, NoiseModel(noise.delta, noise.seed + idx))
     expansion = sht_forward(samples, thresholds.cutoff)
-    peaks = find_local_maxima(expansion, incident_direction=wave.d, wavelength=lam)
-    selected = select_critical_directions(peaks, thresholds)
-    faces = peaks_to_faces(selected, source_index=idx)
+    peaks = find_local_maxima(expansion)
+    selected = select_critical_directions(peaks, wave.d, thresholds)
+    faces = peaks_to_faces(selected, wave.d, lam, source_index=idx)
     per_direction.append(faces)
     print(f"direction {idx}: {len(peaks)} maxima -> {len(faces)} critical")
 

@@ -77,6 +77,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError("relative noise level must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -499,12 +499,8 @@ def save_obstacle(poly: ConvexPolyhedron, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_obstacle(path, rel_tol: float = REL_TOL) -> ConvexPolyhedron:
-    """Parse the obstacle text format (1-based face indices, ``#`` comments).
-
-    ``rel_tol`` is forwarded to :func:`build_polyhedron`; pass a looser
-    value when reading reconstructed (rather than exact) geometry.
-    """
+def load_obstacle(path) -> ConvexPolyhedron:
+    """Parse the obstacle text format (1-based face indices, ``#`` comments)."""
     vertices = []
     faces = []
     with open(path) as fh:
@@ -522,4 +518,4 @@ def load_obstacle(path, rel_tol: float = REL_TOL) -> ConvexPolyhedron:
                     raise ValueError("expected 'v x y z' or 'f i1 i2 ...'")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return build_polyhedron(np.array(vertices), faces, rel_tol=rel_tol)
+    return build_polyhedron(np.array(vertices), faces)

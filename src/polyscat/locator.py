@@ -9,8 +9,8 @@ phase-translated degree-1 vector spherical harmonics,
 normalized by the field's squared norm; inner products use the grid's
 quadrature weights, as the scalar transform does.  When the phase
 factor cancels the translation of the obstacle, the degree-1 projection
-captures the whole field and ``I`` attains its extremum.  Both polarities
-are supported; the default searches for the maximum.
+captures the whole field and ``I`` attains its maximum, which
+:func:`locate` searches for.
 """
 
 from __future__ import annotations
@@ -113,7 +113,10 @@ def scan_indicator(samples: FarFieldSamples, region: SampleRegion):
     ``N (n_x + n_y + n_z)`` exponentials instead of ``N n_x n_y n_z``.
     The values equal :func:`indicator_values` at those points up to rounding.
     """
-    G, K, norm2 = _degree_one_projector(samples)
+    return _scan(*_degree_one_projector(samples), region)
+
+
+def _scan(G, K, norm2, region: SampleRegion):
     ex, ey, ez = (
         np.exp(-1j * np.outer(K[:, i], axis)) for i, axis in enumerate(region.axes())
     )
@@ -124,23 +127,21 @@ def scan_indicator(samples: FarFieldSamples, region: SampleRegion):
     return region.coarse_points(), np.sum(np.abs(proj) ** 2, axis=0) / norm2
 
 
-def locate(
-    samples: FarFieldSamples,
-    region: SampleRegion,
-    maximize: bool = True,
-    refine_tol: float = 1e-3,
-):
-    """Extremal point of the indicator over the region.
+# compass steps end below this length
+_REFINE_TOL = 1e-3
+
+
+def locate(samples: FarFieldSamples, region: SampleRegion):
+    """Maximum of the indicator over the region.
 
     A coarse grid scan picks the best cell, then a clamped compass search
-    with step halving refines it down to ``refine_tol``.  Returns
+    with step halving refines it down to ``_REFINE_TOL``.  Returns
     ``(z, value, (points, values))``: the refined point, its indicator
-    value in the native scale, and the coarse scan of :func:`scan_indicator`.
+    value, and the coarse scan of :func:`scan_indicator`.
     """
-    sign = 1.0 if maximize else -1.0
     G, K, norm2 = _degree_one_projector(samples)
-    Z, vals = scan_indicator(samples, region)
-    best = int(np.argmax(sign * vals))
+    Z, vals = _scan(G, K, norm2, region)
+    best = int(np.argmax(vals))
     z = Z[best]
     fz = vals[best]
 
@@ -149,13 +150,13 @@ def locate(
     )
     step = float(steps.max())
     eye = np.eye(3)
-    while step > refine_tol:
+    while step > _REFINE_TOL:
         moved = False
         for axis in range(3):
             for sgn in (1.0, -1.0):
                 trial = region.clamp(z + sgn * step * eye[axis])
                 ft = float(_indicator(G, K, norm2, trial))
-                if sign * ft > sign * fz:
+                if ft > fz:
                     z, fz = trial, ft
                     moved = True
         if not moved:
@@ -163,9 +164,11 @@ def locate(
     return z, fz, (Z, vals)
 
 
-def degree_one_oracle(
-    grid: SphericalGrid, wave: PlaneWave, z0, weights=(1.0, 0.7, 0.4, 0.8, 0.5, 0.3)
-) -> FarFieldSamples:
+# weights of U_1^-1, V_1^-1, U_1^0, V_1^0, U_1^1, V_1^1 in the oracle field
+_ORACLE_WEIGHTS = (1.0, 0.7, 0.4, 0.8, 0.5, 0.3)
+
+
+def degree_one_oracle(grid: SphericalGrid, wave: PlaneWave, z0) -> FarFieldSamples:
     """Synthetic low-frequency far field: a fixed degree-1 tangential
     combination carrying the translation phase of an obstacle at ``z0``.
 
@@ -177,7 +180,7 @@ def degree_one_oracle(
     idx = 0
     for m in (-1, 0, 1):
         U, V = eval_vector_harmonics(1, m, grid.points)
-        combo += weights[idx] * U + weights[idx + 1] * V
+        combo += _ORACLE_WEIGHTS[idx] * U + _ORACLE_WEIGHTS[idx + 1] * V
         idx += 2
     phase = np.exp(1j * wave.k * ((wave.d - grid.points) @ z0))
     return FarFieldSamples(

@@ -8,16 +8,20 @@ The backscattering peak of face ``j`` sits at the specular direction
     ``nu_j = (xhat_j - d) / sqrt(2 (1 - xhat_j . d))``
 
 and the peak magnitude yields the face area ``A = lambda |E| / |d . nu|``.
+Every unit ``xhat != d`` inverts to a front face (``d . nu < 0``), so
+selection needs only the exclusion radius around ``d`` and the peak
+threshold.  The peak search sees only the expansion; the incident
+direction and the wavelength are passed to the stages that use them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import unit_vector
 from .sphgrid import HarmonicExpansion, build_grid, synthesize
 
 
@@ -35,8 +39,6 @@ class PeakSet:
 
     directions: np.ndarray  # (n, 3) unit vectors
     values: np.ndarray  # (n,)
-    incident_direction: np.ndarray | None = None
-    wavelength: float | None = None
     failed_starts: int = 0
 
     def __len__(self) -> int:
@@ -62,7 +64,8 @@ class RecoveryThresholds:
 
     ``e_tol`` deletes weak maxima, ``exclusion_radius`` (radians) removes
     peaks too close to the incident direction, ``cluster_angle`` (radians)
-    merges near-duplicate normals and ``cutoff`` is the harmonic band limit.
+    merges near-duplicate normals and ``cutoff`` is the harmonic band limit,
+    an integer >= 0.
     """
 
     e_tol: float = 0.5
@@ -73,6 +76,8 @@ class RecoveryThresholds:
     def __post_init__(self):
         if min(self.e_tol, self.exclusion_radius, self.cluster_angle) < 0:
             raise ValueError("thresholds must be nonnegative")
+        if not isinstance(self.cutoff, numbers.Integral) or self.cutoff < 0:
+            raise ValueError(f"cutoff must be an integer >= 0, got {self.cutoff!r}")
 
 
 def angular_distance(u, v) -> float:
@@ -122,6 +127,8 @@ _STEP_TOL = 1e-9
 _MAX_ITERATIONS = 50
 # a gradient below this fraction of the pattern's largest value is flat
 _FLAT_GRADIENT = 1e-10
+# polished peaks closer than this (radians) are one peak
+_DEDUP_ANGLE = math.radians(1.0)
 
 # tangent-plane offsets (a, b) of the 3 x 3 stencil; index 3 (a + 1) + (b + 1)
 _STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
@@ -219,18 +226,13 @@ def _polish(expansion: HarmonicExpansion, seeds: np.ndarray, scale: float):
     )
 
 
-def find_local_maxima(
-    expansion: HarmonicExpansion,
-    incident_direction=None,
-    wavelength=None,
-    dedup_angle=math.radians(1.0),
-) -> PeakSet:
+def find_local_maxima(expansion: HarmonicExpansion) -> PeakSet:
     """Local maxima of the band-limited pattern, found in one batch.
 
     Seeds are the discrete maxima of the surrogate on a raw Fibonacci
     lattice of ``20 (cutoff + 1)^2`` points; all seeds are then polished
     together by projected Newton ascent on the sphere.  End points closer
-    than ``dedup_angle`` are merged keeping the higher value.  Seeds still
+    than ``_DEDUP_ANGLE`` are merged keeping the higher value.  Seeds still
     moving after the iteration cap are only counted in ``failed_starts``,
     never fatal.
     """
@@ -241,61 +243,39 @@ def find_local_maxima(
     kept = np.zeros(len(order), dtype=bool)
     for i in order:
         dots = points[kept] @ points[i]
-        if np.all(np.arccos(np.clip(dots, -1.0, 1.0)) > dedup_angle):
+        if np.all(np.arccos(np.clip(dots, -1.0, 1.0)) > _DEDUP_ANGLE):
             kept[i] = True
     keep = order[kept[order]]
-    if incident_direction is not None:
-        incident_direction = unit_vector(incident_direction, "incident direction")
-    return PeakSet(
-        directions=points[keep],
-        values=values[keep],
-        incident_direction=incident_direction,
-        wavelength=wavelength,
-        failed_starts=failed,
-    )
+    return PeakSet(directions=points[keep], values=values[keep], failed_starts=failed)
 
 
 def select_critical_directions(
-    peaks: PeakSet, thresholds: RecoveryThresholds
+    peaks: PeakSet, d, thresholds: RecoveryThresholds
 ) -> PeakSet:
-    """Filter a peak set down to critical observation directions.
+    """Filter the peaks of incident direction ``d`` down to critical
+    observation directions.
 
-    Removes peaks within ``exclusion_radius`` of the incident direction,
-    peaks below ``e_tol``, and peaks whose inversion would not yield a
-    front-face normal.  Idempotent.
+    Removes peaks within ``exclusion_radius`` of ``d`` and peaks below
+    ``e_tol``.  Every other unit direction inverts to a front-face normal:
+    the specular law gives ``d . nu = -|xhat - d| / 2 < 0``.  Idempotent.
     """
-    if peaks.incident_direction is None:
-        raise ValueError("peak set lacks its incident direction")
-    d = peaks.incident_direction
-    keep = []
-    for i in range(len(peaks)):
-        xhat = peaks.directions[i]
-        if angular_distance(xhat, d) < thresholds.exclusion_radius:
-            continue
-        if peaks.values[i] < thresholds.e_tol:
-            continue
-        delta = xhat - d
-        chord = float(np.linalg.norm(delta))
-        if chord**2 <= 2e-12:
-            continue
-        if float(delta @ d) >= 0.0:  # inverted normal would not face d
-            continue
-        keep.append(i)
-    return replace(
-        peaks, directions=peaks.directions[keep], values=peaks.values[keep]
+    d = np.asarray(d, dtype=float)
+    distance = np.arccos(np.clip(peaks.directions @ d, -1.0, 1.0))
+    keep = (distance >= thresholds.exclusion_radius) & (
+        peaks.values >= thresholds.e_tol
     )
+    return replace(peaks, directions=peaks.directions[keep], values=peaks.values[keep])
 
 
-def peaks_to_faces(peaks: PeakSet, source_index: int = 0) -> RecoveredFaceSet:
-    """Convert selected peaks of one incident direction into face entries."""
-    if peaks.incident_direction is None or peaks.wavelength is None:
-        raise ValueError("peak set lacks incident direction or wavelength")
+def peaks_to_faces(
+    peaks: PeakSet, d, wavelength: float, source_index: int = 0
+) -> RecoveredFaceSet:
+    """Convert the selected peaks of incident direction ``d`` into face
+    entries, skipping peaks that do not invert (at or next to ``d``)."""
     normals, areas, values = [], [], []
     for xhat, val in zip(peaks.directions, peaks.values):
         try:
-            nu, area = normal_and_area_from_peak(
-                xhat, val, peaks.incident_direction, peaks.wavelength
-            )
+            nu, area = normal_and_area_from_peak(xhat, val, d, wavelength)
         except (DegenerateDirection, GrazingNormal):
             continue
         normals.append(nu)

@@ -54,17 +54,17 @@ class OffsetFit:
     polyhedron: ConvexPolyhedron
 
 
-def balance_areas(normals, areas, floor=None) -> np.ndarray:
+def balance_areas(normals, areas) -> np.ndarray:
     """Minimal-norm correction making ``sum_j A_j nu_j = 0``.
 
     Projects out the component of the area vector seen by the normal
     matrix (via pseudo-inverse, so rank-deficient normal sets are handled)
-    and clamps any non-positive result to a small positive floor.
+    and clamps any non-positive result to the floor
+    ``1e-10 max(max_j A_j, 1)``.
     """
     N = np.asarray(normals, dtype=float).T  # (3, k)
     A = np.asarray(areas, dtype=float)
-    if floor is None:
-        floor = 1e-10 * max(float(A.max()), 1.0)
+    floor = 1e-10 * max(float(A.max()), 1.0)
     u = np.linalg.pinv(N @ N.T) @ (N @ A)
     adjusted = A - N.T @ u
     return np.maximum(adjusted, floor)
@@ -161,13 +161,13 @@ def _state(N: np.ndarray, offsets: np.ndarray) -> _State:
     )
 
 
-def fit_offsets(
-    normals,
-    areas,
-    alpha0=None,
-    max_iterations: int = 120,
-    tolerance: float = 1e-14,
-) -> OffsetFit:
+# Newton iteration cap, and the Newton decrement (relative to ``c``) that
+# ends the fit
+_MAX_ITERATIONS = 120
+_TOLERANCE = 1e-14
+
+
+def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
     """Face offsets whose facet areas match the given target areas.
 
     Damped Newton minimization of ``F(h) = A . h - c log vol(h)`` with the
@@ -178,7 +178,7 @@ def fit_offsets(
     :class:`geometry.GeometryError`) is rejected and the damping raised.
     The fit has converged once the Newton decrement ``g . H^-1 g`` (twice
     the fall of ``F`` that a full Newton step predicts) is at most
-    ``tolerance * c``.  The polyhedron at the fitted offsets comes from the
+    ``_TOLERANCE * c``.  The polyhedron at the fitted offsets comes from the
     last accepted intersection, with no further intersection.
 
     Parameters
@@ -216,9 +216,9 @@ def fit_offsets(
     eye = np.eye(len(N))
     iterations = 0
     converged = False
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         # Newton decrement: twice the fall of F a full Newton step predicts
-        if grad @ np.linalg.solve(hess + mu_min * eye, grad) <= tolerance * c:
+        if grad @ np.linalg.solve(hess + mu_min * eye, grad) <= _TOLERANCE * c:
             converged = True
             break
         improved = False

@@ -20,10 +20,11 @@ Config files are flat ``key = value`` text with one repeated key::
     region = 0 100 0 100 0 100
     region_resolution = 11 11 11
     step3_oracle = true
-    indicator_polarity = max
     output_dir = out
 
-A ``multistart = <n_theta> <n_phi>`` line from older configs is accepted
+``cutoff`` and ``noise_seed`` are integers >= 0.  Step 3 places the
+obstacle at the maximum of the degree-1 indicator over ``region``.  A
+``multistart = <n_theta> <n_phi>`` line from older configs is accepted
 and ignored with a warning: step 1 seeds its peak search from a lattice
 sized by ``cutoff``.
 
@@ -77,7 +78,6 @@ class ExperimentConfig:
         )
     )
     step3_oracle: bool = True
-    maximize_indicator: bool = True
 
     def __post_init__(self):
         if not self.incident:
@@ -183,9 +183,6 @@ def parse_config(path) -> ExperimentConfig:
         upper=region_nums[1::2],
         resolution=tuple(int(t) for t in take("region_resolution", "11 11 11").split()),
     )
-    polarity = take("indicator_polarity", "max")
-    if polarity not in ("max", "min"):
-        raise ValueError(f"{path}: indicator_polarity must be 'max' or 'min'")
     config = ExperimentConfig(
         obstacle=(base / obstacle).resolve(),
         incident=tuple(incident),
@@ -199,7 +196,6 @@ def parse_config(path) -> ExperimentConfig:
         location=np.array(take_floats("location", "0 0 0")),
         region=region,
         step3_oracle=_parse_bool(take("step3_oracle", "true")),
-        maximize_indicator=polarity == "max",
     )
     if raw:
         raise ValueError(f"{path}: unknown keys {sorted(raw)}")
@@ -272,14 +268,10 @@ class RecoveryReport:
 
 
 def _step1_single(index, samples, thresholds, wavelength):
-    expansion = sphgrid.sht_forward(samples, thresholds.cutoff)
-    peaks = maxima.find_local_maxima(
-        expansion,
-        incident_direction=samples.wave.d,
-        wavelength=wavelength,
-    )
-    selected = maxima.select_critical_directions(peaks, thresholds)
-    return maxima.peaks_to_faces(selected, source_index=index)
+    d = samples.wave.d
+    peaks = maxima.find_local_maxima(sphgrid.sht_forward(samples, thresholds.cutoff))
+    selected = maxima.select_critical_directions(peaks, d, thresholds)
+    return maxima.peaks_to_faces(selected, d, wavelength, source_index=index)
 
 
 def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
@@ -378,9 +370,7 @@ def locate_obstacle(config: ExperimentConfig, samples=None):
         except (OSError, ValueError) as exc:
             raise PipelineError("load", str(exc)) from exc
     try:
-        z, value, (points, values) = locator.locate(
-            samples, config.region, maximize=config.maximize_indicator
-        )
+        z, value, (points, values) = locator.locate(samples, config.region)
     except Exception as exc:
         raise PipelineError("step3", str(exc)) from exc
     out = config.output_dir
@@ -448,7 +438,6 @@ def _write_fit_report(path: Path, fit: minkowski.OffsetFit) -> Path:
         f"iterations = {fit.iterations}",
         f"converged = {fit.converged}",
         f"vanished_facets = {list(fit.vanished)}",
-        f"intersection_vanished = {list(fit.vanished)}",
         "objective_history = [" + ", ".join(f"{v:.9e}" for v in fit.history) + "]",
     ]
     path.write_text("\n".join(lines) + "\n")

@@ -13,6 +13,7 @@ from polyscat.forward import (
     sample_complex,
     sample_phaseless,
 )
+from polyscat import locator
 from polyscat.locator import (
     SampleRegion,
     ZeroField,
@@ -133,6 +134,18 @@ class TestLocate:
         assert np.array_equal(values, ref_values)
         assert value >= values.max()
 
+    def test_builds_its_projector_once(self, grid, monkeypatch):
+        calls = []
+        build = locator._degree_one_projector
+
+        def counted(samples):
+            calls.append(1)
+            return build(samples)
+
+        monkeypatch.setattr(locator, "_degree_one_projector", counted)
+        locate(degree_one_oracle(grid, LOW_WAVE, [47.3, 52.8, 49.6]), REGION)
+        assert len(calls) == 1
+
     def test_recovers_off_grid_center(self, grid):
         z0 = np.array([47.3, 52.8, 49.6])
         samples = degree_one_oracle(grid, LOW_WAVE, z0)
@@ -150,12 +163,6 @@ class TestLocate:
         z1, _, _ = locate(degree_one_oracle(grid, LOW_WAVE, z0), REGION)
         z2, _, _ = locate(degree_one_oracle(grid, half, z0), REGION)
         assert np.abs(z1 - z2).max() <= 1e-2
-
-    def test_minimize_polarity_supported(self, grid):
-        samples = degree_one_oracle(grid, LOW_WAVE, [50.0, 50.0, 50.0])
-        z, value, _ = locate(samples, REGION, maximize=False)
-        # the minimizer lands away from the translation point
-        assert value < 0.5
 
     def test_region_validation(self):
         with pytest.raises(ValueError):

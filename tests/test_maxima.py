@@ -112,7 +112,7 @@ class TestPeakSearch:
         g = build_grid(4000)
         f = np.exp(10.0 * g.points[:, 2])
         exp = sht_forward((g, f), 10)
-        peaks = find_local_maxima(exp, incident_direction=[1.0, 0, 0], wavelength=0.5)
+        peaks = find_local_maxima(exp)
         assert len(peaks) >= 1
         assert angle_deg(peaks.directions[0], [0.0, 0.0, 1.0]) < 1.0
         # truncation ripples may create minor maxima, but far below the top
@@ -122,18 +122,18 @@ class TestPeakSearch:
     def test_constant_expansion_degenerate(self):
         g = build_grid(2000)
         exp = sht_forward((g, np.ones(g.size)), 0)
-        peaks = find_local_maxima(exp, incident_direction=[1.0, 0, 0], wavelength=0.5)
+        peaks = find_local_maxima(exp)
         # a constant has no isolated maxima: everything is flat and equal
         assert_allclose(peaks.values, peaks.values[0], atol=1e-9)
         thresholds = RecoveryThresholds(e_tol=peaks.values[0] + 1.0)
-        assert len(select_critical_directions(peaks, thresholds)) == 0
+        assert len(select_critical_directions(peaks, D1, thresholds)) == 0
 
     def test_tetrahedron_two_major_peaks(self, tetra):
         g = build_grid(7518)
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         samples = sample_phaseless(tetra, w, g)
         exp = sht_forward(samples, 10)
-        peaks = find_local_maxima(exp, incident_direction=D1, wavelength=0.5)
+        peaks = find_local_maxima(exp)
         strong = [i for i in range(len(peaks)) if peaks.values[i] > 0.5]
         assert len(strong) == 2
         tops = peaks.directions[strong]
@@ -144,9 +144,9 @@ class TestPeakSearch:
     def test_matches_multistart_peaks(self):
         for i, (d, _) in enumerate(INCIDENT_TABLE):
             exp = load_expansion(DATA / f"tetra_l05_cutoff6_d{i}.txt")
-            peaks = find_local_maxima(exp, incident_direction=d, wavelength=0.5)
+            peaks = find_local_maxima(exp)
             assert peaks.failed_starts == 0
-            out = select_critical_directions(peaks, RecoveryThresholds())
+            out = select_critical_directions(peaks, d, RecoveryThresholds())
             expected = [row for row in MULTISTART_PEAKS_L05 if row[0] == i]
             assert len(out) == len(expected)
             for xhat, val, (_, ref_xhat, ref_val) in zip(
@@ -159,48 +159,56 @@ class TestPeakSearch:
         g = build_grid(3000)
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         exp = sht_forward(sample_phaseless(tetra, w, g), 8)
-        peaks = find_local_maxima(exp, incident_direction=D1, wavelength=0.5)
+        peaks = find_local_maxima(exp)
         assert np.abs(np.linalg.norm(peaks.directions, axis=1) - 1.0).max() < 1e-9
         assert all(a >= b for a, b in zip(peaks.values, peaks.values[1:]))
 
 
 class TestSelection:
     def _peaks(self, dirs, vals):
-        return PeakSet(
-            directions=np.array(dirs, float),
-            values=np.array(vals, float),
-            incident_direction=D1,
-            wavelength=0.5,
-        )
+        return PeakSet(directions=np.array(dirs, float), values=np.array(vals, float))
 
     def test_excludes_incident_neighborhood(self):
         peaks = self._peaks([D1, X1], [0.9, 0.7])
-        out = select_critical_directions(peaks, RecoveryThresholds())
+        out = select_critical_directions(peaks, D1, RecoveryThresholds())
         assert len(out) == 1
         assert_allclose(out.directions[0], X1)
 
     def test_threshold(self):
         peaks = self._peaks([X1, [0.0, 1.0, 0.0]], [0.7, 0.2])
-        out = select_critical_directions(peaks, RecoveryThresholds(e_tol=0.5))
+        out = select_critical_directions(peaks, D1, RecoveryThresholds(e_tol=0.5))
         assert len(out) == 1
 
     def test_empty_and_idempotent(self):
         empty = self._peaks(np.zeros((0, 3)), [])
         thresholds = RecoveryThresholds()
-        assert len(select_critical_directions(empty, thresholds)) == 0
+        assert len(select_critical_directions(empty, D1, thresholds)) == 0
         peaks = self._peaks([X1, D1, [0, 1.0, 0]], [0.8, 0.9, 0.6])
-        once = select_critical_directions(peaks, thresholds)
-        twice = select_critical_directions(once, thresholds)
+        once = select_critical_directions(peaks, D1, thresholds)
+        twice = select_critical_directions(once, D1, thresholds)
         assert_allclose(once.directions, twice.directions)
         assert_allclose(once.values, twice.values)
+
+    def test_peak_at_incident_direction_yields_no_face(self):
+        # with no exclusion radius a peak exactly at d passes selection; it
+        # does not invert, so peaks_to_faces drops it
+        thresholds = RecoveryThresholds(exclusion_radius=0.0)
+        out = select_critical_directions(self._peaks([D1], [0.9]), D1, thresholds)
+        assert len(out) == 1
+        assert len(peaks_to_faces(out, D1, 0.5)) == 0
+        both = select_critical_directions(self._peaks([D1, X1], [0.9, 0.7]), D1, thresholds)
+        faces = peaks_to_faces(both, D1, 0.5, source_index=3)
+        assert len(faces) == 1
+        assert_allclose(faces.normals[0], normal_and_area_from_peak(X1, 0.7, D1, 0.5)[0])
+        assert faces.source_indices.tolist() == [3]
 
     def test_tetrahedron_selection(self, tetra):
         g = build_grid(7518)
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         exp = sht_forward(sample_phaseless(tetra, w, g), 10)
-        peaks = find_local_maxima(exp, incident_direction=D1, wavelength=0.5)
+        peaks = find_local_maxima(exp)
         out = select_critical_directions(
-            peaks, RecoveryThresholds(e_tol=0.5, exclusion_radius=0.3)
+            peaks, D1, RecoveryThresholds(e_tol=0.5, exclusion_radius=0.3)
         )
         assert len(out) == 1
         assert angle_deg(out.directions[0], X1) < 8.0
@@ -260,9 +268,9 @@ class TestSignificantFaceProperty:
         ):
             w = PlaneWave(d=d, p=p, k=2.0 * math.pi / lam)
             exp = sht_forward(sample_phaseless(tetra, w, g), thresholds.cutoff)
-            peaks = find_local_maxima(exp, incident_direction=d, wavelength=lam)
-            out = select_critical_directions(peaks, thresholds)
-            faces = peaks_to_faces(out)
+            peaks = find_local_maxima(exp)
+            out = select_critical_directions(peaks, d, thresholds)
+            faces = peaks_to_faces(out, d, lam)
             front = [j for j in range(4) if tetra.normals[j] @ d < -0.1]
             for j in front:
                 angles = [

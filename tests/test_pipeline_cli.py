@@ -1,18 +1,21 @@
 import dataclasses
 import logging
 import math
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import INCIDENT_TABLE, make_tetrahedron, write_experiment_config
-from polyscat import geometry
+from polyscat import geometry, pipeline
 from polyscat.cli import main
 from polyscat.geometry import load_obstacle, save_obstacle
 from polyscat.pipeline import PipelineError, parse_config, run_pipeline, synthesize_dataset
 
 FAST = dict(grid_shape=2000, grid_loc=500, cutoff=6, cluster_angle_deg=10.0)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -58,8 +61,9 @@ class TestConfig:
 
     def test_rejects_unknown_keys(self, workspace):
         cfg = workspace / "bad.cfg"
-        # merge_vertices is no longer a key: a stale line fails, it is not ignored
-        for key in ("what", "merge_vertices"):
+        # merge_vertices and indicator_polarity are no longer keys: a stale
+        # line fails, it is not ignored
+        for key in ("what", "merge_vertices", "indicator_polarity"):
             cfg.write_text(f"obstacle = tetra.obs\nincident = 1 0 0 0 0 1\n{key} = 0\n")
             with pytest.raises(ValueError, match=f"unknown keys.*{key}"):
                 parse_config(cfg)
@@ -79,6 +83,39 @@ class TestConfig:
         bad.write_text(plain.read_text() + line + "\n")
         with pytest.raises(ValueError, match="resolution"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("value", ["-1", "-10"])
+    def test_rejects_negative_cutoff(self, workspace, value):
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        bad = workspace / "bad.cfg"
+        bad.write_text(plain.read_text() + f"cutoff = {value}\n")
+        with pytest.raises(ValueError, match="cutoff"):
+            parse_config(bad)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.0])
+    def test_rejects_negative_noise_seed(self, workspace, delta):
+        # rejected when parsed, whether or not the run draws noise
+        cfg = write_experiment_config(
+            workspace / "bad.cfg", "tetra.obs", noise_delta=delta, noise_seed=-3, **FAST
+        )
+        with pytest.raises(ValueError, match="seed"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("source", ["README.md", "pipeline docstring"])
+    def test_documented_sample_config_parses(self, tmp_path, source):
+        if source == "README.md":
+            text = README.read_text()
+            block = text.split("```\nobstacle = ", 1)[1].split("```", 1)[0]
+            block = "obstacle = " + block
+        else:
+            block = pipeline.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+            block = textwrap.dedent(block)
+        cfg = tmp_path / "sample.cfg"
+        cfg.write_text(block)
+        config = parse_config(cfg)
+        assert config.obstacle == (tmp_path / "tetrahedron.obs").resolve()
+        assert config.thresholds.cutoff == 10
+        assert config.region.resolution == (11, 11, 11)
 
     def test_multistart_is_accepted_and_ignored(self, workspace, caplog):
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
@@ -173,8 +210,16 @@ class TestRecover:
             "recovered_located.obs",
         ):
             assert (out / name).exists()
+        lines = (out / "fit_report.txt").read_text().splitlines()
+        assert [line.split(" = ")[0] for line in lines] == [
+            "residual",
+            "iterations",
+            "converged",
+            "vanished_facets",
+            "objective_history",
+        ]
         history = ", ".join(f"{v:.9e}" for v in report.fit.history)
-        assert f"objective_history = [{history}]" in (out / "fit_report.txt").read_text()
+        assert lines[-1] == f"objective_history = [{history}]"
         # reconstructed obstacle passes all construction invariants
         rebuilt = load_obstacle(out / "recovered.obs")
         assert rebuilt.num_faces == 4
@@ -194,6 +239,19 @@ class TestRecover:
         )
         run_pipeline(parse_config(cfg_b))
         assert read_tree(workspace / "a") == read_tree(workspace / "b")
+
+    def test_po_location_data(self, workspace, tetra):
+        # step 3 on the physical-optics field of the tetrahedron, not the
+        # degree-1 oracle: front-face PO is not centred on the centroid, so
+        # the location is off by about 0.2, inside the circumradius
+        cfg = write_experiment_config(
+            workspace / "exp.cfg", "tetra.obs", step3_oracle=False, **FAST
+        )
+        report = run_pipeline(parse_config(cfg))
+        assert (workspace / "out" / "location.csv").exists()
+        circumradius = float(np.linalg.norm(tetra.vertices - tetra.centroid, axis=1).max())
+        assert circumradius == pytest.approx(math.sqrt(6.0) / 4.0)
+        assert np.linalg.norm(report.location - 50.0) < circumradius
 
     def test_stage_tagged_failure(self, workspace):
         # a threshold nothing survives -> step1 failure with stage tag
