@@ -43,31 +43,32 @@ def make_prism():
 
 
 def recover(name, poly, lam=0.5, cutoff=6, cluster_deg=10.0):
-    work = Path(tempfile.mkdtemp(prefix=f"gallery_{name}_"))
-    save_obstacle(poly, work / f"{name}.obs")
-    cfg = work / f"{name}.cfg"
-    cfg.write_text(
-        f"obstacle = {name}.obs\n{INCIDENT}\n"
-        f"lambda_shape = {lam}\nlambda_loc = 50\n"
-        "grid_shape = 7518\ngrid_loc = 1878\n"
-        f"cutoff = {cutoff}\ne_tol = 0.5\nexclusion_radius = 0.3\n"
-        f"cluster_angle_deg = {cluster_deg}\n"
-        "noise_delta = 0\nnoise_seed = 7\n"
-        "location = 50 50 50\nregion = 0 100 0 100 0 100\n"
-        "step3_oracle = true\noutput_dir = out\n"
-    )
-    report = run_pipeline(parse_config(cfg))
-    rec = report.reconstructed
-    rec_centered = rec.vertices - rec.centroid
-    err = max(
-        float(np.linalg.norm(rec_centered - v, axis=1).min()) for v in poly.vertices
-    )
-    print(f"\n== {name}: {poly.num_faces} true faces")
-    print(f"   effective normals found: {len(report.effective)}")
-    print(f"   fitted offsets: {np.round(report.fit.offsets, 3)}")
-    print(f"   located at {np.round(report.location, 3)}")
-    print(f"   max vertex error (centroid-aligned): {err:.4f}")
-    print(f"   report files in {report.files[0].parent}")
+    with tempfile.TemporaryDirectory(prefix=f"gallery_{name}_") as tmp:
+        work = Path(tmp)
+        save_obstacle(poly, work / f"{name}.obs")
+        cfg = work / f"{name}.cfg"
+        cfg.write_text(
+            f"obstacle = {name}.obs\n{INCIDENT}\n"
+            f"lambda_shape = {lam}\nlambda_loc = 50\n"
+            "grid_shape = 7518\ngrid_loc = 1878\n"
+            f"cutoff = {cutoff}\ne_tol = 0.5\nexclusion_radius = 0.3\n"
+            f"cluster_angle_deg = {cluster_deg}\n"
+            "noise_delta = 0\nnoise_seed = 7\n"
+            "location = 50 50 50\nregion = 0 100 0 100 0 100\n"
+            "step3_oracle = true\noutput_dir = out\n"
+        )
+        report = run_pipeline(parse_config(cfg))
+        rec = report.reconstructed
+        rec_centered = rec.vertices - rec.centroid
+        err = max(
+            float(np.linalg.norm(rec_centered - v, axis=1).min()) for v in poly.vertices
+        )
+        print(f"\n== {name}: {poly.num_faces} true faces")
+        print(f"   effective normals found: {len(report.effective)}")
+        print(f"   fitted offsets: {np.round(report.fit.offsets, 3)}")
+        print(f"   located at {np.round(report.location, 3)}")
+        print(f"   max vertex error (centroid-aligned): {err:.4f}")
+        print(f"   report files in {report.files[0].parent}")
     return err
 
 

@@ -51,7 +51,6 @@ from .sphgrid import (
     SphericalGrid,
     build_grid,
     eval_scalar_harmonic,
-    eval_vector_harmonics,
     sht_forward,
     synthesize,
 )

@@ -7,20 +7,22 @@ phase-translated degree-1 vector spherical harmonics,
     ``I(z) = sum_{|m|<=1} |<E, e^{ik(d-x) . z} U_1^m>|^2 + |<E, ... V_1^m>|^2``
 
 normalized by the field's squared norm; inner products use the grid's
-quadrature weights, as the scalar transform does.  When the phase
-factor cancels the translation of the obstacle, the degree-1 projection
-captures the whole field and ``I`` attains its maximum, which
-:func:`locate` searches for.
+quadrature weights, as the scalar transform does.  The six fields are
+plain Cartesian fields, built in closed form by :func:`_degree_one_basis`.
+When the phase factor cancels the translation of the obstacle, the
+degree-1 projection captures the whole field and ``I`` attains its
+maximum, which :func:`locate` searches for.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forward import COMPLEX_E, FarFieldSamples, PlaneWave, WrongKind
-from .sphgrid import SphericalGrid, eval_vector_harmonics
+from .sphgrid import SphericalGrid
 
 
 class ZeroField(ValueError):
@@ -67,6 +69,26 @@ class SampleRegion:
         return np.minimum(np.maximum(z, self.lower), self.upper)
 
 
+# Y_1^-1, Y_1^0, Y_1^1 = sqrt(3 / 4 pi) (y, z, x): the coordinate axis of each
+_DEGREE_ONE_AXES = [1, 2, 0]
+
+
+def _degree_one_basis(points) -> np.ndarray:
+    """The six degree-1 tangential vector harmonics at unit ``points``, as a
+    ``(6, N, 3)`` array ordered ``U_1^-1, V_1^-1, U_1^0, V_1^0, U_1^1, V_1^1``.
+
+    With ``e`` the axis of ``Y_1^m``, ``U = Grad Y / sqrt(2) = c (e - (e .
+    xhat) xhat)`` and ``V = xhat x U = c xhat x e``, ``c = sqrt(3 / 8 pi)``;
+    each is unit-norm in the tangential L2 sense.
+    """
+    x = np.asarray(points, dtype=float)
+    e = np.eye(3)[_DEGREE_ONE_AXES, None, :]  # (3, 1, 3)
+    U = e - x.T[_DEGREE_ONE_AXES, :, None] * x  # (3, N, 3)
+    V = np.cross(x, e)
+    c = math.sqrt(3.0 / (8.0 * math.pi))
+    return c * np.stack((U, V), axis=1).reshape(6, len(x), 3)
+
+
 def _degree_one_projector(samples: FarFieldSamples):
     """Weighted projections ``g_b[i] = w_i (E_i . W_b,i)`` and the norm."""
     if not samples.is_complex:
@@ -77,11 +99,7 @@ def _degree_one_projector(samples: FarFieldSamples):
     norm2 = float(np.sum(w * np.einsum("ij,ij->i", E, E.conj()).real))
     if norm2 < 1e-28:
         raise ZeroField("far field has (near) zero norm")
-    basis = []
-    for m in (-1, 0, 1):
-        U, V = eval_vector_harmonics(1, m, grid.points)
-        basis.extend((U, V))
-    G = np.stack([w * np.einsum("ij,ij->i", E, W) for W in basis])  # (6, N)
+    G = w * np.einsum("ij,bij->bi", E, _degree_one_basis(grid.points))  # (6, N)
     K = samples.wave.k * (samples.wave.d - grid.points)  # (N, 3)
     return G, K, norm2
 
@@ -176,12 +194,7 @@ def degree_one_oracle(grid: SphericalGrid, wave: PlaneWave, z0) -> FarFieldSampl
     low-frequency field of a small scatterer is degree-1 dominated.
     """
     z0 = np.asarray(z0, dtype=float)
-    combo = np.zeros((grid.size, 3), dtype=complex)
-    idx = 0
-    for m in (-1, 0, 1):
-        U, V = eval_vector_harmonics(1, m, grid.points)
-        combo += _ORACLE_WEIGHTS[idx] * U + _ORACLE_WEIGHTS[idx + 1] * V
-        idx += 2
+    combo = np.tensordot(_ORACLE_WEIGHTS, _degree_one_basis(grid.points), axes=1)
     phase = np.exp(1j * wave.k * ((wave.d - grid.points) @ z0))
     return FarFieldSamples(
         grid=grid, values=combo * phase[:, None], wave=wave, kind=COMPLEX_E

@@ -80,10 +80,6 @@ class RecoveryThresholds:
             raise ValueError(f"cutoff must be an integer >= 0, got {self.cutoff!r}")
 
 
-def angular_distance(u, v) -> float:
-    return float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0)))
-
-
 def specular_direction(nu, d) -> np.ndarray:
     """Critical observation direction: the mirror image of ``d`` in the face
     plane, ``d - 2 (d . nu) nu``."""
@@ -226,6 +222,18 @@ def _polish(expansion: HarmonicExpansion, seeds: np.ndarray, scale: float):
     )
 
 
+def _suppress(directions: np.ndarray, order, angle: float) -> np.ndarray:
+    """Greedy angular suppression: visit ``directions`` in ``order`` and keep
+    each one farther than ``angle`` (radians) from every one already kept.
+    Returns the kept indices in visiting order."""
+    kept = []
+    for i in order:
+        dots = directions[kept] @ directions[i]
+        if np.all(np.arccos(np.clip(dots, -1.0, 1.0)) > angle):
+            kept.append(i)
+    return np.array(kept, dtype=int)
+
+
 def find_local_maxima(expansion: HarmonicExpansion) -> PeakSet:
     """Local maxima of the band-limited pattern, found in one batch.
 
@@ -239,13 +247,7 @@ def find_local_maxima(expansion: HarmonicExpansion) -> PeakSet:
     seeds, scale = _grid_seeds(expansion)
     points, values, seed_index, failed = _polish(expansion, seeds, scale)
 
-    order = np.lexsort((seed_index, -values))
-    kept = np.zeros(len(order), dtype=bool)
-    for i in order:
-        dots = points[kept] @ points[i]
-        if np.all(np.arccos(np.clip(dots, -1.0, 1.0)) > _DEDUP_ANGLE):
-            kept[i] = True
-    keep = order[kept[order]]
+    keep = _suppress(points, np.lexsort((seed_index, -values)), _DEDUP_ANGLE)
     return PeakSet(directions=points[keep], values=values[keep], failed_starts=failed)
 
 
@@ -291,19 +293,13 @@ def peaks_to_faces(
 
 
 def merge_face_sets(sets) -> RecoveredFaceSet:
-    """Concatenate per-direction face sets."""
+    """Concatenate per-direction face sets; there is at least one."""
     sets = list(sets)
     return RecoveredFaceSet(
-        normals=np.concatenate([s.normals for s in sets])
-        if sets
-        else np.zeros((0, 3)),
-        areas=np.concatenate([s.areas for s in sets]) if sets else np.zeros(0),
-        peak_values=np.concatenate([s.peak_values for s in sets])
-        if sets
-        else np.zeros(0),
-        source_indices=np.concatenate([s.source_indices for s in sets]).astype(int)
-        if sets
-        else np.zeros(0, dtype=int),
+        normals=np.concatenate([s.normals for s in sets]),
+        areas=np.concatenate([s.areas for s in sets]),
+        peak_values=np.concatenate([s.peak_values for s in sets]),
+        source_indices=np.concatenate([s.source_indices for s in sets]).astype(int),
     )
 
 
@@ -312,26 +308,11 @@ def cluster_effective_normals(
 ) -> RecoveredFaceSet:
     """Merge near-duplicate normals, keeping the strongest peak per cluster.
 
-    Greedy: entries are visited in order of descending peak value; each
-    unclaimed entry seeds a cluster and claims everything within
-    ``cluster_angle`` of it.  The seed is the cluster's representative.
+    Greedy: entries are visited in order of descending peak value, and each
+    is kept unless it lies within ``cluster_angle`` of one already kept.
     """
-    if len(entries) == 0:
-        return entries
     order = np.argsort(-entries.peak_values, kind="stable")
-    claimed = np.zeros(len(entries), dtype=bool)
-    reps = []
-    for i in order:
-        if claimed[i]:
-            continue
-        claimed[i] = True
-        for j in order:
-            if not claimed[j] and angular_distance(
-                entries.normals[i], entries.normals[j]
-            ) <= cluster_angle:
-                claimed[j] = True
-        reps.append(i)
-    reps = np.array(reps, dtype=int)
+    reps = _suppress(entries.normals, order, cluster_angle)
     return RecoveredFaceSet(
         normals=entries.normals[reps],
         areas=entries.areas[reps],

@@ -22,8 +22,9 @@ Config files are flat ``key = value`` text with one repeated key::
     step3_oracle = true
     output_dir = out
 
-``cutoff`` and ``noise_seed`` are integers >= 0.  Step 3 places the
-obstacle at the maximum of the degree-1 indicator over ``region``.  A
+``cutoff`` and ``noise_seed`` are integers >= 0; ``grid_shape`` and
+``grid_loc`` are integers >= 12.  Step 3 places the obstacle at the
+maximum of the degree-1 indicator over ``region``.  A
 ``multistart = <n_theta> <n_phi>`` line from older configs is accepted
 and ignored with a warning: step 1 seeds its peak search from a lattice
 sized by ``cutoff``.
@@ -82,6 +83,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.incident:
             raise ValueError("config needs at least one incident direction")
+        for key in ("grid_shape", "grid_loc"):
+            if getattr(self, key) < 12:
+                raise ValueError(f"{key} needs at least 12 points")
         if not (0 < self.lambda_shape < math.inf and 0 < self.lambda_loc < math.inf):
             raise ValueError("wavelengths must be positive and finite")
         for d, p in self.incident:
@@ -110,6 +114,13 @@ def _finite_numbers(path, key: str, text: str) -> list:
     if not all(math.isfinite(x) for x in nums):
         raise ValueError(f"{path}: {key} must be finite")
     return nums
+
+
+def _integers(path, key: str, text: str) -> list:
+    try:
+        return [int(t) for t in text.split()]
+    except ValueError:
+        raise ValueError(f"{path}: {key} must be integers, got {text!r}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -155,6 +166,12 @@ def parse_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: {key} needs one number")
         return nums[0]
 
+    def take_int(key, default):
+        nums = _integers(path, key, take(key, str(default)))
+        if len(nums) != 1:
+            raise ValueError(f"{path}: {key} needs one integer")
+        return nums[0]
+
     base = path.parent
     obstacle = take("obstacle")
     if obstacle is None:
@@ -164,16 +181,16 @@ def parse_config(path) -> ExperimentConfig:
         e_tol=take_float("e_tol", 0.5),
         exclusion_radius=take_float("exclusion_radius", 0.3),
         cluster_angle=math.radians(take_float("cluster_angle_deg", 5.0)),
-        cutoff=int(take("cutoff", 10)),
+        cutoff=take_int("cutoff", 10),
     )
     multistart = take("multistart")
     if multistart is not None:
-        shape = [int(t) for t in multistart.split()]
+        shape = _integers(path, "multistart", multistart)
         if len(shape) != 2 or min(shape) < 1:
             raise ValueError(f"{path}: multistart needs two positive integers")
         log.warning("%s: 'multistart' is ignored; peaks are seeded from a grid", path)
     noise = forward.NoiseModel(
-        delta=take_float("noise_delta", 0.0), seed=int(take("noise_seed", 7))
+        delta=take_float("noise_delta", 0.0), seed=take_int("noise_seed", 7)
     )
     region_nums = take_floats("region", "0 100 0 100 0 100")
     if len(region_nums) != 6:
@@ -181,7 +198,9 @@ def parse_config(path) -> ExperimentConfig:
     region = locator.SampleRegion(
         lower=region_nums[0::2],
         upper=region_nums[1::2],
-        resolution=tuple(int(t) for t in take("region_resolution", "11 11 11").split()),
+        resolution=tuple(
+            _integers(path, "region_resolution", take("region_resolution", "11 11 11"))
+        ),
     )
     config = ExperimentConfig(
         obstacle=(base / obstacle).resolve(),
@@ -189,8 +208,8 @@ def parse_config(path) -> ExperimentConfig:
         output_dir=(base / output_dir).resolve(),
         lambda_shape=take_float("lambda_shape", 0.5),
         lambda_loc=take_float("lambda_loc", 50.0),
-        grid_shape=int(take("grid_shape", 7518)),
-        grid_loc=int(take("grid_loc", 1878)),
+        grid_shape=take_int("grid_shape", 7518),
+        grid_loc=take_int("grid_loc", 1878),
         thresholds=thresholds,
         noise=noise,
         location=np.array(take_floats("location", "0 0 0")),

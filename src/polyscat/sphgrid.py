@@ -12,10 +12,8 @@ Womersley 2004).  The standard grid is the raw Fibonacci lattice
 The scalar basis is real and orthonormal: ``Y(n,0) = Pbar(n,0)`` and
 ``Y(n,+-m) = sqrt(2) Pbar(n,m) {cos,sin}(m phi)`` with fully normalized
 associated Legendre functions ``Pbar`` evaluated by stable three-term
-recurrences.  Tangential vector harmonics come from the surface gradient,
-``U = Grad Y / sqrt(n(n+1))`` and ``V = xhat x U``; the ``1/sin(theta)``
-factors are carried through scaled recurrences, so poles need no special
-handling.
+recurrences.  The locator's degree-1 vector harmonics are plain Cartesian
+fields and are built in closed form in :mod:`polyscat.locator`.
 """
 
 from __future__ import annotations
@@ -149,53 +147,26 @@ def _recurrence_coeffs(n_max: int):
     return tuple(diag), tuple(step), a, b
 
 
-def _legendre_tables(n_max, ct, st, want_deriv=False, want_over_sin=False):
-    """Normalized ``Pbar(n,m)`` tables at ``cos/sin(theta)`` arrays.
-
-    Returns ``(P, dP, Pi)`` where rows are packed by ``n(n+1)/2 + m``; ``dP``
-    is the theta derivative and ``Pi = Pbar / sin(theta)`` (rows m >= 1 only,
-    computed without dividing so poles stay finite).  Unrequested tables are
-    None.
-    """
+def _legendre_tables(n_max, ct, st):
+    """Normalized ``Pbar(n,m)`` tables at ``cos/sin(theta)`` arrays, rows
+    packed by ``n(n+1)/2 + m``."""
     ct = np.asarray(ct, dtype=float)
     st = np.asarray(st, dtype=float)
     diag, step, a, b = _recurrence_coeffs(n_max)
-    rows = _tri_index(n_max, n_max) + 1
-    shape = (rows,) + ct.shape
-    P = np.empty(shape)
-    dP = np.empty(shape) if want_deriv else None
-    Pi = np.empty(shape) if want_over_sin else None
-
+    P = np.empty((_tri_index(n_max, n_max) + 1,) + ct.shape)
     P[0] = _P00
-    if want_deriv:
-        dP[0] = 0.0
     for m in range(0, n_max + 1):
         im = _tri_index(m, m)
         if m >= 1:
-            prev = _tri_index(m - 1, m - 1)
-            P[im] = diag[m] * st * P[prev]
-            if want_deriv:
-                dP[im] = diag[m] * (ct * P[prev] + st * dP[prev])
-            if want_over_sin:
-                Pi[im] = diag[m] * (Pi[prev] * st if m >= 2 else _P00)
+            P[im] = diag[m] * st * P[_tri_index(m - 1, m - 1)]
         if m == n_max:
             break
-        i1 = _tri_index(m + 1, m)
-        P[i1] = step[m] * ct * P[im]
-        if want_deriv:
-            dP[i1] = step[m] * (ct * dP[im] - st * P[im])
-        if want_over_sin and m >= 1:
-            Pi[i1] = step[m] * ct * Pi[im]
+        P[_tri_index(m + 1, m)] = step[m] * ct * P[im]
         for n in range(m + 2, n_max + 1):
             i0 = _tri_index(n - 2, m)
             i1 = _tri_index(n - 1, m)
-            i2 = _tri_index(n, m)
-            P[i2] = a[n, m] * (ct * P[i1] - b[n, m] * P[i0])
-            if want_deriv:
-                dP[i2] = a[n, m] * (ct * dP[i1] - st * P[i1] - b[n, m] * dP[i0])
-            if want_over_sin and m >= 1:
-                Pi[i2] = a[n, m] * (ct * Pi[i1] - b[n, m] * Pi[i0])
-    return P, dP, Pi
+            P[_tri_index(n, m)] = a[n, m] * (ct * P[i1] - b[n, m] * P[i0])
+    return P
 
 
 def _sphere_coords(points):
@@ -227,7 +198,7 @@ def harmonic_basis(points, n_c: int) -> np.ndarray:
     digits at the 1e-13 level.
     """
     ct, st, cphi, sphi, single = _sphere_coords(points)
-    P, _, _ = _legendre_tables(n_c, ct, st)
+    P = _legendre_tables(n_c, ct, st)
     npts = len(ct)
     B = np.empty(((n_c + 1) ** 2, npts))
     cos_m = np.ones(npts)
@@ -251,44 +222,6 @@ def eval_scalar_harmonic(n: int, m: int, points):
         raise ValueError("need |m| <= n")
     B = harmonic_basis(points, n)
     return B[..., n * n + n + m]
-
-
-def eval_vector_harmonics(n: int, m: int, points):
-    """Tangential vector harmonics ``(U, V)`` at one or many directions.
-
-    ``U = Grad Y / sqrt(n(n+1))`` and ``V = xhat x U``; both are unit-norm in
-    the tangential L2 sense and pointwise orthogonal to each other and to
-    ``xhat``.
-    """
-    if n < 1:
-        raise ValueError("vector harmonics need degree n >= 1")
-    if abs(m) > n:
-        raise ValueError("need |m| <= n")
-    ct, st, cphi, sphi, single = _sphere_coords(points)
-    P, dP, Pi = _legendre_tables(n, ct, st, want_deriv=True, want_over_sin=True)
-    idx = _tri_index(n, abs(m))
-    mm = abs(m)
-    if mm == 0:
-        g_theta = dP[idx]
-        g_phi = np.zeros_like(g_theta)
-    else:
-        cos_m = np.cos(mm * np.arctan2(sphi, cphi))
-        sin_m = np.sin(mm * np.arctan2(sphi, cphi))
-        sq2 = math.sqrt(2.0)
-        if m > 0:
-            g_theta = sq2 * dP[idx] * cos_m
-            g_phi = -sq2 * mm * Pi[idx] * sin_m
-        else:
-            g_theta = sq2 * dP[idx] * sin_m
-            g_phi = sq2 * mm * Pi[idx] * cos_m
-    theta_hat = np.stack((ct * cphi, ct * sphi, -st), axis=-1)
-    phi_hat = np.stack((-sphi, cphi, np.zeros_like(ct)), axis=-1)
-    scale = 1.0 / math.sqrt(n * (n + 1.0))
-    U = scale * (g_theta[..., None] * theta_hat + g_phi[..., None] * phi_hat)
-    V = scale * (g_theta[..., None] * phi_hat - g_phi[..., None] * theta_hat)
-    if single:
-        return U[0], V[0]
-    return U, V
 
 
 # ---------------------------------------------------------------------------

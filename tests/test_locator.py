@@ -23,7 +23,7 @@ from polyscat.locator import (
     locate,
     scan_indicator,
 )
-from polyscat.sphgrid import build_grid, eval_vector_harmonics
+from polyscat.sphgrid import build_grid
 
 LOW_WAVE = PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([0.0, 0, 1.0]), k=math.pi / 25.0)
 REGION = SampleRegion(lower=[0.0, 0.0, 0.0], upper=[100.0, 100.0, 100.0])
@@ -36,14 +36,19 @@ def grid():
 
 class TestIndicator:
     def test_projection_onto_own_basis(self, grid):
-        U, _ = eval_vector_harmonics(1, 0, grid.points)
+        U = locator._degree_one_basis(grid.points)[2]
         samples = FarFieldSamples(
             grid=grid, values=U.astype(complex), wave=LOW_WAVE, kind=COMPLEX_E
         )
         assert abs(indicator_value(samples, [0.0, 0.0, 0.0]) - 1.0) <= 1e-2
 
     def test_degree_two_rejected(self, grid):
-        U2, _ = eval_vector_harmonics(2, 1, grid.points)
+        # the normalized surface gradient of the degree-2 harmonic xz
+        x, _, z = grid.points.T
+        grad = np.column_stack((z, np.zeros_like(z), x))
+        grad -= 2.0 * (x * z)[:, None] * grid.points
+        norm2 = np.sum(grid.point_weights * np.einsum("ij,ij->i", grad, grad))
+        U2 = grad / np.sqrt(norm2)
         samples = FarFieldSamples(
             grid=grid, values=U2.astype(complex), wave=LOW_WAVE, kind=COMPLEX_E
         )

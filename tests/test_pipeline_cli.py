@@ -92,6 +92,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="cutoff"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("line", ["grid_shape = 3", "grid_loc = 0"])
+    def test_rejects_small_grids(self, workspace, line):
+        # rejected when parsed, naming the key, before synth creates out/data/
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        bad = workspace / "bad.cfg"
+        bad.write_text(plain.read_text() + line + "\n")
+        with pytest.raises(ValueError, match=line.split(" = ")[0]):
+            parse_config(bad)
+        assert main(["synth", str(bad)]) == 1
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "cutoff = 2.5",
+            "noise_seed = 1.5",
+            "grid_shape = 2000.0",
+            "region_resolution = 11 11 2.5",
+        ],
+    )
+    def test_rejects_non_integer_values(self, workspace, line):
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        bad = workspace / "bad.cfg"
+        bad.write_text(plain.read_text() + line + "\n")
+        with pytest.raises(ValueError, match=f"bad.cfg: {line.split(' = ')[0]} "):
+            parse_config(bad)
+
     @pytest.mark.parametrize("delta", [0.1, 0.0])
     def test_rejects_negative_noise_seed(self, workspace, delta):
         # rejected when parsed, whether or not the run draws noise

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 
 from polyscat.forward import NoiseModel, PlaneWave, add_noise, sample_phaseless
+from polyscat.locator import _degree_one_basis
 from polyscat.sphgrid import (
     FOUR_PI,
     HarmonicExpansion,
@@ -13,7 +14,6 @@ from polyscat.sphgrid import (
     build_grid,
     dump_expansion,
     eval_scalar_harmonic,
-    eval_vector_harmonics,
     fibonacci_points,
     harmonic_basis,
     load_expansion,
@@ -134,11 +134,14 @@ class TestScalarHarmonics:
 
 
 class TestVectorHarmonics:
+    # the locator's closed-form degree-1 fields, U_1^m and V_1^m for
+    # m = -1, 0, 1 in rows 0, 2, 4 and 1, 3, 5
     def test_tangential_and_orthogonal(self):
         rng = np.random.default_rng(2)
         pts = random_directions(rng, 200)
-        for n, m in ((1, 0), (1, 1), (1, -1), (3, 2), (5, -4)):
-            U, V = eval_vector_harmonics(n, m, pts)
+        basis = _degree_one_basis(pts)
+        assert basis.shape == (6, 200, 3)
+        for U, V in zip(basis[0::2], basis[1::2]):
             assert np.abs(np.einsum("ij,ij->i", U, pts)).max() < 1e-12
             assert np.abs(np.einsum("ij,ij->i", V, pts)).max() < 1e-12
             assert np.abs(np.einsum("ij,ij->i", U, V)).max() < 1e-12
@@ -146,51 +149,37 @@ class TestVectorHarmonics:
     def test_v_is_cross_of_u(self):
         rng = np.random.default_rng(3)
         pts = random_directions(rng, 100)
-        for n, m in ((1, 0), (2, 1), (4, -3)):
-            U, V = eval_vector_harmonics(n, m, pts)
+        basis = _degree_one_basis(pts)
+        for U, V in zip(basis[0::2], basis[1::2]):
             assert np.abs(V - np.cross(pts, U)).max() < 1e-12
 
     def test_unit_tangential_norm(self):
-        g = build_grid(7518)
-        for n, m in ((1, 0), (1, 1), (2, -1)):
-            U, _ = eval_vector_harmonics(n, m, g.points)
-            norm2 = float(np.sum(g.point_weights * np.einsum("ij,ij->i", U, U)))
-            assert abs(norm2 - 1.0) <= 1e-3
-
-    def test_pole_continuity(self):
-        # recurrences stay exact at the poles: approach along phi = 0
-        for n, m in ((1, 0), (1, 1), (2, 2), (3, -1)):
-            U_pole, V_pole = eval_vector_harmonics(n, m, np.array([0.0, 0.0, 1.0]))
-            assert np.isfinite(U_pole).all() and np.isfinite(V_pole).all()
-            eps = 1e-7
-            near = np.array([math.sin(eps), 0.0, math.cos(eps)])
-            U_near, V_near = eval_vector_harmonics(n, m, near)
-            assert np.linalg.norm(U_pole - U_near) < 1e-5
-            assert np.linalg.norm(V_pole - V_near) < 1e-5
+        # the weights of 1878 points are exact to degree 9, and the entries
+        # of the Gram matrix are polynomials of degree at most 4
+        g = build_grid(1878)
+        basis = _degree_one_basis(g.points)
+        gram = np.einsum("i,aij,bij->ab", g.point_weights, basis, basis)
+        assert np.abs(gram - np.eye(6)).max() <= 1e-12
 
     def test_gradient_against_finite_differences(self):
-        # independent check: numerical surface gradient of the scalar basis
+        # independent check: U_1^m is the numerical surface gradient of the
+        # scalar basis column n^2 + n + m = 2 + m, divided by sqrt(2)
         rng = np.random.default_rng(4)
         pts = random_directions(rng, 20)
+        U = _degree_one_basis(pts)[0::2]
         h = 1e-6
-        for n, m in ((2, 1), (3, -2), (4, 0)):
-            U, _ = eval_vector_harmonics(n, m, pts)
-            scale = 1.0 / math.sqrt(n * (n + 1.0))
-            for i, x in enumerate(pts):
-                t1 = np.cross(x, [1.0, 0.3, -0.2])
-                t1 /= np.linalg.norm(t1)
-                t2 = np.cross(x, t1)
-                for t in (t1, t2):
-                    xp = x + h * t
-                    xm = x - h * t
-                    fp = eval_scalar_harmonic(n, m, xp / np.linalg.norm(xp))
-                    fm = eval_scalar_harmonic(n, m, xm / np.linalg.norm(xm))
-                    deriv = (fp - fm) / (2.0 * h)
-                    assert abs(scale * deriv - U[i] @ t) < 1e-5
-
-    def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
-            eval_vector_harmonics(0, 0, np.array([0.0, 0.0, 1.0]))
+        scale = 1.0 / math.sqrt(2.0)
+        for i, x in enumerate(pts):
+            t1 = np.cross(x, [1.0, 0.3, -0.2])
+            t1 /= np.linalg.norm(t1)
+            t2 = np.cross(x, t1)
+            for t in (t1, t2):
+                xp = x + h * t
+                xm = x - h * t
+                fp = harmonic_basis(xp / np.linalg.norm(xp), 1)[1:4]
+                fm = harmonic_basis(xm / np.linalg.norm(xm), 1)[1:4]
+                deriv = (fp - fm) / (2.0 * h)
+                assert np.abs(scale * deriv - U[:, i] @ t).max() < 1e-5
 
 
 class TestTransform:
