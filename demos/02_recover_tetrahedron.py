@@ -56,7 +56,7 @@ for idx, (d, p) in enumerate(incident):
     samples = sample_phaseless(tetra, wave, grid)
     if noise.delta > 0:
         samples = add_noise(samples, NoiseModel(noise.delta, noise.seed + idx))
-    expansion = sht_forward(samples, thresholds.cutoff)
+    expansion = sht_forward(samples.grid, samples.values, thresholds.cutoff)
     peaks = find_local_maxima(expansion)
     selected = select_critical_directions(peaks, wave.d, thresholds)
     faces = peaks_to_faces(selected, wave.d, lam, source_index=idx)

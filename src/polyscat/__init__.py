@@ -33,7 +33,7 @@ from .geometry import (
     load_obstacle,
     save_obstacle,
 )
-from .locator import SampleRegion, degree_one_oracle, indicator_value, locate
+from .locator import SampleRegion, degree_one_oracle, locate
 from .maxima import (
     PeakSet,
     RecoveredFaceSet,
@@ -44,13 +44,12 @@ from .maxima import (
     select_critical_directions,
     specular_direction,
 )
-from .minkowski import OffsetFit, balance_areas, facet_areas, fit_offsets
+from .minkowski import OffsetFit, balance_areas, fit_offsets
 from .pipeline import ExperimentConfig, parse_config, run_pipeline, synthesize_dataset
 from .sphgrid import (
     HarmonicExpansion,
     SphericalGrid,
     build_grid,
-    eval_scalar_harmonic,
     sht_forward,
     synthesize,
 )

@@ -62,10 +62,6 @@ class PlaneWave:
         if self.k <= 0:
             raise ValueError("wavenumber must be positive")
 
-    @property
-    def wavelength(self) -> float:
-        return 2.0 * math.pi / self.k
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -305,23 +301,23 @@ def add_noise(samples: FarFieldSamples, noise: NoiseModel) -> FarFieldSamples:
 
 
 def save_far_field(samples: FarFieldSamples, path) -> None:
-    """Write the far-field text format (header plus one line per point)."""
+    """Write the far-field text format: two header lines, then per point its
+    coordinates and its value (a modulus, or three complex components as
+    real and imaginary parts)."""
     w = samples.wave
-    lines = [
-        f"# kind={samples.kind}",
+    header = (
+        f"# kind={samples.kind}\n"
         "# k={:.17g} d={:.17g} {:.17g} {:.17g} p={:.17g} {:.17g} {:.17g}".format(
             w.k, *w.d, *w.p
-        ),
-    ]
-    for pt, val in zip(samples.grid.points, samples.values):
-        coords = " ".join(f"{c:.17g}" for c in pt)
-        if samples.kind == MODULUS:
-            lines.append(f"{coords}  {val:.17g}")
-        else:
-            comps = " ".join(f"{v.real:.17g} {v.imag:.17g}" for v in val)
-            lines.append(f"{coords}  {comps}")
+        )
+    )
+    values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1)
+    values = values.view(float)
+    fmt = "%.17g %.17g %.17g  " + " ".join(["%.17g"] * values.shape[1])
+    rows = np.column_stack([samples.grid.points, values])
+    # an open file: np.savetxt given a path imports gzip to open it
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, rows, fmt=fmt, header=header, comments="")
 
 
 def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
@@ -345,10 +341,17 @@ def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
             kind = body[5:].strip()
         elif body.startswith("k="):
             tokens = body.replace("k=", "").replace("d=", "").replace("p=", "").split()
-            vals = [float(t) for t in tokens]
-            wave = PlaneWave(d=np.array(vals[1:4]), p=np.array(vals[4:7]), k=vals[0])
+            try:
+                vals = [float(t) for t in tokens]
+                if len(vals) != 7:
+                    raise ValueError(f"wave header needs 7 numbers, got {len(vals)}")
+                wave = PlaneWave(d=np.array(vals[1:4]), p=np.array(vals[4:7]), k=vals[0])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
     if kind is None or wave is None:
         raise ValueError(f"{path}: missing kind/wave header lines")
+    if kind not in _KINDS:
+        raise ValueError(f"{path}: unknown far-field kind {kind!r}")
     try:
         data = np.loadtxt(lines, comments="#", ndmin=2)
     except ValueError as exc:

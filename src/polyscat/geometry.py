@@ -93,16 +93,6 @@ class ConvexPolyhedron:
         return len(self.faces)
 
     @cached_property
-    def diameter(self) -> float:
-        """Bounding-box diagonal (tolerance scale)."""
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.linalg.norm(span))
-
-    @cached_property
-    def total_area(self) -> float:
-        return float(self.areas.sum())
-
-    @cached_property
     def volume(self) -> float:
         """Volume via the divergence theorem, ``sum_j l_j |C_j| / 3``."""
         return float(self.offsets @ self.areas) / 3.0

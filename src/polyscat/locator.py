@@ -116,11 +116,6 @@ def indicator_values(samples: FarFieldSamples, Z) -> np.ndarray:
     return _indicator(*_degree_one_projector(samples), Z)
 
 
-def indicator_value(samples: FarFieldSamples, z) -> float:
-    """Normalized degree-1 projection energy at a single probe point."""
-    return float(indicator_values(samples, np.asarray(z, dtype=float)[None, :])[0])
-
-
 def scan_indicator(samples: FarFieldSamples, region: SampleRegion):
     """Indicator over the region's coarse grid; returns ``(points, values)``
     with ``points = region.coarse_points()``.

@@ -70,17 +70,6 @@ def balance_areas(normals, areas) -> np.ndarray:
     return np.maximum(adjusted, floor)
 
 
-def facet_areas(normals, offsets) -> np.ndarray:
-    """Facet area per input plane of the half-space intersection.
-
-    Vanished facets report zero area.  Raises :class:`geometry.Unbounded`
-    when the half spaces do not enclose a bounded solid.
-    """
-    N = np.asarray(normals, dtype=float)
-    result = halfspace_intersection(N, offsets)
-    return _areas_from_result(result, len(N))
-
-
 def _areas_from_result(result: IntersectionResult, k: int) -> np.ndarray:
     areas = np.zeros(k)
     areas[list(result.plane_index)] = result.polyhedron.areas

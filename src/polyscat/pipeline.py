@@ -101,34 +101,45 @@ class ExperimentConfig:
         return forward.PlaneWave(d=d, p=p, k=2.0 * math.pi / self.lambda_loc)
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_bool(key: str, text: str) -> bool:
     if text.lower() in ("true", "yes", "1", "on"):
         return True
     if text.lower() in ("false", "no", "0", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"{key} must be a boolean, got {text!r}")
 
 
-def _finite_numbers(path, key: str, text: str) -> list:
-    nums = [float(t) for t in text.split()]
+def _finite_numbers(key: str, text: str) -> list:
+    try:
+        nums = [float(t) for t in text.split()]
+    except ValueError:
+        raise ValueError(f"{key} must be numbers, got {text!r}") from None
     if not all(math.isfinite(x) for x in nums):
-        raise ValueError(f"{path}: {key} must be finite")
+        raise ValueError(f"{key} must be finite")
     return nums
 
 
-def _integers(path, key: str, text: str) -> list:
+def _integers(key: str, text: str) -> list:
     try:
         return [int(t) for t in text.split()]
     except ValueError:
-        raise ValueError(f"{path}: {key} must be integers, got {text!r}") from None
+        raise ValueError(f"{key} must be integers, got {text!r}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read and validate a flat ``key = value`` experiment config.
 
     Every real-valued key must be finite: NaN and +-inf raise ``ValueError``.
+    Every ``ValueError`` names ``path``.
     """
     path = Path(path)
+    try:
+        return _read_config(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_config(path: Path) -> ExperimentConfig:
     raw: dict = {}
     incident = []
     with open(path) as fh:
@@ -137,18 +148,17 @@ def parse_config(path) -> ExperimentConfig:
             if not body:
                 continue
             if "=" not in body:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"line {lineno}: expected 'key = value'")
             key, value = (part.strip() for part in body.split("=", 1))
             if key == "incident":
-                nums = _finite_numbers(f"{path}:{lineno}", key, value)
+                where = f"line {lineno}: incident"
+                nums = _finite_numbers(where, value)
                 if len(nums) != 6:
-                    raise ValueError(
-                        f"{path}:{lineno}: incident needs 6 numbers (d then p)"
-                    )
+                    raise ValueError(f"{where} needs 6 numbers (d then p)")
                 incident.append(
                     (
-                        geometry.unit_vector(nums[:3], "incident direction"),
-                        geometry.unit_vector(nums[3:], "polarization"),
+                        geometry.unit_vector(nums[:3], f"{where} direction"),
+                        geometry.unit_vector(nums[3:], f"{where} polarization"),
                     )
                 )
             else:
@@ -157,25 +167,25 @@ def parse_config(path) -> ExperimentConfig:
     def take(key, default=None):
         return raw.pop(key, default)
 
-    def take_floats(key, default):
-        return _finite_numbers(path, key, take(key, default))
+    def take_floats(key, default, count):
+        nums = _finite_numbers(key, take(key, default))
+        if len(nums) != count:
+            raise ValueError(f"{key} needs {count} numbers, got {len(nums)}")
+        return nums
 
     def take_float(key, default):
-        nums = take_floats(key, str(default))
-        if len(nums) != 1:
-            raise ValueError(f"{path}: {key} needs one number")
-        return nums[0]
+        return take_floats(key, str(default), 1)[0]
 
     def take_int(key, default):
-        nums = _integers(path, key, take(key, str(default)))
+        nums = _integers(key, take(key, str(default)))
         if len(nums) != 1:
-            raise ValueError(f"{path}: {key} needs one integer")
+            raise ValueError(f"{key} needs one integer")
         return nums[0]
 
     base = path.parent
     obstacle = take("obstacle")
     if obstacle is None:
-        raise ValueError(f"{path}: missing 'obstacle'")
+        raise ValueError("missing 'obstacle'")
     output_dir = take("output_dir", "out")
     thresholds = maxima.RecoveryThresholds(
         e_tol=take_float("e_tol", 0.5),
@@ -185,21 +195,19 @@ def parse_config(path) -> ExperimentConfig:
     )
     multistart = take("multistart")
     if multistart is not None:
-        shape = _integers(path, "multistart", multistart)
+        shape = _integers("multistart", multistart)
         if len(shape) != 2 or min(shape) < 1:
-            raise ValueError(f"{path}: multistart needs two positive integers")
+            raise ValueError("multistart needs two positive integers")
         log.warning("%s: 'multistart' is ignored; peaks are seeded from a grid", path)
     noise = forward.NoiseModel(
         delta=take_float("noise_delta", 0.0), seed=take_int("noise_seed", 7)
     )
-    region_nums = take_floats("region", "0 100 0 100 0 100")
-    if len(region_nums) != 6:
-        raise ValueError(f"{path}: region needs 6 numbers (x0 x1 y0 y1 z0 z1)")
+    region_nums = take_floats("region", "0 100 0 100 0 100", 6)
     region = locator.SampleRegion(
         lower=region_nums[0::2],
         upper=region_nums[1::2],
         resolution=tuple(
-            _integers(path, "region_resolution", take("region_resolution", "11 11 11"))
+            _integers("region_resolution", take("region_resolution", "11 11 11"))
         ),
     )
     config = ExperimentConfig(
@@ -212,12 +220,12 @@ def parse_config(path) -> ExperimentConfig:
         grid_loc=take_int("grid_loc", 1878),
         thresholds=thresholds,
         noise=noise,
-        location=np.array(take_floats("location", "0 0 0")),
+        location=np.array(take_floats("location", "0 0 0", 3)),
         region=region,
-        step3_oracle=_parse_bool(take("step3_oracle", "true")),
+        step3_oracle=_parse_bool("step3_oracle", take("step3_oracle", "true")),
     )
     if raw:
-        raise ValueError(f"{path}: unknown keys {sorted(raw)}")
+        raise ValueError(f"unknown keys {sorted(raw)}")
     return config
 
 
@@ -288,7 +296,8 @@ class RecoveryReport:
 
 def _step1_single(index, samples, thresholds, wavelength):
     d = samples.wave.d
-    peaks = maxima.find_local_maxima(sphgrid.sht_forward(samples, thresholds.cutoff))
+    expansion = sphgrid.sht_forward(samples.grid, samples.values, thresholds.cutoff)
+    peaks = maxima.find_local_maxima(expansion)
     selected = maxima.select_critical_directions(peaks, d, thresholds)
     return maxima.peaks_to_faces(selected, d, wavelength, source_index=index)
 

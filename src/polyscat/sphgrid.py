@@ -12,8 +12,11 @@ Womersley 2004).  The standard grid is the raw Fibonacci lattice
 The scalar basis is real and orthonormal: ``Y(n,0) = Pbar(n,0)`` and
 ``Y(n,+-m) = sqrt(2) Pbar(n,m) {cos,sin}(m phi)`` with fully normalized
 associated Legendre functions ``Pbar`` evaluated by stable three-term
-recurrences.  The locator's degree-1 vector harmonics are plain Cartesian
-fields and are built in closed form in :mod:`polyscat.locator`.
+recurrences.  It is evaluated only as a design matrix over ``(N, 3)``
+points, :func:`harmonic_basis`, whose column ``n^2 + n + m`` is
+``Y(n,m)``; the transform and the synthesis are products with it.  The
+locator's degree-1 vector harmonics are plain Cartesian fields and are
+built in closed form in :mod:`polyscat.locator`.
 """
 
 from __future__ import annotations
@@ -170,17 +173,15 @@ def _legendre_tables(n_max, ct, st):
 
 
 def _sphere_coords(points):
-    """Return ``(ct, st, cphi, sphi)`` with the ``phi = 0`` chart at poles."""
+    """Return ``(ct, st, cphi, sphi)`` of ``(N, 3)`` unit points, with the
+    ``phi = 0`` chart at the poles."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
     ct = pts[:, 2]
     st = np.hypot(pts[:, 0], pts[:, 1])
     safe = np.where(st > 0.0, st, 1.0)
     cphi = np.where(st > 0.0, pts[:, 0] / safe, 1.0)
     sphi = np.where(st > 0.0, pts[:, 1] / safe, 0.0)
-    return ct, st, cphi, sphi, single
+    return ct, st, cphi, sphi
 
 
 def harmonic_basis(points, n_c: int) -> np.ndarray:
@@ -197,7 +198,7 @@ def harmonic_basis(points, n_c: int) -> np.ndarray:
     products with a transposed view round differently, which moves report
     digits at the 1e-13 level.
     """
-    ct, st, cphi, sphi, single = _sphere_coords(points)
+    ct, st, cphi, sphi = _sphere_coords(points)
     P = _legendre_tables(n_c, ct, st)
     npts = len(ct)
     B = np.empty(((n_c + 1) ** 2, npts))
@@ -212,16 +213,7 @@ def harmonic_basis(points, n_c: int) -> np.ndarray:
             pnm = P[_tri_index(n, m)]
             B[n * n + n + m] = sq2 * pnm * cos_m
             B[n * n + n - m] = sq2 * pnm * sin_m
-    B = np.ascontiguousarray(B.T)
-    return B[0] if single else B
-
-
-def eval_scalar_harmonic(n: int, m: int, points):
-    """Real orthonormal spherical harmonic of degree ``n`` and order ``m``."""
-    if abs(m) > n:
-        raise ValueError("need |m| <= n")
-    B = harmonic_basis(points, n)
-    return B[..., n * n + n + m]
+    return np.ascontiguousarray(B.T)
 
 
 # ---------------------------------------------------------------------------
@@ -243,58 +235,17 @@ class HarmonicExpansion:
         if len(self.coefficients) != expected:
             raise ValueError(f"expected {expected} coefficients")
 
-    def coefficient(self, n: int, m: int) -> float:
-        if n > self.cutoff or abs(m) > n:
-            raise ValueError("coefficient outside the expansion")
-        return float(self.coefficients[n * n + n + m])
 
-
-def _grid_and_values(samples):
-    if isinstance(samples, tuple) and len(samples) == 2:
-        grid, values = samples
-    else:
-        grid, values = samples.grid, samples.values
-    return grid, np.asarray(values, dtype=float)
-
-
-def sht_forward(samples, cutoff: int) -> HarmonicExpansion:
-    """Coefficients of per-point sphere data by the grid's quadrature weights.
-
-    ``samples`` is either phaseless far-field samples (anything exposing
-    ``grid`` and scalar ``values``) or an explicit ``(grid, values)`` pair.
-    """
-    grid, values = _grid_and_values(samples)
+def sht_forward(grid: SphericalGrid, values, cutoff: int) -> HarmonicExpansion:
+    """Coefficients up to degree ``cutoff`` of the real per-point ``values``
+    on ``grid``, by the grid's quadrature weights."""
     B = harmonic_basis(grid.points, cutoff)
-    coeffs = B.T @ (grid.point_weights * values)
+    coeffs = B.T @ (grid.point_weights * np.asarray(values, dtype=float))
     coeffs.flags.writeable = False
     return HarmonicExpansion(cutoff=cutoff, coefficients=coeffs)
 
 
 def synthesize(expansion: HarmonicExpansion, points):
-    """Evaluate the band-limited expansion at one or many unit directions."""
+    """Evaluate the band-limited expansion at ``(N, 3)`` unit directions."""
     B = harmonic_basis(points, expansion.cutoff)
     return B @ expansion.coefficients
-
-
-def dump_expansion(expansion: HarmonicExpansion, path) -> None:
-    """Write ``n m c`` lines."""
-    with open(path, "w") as fh:
-        for n in range(expansion.cutoff + 1):
-            for m in range(-n, n + 1):
-                fh.write(f"{n} {m} {expansion.coefficient(n, m):.17g}\n")
-
-
-def load_expansion(path) -> HarmonicExpansion:
-    entries = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            n_s, m_s, c_s = line.split()
-            entries[(int(n_s), int(m_s))] = float(c_s)
-    cutoff = max(n for n, _ in entries)
-    coeffs = np.zeros((cutoff + 1) ** 2)
-    for (n, m), c in entries.items():
-        coeffs[n * n + n + m] = c
-    return HarmonicExpansion(cutoff=cutoff, coefficients=coeffs)

@@ -316,19 +316,33 @@ class TestSamplesOps:
         assert loaded.grid is not g
         assert np.array_equal(loaded.grid.points, points)
 
+    # (line index, replacement, expected reason): a non-numeric token, a
+    # short row and a long row; a non-numeric k, a 2-component d, a trailing
+    # number, a negative k, a non-unit d and an unknown kind in the header
+    MALFORMED = [
+        (5, "0.5 0.5 abc  1.0", ""),
+        (5, "0.6 0.8 0.0", ""),
+        (5, "0.6 0.8 0.0  1.0 2.0", ""),
+        (1, "# k=abc d=1 0 0 p=0 0 1", ""),
+        (1, "# k=12 d=1 0 p=0 0 1", "7 numbers"),
+        (1, "# k=12 d=1 0 0 p=0 0 1 9", "7 numbers"),
+        (1, "# k=-12 d=1 0 0 p=0 0 1", "wavenumber"),
+        (1, "# k=12 d=1 1 0 p=0 0 1", "unit vector"),
+        (0, "# kind=foo", "kind 'foo'"),
+    ]
+
     @pytest.mark.parametrize(
-        "row", ["0.5 0.5 abc  1.0", "0.6 0.8 0.0", "0.6 0.8 0.0  1.0 2.0"]
+        "index, row, reason", MALFORMED, ids=[row for _, row, _ in MALFORMED]
     )
-    def test_malformed_row_names_the_file(self, tetra, tmp_path, row):
-        # a non-numeric token, a short row and a long row
+    def test_malformed_row_names_the_file(self, tetra, tmp_path, index, row, reason):
         g = build_grid(500)
         path = tmp_path / "modulus.txt"
         save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
         lines = path.read_text().splitlines()
-        lines[5] = row
+        lines[index] = row
         path.write_text("\n".join(lines) + "\n")
         for known in (None, g):
-            with pytest.raises(ValueError, match=re.escape(str(path))):
+            with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
                 load_far_field(path, known)
 
     def test_plane_wave_validation(self):

@@ -49,7 +49,7 @@ def test_unit_normals_and_balance(tetra, cube, prism):
     for poly in (tetra, cube, prism):
         assert_allclose(np.linalg.norm(poly.normals, axis=1), 1.0, atol=1e-12)
         balance = poly.areas @ poly.normals
-        assert np.linalg.norm(balance) <= 1e-9 * poly.total_area
+        assert np.linalg.norm(balance) <= 1e-9 * poly.areas.sum()
 
 
 def test_nonplanar_face_rejected():
@@ -203,7 +203,7 @@ def test_halfspace_round_trip_random():
         result = halfspace_intersection(poly.normals, poly.offsets)
         rebuilt = result.polyhedron
         assert len(result.vanished) == 0
-        scale = poly.diameter
+        scale = np.linalg.norm(poly.vertices.max(axis=0) - poly.vertices.min(axis=0))
         for v in poly.vertices:
             assert np.linalg.norm(rebuilt.vertices - v, axis=1).min() < 1e-9 * scale
         # normals and offsets round-trip in input-plane order

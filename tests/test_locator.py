@@ -18,7 +18,6 @@ from polyscat.locator import (
     SampleRegion,
     ZeroField,
     degree_one_oracle,
-    indicator_value,
     indicator_values,
     locate,
     scan_indicator,
@@ -40,7 +39,7 @@ class TestIndicator:
         samples = FarFieldSamples(
             grid=grid, values=U.astype(complex), wave=LOW_WAVE, kind=COMPLEX_E
         )
-        assert abs(indicator_value(samples, [0.0, 0.0, 0.0]) - 1.0) <= 1e-2
+        assert abs(indicator_values(samples, [[0.0, 0.0, 0.0]])[0] - 1.0) <= 1e-2
 
     def test_degree_two_rejected(self, grid):
         # the normalized surface gradient of the degree-2 harmonic xz
@@ -52,12 +51,12 @@ class TestIndicator:
         samples = FarFieldSamples(
             grid=grid, values=U2.astype(complex), wave=LOW_WAVE, kind=COMPLEX_E
         )
-        assert indicator_value(samples, [0.0, 0.0, 0.0]) <= 1e-2
+        assert indicator_values(samples, [[0.0, 0.0, 0.0]])[0] <= 1e-2
 
     def test_oracle_peaks_at_translation(self, grid):
         z0 = np.array([50.0, 50.0, 50.0])
         samples = degree_one_oracle(grid, LOW_WAVE, z0)
-        peak = indicator_value(samples, z0)
+        peak = indicator_values(samples, z0[None])[0]
         assert abs(peak - 1.0) <= 1e-2
         rng = np.random.default_rng(2)
         probes = rng.uniform(0.0, 100.0, size=(30, 3))
@@ -79,7 +78,9 @@ class TestIndicator:
             kind=COMPLEX_E,
         )
         z = np.array([15.0, 25.0, 35.0])
-        assert abs(indicator_value(samples, z) - indicator_value(rotated, z)) < 1e-12
+        assert abs(
+            indicator_values(samples, z[None])[0] - indicator_values(rotated, z[None])[0]
+        ) < 1e-12
 
     def test_translation_covariance(self, grid):
         samples = degree_one_oracle(grid, LOW_WAVE, [10.0, 20.0, 30.0])
@@ -87,7 +88,8 @@ class TestIndicator:
         moved = apply_translation_phase(samples, t)
         z = np.array([12.0, 18.0, 28.0])
         assert abs(
-            indicator_value(moved, z) - indicator_value(samples, z - t)
+            indicator_values(moved, z[None])[0]
+            - indicator_values(samples, (z - t)[None])[0]
         ) < 1e-12
 
     def test_wrong_kind_and_zero_field(self, grid, tetra):
@@ -95,7 +97,7 @@ class TestIndicator:
             tetra, PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([0.0, 0, 1.0]), k=4 * math.pi), grid
         )
         with pytest.raises(WrongKind):
-            indicator_value(modulus, [0.0, 0.0, 0.0])
+            indicator_values(modulus, [[0.0, 0.0, 0.0]])
         zero = FarFieldSamples(
             grid=grid,
             values=np.zeros((grid.size, 3), complex),
@@ -103,7 +105,7 @@ class TestIndicator:
             kind=COMPLEX_E,
         )
         with pytest.raises(ZeroField):
-            indicator_value(zero, [0.0, 0.0, 0.0])
+            indicator_values(zero, [[0.0, 0.0, 0.0]])
 
 
 class TestScan:

@@ -16,12 +16,18 @@ from polyscat.geometry import NotConvex, Unbounded, halfspace_intersection
 from polyscat.minkowski import (
     SpanDeficient,
     balance_areas,
-    facet_areas,
     fit_offsets,
     volume_hessian,
 )
 
 CUBE_NORMALS = np.vstack([np.eye(3), -np.eye(3)])
+
+
+def facet_areas(normals, offsets):
+    """Facet area per input plane, zero where a facet vanished."""
+    normals = np.asarray(normals, dtype=float)
+    result = halfspace_intersection(normals, offsets)
+    return minkowski._areas_from_result(result, len(normals))
 
 
 class TestBalance:

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import textwrap
 from pathlib import Path
 
@@ -193,6 +194,35 @@ class TestConfig:
         cfg.write_text("obstacle = tetra.obs\nincident = 1 0 0  1 0 0\n")
         with pytest.raises(ValueError):
             parse_config(cfg)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "location = 1 2",
+            "location = 1 2 3 4",
+            "region = 100 0 0 100 0 100",
+            "region_resolution = 0 11 11",
+            "noise_delta = -0.1",
+            "e_tol = -1",
+            "e_tol = abc",
+            "lambda_shape = -0.5",
+            "incident = 1 0 0  1 0 0",
+            "step3_oracle = maybe",
+        ],
+    )
+    def test_errors_name_the_file_once(self, workspace, line):
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        bad = workspace / "bad.cfg"
+        bad.write_text(plain.read_text() + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: ")) as err:
+            parse_config(bad)
+        assert str(err.value).count(str(bad)) == 1
+        if line.startswith(("location", "e_tol = abc")):
+            assert line.split(" = ")[0] in str(err.value)
+        if line.startswith("location"):
+            # rejected when parsed, before synth writes any data
+            assert main(["synth", str(bad)]) == 1
+            assert not (workspace / "out" / "data").exists()
 
 
 class TestSynth:

@@ -12,11 +12,8 @@ from polyscat.sphgrid import (
     HarmonicExpansion,
     SphericalGrid,
     build_grid,
-    dump_expansion,
-    eval_scalar_harmonic,
     fibonacci_points,
     harmonic_basis,
-    load_expansion,
     sht_forward,
     synthesize,
 )
@@ -97,11 +94,11 @@ class TestScalarHarmonics:
     def test_constant_mode(self):
         rng = np.random.default_rng(0)
         pts = random_directions(rng, 10)
-        vals = eval_scalar_harmonic(0, 0, pts)
+        vals = harmonic_basis(pts, 0)[:, 0]
         assert_allclose(vals, 1.0 / math.sqrt(FOUR_PI), rtol=1e-14)
 
     def test_degree_one_pole(self):
-        val = eval_scalar_harmonic(1, 0, np.array([0.0, 0.0, 1.0]))
+        val = harmonic_basis(np.array([[0.0, 0.0, 1.0]]), 1)[0, 2]
         assert_allclose(val, math.sqrt(3.0 / FOUR_PI), rtol=1e-14)
 
     def test_orthonormality_gram(self):
@@ -176,8 +173,8 @@ class TestVectorHarmonics:
             for t in (t1, t2):
                 xp = x + h * t
                 xm = x - h * t
-                fp = harmonic_basis(xp / np.linalg.norm(xp), 1)[1:4]
-                fm = harmonic_basis(xm / np.linalg.norm(xm), 1)[1:4]
+                fp = harmonic_basis([xp / np.linalg.norm(xp)], 1)[0, 1:4]
+                fm = harmonic_basis([xm / np.linalg.norm(xm)], 1)[0, 1:4]
                 deriv = (fp - fm) / (2.0 * h)
                 assert np.abs(scale * deriv - U[:, i] @ t).max() < 1e-5
 
@@ -186,17 +183,17 @@ class TestTransform:
     def test_constant_samples(self):
         g = build_grid(7518)
         ones = np.ones(g.size)
-        exp = sht_forward((g, ones), 4)
-        assert abs(exp.coefficient(0, 0) - math.sqrt(FOUR_PI)) < 1e-2
+        exp = sht_forward(g, ones, 4)
+        assert abs(exp.coefficients[0] - math.sqrt(FOUR_PI)) < 1e-2
         rest = exp.coefficients.copy()
         rest[0] = 0.0
         assert np.abs(rest).max() < 1e-2
 
     def test_pure_mode(self):
         g = build_grid(7518)
-        vals = eval_scalar_harmonic(3, 2, g.points)
-        exp = sht_forward((g, vals), 6)
-        assert abs(exp.coefficient(3, 2) - 1.0) < 1e-2
+        vals = harmonic_basis(g.points, 3)[:, 3 * 3 + 3 + 2]
+        exp = sht_forward(g, vals, 6)
+        assert abs(exp.coefficients[3 * 3 + 3 + 2] - 1.0) < 1e-2
         rest = exp.coefficients.copy()
         rest[3 * 3 + 3 + 2] = 0.0
         assert np.abs(rest).max() < 1e-2
@@ -206,10 +203,11 @@ class TestTransform:
         rng = np.random.default_rng(5)
         f = rng.normal(size=g.size)
         h = rng.normal(size=g.size)
-        lhs = sht_forward((g, 2.0 * f + 3.0 * h), 5).coefficients
-        rhs = 2.0 * sht_forward((g, f), 5).coefficients + 3.0 * sht_forward(
-            (g, h), 5
-        ).coefficients
+        lhs = sht_forward(g, 2.0 * f + 3.0 * h, 5).coefficients
+        rhs = (
+            2.0 * sht_forward(g, f, 5).coefficients
+            + 3.0 * sht_forward(g, h, 5).coefficients
+        )
         assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_band_limited_round_trip(self):
@@ -217,7 +215,7 @@ class TestTransform:
         rng = np.random.default_rng(6)
         coeffs = rng.normal(size=36)  # degrees <= 5
         f = harmonic_basis(g.points, 5) @ coeffs
-        exp = sht_forward((g, f), 5)
+        exp = sht_forward(g, f, 5)
         recon = synthesize(exp, g.points)
         assert np.abs(recon - f).max() <= 1e-2 * np.abs(f).max()
 
@@ -226,7 +224,7 @@ class TestTransform:
         rng = np.random.default_rng(7)
         coeffs = rng.normal(size=36)
         f = harmonic_basis(g.points, 5) @ coeffs
-        exp = sht_forward((g, f), 5)
+        exp = sht_forward(g, f, 5)
         energy = float(exp.coefficients @ exp.coefficients)
         quad = float(np.sum(g.point_weights * f * f))
         assert abs(energy - quad) <= 0.05 * quad
@@ -239,32 +237,15 @@ class TestTransform:
         w = PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([0.0, 0, 1.0]), k=4 * math.pi)
         clean = sample_phaseless(tetra, w, g)
         noisy = add_noise(clean, NoiseModel(1.0, 11))
-        f_clean = synthesize(sht_forward(clean, 10), g.points)
-        f_noisy = synthesize(sht_forward(noisy, 10), g.points)
+        f_clean = synthesize(sht_forward(g, clean.values, 10), g.points)
+        f_noisy = synthesize(sht_forward(g, noisy.values, 10), g.points)
         filt = f_noisy - f_clean
         raw = noisy.values - clean.values
         rms = lambda v: math.sqrt(float(np.mean(v**2)))
         assert rms(filt) <= 0.25 * rms(raw)
         assert np.abs(filt).max() <= 0.25
 
-    def test_scalar_and_batch_paths_agree(self):
-        rng = np.random.default_rng(8)
-        pts = random_directions(rng, 7)
-        B = harmonic_basis(pts, 8)
-        for i, x in enumerate(pts):
-            assert_allclose(harmonic_basis(x, 8), B[i], atol=1e-14)
-
     def test_expansion_validation(self):
         with pytest.raises(ValueError):
             HarmonicExpansion(cutoff=2, coefficients=np.zeros(5))
-        exp = HarmonicExpansion(cutoff=2, coefficients=np.arange(9.0))
-        with pytest.raises(ValueError):
-            exp.coefficient(3, 0)
-
-    def test_dump_and_load(self, tmp_path):
-        exp = HarmonicExpansion(cutoff=3, coefficients=np.arange(16.0) / 7.0)
-        path = tmp_path / "exp.txt"
-        dump_expansion(exp, path)
-        back = load_expansion(path)
-        assert back.cutoff == 3
-        assert_allclose(back.coefficients, exp.coefficients, atol=1e-15)
+        HarmonicExpansion(cutoff=2, coefficients=np.arange(9.0))
