@@ -371,29 +371,6 @@ class IntersectionResult:
     vanished: tuple
 
 
-def _merge_close_points(pts: np.ndarray, tol: float):
-    """Average together points closer than ``tol`` (greedy chaining).
-
-    Returns the merged points and, per input point, the index of the
-    merged point it went into.
-    """
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    groups = []
-    assigned = np.full(len(pts), -1)
-    for i in order:
-        placed = False
-        for g, members in enumerate(groups):
-            if np.linalg.norm(pts[i] - pts[members[0]]) <= tol:
-                members.append(i)
-                assigned[i] = g
-                placed = True
-                break
-        if not placed:
-            assigned[i] = len(groups)
-            groups.append([i])
-    return np.array([pts[m].mean(axis=0) for m in groups]), assigned
-
-
 def halfspace_intersection(normals, offsets) -> IntersectionResult:
     """Intersect the half spaces ``{x : x . nu_j <= alpha_j}``.
 
@@ -438,10 +415,9 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
 
     # Each dual facet plane n.x = -b maps to the primal vertex n / (-b).
     prim = -eqs[:, :3] / eqs[:, 3:4]
-    scale = max(1.0, float(np.abs(prim).max()))
-    # triangles qhull cut from one coplanar dual facet share its equation,
-    # so they give the same vertex; distinct vertices may come very close
-    verts, merged_into = _merge_close_points(prim, tol=1e-12 * scale)
+    # qhull gives every triangle it cut from one merged dual facet that
+    # facet's equation, so exact equality groups them into one vertex
+    verts, merged_into = np.unique(prim, axis=0, return_inverse=True)
     # a primal vertex lies on exactly the planes of its dual facets
     incident = np.zeros((len(verts), len(N)), dtype=bool)
     incident[merged_into[:, None], hull.simplices] = True

@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .sphgrid import HarmonicExpansion, build_grid, synthesize
+from .sphgrid import FOUR_PI, HarmonicExpansion, fibonacci_points, synthesize
 
 
 class DegenerateDirection(ValueError):
@@ -114,9 +115,11 @@ def normal_and_area_from_peak(xhat, value, d, wavelength):
 
 
 # Step-1 peak search constants: seeding-lattice points per harmonic
-# coefficient, tangent-plane stencil spacing (radians), largest step
+# coefficient, the seed neighbourhood's radius in lattice spacings
+# sqrt(4 pi / n), tangent-plane stencil spacing (radians), largest step
 # (radians), step size that ends a polish, and the iteration cap.
 _SEEDS_PER_COEFFICIENT = 20
+_SEED_REACH = 1.5
 _STENCIL_H = 1e-4
 _MAX_STEP = 0.1
 _STEP_TOL = 1e-9
@@ -130,21 +133,42 @@ _DEDUP_ANGLE = math.radians(1.0)
 _STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
 
 
+@lru_cache(maxsize=8)
+def _seed_lattice(n: int):
+    """Raw Fibonacci lattice of ``n`` points and its neighbour pairs.
+
+    Returns ``(points, (i, j))``: pairs of points a Fibonacci number apart in
+    index and at most ``_SEED_REACH`` spacings apart on the sphere.  Every
+    convex-hull edge of the lattice is such a pair (Keinert et al. 2015).
+    """
+    points = fibonacci_points(n)
+    near = math.cos(_SEED_REACH * math.sqrt(FOUR_PI / n))
+    i, j = [], []
+    gap, next_gap = 1, 2
+    while gap < n:
+        close = np.einsum("ij,ij->i", points[:-gap], points[gap:]) >= near
+        i.append(np.flatnonzero(close))
+        j.append(i[-1] + gap)
+        gap, next_gap = next_gap, gap + next_gap
+    pairs = np.concatenate(i), np.concatenate(j)
+    for a in (points, *pairs):
+        a.flags.writeable = False
+    return points, pairs
+
+
 def _grid_seeds(expansion: HarmonicExpansion):
     """Points of a raw Fibonacci lattice sized to the band limit whose
-    surrogate value is at least that of every triangulation neighbour.
+    surrogate value is at least that of every lattice neighbour.
 
     Returns ``(seeds, scale)`` with ``scale`` the largest modulus on the
     lattice.
     """
-    grid = build_grid(_SEEDS_PER_COEFFICIENT * (expansion.cutoff + 1) ** 2)
-    values = synthesize(expansion, grid.points)
-    tri = grid.triangles
-    neighbour_max = np.full(grid.size, -np.inf)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        np.maximum.at(neighbour_max, tri[:, a], values[tri[:, b]])
-        np.maximum.at(neighbour_max, tri[:, b], values[tri[:, a]])
-    seeds = grid.points[values >= neighbour_max]
+    points, (i, j) = _seed_lattice(_SEEDS_PER_COEFFICIENT * (expansion.cutoff + 1) ** 2)
+    values = synthesize(expansion, points)
+    neighbour_max = np.full(len(points), -np.inf)
+    np.maximum.at(neighbour_max, i, values[j])
+    np.maximum.at(neighbour_max, j, values[i])
+    seeds = points[values >= neighbour_max]
     return seeds, float(np.abs(values).max())
 
 
@@ -238,8 +262,10 @@ def find_local_maxima(expansion: HarmonicExpansion) -> PeakSet:
     """Local maxima of the band-limited pattern, found in one batch.
 
     Seeds are the discrete maxima of the surrogate on a raw Fibonacci
-    lattice of ``20 (cutoff + 1)^2`` points; all seeds are then polished
-    together by projected Newton ascent on the sphere.  End points closer
+    lattice of ``20 (cutoff + 1)^2`` points, each at least as high as every
+    lattice point a Fibonacci number away in index and within
+    ``_SEED_REACH`` spacings; all seeds are then polished together by
+    projected Newton ascent on the sphere.  End points closer
     than ``_DEDUP_ANGLE`` are merged keeping the higher value.  Seeds still
     moving after the iteration cap are only counted in ``failed_starts``,
     never fatal.

@@ -161,6 +161,8 @@ def _read_config(path: Path) -> ExperimentConfig:
                         geometry.unit_vector(nums[3:], f"{where} polarization"),
                     )
                 )
+            elif key in raw:
+                raise ValueError(f"line {lineno}: '{key}' given twice")
             else:
                 raw[key] = value
 

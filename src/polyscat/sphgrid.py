@@ -7,16 +7,18 @@ from the points alone.  They are the least-norm correction to equal
 weights that integrates every harmonic up to a degree fixed by the grid
 size exactly, the least-squares relative of spherical designs (Sloan &
 Womersley 2004).  The standard grid is the raw Fibonacci lattice
-(Gonzalez 2010).
+(Gonzalez 2010).  A grid is points and weights only; the lattice
+neighbours that seed step 1's peak search are found in
+:mod:`polyscat.maxima` from the lattice indices, with no triangulation.
 
 The scalar basis is real and orthonormal: ``Y(n,0) = Pbar(n,0)`` and
 ``Y(n,+-m) = sqrt(2) Pbar(n,m) {cos,sin}(m phi)`` with fully normalized
-associated Legendre functions ``Pbar`` evaluated by stable three-term
-recurrences.  It is evaluated only as a design matrix over ``(N, 3)``
-points, :func:`harmonic_basis`, whose column ``n^2 + n + m`` is
-``Y(n,m)``; the transform and the synthesis are products with it.  The
-locator's degree-1 vector harmonics are plain Cartesian fields and are
-built in closed form in :mod:`polyscat.locator`.
+associated Legendre functions ``Pbar``.  It is evaluated only as a design
+matrix over ``(N, 3)`` points, :func:`harmonic_basis`, which runs the
+stable three-term recurrence once per order and whose column
+``n^2 + n + m`` is ``Y(n,m)``; the transform and the synthesis are
+products with it.  The locator's degree-1 vector harmonics are plain
+Cartesian fields and are built in closed form in :mod:`polyscat.locator`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 FOUR_PI = 4.0 * math.pi
 _P00 = 1.0 / math.sqrt(FOUR_PI)
@@ -87,11 +88,6 @@ class SphericalGrid:
         w.flags.writeable = False
         return w
 
-    @cached_property
-    def triangles(self) -> np.ndarray:
-        """(T, 3) int ndarray, outward-oriented convex-hull triangles."""
-        return _triangulate(self.points)
-
 
 def fibonacci_points(n: int) -> np.ndarray:
     """``n`` quasi-uniform points on the unit sphere (golden-angle lattice)."""
@@ -104,18 +100,6 @@ def fibonacci_points(n: int) -> np.ndarray:
     return np.column_stack((st * np.cos(phi), st * np.sin(phi), z))
 
 
-def _triangulate(pts: np.ndarray) -> np.ndarray:
-    """Outward-oriented convex-hull triangulation of unit points."""
-    tris = ConvexHull(pts).simplices.copy()
-    det = np.einsum(
-        "ij,ij->i", pts[tris[:, 0]], np.cross(pts[tris[:, 1]], pts[tris[:, 2]])
-    )
-    flip = det < 0
-    tris[flip, 1], tris[flip, 2] = tris[flip, 2], tris[flip, 1].copy()
-    tris.flags.writeable = False
-    return tris
-
-
 @lru_cache(maxsize=8)
 def build_grid(n: int) -> SphericalGrid:
     """Raw Fibonacci lattice of ``n`` points (at least 12) with its exact
@@ -123,53 +107,6 @@ def build_grid(n: int) -> SphericalGrid:
     if n < 12:
         raise ValueError("need at least 12 grid points")
     return SphericalGrid(points=fibonacci_points(int(n)))
-
-
-# ---------------------------------------------------------------------------
-# associated Legendre recurrences (fully normalized, no Condon-Shortley)
-
-
-def _tri_index(n: int, m: int) -> int:
-    return n * (n + 1) // 2 + m
-
-
-@lru_cache(maxsize=16)
-def _recurrence_coeffs(n_max: int):
-    """Constant factors of the normalized Legendre recurrences up to n_max."""
-    diag = [0.0] * (n_max + 1)  # P(m,m) from P(m-1,m-1)
-    step = [0.0] * (n_max + 1)  # P(m+1,m) from P(m,m)
-    a = np.zeros((n_max + 1, n_max + 1))
-    b = np.zeros((n_max + 1, n_max + 1))
-    for m in range(1, n_max + 1):
-        diag[m] = math.sqrt((2 * m + 1) / (2.0 * m))
-    for m in range(n_max):
-        step[m] = math.sqrt(2 * m + 3)
-        for n in range(m + 2, n_max + 1):
-            a[n, m] = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-            b[n, m] = math.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-    return tuple(diag), tuple(step), a, b
-
-
-def _legendre_tables(n_max, ct, st):
-    """Normalized ``Pbar(n,m)`` tables at ``cos/sin(theta)`` arrays, rows
-    packed by ``n(n+1)/2 + m``."""
-    ct = np.asarray(ct, dtype=float)
-    st = np.asarray(st, dtype=float)
-    diag, step, a, b = _recurrence_coeffs(n_max)
-    P = np.empty((_tri_index(n_max, n_max) + 1,) + ct.shape)
-    P[0] = _P00
-    for m in range(0, n_max + 1):
-        im = _tri_index(m, m)
-        if m >= 1:
-            P[im] = diag[m] * st * P[_tri_index(m - 1, m - 1)]
-        if m == n_max:
-            break
-        P[_tri_index(m + 1, m)] = step[m] * ct * P[im]
-        for n in range(m + 2, n_max + 1):
-            i0 = _tri_index(n - 2, m)
-            i1 = _tri_index(n - 1, m)
-            P[_tri_index(n, m)] = a[n, m] * (ct * P[i1] - b[n, m] * P[i0])
-    return P
 
 
 def _sphere_coords(points):
@@ -193,26 +130,37 @@ def harmonic_basis(points, n_c: int) -> np.ndarray:
     n_c : int
         Cut-off degree; the matrix has ``(n_c + 1)^2`` columns.
 
-    Each harmonic is filled as one contiguous row of a ``(K, N)`` array; the
-    result is its transpose copied to C order.  The copy matters: BLAS
+    For each order ``m`` the normalized Legendre recurrence climbs from
+    ``Pbar(m,m)`` through the degrees, and each ``(n, +-m)`` harmonic is
+    written as it is produced, as one contiguous row of a ``(K, N)`` array;
+    the result is its transpose copied to C order.  The copy matters: BLAS
     products with a transposed view round differently, which moves report
     digits at the 1e-13 level.
     """
     ct, st, cphi, sphi = _sphere_coords(points)
-    P = _legendre_tables(n_c, ct, st)
     npts = len(ct)
     B = np.empty(((n_c + 1) ** 2, npts))
+    sq2 = math.sqrt(2.0)
+    p_mm = np.full(npts, _P00)
     cos_m = np.ones(npts)
     sin_m = np.zeros(npts)
-    for n in range(n_c + 1):
-        B[n * n + n] = P[_tri_index(n, 0)]
-    sq2 = math.sqrt(2.0)
-    for m in range(1, n_c + 1):
-        cos_m, sin_m = cos_m * cphi - sin_m * sphi, sin_m * cphi + cos_m * sphi
+    for m in range(n_c + 1):
+        if m:
+            p_mm = math.sqrt((2 * m + 1) / (2.0 * m)) * st * p_mm
+            cos_m, sin_m = cos_m * cphi - sin_m * sphi, sin_m * cphi + cos_m * sphi
+        p_prev, p = None, p_mm
         for n in range(m, n_c + 1):
-            pnm = P[_tri_index(n, m)]
-            B[n * n + n + m] = sq2 * pnm * cos_m
-            B[n * n + n - m] = sq2 * pnm * sin_m
+            if n == m + 1:
+                p_prev, p = p, math.sqrt(2 * m + 3) * ct * p
+            elif n > m + 1:
+                a = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+                b = math.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+                p_prev, p = p, a * (ct * p - b * p_prev)
+            if m:
+                B[n * n + n + m] = sq2 * p * cos_m
+                B[n * n + n - m] = sq2 * p * sin_m
+            else:
+                B[n * n + n] = p
     return np.ascontiguousarray(B.T)
 
 

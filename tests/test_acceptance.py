@@ -17,7 +17,6 @@ from conftest import (
     INCIDENT_TABLE,
     RECOVERED_VERTEX_TABLE,
     TETRA_FACE_AREA,
-    TETRA_OFFSET,
     TETRA_TRUE_NORMALS,
     TETRA_VERTICES,
     angle_deg,

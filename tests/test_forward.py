@@ -261,7 +261,7 @@ class TestSamplesOps:
         lines[5] = f"{coords}  nan"
         path.write_text("\n".join(lines) + "\n")
         for known in (None, g):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="samples must be finite"):
                 load_far_field(path, known)
         # a NaN coordinate never matches a known grid and fails validation
         lines[5] = "nan 0 0  1.0"

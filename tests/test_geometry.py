@@ -9,7 +9,6 @@ from conftest import (
     TETRA_TRUE_NORMALS,
     TETRA_VOLUME,
     make_cube,
-    make_tetrahedron,
 )
 from polyscat.geometry import (
     AdmissibilityParams,
@@ -152,6 +151,26 @@ def test_halfspace_cube():
     result = halfspace_intersection(normals, np.full(6, 0.5))
     assert result.vanished == ()
     assert_allclose(result.polyhedron.volume, 1.0, rtol=1e-9)
+
+
+def test_halfspace_four_planes_meet_at_a_vertex():
+    # qhull cuts each square facet of the dual into two triangles; both
+    # carry the facet's equation, so they must give one primal vertex
+    corners = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    r3 = np.sqrt(3.0)
+    octahedron = halfspace_intersection(corners / r3, np.full(8, 1.0 / r3))
+    assert len(octahedron.polyhedron.vertices) == 6
+    assert [len(f) for f in octahedron.polyhedron.faces] == [3] * 8
+    assert_allclose(octahedron.polyhedron.volume, 4.0 / 3.0, rtol=1e-12)
+
+    r2 = np.sqrt(2.0)
+    slants = np.array([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]) / r2
+    normals = np.vstack([[0.0, 0.0, -1.0], slants])
+    pyramid = halfspace_intersection(normals, [0.5] + [0.5 / r2] * 4).polyhedron
+    assert len(pyramid.vertices) == 5
+    apex = np.flatnonzero(pyramid.vertices[:, 2] > 0.0)
+    assert len(apex) == 1
+    assert_allclose(pyramid.vertices[apex[0]], [0.0, 0.0, 0.5], atol=1e-15)
 
 
 def test_halfspace_tetrahedron(tetra):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial import ConvexHull
 
 from conftest import (
     INCIDENT_TABLE,
@@ -18,6 +19,7 @@ from polyscat.maxima import (
     PeakSet,
     RecoveredFaceSet,
     RecoveryThresholds,
+    _seed_lattice,
     cluster_effective_normals,
     find_local_maxima,
     merge_face_sets,
@@ -26,7 +28,12 @@ from polyscat.maxima import (
     select_critical_directions,
     specular_direction,
 )
-from polyscat.sphgrid import HarmonicExpansion, build_grid, sht_forward
+from polyscat.sphgrid import (
+    HarmonicExpansion,
+    build_grid,
+    fibonacci_points,
+    sht_forward,
+)
 
 X1 = np.array([-1.0 / 3.0, 0.0, 2.0 * np.sqrt(2.0) / 3.0])
 D1 = np.array([1.0, 0.0, 0.0])
@@ -118,6 +125,16 @@ class TestInversion:
 
 
 class TestPeakSearch:
+    @pytest.mark.parametrize("cutoff", [0, 6, 10, 16])
+    def test_seed_pairs_contain_every_hull_edge(self, cutoff):
+        # a seed is a discrete maximum among at least its hull neighbours
+        n = 20 * (cutoff + 1) ** 2
+        tri = ConvexHull(fibonacci_points(n)).simplices
+        edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+        edges.sort(axis=1)
+        _, (i, j) = _seed_lattice(n)
+        assert set(map(tuple, edges.tolist())) <= set(zip(i.tolist(), j.tolist()))
+
     def test_unimodal_function(self):
         g = build_grid(4000)
         f = np.exp(10.0 * g.points[:, 2])

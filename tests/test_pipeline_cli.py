@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import INCIDENT_TABLE, make_tetrahedron, write_experiment_config
+from conftest import write_experiment_config
 from polyscat import geometry, pipeline
 from polyscat.cli import main
 from polyscat.geometry import load_obstacle, save_obstacle
@@ -23,6 +23,18 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def workspace(tmp_path, tetra):
     save_obstacle(tetra, tmp_path / "tetra.obs")
     return tmp_path
+
+
+def with_line(plain: Path, line: str) -> str:
+    """Text of the config ``plain`` with ``line`` in place of the line that
+    sets the same key, or added when none does; ``incident`` lines add."""
+    key = line.split("=", 1)[0].strip()
+    kept = [
+        old
+        for old in plain.read_text().splitlines()
+        if key == "incident" or old.split("=", 1)[0].strip() != key
+    ]
+    return "\n".join([*kept, line]) + "\n"
 
 
 def assert_same_fields(a, b):
@@ -69,6 +81,15 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"unknown keys.*{key}"):
                 parse_config(cfg)
 
+    @pytest.mark.parametrize("key, values", [("cutoff", (6, 10)), ("output_dir", "ab")])
+    def test_rejects_repeated_key(self, workspace, key, values):
+        # incident repeats; any other key given twice is an error, not "last wins"
+        cfg = workspace / "twice.cfg"
+        lines = ["obstacle = tetra.obs", "incident = 1 0 0  0 0 1"]
+        cfg.write_text("\n".join(lines + [f"{key} = {v}" for v in values]) + "\n")
+        with pytest.raises(ValueError, match=f"twice.cfg: line 4: '{key}' given twice"):
+            parse_config(cfg)
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -81,7 +102,7 @@ class TestConfig:
     def test_rejects_bad_region_resolution(self, workspace, line):
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
         bad = workspace / "bad.cfg"
-        bad.write_text(plain.read_text() + line + "\n")
+        bad.write_text(with_line(plain, line))
         with pytest.raises(ValueError, match="resolution"):
             parse_config(bad)
 
@@ -89,8 +110,8 @@ class TestConfig:
     def test_rejects_negative_cutoff(self, workspace, value):
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
         bad = workspace / "bad.cfg"
-        bad.write_text(plain.read_text() + f"cutoff = {value}\n")
-        with pytest.raises(ValueError, match="cutoff"):
+        bad.write_text(with_line(plain, f"cutoff = {value}"))
+        with pytest.raises(ValueError, match=r"bad\.cfg: cutoff must be"):
             parse_config(bad)
 
     @pytest.mark.parametrize("line", ["grid_shape = 3", "grid_loc = 0"])
@@ -98,7 +119,7 @@ class TestConfig:
         # rejected when parsed, naming the key, before synth creates out/data/
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
         bad = workspace / "bad.cfg"
-        bad.write_text(plain.read_text() + line + "\n")
+        bad.write_text(with_line(plain, line))
         with pytest.raises(ValueError, match=line.split(" = ")[0]):
             parse_config(bad)
         assert main(["synth", str(bad)]) == 1
@@ -116,7 +137,7 @@ class TestConfig:
     def test_rejects_non_integer_values(self, workspace, line):
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
         bad = workspace / "bad.cfg"
-        bad.write_text(plain.read_text() + line + "\n")
+        bad.write_text(with_line(plain, line))
         with pytest.raises(ValueError, match=f"bad.cfg: {line.split(' = ')[0]} "):
             parse_config(bad)
 
@@ -179,8 +200,9 @@ class TestConfig:
     def test_rejects_non_finite_numbers(self, workspace, line):
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
         bad = workspace / "bad.cfg"
-        bad.write_text(plain.read_text() + line + "\n")
-        with pytest.raises(ValueError, match="finite"):
+        bad.write_text(with_line(plain, line))
+        # the message, not the test's directory name, must say "finite"
+        with pytest.raises(ValueError, match=r"bad\.cfg: .*finite"):
             parse_config(bad)
 
     def test_rejects_empty_incident(self, workspace):
@@ -213,7 +235,7 @@ class TestConfig:
     def test_errors_name_the_file_once(self, workspace, line):
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
         bad = workspace / "bad.cfg"
-        bad.write_text(plain.read_text() + line + "\n")
+        bad.write_text(with_line(plain, line))
         with pytest.raises(ValueError, match=re.escape(f"{bad}: ")) as err:
             parse_config(bad)
         assert str(err.value).count(str(bad)) == 1

@@ -31,28 +31,6 @@ def gram_error(grid, degree):
 
 
 class TestGrid:
-    def test_minimal_grid_euler(self):
-        g = build_grid(12)
-        assert g.size == 12
-        assert len(g.triangles) == 20
-        edges = set()
-        for t in g.triangles:
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                edges.add((min(a, b), max(a, b)))
-        assert g.size - len(edges) + len(g.triangles) == 2
-
-    def test_area_sums(self):
-        # outward triangles tile the sphere once: signed solid angles sum to
-        # 4 pi (Van Oosterom-Strackee)
-        g = build_grid(7518)
-        a, b, c = (g.points[g.triangles[:, k]] for k in range(3))
-        num = np.einsum("ij,ij->i", a, np.cross(b, c))
-        den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum(
-            "ij,ij->i", b, c
-        ) + np.einsum("ij,ij->i", c, a)
-        assert num.min() > 0.0
-        assert abs(2.0 * np.arctan2(num, den).sum() - FOUR_PI) <= 1e-9
-
     def test_point_weights_cover_sphere(self):
         g = build_grid(2000)
         assert_allclose(g.point_weights.sum(), FOUR_PI, rtol=1e-12)
@@ -100,6 +78,20 @@ class TestScalarHarmonics:
     def test_degree_one_pole(self):
         val = harmonic_basis(np.array([[0.0, 0.0, 1.0]]), 1)[0, 2]
         assert_allclose(val, math.sqrt(3.0 / FOUR_PI), rtol=1e-14)
+
+    def test_closed_forms(self):
+        # columns n^2 + n + m for (2, +-2) and (3, +-1) against
+        # sqrt(15 / 16 pi) (x^2 - y^2, 2 x y) and sqrt(21 / 32 pi) (x, y) (5 z^2 - 1)
+        rng = np.random.default_rng(4)
+        pts = np.vstack([random_directions(rng, 500), [[0, 0, 1], [0, 0, -1]]])
+        x, y, z = pts.T
+        B = harmonic_basis(pts, 3)
+        c2 = math.sqrt(15.0 / (16.0 * math.pi))
+        c3 = math.sqrt(21.0 / (32.0 * math.pi)) * (5.0 * z * z - 1.0)
+        assert_allclose(B[:, 8], c2 * (x * x - y * y), rtol=0, atol=1e-15)
+        assert_allclose(B[:, 4], c2 * 2.0 * x * y, rtol=0, atol=1e-15)
+        assert_allclose(B[:, 13], c3 * x, rtol=0, atol=1e-15)
+        assert_allclose(B[:, 11], c3 * y, rtol=0, atol=1e-15)
 
     def test_orthonormality_gram(self):
         assert gram_error(build_grid(7518), 10) <= 1e-3
