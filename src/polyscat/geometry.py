@@ -4,10 +4,13 @@ half-space intersection.
 A polyhedron is stored as an explicit vertex/face structure together with
 outward unit normals, face areas, plane offsets and perimeters.  Face cycles
 are ordered counterclockwise when viewed from outside, so the right-hand
-rule yields the outward normal.  The half-space intersection uses the polar
-dual transform (convex hull of ``nu_j / alpha_j``), which requires the
+rule yields the outward normal.  Per-face quantities, the validity checks
+and the centroid are segment reductions over one flat layout of all cycles
+(``_rings``), not loops over faces.  The half-space intersection uses the
+polar dual transform (convex hull of ``nu_j / alpha_j``), which requires the
 origin strictly inside the body; reconstructions are translation-free, so
-this costs no generality.
+this costs no generality.  It orders every face ring with one sort by
+(plane, angle).
 """
 
 from __future__ import annotations
@@ -100,10 +103,12 @@ class ConvexPolyhedron:
     @cached_property
     def centroid(self) -> np.ndarray:
         """Volume centroid (center of gravity of the solid)."""
-        # fan triangles (p0, a, b) of every face
-        fans = [(f[0], f[m], f[m + 1]) for f in self.faces for m in range(1, len(f) - 1)]
-        face_of = np.repeat(np.arange(self.num_faces), [len(f) - 2 for f in self.faces])
-        p0, a, b = np.moveaxis(self.vertices[np.array(fans)], 1, 0)
+        # fan triangles (p0, a, b) of every face: a runs over each cycle
+        # but its first and last vertex
+        flat, succ, face, start = _rings(self.faces)
+        fan = (np.arange(len(flat)) != start[face]) & (succ != start[face])
+        face_of = face[fan]
+        p0, a, b = self.vertices[np.stack([flat[start[face_of]], flat[fan], flat[succ[fan]]])]
         tri_area = 0.5 * np.linalg.norm(np.cross(a - p0, b - p0), axis=1)
         # midpoint rule is exact for the quadratic integrand y_c^2 / 2
         mids_sq = ((p0 + a) ** 2 + (a + b) ** 2 + (b + p0) ** 2) / 4.0
@@ -205,10 +210,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _newell_normal(pts: np.ndarray) -> np.ndarray:
-    """Twice the vector area of a closed polygon (robust for near-planar)."""
-    rolled = np.roll(pts, -1, axis=0)
-    return np.cross(pts, rolled).sum(axis=0)
+def _rings(faces):
+    """Flat layout of the face cycles: the vertex indices face after face,
+    the position of each one's successor in its cycle, the face of each
+    position and the first position of each face."""
+    sizes = np.array([len(f) for f in faces])
+    start = np.cumsum(sizes) - sizes
+    flat = np.fromiter((i for f in faces for i in f), dtype=np.intp, count=int(sizes.sum()))
+    succ = np.arange(1, len(flat) + 1)
+    succ[start + sizes - 1] = start
+    return flat, succ, np.repeat(np.arange(len(faces)), sizes), start
 
 
 def build_polyhedron(vertices, faces, rel_tol: float = REL_TOL) -> ConvexPolyhedron:
@@ -235,11 +246,13 @@ def build_polyhedron(vertices, faces, rel_tol: float = REL_TOL) -> ConvexPolyhed
     V = np.asarray(vertices, dtype=float)
     if V.ndim != 2 or V.shape[1] != 3:
         raise ValueError("vertices must be an (n, 3) array")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("vertices must be finite")
     if len(V) < 4:
         raise ValueError("a polyhedron needs at least 4 vertices")
     if len(faces) < 4:
         raise ValueError("a polyhedron needs at least 4 faces")
-    faces_t = tuple(tuple(int(i) for i in f) for f in faces)
+    faces_t = tuple(tuple(map(int, f)) for f in faces)
     for f in faces_t:
         if len(f) < 3 or len(set(f)) != len(f):
             raise DegenerateFace(f"face {f} needs >= 3 distinct vertices")
@@ -252,28 +265,30 @@ def build_polyhedron(vertices, faces, rel_tol: float = REL_TOL) -> ConvexPolyhed
         raise ValueError("all vertices coincide")
     tol = rel_tol * scale
 
-    normals = np.empty((len(faces_t), 3))
-    areas = np.empty(len(faces_t))
-    offsets = np.empty(len(faces_t))
-    perims = np.empty(len(faces_t))
-    for j, f in enumerate(faces_t):
-        pts = V[list(f)]
-        nvec = _newell_normal(pts)
-        area = 0.5 * np.linalg.norm(nvec)
-        if area < MIN_FACE_AREA:
-            raise DegenerateFace(f"face {j} has area {area:.3g}")
-        nu = nvec / (2.0 * area)
-        off = float(nu @ pts[0])
-        if np.max(np.abs(pts @ nu - off)) > tol:
-            raise NonPlanarFace(f"face {j} deviates from its plane beyond {tol:.3g}")
-        edges = np.roll(pts, -1, axis=0) - pts
-        turns = np.cross(edges, np.roll(edges, -1, axis=0)) @ nu
-        if np.min(turns) < -rel_tol * scale**2:
-            raise NotConvex(f"face {j} is not a convex counterclockwise cycle")
-        normals[j] = nu
-        areas[j] = area
-        offsets[j] = off
-        perims[j] = np.linalg.norm(edges, axis=1).sum()
+    flat, succ, face, start = _rings(faces_t)
+    P = V[flat]
+    # Newell normals: twice the vector area of each cycle, robust when near-planar
+    nvec = np.add.reduceat(np.cross(P, P[succ]), start)
+    areas = 0.5 * np.linalg.norm(nvec, axis=1)
+    normals = nvec / (2.0 * np.maximum(areas, MIN_FACE_AREA))[:, None]
+    offsets = np.einsum("ij,ij->i", normals, P[start])
+    height = np.einsum("ij,ij->i", P, normals[face]) - offsets[face]
+    edges = P[succ] - P
+    turns = np.einsum("ij,ij->i", np.cross(edges, edges[succ]), normals[face])
+    perims = np.add.reduceat(np.linalg.norm(edges, axis=1), start)
+    bad = np.vstack([
+        areas < MIN_FACE_AREA,
+        np.maximum.reduceat(np.abs(height), start) > tol,
+        np.minimum.reduceat(turns, start) < -rel_tol * scale**2,
+    ])
+    if bad.any():
+        # the first bad face, by its first failed check
+        j = int(np.argmax(bad.any(axis=0)))
+        raise (
+            DegenerateFace(f"face {j} has area {areas[j]:.3g}"),
+            NonPlanarFace(f"face {j} deviates from its plane beyond {tol:.3g}"),
+            NotConvex(f"face {j} is not a convex counterclockwise cycle"),
+        )[int(np.argmax(bad[:, j]))]
 
     slack = V @ normals.T - offsets  # (nv, m), <= 0 inside
     worst = float(slack.max())
@@ -383,6 +398,8 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
 
     Raises
     ------
+    ValueError
+        If the normals or offsets are malformed or not finite.
     EmptyInterior
         If some offset is non-positive.
     Unbounded
@@ -392,6 +409,9 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     a = np.asarray(offsets, dtype=float)
     if N.ndim != 2 or N.shape[1] != 3 or len(N) != len(a):
         raise ValueError("need matching (k, 3) normals and (k,) offsets")
+    for name, values in (("normals", N), ("offsets", a)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
     if len(N) < 4:
         raise Unbounded("fewer than 4 half spaces cannot bound a solid")
     norms = np.linalg.norm(N, axis=1)
@@ -419,39 +439,28 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     # facet's equation, so exact equality groups them into one vertex
     verts, merged_into = np.unique(prim, axis=0, return_inverse=True)
     # a primal vertex lies on exactly the planes of its dual facets
-    incident = np.zeros((len(verts), len(N)), dtype=bool)
-    incident[merged_into[:, None], hull.simplices] = True
-
-    faces = []
-    plane_index = []
-    vanished = []
-    for j in range(len(N)):
-        on = np.flatnonzero(incident[:, j])
-        if len(on) < 3:
-            vanished.append(j)
-            continue
-        ring = verts[on]
-        center = ring.mean(axis=0)
-        e1 = unit_vector(np.cross(N[j], _any_perpendicular(N[j])))
-        e2 = np.cross(N[j], e1)
-        ang = np.arctan2((ring - center) @ e2, (ring - center) @ e1)
-        faces.append(tuple(on[np.argsort(ang)]))
-        plane_index.append(j)
-
-    used = sorted({i for f in faces for i in f})
-    remap = {old: new for new, old in enumerate(used)}
-    faces = tuple(tuple(remap[i] for i in f) for f in faces)
+    incident = np.zeros((len(N), len(verts)), dtype=bool)
+    incident[hull.simplices, merged_into[:, None]] = True
+    plane, vert = np.nonzero(incident)  # plane by plane, vertices ascending
+    count = np.bincount(plane, minlength=len(N))
+    keep = count[plane] >= 3
+    plane, vert = plane[keep], vert[keep]
+    start = np.flatnonzero(np.diff(plane, prepend=-1))
+    kept = plane[start]
+    ring = verts[vert]
+    center = np.add.reduceat(ring, start) / count[kept, None]
+    # order each ring by its angle about the centre in an in-plane basis
+    e1 = np.cross(N[kept], np.eye(3)[np.argmin(np.abs(N[kept]), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(N[kept], e1)
+    seg = np.repeat(np.arange(len(kept)), count[kept])
+    rel = ring - center[seg]
+    ang = np.arctan2(np.einsum("ij,ij->i", rel, e2[seg]), np.einsum("ij,ij->i", rel, e1[seg]))
+    used, flat = np.unique(vert[np.lexsort((ang, plane))], return_inverse=True)
     # computed plane intersections carry qhull-level noise; validate loosely
-    poly = build_polyhedron(verts[used], faces, rel_tol=1e-7)
-    return IntersectionResult(
-        polyhedron=poly, plane_index=tuple(plane_index), vanished=tuple(vanished)
-    )
-
-
-def _any_perpendicular(v: np.ndarray) -> np.ndarray:
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(v)))] = 1.0
-    return axis
+    poly = build_polyhedron(verts[used], np.split(flat, start[1:]), rel_tol=1e-7)
+    vanished = tuple(np.flatnonzero(count < 3).tolist())
+    return IntersectionResult(poly, plane_index=tuple(kept.tolist()), vanished=vanished)
 
 
 def save_obstacle(poly: ConvexPolyhedron, path) -> None:
@@ -478,6 +487,8 @@ def load_obstacle(path) -> ConvexPolyhedron:
             try:
                 if parts[0] == "v" and len(parts) == 4:
                     vertices.append([float(x) for x in parts[1:]])
+                    if not np.all(np.isfinite(vertices[-1])):
+                        raise ValueError("vertex coordinates must be finite")
                 elif parts[0] == "f" and len(parts) >= 4:
                     faces.append([int(x) - 1 for x in parts[1:]])
                 else:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexPolyhedron, GeometryError, IntersectionResult
-from .geometry import halfspace_intersection
+from .geometry import _rings, halfspace_intersection
 
 
 class SpanDeficient(ValueError):
@@ -86,20 +86,17 @@ def volume_hessian(normals, result: IntersectionResult) -> np.ndarray:
     """
     N = np.asarray(normals, dtype=float)
     poly = result.polyhedron
-    owner = {}
-    for face, cycle in enumerate(poly.faces):
-        plane = result.plane_index[face]
-        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-            owner[u, v] = plane
-    rows, cols, ends = [], [], []
-    for (u, v), plane in owner.items():
-        other = owner.get((v, u))
-        if other is not None:
-            rows.append(plane)
-            cols.append(other)
-            ends.append((u, v))
-    ends = np.array(ends).reshape(-1, 2)
-    length = np.linalg.norm(poly.vertices[ends[:, 0]] - poly.vertices[ends[:, 1]], axis=1)
+    flat, succ, face, _ = _rings(poly.faces)
+    plane = np.asarray(result.plane_index)[face]
+    # pair each directed edge u -> v with its reverse v -> u by one sort
+    head = flat[succ]
+    key = flat * len(poly.vertices) + head
+    back = head * len(poly.vertices) + flat
+    order = np.argsort(key)
+    twin = order[np.minimum(np.searchsorted(key, back, sorter=order), len(key) - 1)]
+    paired = key[twin] == back
+    rows, cols = plane[paired], plane[twin[paired]]
+    length = np.linalg.norm(poly.vertices[flat[paired]] - poly.vertices[head[paired]], axis=1)
     cos = np.einsum("ij,ij->i", N[rows], N[cols])
     sin = np.linalg.norm(np.cross(N[rows], N[cols]), axis=1)
     M = np.zeros((len(N), len(N)))

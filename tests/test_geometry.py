@@ -1,7 +1,11 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, Delaunay
 
 from conftest import (
     TETRA_FACE_AREA,
@@ -14,6 +18,7 @@ from polyscat.geometry import (
     AdmissibilityParams,
     DegenerateFace,
     EmptyInterior,
+    GeometryError,
     NonPlanarFace,
     NotConvex,
     Unbounded,
@@ -24,6 +29,8 @@ from polyscat.geometry import (
     load_obstacle,
     save_obstacle,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_tetrahedron_build(tetra):
@@ -78,6 +85,52 @@ def test_degenerate_face_rejected():
     v = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]], float)
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (2, 4, 3), (0, 4, 2)]
     with pytest.raises(DegenerateFace):
+        build_polyhedron(v, faces)
+
+
+def test_non_finite_vertices_rejected(tetra):
+    for bad in (np.nan, np.inf):
+        v = np.array(tetra.vertices)
+        v[2, 1] = bad
+        with pytest.raises(ValueError, match="^vertices must be finite$"):
+            build_polyhedron(v, tetra.faces)
+
+
+# vertex cycles (indices past the tetrahedron's four vertices) of faces that
+# fail the per-face checks, with the error and message each must raise
+_BAD_FACES = {
+    "plane": ((4, 5, 6, 7), NonPlanarFace, "deviates from its plane"),
+    "area": ((8, 9, 10), DegenerateFace, "has area"),
+    "turn": ((11, 12, 13, 14, 15), NotConvex, "is not a convex counterclockwise cycle"),
+    # non-planar and not convex: the plane check comes first
+    "plane_and_turn": ((16, 17, 18, 19, 20), NonPlanarFace, "deviates from its plane"),
+}
+_BAD_VERTICES = [
+    [0, 0, 0], [1, 0, 0], [1, 1, 0.3], [0, 1, 0],  # a lifted corner
+    [0, 0, 0], [1, 0, 0], [2, 0, 0],  # collinear
+    [0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 0.5, 0], [0, 2, 0],  # a reflex vertex
+    [0, 0, 0], [2, 0, 0], [2, 2, 0], [1, 0.5, 0.3], [0, 2, 0],  # both
+]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("plane", "area", "turn"),
+        ("area", "turn", "plane"),
+        ("turn", "plane", "area"),
+        ("plane_and_turn", "turn", "area"),
+    ],
+    ids="-".join,
+)
+def test_first_bad_face_is_reported(tetra, order):
+    # every face is checked for area, then plane, then turn, and the
+    # first face that fails any check is the one reported
+    v = np.vstack([tetra.vertices, _BAD_VERTICES])
+    bad = [_BAD_FACES[kind][0] for kind in order]
+    faces = [tetra.faces[0], *bad, *tetra.faces[1:]]
+    _, error, message = _BAD_FACES[order[0]]
+    with pytest.raises(error, match=f"^face 1 {message}"):
         build_polyhedron(v, faces)
 
 
@@ -195,6 +248,19 @@ def test_halfspace_errors(tetra):
     slab = np.array([[0, 0, 1.0], [0, 0, -1.0], [0, 1, 0], [0, -1, 0]])
     with pytest.raises(Unbounded):
         halfspace_intersection(slab, np.ones(4))
+    # non-finite input is a plain ValueError, which a fit does not take for
+    # a rejected trial step
+    for bad in (np.nan, np.inf, -np.inf):
+        offsets = np.array(tetra.offsets)
+        offsets[1] = bad
+        with pytest.raises(ValueError, match="^offsets must be finite$") as info:
+            halfspace_intersection(tetra.normals, offsets)
+        assert not isinstance(info.value, GeometryError)
+        normals = np.array(tetra.normals)
+        normals[2, 0] = bad
+        with pytest.raises(ValueError, match="^normals must be finite$") as info:
+            halfspace_intersection(normals, tetra.offsets)
+        assert not isinstance(info.value, GeometryError)
 
 
 def _random_polytope(rng, n=12):
@@ -253,6 +319,39 @@ def test_halfspace_faces_near_degenerate_vertices():
         assert_allclose(poly.volume, ConvexHull(poly.vertices).volume, rtol=1e-12)
 
 
+def test_halfspace_matches_frozen_bodies():
+    # five seeded bodies (exact, jittered and moved-apart hull planes, and
+    # random planes, some of which vanish) with the output of an earlier
+    # per-face implementation; each cycle's start vertex and the vertex
+    # numbering reach the report files, so they must not change
+    bodies = json.loads((DATA / "intersection_bodies.json").read_text())
+    assert len(bodies) == 5
+    for body in bodies:
+        result = halfspace_intersection(body["normals"], body["offsets"])
+        assert result.polyhedron.faces == tuple(map(tuple, body["faces"]))
+        assert result.plane_index == tuple(body["plane_index"])
+        assert result.vanished == tuple(body["vanished"])
+        assert np.array_equal(result.polyhedron.vertices, body["vertices"])
+
+
+def test_centroid_against_delaunay_oracle():
+    # planes of a Gaussian hull moved apart give faces of 4 and more
+    # vertices; the body is then moved well off the origin
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        pts = rng.standard_normal((14, 3))
+        eqs = ConvexHull(pts).equations
+        offsets = -eqs[:, 3] - eqs[:, :3] @ pts.mean(axis=0)
+        offsets = offsets + 0.05 * rng.uniform(size=len(offsets))
+        shift = rng.uniform(2.0, 5.0, 3) * rng.choice([-1.0, 1.0], 3)
+        poly = halfspace_intersection(eqs[:, :3], offsets).polyhedron.translated(shift)
+        assert max(len(f) for f in poly.faces) >= 4
+        tets = poly.vertices[Delaunay(poly.vertices).simplices]
+        vol = np.abs(np.linalg.det(tets[:, 1:] - tets[:, :1])) / 6.0
+        oracle = (vol[:, None] * tets.mean(axis=1)).sum(axis=0) / vol.sum()
+        assert_allclose(poly.centroid, oracle, rtol=1e-12, atol=0)
+
+
 def test_volume_against_hull_oracle():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -286,3 +385,8 @@ def test_obstacle_file_comments_and_errors(tmp_path):
     path.write_text("# comment\nv 0 0 0\nf 1 2\n")
     with pytest.raises(ValueError):
         load_obstacle(path)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv {bad} 0 0\nv 0 0 1\nf 1 2 3\n")
+        message = re.escape(f"{path}:3: vertex coordinates must be finite")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_obstacle(path)
