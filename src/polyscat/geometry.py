@@ -1,16 +1,16 @@
 """Convex polyhedra: construction, validation, illumination bookkeeping and
 half-space intersection.
 
-A polyhedron is stored as an explicit vertex/face structure together with
-outward unit normals, face areas, plane offsets and perimeters.  Face cycles
-are ordered counterclockwise when viewed from outside, so the right-hand
-rule yields the outward normal.  Per-face quantities, the validity checks
-and the centroid are segment reductions over one flat layout of all cycles
-(``_rings``), not loops over faces.  The half-space intersection uses the
+A polyhedron stores its vertices, one flat layout of all face cycles
+(``rings``), outward unit normals, face areas and plane offsets.  Face
+cycles are ordered counterclockwise when viewed from outside, so the
+right-hand rule yields the outward normal.  Per-face quantities, the
+validity checks, the centroid and the perimeters are segment reductions
+over the rings, not loops over faces.  The half-space intersection uses the
 polar dual transform (convex hull of ``nu_j / alpha_j``), which requires the
 origin strictly inside the body; reconstructions are translation-free, so
 this costs no generality.  It orders every face ring with one sort by
-(plane, angle).
+(plane, angle) and builds the body from those rings.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 # Planarity/convexity tolerance, scaled by the bounding-box diagonal.
 REL_TOL = 1e-9
+# The same for bodies from computed plane intersections (qhull-level noise).
+INTERSECTION_REL_TOL = 1e-7
 # Faces below this absolute area are rejected as degenerate.
 MIN_FACE_AREA = 1e-12
 
@@ -68,24 +70,23 @@ class ConvexPolyhedron:
     ----------
     vertices : (nv, 3) ndarray
         Vertex coordinates.
-    faces : tuple of tuple of int
-        Per-face vertex cycles, counterclockwise seen from outside.
+    rings : tuple of four read-only integer arrays
+        Face cycles, counterclockwise seen from outside, laid out flat: the
+        vertex indices face after face, the position of each one's successor
+        in its cycle, the face of each position and each face's first position.
     normals : (m, 3) ndarray
         Outward unit normals.
     areas : (m,) ndarray
         Face areas.
     offsets : (m,) ndarray
         Signed plane offsets; ``normals[j] @ x == offsets[j]`` on face j.
-    perimeters : (m,) ndarray
-        Face boundary lengths.
     """
 
     vertices: np.ndarray
-    faces: tuple
+    rings: tuple
     normals: np.ndarray
     areas: np.ndarray
     offsets: np.ndarray
-    perimeters: np.ndarray
 
     @property
     def num_vertices(self) -> int:
@@ -93,7 +94,20 @@ class ConvexPolyhedron:
 
     @property
     def num_faces(self) -> int:
-        return len(self.faces)
+        return len(self.rings[3])
+
+    @cached_property
+    def faces(self) -> tuple:
+        """Per-face vertex cycles as tuples of ints."""
+        flat, _, _, start = self.rings
+        return tuple(tuple(f.tolist()) for f in np.split(flat, start[1:]))
+
+    @cached_property
+    def perimeters(self) -> np.ndarray:
+        """Face boundary lengths."""
+        flat, succ, _, start = self.rings
+        edges = self.vertices[flat[succ]] - self.vertices[flat]
+        return _frozen(np.add.reduceat(np.linalg.norm(edges, axis=1), start))
 
     @cached_property
     def volume(self) -> float:
@@ -105,7 +119,7 @@ class ConvexPolyhedron:
         """Volume centroid (center of gravity of the solid)."""
         # fan triangles (p0, a, b) of every face: a runs over each cycle
         # but its first and last vertex
-        flat, succ, face, start = _rings(self.faces)
+        flat, succ, face, start = self.rings
         fan = (np.arange(len(flat)) != start[face]) & (succ != start[face])
         face_of = face[fan]
         p0, a, b = self.vertices[np.stack([flat[start[face_of]], flat[fan], flat[succ[fan]]])]
@@ -123,22 +137,20 @@ class ConvexPolyhedron:
         t = np.asarray(t, dtype=float)
         return ConvexPolyhedron(
             vertices=_frozen(self.vertices + t),
-            faces=self.faces,
+            rings=self.rings,
             normals=self.normals,
             areas=self.areas,
             offsets=_frozen(self.offsets + self.normals @ t),
-            perimeters=self.perimeters,
         )
 
     def scaled(self, s: float) -> "ConvexPolyhedron":
         """The same polyhedron scaled by ``s > 0`` about the origin."""
         return ConvexPolyhedron(
             vertices=_frozen(self.vertices * s),
-            faces=self.faces,
+            rings=self.rings,
             normals=self.normals,
             areas=_frozen(self.areas * s**2),
             offsets=_frozen(self.offsets * s),
-            perimeters=_frozen(self.perimeters * s),
         )
 
 
@@ -210,19 +222,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rings(faces):
-    """Flat layout of the face cycles: the vertex indices face after face,
-    the position of each one's successor in its cycle, the face of each
-    position and the first position of each face."""
-    sizes = np.array([len(f) for f in faces])
-    start = np.cumsum(sizes) - sizes
-    flat = np.fromiter((i for f in faces for i in f), dtype=np.intp, count=int(sizes.sum()))
-    succ = np.arange(1, len(flat) + 1)
-    succ[start + sizes - 1] = start
-    return flat, succ, np.repeat(np.arange(len(faces)), sizes), start
-
-
-def build_polyhedron(vertices, faces, rel_tol: float = REL_TOL) -> ConvexPolyhedron:
+def build_polyhedron(vertices, faces) -> ConvexPolyhedron:
     """Assemble and validate a convex polyhedron from vertices and face cycles.
 
     Parameters
@@ -230,10 +230,6 @@ def build_polyhedron(vertices, faces, rel_tol: float = REL_TOL) -> ConvexPolyhed
     vertices : (nv, 3) array_like
     faces : sequence of index cycles
         Each cycle lists vertex indices counterclockwise seen from outside.
-    rel_tol : float
-        Planarity/convexity tolerance, scaled by the diameter.  The strict
-        default suits exact synthetic inputs; reconstruction from computed
-        plane intersections passes a looser value.
 
     Returns
     -------
@@ -258,14 +254,28 @@ def build_polyhedron(vertices, faces, rel_tol: float = REL_TOL) -> ConvexPolyhed
             raise DegenerateFace(f"face {f} needs >= 3 distinct vertices")
         if min(f) < 0 or max(f) >= len(V):
             raise ValueError(f"face {f} references a missing vertex")
+    sizes = np.array([len(f) for f in faces_t])
+    flat = np.fromiter((i for f in faces_t for i in f), dtype=np.intp, count=int(sizes.sum()))
+    return _polyhedron(V, flat, sizes, REL_TOL)
 
+
+def _polyhedron(V, flat, sizes, rel_tol: float) -> ConvexPolyhedron:
+    """The polyhedron whose faces list the vertex indices ``flat`` face after
+    face, ``sizes[j]`` of them on face j, validated to ``rel_tol``."""
     span = V.max(axis=0) - V.min(axis=0)
     scale = float(np.linalg.norm(span))
     if scale < 1e-14:
         raise ValueError("all vertices coincide")
     tol = rel_tol * scale
 
-    flat, succ, face, start = _rings(faces_t)
+    # the layout ConvexPolyhedron.rings keeps
+    start = np.cumsum(sizes) - sizes
+    succ = np.arange(1, len(flat) + 1)
+    succ[start + sizes - 1] = start
+    face = np.repeat(np.arange(len(sizes)), sizes)
+    rings = (flat, succ, face, start)
+    for a in rings:
+        a.flags.writeable = False  # _frozen would cast to float
     P = V[flat]
     # Newell normals: twice the vector area of each cycle, robust when near-planar
     nvec = np.add.reduceat(np.cross(P, P[succ]), start)
@@ -275,7 +285,6 @@ def build_polyhedron(vertices, faces, rel_tol: float = REL_TOL) -> ConvexPolyhed
     height = np.einsum("ij,ij->i", P, normals[face]) - offsets[face]
     edges = P[succ] - P
     turns = np.einsum("ij,ij->i", np.cross(edges, edges[succ]), normals[face])
-    perims = np.add.reduceat(np.linalg.norm(edges, axis=1), start)
     bad = np.vstack([
         areas < MIN_FACE_AREA,
         np.maximum.reduceat(np.abs(height), start) > tol,
@@ -306,11 +315,10 @@ def build_polyhedron(vertices, faces, rel_tol: float = REL_TOL) -> ConvexPolyhed
 
     return ConvexPolyhedron(
         vertices=_frozen(V),
-        faces=faces_t,
+        rings=rings,
         normals=_frozen(normals),
         areas=_frozen(areas),
         offsets=_frozen(offsets),
-        perimeters=_frozen(perims),
     )
 
 
@@ -457,8 +465,7 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     rel = ring - center[seg]
     ang = np.arctan2(np.einsum("ij,ij->i", rel, e2[seg]), np.einsum("ij,ij->i", rel, e1[seg]))
     used, flat = np.unique(vert[np.lexsort((ang, plane))], return_inverse=True)
-    # computed plane intersections carry qhull-level noise; validate loosely
-    poly = build_polyhedron(verts[used], np.split(flat, start[1:]), rel_tol=1e-7)
+    poly = _polyhedron(verts[used], flat, count[kept], INTERSECTION_REL_TOL)
     vanished = tuple(np.flatnonzero(count < 3).tolist())
     return IntersectionResult(poly, plane_index=tuple(kept.tolist()), vanished=vanished)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexPolyhedron, GeometryError, IntersectionResult
-from .geometry import _rings, halfspace_intersection
+from .geometry import halfspace_intersection
 
 
 class SpanDeficient(ValueError):
@@ -86,7 +86,7 @@ def volume_hessian(normals, result: IntersectionResult) -> np.ndarray:
     """
     N = np.asarray(normals, dtype=float)
     poly = result.polyhedron
-    flat, succ, face, _ = _rings(poly.faces)
+    flat, succ, face, _ = poly.rings
     plane = np.asarray(result.plane_index)[face]
     # pair each directed edge u -> v with its reverse v -> u by one sort
     head = flat[succ]

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,23 +62,15 @@ class ExperimentConfig:
     obstacle: Path
     incident: tuple  # of (d, p) pairs
     output_dir: Path
-    lambda_shape: float = 0.5
-    lambda_loc: float = 50.0
-    grid_shape: int = 7518
-    grid_loc: int = 1878
-    thresholds: maxima.RecoveryThresholds = field(
-        default_factory=maxima.RecoveryThresholds
-    )
-    noise: forward.NoiseModel = field(
-        default_factory=lambda: forward.NoiseModel(delta=0.0, seed=7)
-    )
-    location: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    region: locator.SampleRegion = field(
-        default_factory=lambda: locator.SampleRegion(
-            lower=[0.0, 0.0, 0.0], upper=[100.0, 100.0, 100.0]
-        )
-    )
-    step3_oracle: bool = True
+    lambda_shape: float
+    lambda_loc: float
+    grid_shape: int
+    grid_loc: int
+    thresholds: maxima.RecoveryThresholds
+    noise: forward.NoiseModel
+    location: np.ndarray
+    region: locator.SampleRegion
+    step3_oracle: bool
 
     def __post_init__(self):
         if not self.incident:

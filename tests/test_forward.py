@@ -345,6 +345,35 @@ class TestSamplesOps:
             with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
                 load_far_field(path, known)
 
+    def test_missing_header_names_the_file(self, tetra, tmp_path):
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), build_grid(500)), path)
+        rows = path.read_text().splitlines()[2:]
+        path.write_text("\n".join(rows) + "\n")
+        message = re.escape(f"{path}: missing kind/wave header lines")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_far_field(path)
+
+    @pytest.mark.parametrize(
+        "kind, reason", [(MODULUS, "modulus rows need 4"), (COMPLEX_E, "complex rows need 9")]
+    )
+    def test_wrong_column_count_names_the_file(self, tetra, tmp_path, kind, reason):
+        # every row one column off, so the rows parse and only the count is wrong
+        g = build_grid(500)
+        sampler = sample_phaseless if kind == MODULUS else sample_complex
+        path = tmp_path / "samples.txt"
+        save_far_field(sampler(tetra, wave(0.5), g), path)
+        lines = path.read_text().splitlines()
+        if kind == MODULUS:
+            rows = [row + " 0.5" for row in lines[2:]]
+        else:
+            rows = [row.rsplit(" ", 1)[0] for row in lines[2:]]
+        path.write_text("\n".join(lines[:2] + rows) + "\n")
+        message = re.escape(f"{path}: {reason} columns")
+        for known in (None, g):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                load_far_field(path, known)
+
     def test_plane_wave_validation(self):
         with pytest.raises(ValueError):
             PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([1.0, 0, 0]), k=1.0)

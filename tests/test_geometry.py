@@ -88,6 +88,64 @@ def test_degenerate_face_rejected():
         build_polyhedron(v, faces)
 
 
+# malformed inputs to build_polyhedron, made from the tetrahedron by
+# (vertices, faces) -> (vertices, faces), with the error and message each raises
+_MALFORMED_BUILDS = {
+    "flat-vertices": (
+        lambda v, f: (v[:, :2], f), ValueError, r"vertices must be an \(n, 3\) array"
+    ),
+    "three-vertices": (
+        lambda v, f: (v[:3], f), ValueError, "a polyhedron needs at least 4 vertices"
+    ),
+    "three-faces": (
+        lambda v, f: (v, f[:3]), ValueError, "a polyhedron needs at least 4 faces"
+    ),
+    "repeated-vertex": (
+        lambda v, f: (v, [f[0], (0, 3, 3), *f[2:]]),
+        DegenerateFace,
+        r"face \(0, 3, 3\) needs >= 3 distinct vertices",
+    ),
+    "two-vertices": (
+        lambda v, f: (v, [f[0], (0, 3), *f[2:]]),
+        DegenerateFace,
+        r"face \(0, 3\) needs >= 3 distinct vertices",
+    ),
+    "missing-vertex": (
+        lambda v, f: (v, [f[0], (0, 3, 4), *f[2:]]),
+        ValueError,
+        r"face \(0, 3, 4\) references a missing vertex",
+    ),
+    "negative-vertex": (
+        lambda v, f: (v, [f[0], (0, 3, -1), *f[2:]]),
+        ValueError,
+        r"face \(0, 3, -1\) references a missing vertex",
+    ),
+    "coincident-vertices": (
+        lambda v, f: (np.ones((4, 3)), f), ValueError, "all vertices coincide"
+    ),
+    # every vertex lies inside every plane, but one face is listed twice
+    "open-face-set": (
+        lambda v, f: (v, [*f[:3], f[2]]),
+        NotConvex,
+        r"face set does not close up \(area-weighted normals != 0\)",
+    ),
+    "clockwise-face": (
+        lambda v, f: (v, [*f[:2], f[2][::-1], f[3]]),
+        NotConvex,
+        r"vertex protrudes \S+ beyond face 2 plane \(face cycle possibly clockwise\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_BUILDS)
+def test_build_rejects_malformed_input(tetra, case):
+    change, error, message = _MALFORMED_BUILDS[case]
+    vertices, faces = change(np.array(tetra.vertices), list(tetra.faces))
+    with pytest.raises(error, match=f"^{message}$") as info:
+        build_polyhedron(vertices, faces)
+    assert type(info.value) is error
+
+
 def test_non_finite_vertices_rejected(tetra):
     for bad in (np.nan, np.inf):
         v = np.array(tetra.vertices)
@@ -261,6 +319,19 @@ def test_halfspace_errors(tetra):
         with pytest.raises(ValueError, match="^normals must be finite$") as info:
             halfspace_intersection(normals, tetra.offsets)
         assert not isinstance(info.value, GeometryError)
+
+
+def test_halfspace_rejects_malformed_input(tetra):
+    shapes = r"^need matching \(k, 3\) normals and \(k,\) offsets$"
+    with pytest.raises(ValueError, match=shapes):
+        halfspace_intersection(tetra.normals, tetra.offsets[:3])
+    with pytest.raises(ValueError, match=shapes):
+        halfspace_intersection(tetra.normals[:, :2], tetra.offsets)
+    with pytest.raises(Unbounded, match="^fewer than 4 half spaces cannot bound a solid$"):
+        halfspace_intersection(tetra.normals[:3], tetra.offsets[:3])
+    with pytest.raises(ValueError, match="^normals must be unit vectors$") as info:
+        halfspace_intersection(2.0 * tetra.normals, tetra.offsets)
+    assert not isinstance(info.value, GeometryError)
 
 
 def _random_polytope(rng, n=12):

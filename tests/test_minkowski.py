@@ -136,6 +136,30 @@ class TestFitOffsets:
             monkeypatch, NotConvex("vertex protrudes beyond a face plane")
         )
 
+    def test_stall_ends_the_fit(self, monkeypatch):
+        # when every trial step fails, the fit gives up after one round of
+        # damped trials and returns its start, scaled to the target areas
+        calls = []
+
+        def only_the_start(normals, offsets):
+            calls.append(1)
+            if len(calls) > 1:
+                raise Unbounded("half spaces do not enclose a bounded solid")
+            return halfspace_intersection(normals, offsets)
+
+        monkeypatch.setattr(minkowski, "halfspace_intersection", only_the_start)
+        alpha0 = np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
+        fit = fit_offsets(CUBE_NORMALS, np.ones(6), alpha0=alpha0)
+        assert len(calls) > 2
+        assert not fit.converged
+        assert fit.iterations == 1
+        assert len(fit.history) == 1
+        start = halfspace_intersection(CUBE_NORMALS, alpha0).polyhedron
+        s = np.sqrt(6.0 / start.areas.sum())
+        assert fit.polyhedron.faces == start.faces
+        assert_allclose(fit.polyhedron.vertices, start.vertices * s, rtol=1e-14)
+        assert_allclose(fit.offsets, alpha0 * s, rtol=1e-14)
+
     def test_exact_prism(self, prism):
         fit = fit_offsets(prism.normals, prism.areas)
         assert_allclose(fit.offsets, prism.offsets, atol=1e-6)

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import write_experiment_config
-from polyscat import geometry, pipeline
+from polyscat import geometry, minkowski, pipeline
 from polyscat.cli import main
 from polyscat.geometry import load_obstacle, save_obstacle
 from polyscat.pipeline import PipelineError, parse_config, run_pipeline, synthesize_dataset
@@ -211,6 +211,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config(cfg)
 
+    def test_rejects_zero_incident_direction(self, workspace):
+        cfg = workspace / "bad.cfg"
+        cfg.write_text("obstacle = tetra.obs\nincident = 0 0 0  0 0 1\n")
+        message = re.escape(f"{cfg}: line 2: incident direction has near-zero length")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_config(cfg)
+
     def test_rejects_non_orthogonal_polarization(self, workspace):
         cfg = workspace / "bad.cfg"
         cfg.write_text("obstacle = tetra.obs\nincident = 1 0 0  1 0 0\n")
@@ -341,6 +348,48 @@ class TestRecover:
             run_pipeline(parse_config(cfg))
         assert "step1" in str(err.value)
 
+    def test_missing_obstacle_is_tagged_synth(self, workspace):
+        cfg = write_experiment_config(workspace / "exp.cfg", "nope.obs", **FAST)
+        with pytest.raises(PipelineError, match=r"^\[synth\] cannot load obstacle: ") as err:
+            run_pipeline(parse_config(cfg))
+        assert err.value.stage == "synth"
+
+    def test_malformed_data_is_tagged_load(self, workspace):
+        # a non-numeric token in a shape file, then in the location file
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        synthesize_dataset(config)
+        for name in ("shape_00.txt", "location.txt"):
+            path = workspace / "out" / "data" / name
+            lines = path.read_text().splitlines()
+            lines[5] = lines[5].replace(" ", " abc ", 1)
+            path.write_text("\n".join(lines) + "\n")
+            run = run_pipeline if name.startswith("shape") else pipeline.locate_obstacle
+            with pytest.raises(PipelineError, match=r"^\[load\] " + re.escape(str(path))):
+                run(config)
+
+    def test_empty_location_field_is_tagged_step3(self, workspace):
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        synthesize_dataset(config)
+        path = workspace / "out" / "data" / "location.txt"
+        lines = path.read_text().splitlines()
+        rows = [" ".join(row.split()[:3] + ["0"] * 6) for row in lines[2:]]
+        path.write_text("\n".join(lines[:2] + rows) + "\n")
+        message = r"^\[step3\] far field has \(near\) zero norm$"
+        with pytest.raises(PipelineError, match=message) as err:
+            pipeline.locate_obstacle(config)
+        assert err.value.stage == "step3"
+
+    def test_fit_failure_is_tagged_step2(self, workspace, monkeypatch):
+        def span_deficient(normals, areas):
+            raise minkowski.SpanDeficient("normals do not span 3-space")
+
+        monkeypatch.setattr(minkowski, "fit_offsets", span_deficient)
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        with pytest.raises(PipelineError, match=r"^\[step2\] normals do not span 3-space$"):
+            run_pipeline(parse_config(cfg))
+
     def test_step2_polyhedron_comes_from_the_fit(self, workspace, monkeypatch):
         # the fit intersects through the name minkowski imported, which this
         # patch does not reach; any other intersection in step 2 fails the run
@@ -373,6 +422,13 @@ class TestCli:
         assert "admissible" in capsys.readouterr().out
         # an impossible area bound fails with exit code 3
         assert main(["check", str(workspace / "tetra.obs"), "--h3", "5.0"]) == 3
+
+    def test_stage_failure_exits_2(self, workspace, capsys):
+        cfg = write_experiment_config(
+            workspace / "exp.cfg", "tetra.obs", e_tol=100.0, **FAST
+        )
+        assert main(["recover", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error [step1] ")
 
     def test_missing_config_is_error(self, workspace, capsys):
         assert main(["recover", str(workspace / "nope.cfg")]) != 0
