@@ -48,16 +48,19 @@ thresholds = RecoveryThresholds(
 )
 noise = NoiseModel(delta=0.0, seed=7)
 
-# Step 1: normals and areas from phaseless backscattering peaks
+# Step 1: normals and areas from phaseless backscattering peaks; the peaks
+# of all six directions are searched in one batch
 grid = build_grid(7518)
-per_direction = []
+waves, expansions = [], []
 for idx, (d, p) in enumerate(incident):
     wave = PlaneWave(d=np.array(d, float), p=np.array(p, float), k=2 * math.pi / lam)
     samples = sample_phaseless(tetra, wave, grid)
     if noise.delta > 0:
         samples = add_noise(samples, NoiseModel(noise.delta, noise.seed + idx))
-    expansion = sht_forward(samples.grid, samples.values, thresholds.cutoff)
-    peaks = find_local_maxima(expansion)
+    waves.append(wave)
+    expansions.append(sht_forward(samples.grid, samples.values, thresholds.cutoff))
+per_direction = []
+for idx, (wave, peaks) in enumerate(zip(waves, find_local_maxima(expansions))):
     selected = select_critical_directions(peaks, wave.d, thresholds)
     faces = peaks_to_faces(selected, wave.d, lam, source_index=idx)
     per_direction.append(faces)

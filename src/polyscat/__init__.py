@@ -51,7 +51,6 @@ from .sphgrid import (
     SphericalGrid,
     build_grid,
     sht_forward,
-    synthesize,
 )
 
 __version__ = "0.1.0"

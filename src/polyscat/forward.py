@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexPolyhedron, DegenerateFace, unit_vector
-from .sphgrid import SphericalGrid
+from .sphgrid import SphericalGrid, build_grid, fibonacci_points
 
 MODULUS = "modulus"
 COMPLEX_E = "complex-E"
@@ -324,9 +324,11 @@ def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
     """Parse the far-field text format.
 
     When the file's points equal ``grid.points`` exactly, the samples share
-    ``grid`` and its weights; otherwise a new grid is built and validated
-    (distinct unit points with positive weights).  The data rows are parsed
-    in one bulk call; a malformed file raises ``ValueError`` naming ``path``.
+    ``grid`` and its weights, and points equal to the Fibonacci lattice of
+    their size share :func:`build_grid`'s cached grid; otherwise a new grid
+    is built and validated (distinct unit points with positive weights).
+    The data rows are parsed in one bulk call; a malformed file raises
+    ``ValueError`` naming ``path``.
     """
     kind = None
     wave = None
@@ -356,10 +358,11 @@ def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
         data = np.loadtxt(lines, comments="#", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    points = data[:, :3]
+    points, n = data[:, :3], len(data)
     if grid is None or not np.array_equal(points, grid.points):
+        lattice = n >= 12 and np.array_equal(points, fibonacci_points(n))
         try:
-            grid = SphericalGrid(points=points)
+            grid = build_grid(n) if lattice else SphericalGrid(points=points)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     if kind == MODULUS:

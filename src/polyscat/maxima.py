@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphgrid import FOUR_PI, HarmonicExpansion, fibonacci_points, synthesize
+from .sphgrid import FOUR_PI, fibonacci_points, harmonic_basis
 
 
 class DegenerateDirection(ValueError):
@@ -156,20 +156,26 @@ def _seed_lattice(n: int):
     return points, pairs
 
 
-def _grid_seeds(expansion: HarmonicExpansion):
+def _grid_seeds(expansions, cutoff: int):
     """Points of a raw Fibonacci lattice sized to the band limit whose
     surrogate value is at least that of every lattice neighbour.
 
-    Returns ``(seeds, scale)`` with ``scale`` the largest modulus on the
-    lattice.
+    Returns ``(seeds, owner, scale)``: the seeds of all expansions stacked
+    in order, the expansion of each, and each expansion's largest modulus
+    on the lattice.  One basis of the lattice serves every expansion.
     """
-    points, (i, j) = _seed_lattice(_SEEDS_PER_COEFFICIENT * (expansion.cutoff + 1) ** 2)
-    values = synthesize(expansion, points)
-    neighbour_max = np.full(len(points), -np.inf)
-    np.maximum.at(neighbour_max, i, values[j])
-    np.maximum.at(neighbour_max, j, values[i])
-    seeds = points[values >= neighbour_max]
-    return seeds, float(np.abs(values).max())
+    points, (i, j) = _seed_lattice(_SEEDS_PER_COEFFICIENT * (cutoff + 1) ** 2)
+    B = harmonic_basis(points, cutoff)
+    seeds, scale = [], []
+    for expansion in expansions:
+        values = B @ expansion.coefficients
+        neighbour_max = np.full(len(points), -np.inf)
+        np.maximum.at(neighbour_max, i, values[j])
+        np.maximum.at(neighbour_max, j, values[i])
+        seeds.append(points[values >= neighbour_max])
+        scale.append(np.abs(values).max())
+    owner = np.repeat(np.arange(len(seeds)), [len(s) for s in seeds])
+    return np.concatenate(seeds), owner, np.array(scale)
 
 
 def _tangent_bases(x: np.ndarray):
@@ -180,23 +186,24 @@ def _tangent_bases(x: np.ndarray):
     return e1, np.cross(x, e1)
 
 
-def _polish(expansion: HarmonicExpansion, seeds: np.ndarray, scale: float):
-    """Projected Newton ascent of all seeds at once.
+def _polish(expansions, cutoff: int, seeds, owner, scale):
+    """Projected Newton ascent of the seeds of all expansions at once.
 
-    Each iteration evaluates the surrogate on a 3 x 3 tangent-plane stencil
-    around every active point (one synthesis), reads off the gradient and
-    2 x 2 Hessian by central differences, takes the Newton step where the
-    Hessian is negative definite and a curvature-scaled gradient step
-    elsewhere, caps it at ``_MAX_STEP`` and retracts onto the sphere.
+    Each iteration evaluates the surrogates on a 3 x 3 tangent-plane stencil
+    around every active point (one basis, one product per expansion), reads
+    off the gradient and 2 x 2 Hessian by central differences, takes the
+    Newton step where the Hessian is negative definite and a curvature-scaled
+    gradient step elsewhere, caps it at ``_MAX_STEP`` and retracts onto the
+    sphere.
 
-    Returns ``(points, values, seed_index, n_failed)``: converged points,
-    their values, the seed each came from, and the number of seeds still
-    moving after ``_MAX_ITERATIONS``.
+    Returns ``(points, values, seed_index, owner, failed)``: converged
+    points, their values, the seed each came from, its expansion, and per
+    expansion the number of seeds still moving after ``_MAX_ITERATIONS``.
     """
     h = _STENCIL_H
     x = seeds
     index = np.arange(len(seeds))
-    done_x, done_f, done_i = [np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0, int)]
+    done = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0, int), np.zeros(0, int))]
     for _ in range(_MAX_ITERATIONS):
         if len(x) == 0:
             break
@@ -206,7 +213,11 @@ def _polish(expansion: HarmonicExpansion, seeds: np.ndarray, scale: float):
             + _STENCIL[None, :, 1, None] * e2[:, None, :]
         )
         stencil /= np.linalg.norm(stencil, axis=2, keepdims=True)
-        f = synthesize(expansion, stencil.reshape(-1, 3)).reshape(len(x), 9)
+        B = harmonic_basis(stencil.reshape(-1, 3), cutoff)
+        # owner is sorted: each expansion's stencil rows are one block of B
+        rows = 9 * np.searchsorted(owner, np.arange(len(expansions) + 1))
+        f = [B[a:b] @ e.coefficients for e, a, b in zip(expansions, rows, rows[1:])]
+        f = np.concatenate(f).reshape(len(x), 9)
         f0 = f[:, 4]
         ga = (f[:, 7] - f[:, 1]) / (2.0 * h)
         gb = (f[:, 5] - f[:, 3]) / (2.0 * h)
@@ -230,20 +241,15 @@ def _polish(expansion: HarmonicExpansion, seeds: np.ndarray, scale: float):
         sa *= cap
         sb *= cap
 
-        finished = (length < _STEP_TOL) | (gnorm <= _FLAT_GRADIENT * scale)
-        done_x.append(x[finished])
-        done_f.append(f0[finished])
-        done_i.append(index[finished])
+        finished = (length < _STEP_TOL) | (gnorm <= _FLAT_GRADIENT * scale[owner])
+        done.append((x[finished], f0[finished], index[finished], owner[finished]))
         moving = ~finished
         x = x[moving] + sa[moving, None] * e1[moving] + sb[moving, None] * e2[moving]
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         index = index[moving]
-    return (
-        np.concatenate(done_x),
-        np.concatenate(done_f),
-        np.concatenate(done_i),
-        len(x),
-    )
+        owner = owner[moving]
+    failed = np.bincount(owner, minlength=len(expansions))
+    return (*(np.concatenate(column) for column in zip(*done)), failed)
 
 
 def _suppress(directions: np.ndarray, order, angle: float) -> np.ndarray:
@@ -258,23 +264,31 @@ def _suppress(directions: np.ndarray, order, angle: float) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
-def find_local_maxima(expansion: HarmonicExpansion) -> PeakSet:
-    """Local maxima of the band-limited pattern, found in one batch.
+def find_local_maxima(expansions) -> list:
+    """One :class:`PeakSet` of local maxima per band-limited expansion, all
+    found in one batch; the expansions share one cutoff (else ``ValueError``).
 
-    Seeds are the discrete maxima of the surrogate on a raw Fibonacci
+    Seeds are the discrete maxima of each surrogate on a raw Fibonacci
     lattice of ``20 (cutoff + 1)^2`` points, each at least as high as every
     lattice point a Fibonacci number away in index and within
     ``_SEED_REACH`` spacings; all seeds are then polished together by
-    projected Newton ascent on the sphere.  End points closer
+    projected Newton ascent on the sphere.  Per expansion, end points closer
     than ``_DEDUP_ANGLE`` are merged keeping the higher value.  Seeds still
     moving after the iteration cap are only counted in ``failed_starts``,
     never fatal.
     """
-    seeds, scale = _grid_seeds(expansion)
-    points, values, seed_index, failed = _polish(expansion, seeds, scale)
-
-    keep = _suppress(points, np.lexsort((seed_index, -values)), _DEDUP_ANGLE)
-    return PeakSet(directions=points[keep], values=values[keep], failed_starts=failed)
+    cutoffs = sorted({e.cutoff for e in expansions})
+    if len(cutoffs) != 1:
+        raise ValueError(f"expansions must share one cutoff, got {cutoffs}")
+    seeded = _grid_seeds(expansions, cutoffs[0])
+    points, values, seed_index, owner, failed = _polish(expansions, cutoffs[0], *seeded)
+    peak_sets = []
+    for k, n_failed in enumerate(failed):
+        mine = owner == k
+        p, v = points[mine], values[mine]
+        keep = _suppress(p, np.lexsort((seed_index[mine], -v)), _DEDUP_ANGLE)
+        peak_sets.append(PeakSet(p[keep], v[keep], failed_starts=int(n_failed)))
+    return peak_sets
 
 
 def select_critical_directions(

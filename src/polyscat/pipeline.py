@@ -288,14 +288,6 @@ class RecoveryReport:
     files: tuple
 
 
-def _step1_single(index, samples, thresholds, wavelength):
-    d = samples.wave.d
-    expansion = sphgrid.sht_forward(samples.grid, samples.values, thresholds.cutoff)
-    peaks = maxima.find_local_maxima(expansion)
-    selected = maxima.select_critical_directions(peaks, d, thresholds)
-    return maxima.peaks_to_faces(selected, d, wavelength, source_index=index)
-
-
 def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     """Execute steps 1-3 and write the report tables.
 
@@ -324,12 +316,17 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     out.mkdir(parents=True, exist_ok=True)
     files = []
 
-    # Step 1: peaks -> normals and areas, one incident direction at a time
+    # Step 1: peaks -> normals and areas, all incident directions in one batch
     try:
-        face_sets = [
-            _step1_single(i, s, config.thresholds, config.lambda_shape)
-            for i, s in enumerate(shape_samples)
-        ]
+        lam, t = config.lambda_shape, config.thresholds
+        peak_sets = maxima.find_local_maxima(
+            [sphgrid.sht_forward(s.grid, s.values, t.cutoff) for s in shape_samples]
+        )
+        face_sets = []
+        for i, (s, peaks) in enumerate(zip(shape_samples, peak_sets)):
+            d = s.wave.d
+            selected = maxima.select_critical_directions(peaks, d, t)
+            face_sets.append(maxima.peaks_to_faces(selected, d, lam, source_index=i))
         raw_faces = maxima.merge_face_sets(face_sets)
         effective = maxima.cluster_effective_normals(
             raw_faces, config.thresholds.cluster_angle
@@ -411,10 +408,12 @@ _FLOAT = "%.9f"
 
 
 def _save_table(path: Path, rows, fmt, header="", delimiter=",") -> Path:
-    # np.savetxt given a path opens it through np.lib._datasource, which
-    # imports gzip; an open file skips that
-    with open(path, "w") as fh:
-        np.savetxt(fh, rows, fmt=fmt, delimiter=delimiter, header=header, comments="")
+    """Write ``rows`` as ``np.savetxt`` would, with one ``%`` over the whole
+    block instead of one per row."""
+    rows = np.asarray(rows, dtype=float)
+    line = delimiter.join([fmt] * rows.shape[1] if isinstance(fmt, str) else fmt)
+    text = (line + "\n") * len(rows) % tuple(rows.ravel().tolist())
+    Path(path).write_text(header + "\n" + text if header else text)
     return path
 
 

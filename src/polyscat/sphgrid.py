@@ -7,8 +7,8 @@ from the points alone.  They are the least-norm correction to equal
 weights that integrates every harmonic up to a degree fixed by the grid
 size exactly, the least-squares relative of spherical designs (Sloan &
 Womersley 2004).  The standard grid is the raw Fibonacci lattice
-(Gonzalez 2010).  A grid is points and weights only; the lattice
-neighbours that seed step 1's peak search are found in
+(Gonzalez 2010).  A grid is points, weights and its last transform's
+basis; the lattice neighbours that seed step 1's peak search are found in
 :mod:`polyscat.maxima` from the lattice indices, with no triangulation.
 
 The scalar basis is real and orthonormal: ``Y(n,0) = Pbar(n,0)`` and
@@ -16,8 +16,8 @@ The scalar basis is real and orthonormal: ``Y(n,0) = Pbar(n,0)`` and
 associated Legendre functions ``Pbar``.  It is evaluated only as a design
 matrix over ``(N, 3)`` points, :func:`harmonic_basis`, which runs the
 stable three-term recurrence once per order and whose column
-``n^2 + n + m`` is ``Y(n,m)``; the transform and the synthesis are
-products with it.  The locator's degree-1 vector harmonics are plain
+``n^2 + n + m`` is ``Y(n,m)``; the transform and step 1's evaluations
+are products with it.  The locator's degree-1 vector harmonics are plain
 Cartesian fields and are built in closed form in :mod:`polyscat.locator`.
 """
 
@@ -87,6 +87,15 @@ class SphericalGrid:
         w = equal + A @ np.linalg.solve(A.T @ A, rhs)
         w.flags.writeable = False
         return w
+
+    def basis(self, cutoff: int) -> np.ndarray:
+        """``harmonic_basis(points, cutoff)``, kept for the last cutoff asked."""
+        kept = self.__dict__.get("_basis")
+        if kept is None or kept[0] != cutoff:
+            kept = (cutoff, harmonic_basis(self.points, cutoff))
+            kept[1].flags.writeable = False
+            self.__dict__["_basis"] = kept
+        return kept[1]
 
 
 def fibonacci_points(n: int) -> np.ndarray:
@@ -165,7 +174,7 @@ def harmonic_basis(points, n_c: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# forward transform and band-limited synthesis
+# forward transform
 
 
 @dataclass(frozen=True)
@@ -186,14 +195,8 @@ class HarmonicExpansion:
 
 def sht_forward(grid: SphericalGrid, values, cutoff: int) -> HarmonicExpansion:
     """Coefficients up to degree ``cutoff`` of the real per-point ``values``
-    on ``grid``, by the grid's quadrature weights."""
-    B = harmonic_basis(grid.points, cutoff)
+    on ``grid``, by the grid's quadrature weights and its kept basis."""
+    B = grid.basis(cutoff)
     coeffs = B.T @ (grid.point_weights * np.asarray(values, dtype=float))
     coeffs.flags.writeable = False
     return HarmonicExpansion(cutoff=cutoff, coefficients=coeffs)
-
-
-def synthesize(expansion: HarmonicExpansion, points):
-    """Evaluate the band-limited expansion at ``(N, 3)`` unit directions."""
-    B = harmonic_basis(points, expansion.cutoff)
-    return B @ expansion.coefficients

@@ -66,6 +66,14 @@ def load_frozen_expansion(path):
     return HarmonicExpansion(cutoff=cutoff, coefficients=coeffs)
 
 
+def frozen_expansions():
+    """The six frozen expansions, in incident order."""
+    return [
+        load_frozen_expansion(DATA / f"tetra_l05_cutoff6_d{i}.txt")
+        for i in range(len(INCIDENT_TABLE))
+    ]
+
+
 def table_face_set(rows=RECOVERED_NORMAL_TABLE):
     normals = np.array([r[1] / np.linalg.norm(r[1]) for r in rows])
     values = np.array([r[2] for r in rows])
@@ -139,7 +147,7 @@ class TestPeakSearch:
         g = build_grid(4000)
         f = np.exp(10.0 * g.points[:, 2])
         exp = sht_forward(g, f, 10)
-        peaks = find_local_maxima(exp)
+        (peaks,) = find_local_maxima([exp])
         assert len(peaks) >= 1
         assert angle_deg(peaks.directions[0], [0.0, 0.0, 1.0]) < 1.0
         # truncation ripples may create minor maxima, but far below the top
@@ -149,7 +157,7 @@ class TestPeakSearch:
     def test_constant_expansion_degenerate(self):
         g = build_grid(2000)
         exp = sht_forward(g, np.ones(g.size), 0)
-        peaks = find_local_maxima(exp)
+        (peaks,) = find_local_maxima([exp])
         # a constant has no isolated maxima: everything is flat and equal
         assert_allclose(peaks.values, peaks.values[0], atol=1e-9)
         thresholds = RecoveryThresholds(e_tol=peaks.values[0] + 1.0)
@@ -160,7 +168,7 @@ class TestPeakSearch:
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         samples = sample_phaseless(tetra, w, g)
         exp = sht_forward(g, samples.values, 10)
-        peaks = find_local_maxima(exp)
+        (peaks,) = find_local_maxima([exp])
         strong = [i for i in range(len(peaks)) if peaks.values[i] > 0.5]
         assert len(strong) == 2
         tops = peaks.directions[strong]
@@ -169,9 +177,8 @@ class TestPeakSearch:
         assert d_near < 8.0 and x1_near < 8.0
 
     def test_matches_multistart_peaks(self):
-        for i, (d, _) in enumerate(INCIDENT_TABLE):
-            exp = load_frozen_expansion(DATA / f"tetra_l05_cutoff6_d{i}.txt")
-            peaks = find_local_maxima(exp)
+        batch = find_local_maxima(frozen_expansions())
+        for i, ((d, _), peaks) in enumerate(zip(INCIDENT_TABLE, batch)):
             assert peaks.failed_starts == 0
             out = select_critical_directions(peaks, d, RecoveryThresholds())
             expected = [row for row in MULTISTART_PEAKS_L05 if row[0] == i]
@@ -182,11 +189,41 @@ class TestPeakSearch:
                 assert_allclose(xhat, ref_xhat, atol=1e-5)
                 assert_allclose(val, ref_val, atol=1e-5)
 
+    @staticmethod
+    def assert_bit_equal(batch, singles):
+        assert len(batch) == len(singles)
+        for got, alone in zip(batch, singles):
+            assert got.directions.tobytes() == alone.directions.tobytes()
+            assert got.values.tobytes() == alone.values.tobytes()
+            assert got.failed_starts == alone.failed_starts
+
+    def test_batch_equals_one_at_a_time_frozen(self):
+        expansions = frozen_expansions()
+        singles = [find_local_maxima([e])[0] for e in expansions]
+        self.assert_bit_equal(find_local_maxima(expansions), singles)
+        self.assert_bit_equal(find_local_maxima(expansions[::-1]), singles[::-1])
+
+    @pytest.mark.parametrize("cutoff", [10, 16])
+    def test_batch_equals_one_at_a_time_random(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        expansions = [
+            HarmonicExpansion(cutoff, rng.normal(size=(cutoff + 1) ** 2))
+            for _ in range(3)
+        ]
+        singles = [find_local_maxima([e])[0] for e in expansions]
+        self.assert_bit_equal(find_local_maxima(expansions), singles)
+        self.assert_bit_equal(find_local_maxima(expansions[::-1]), singles[::-1])
+
+    def test_batch_with_mixed_cutoffs_rejected(self):
+        mixed = [HarmonicExpansion(c, np.ones((c + 1) ** 2)) for c in (6, 7)]
+        with pytest.raises(ValueError, match="cutoff"):
+            find_local_maxima(mixed)
+
     def test_peaks_unit_and_sorted(self, tetra):
         g = build_grid(3000)
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         exp = sht_forward(g, sample_phaseless(tetra, w, g).values, 8)
-        peaks = find_local_maxima(exp)
+        (peaks,) = find_local_maxima([exp])
         assert np.abs(np.linalg.norm(peaks.directions, axis=1) - 1.0).max() < 1e-9
         assert all(a >= b for a, b in zip(peaks.values, peaks.values[1:]))
 
@@ -233,7 +270,7 @@ class TestSelection:
         g = build_grid(7518)
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         exp = sht_forward(g, sample_phaseless(tetra, w, g).values, 10)
-        peaks = find_local_maxima(exp)
+        (peaks,) = find_local_maxima([exp])
         out = select_critical_directions(
             peaks, D1, RecoveryThresholds(e_tol=0.5, exclusion_radius=0.3)
         )
@@ -295,7 +332,7 @@ class TestSignificantFaceProperty:
         ):
             w = PlaneWave(d=d, p=p, k=2.0 * math.pi / lam)
             exp = sht_forward(g, sample_phaseless(tetra, w, g).values, thresholds.cutoff)
-            peaks = find_local_maxima(exp)
+            (peaks,) = find_local_maxima([exp])
             out = select_critical_directions(peaks, d, thresholds)
             faces = peaks_to_faces(out, d, lam)
             front = [j for j in range(4) if tetra.normals[j] @ d < -0.1]
