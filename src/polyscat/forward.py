@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -313,11 +314,18 @@ def save_far_field(samples: FarFieldSamples, path) -> None:
     )
     values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1)
     values = values.view(float)
-    fmt = "%.17g %.17g %.17g  " + " ".join(["%.17g"] * values.shape[1])
-    rows = np.column_stack([samples.grid.points, values])
-    # an open file: np.savetxt given a path imports gzip to open it
-    with open(path, "w") as fh:
-        np.savetxt(fh, rows, fmt=fmt, header=header, comments="")
+    line = "%.17g %.17g %.17g  " + " ".join(["%.17g"] * values.shape[1])
+    save_table(path, np.column_stack([samples.grid.points, values]), line, header)
+
+
+def save_table(path, rows, line, header=""):
+    """Write ``rows`` as ``np.savetxt(path, rows, fmt=line, header=header,
+    comments="")`` would, with one ``%`` over the whole block instead of one
+    per row; ``line`` formats one row.  Returns ``path``."""
+    rows = np.asarray(rows, dtype=float)
+    text = (line + "\n") * len(rows) % tuple(rows.ravel().tolist())
+    Path(path).write_text(header + "\n" + text if header else text)
+    return path
 
 
 def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
@@ -327,8 +335,8 @@ def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
     ``grid`` and its weights, and points equal to the Fibonacci lattice of
     their size share :func:`build_grid`'s cached grid; otherwise a new grid
     is built and validated (distinct unit points with positive weights).
-    The data rows are parsed in one bulk call; a malformed file raises
-    ``ValueError`` naming ``path``.
+    The header is the ``#`` lines opening the file, the rest is parsed in
+    one bulk call, and a malformed file raises ``ValueError`` naming ``path``.
     """
     kind = None
     wave = None
@@ -337,7 +345,7 @@ def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
     for raw in lines:
         line = raw.strip()
         if not line.startswith("#"):
-            continue
+            break
         body = line[1:].strip()
         if body.startswith("kind="):
             kind = body[5:].strip()

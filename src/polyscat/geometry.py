@@ -62,6 +62,16 @@ def unit_vector(v, name="vector"):
     return v / n
 
 
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two ``(n, 3)`` arrays, with the arithmetic
+    (so the bits) of ``np.cross`` but not its per-call axis handling."""
+    out = np.empty((len(a), 3))
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
 @dataclass(frozen=True)
 class ConvexPolyhedron:
     """Closed convex polyhedron with per-face geometry.
@@ -123,7 +133,7 @@ class ConvexPolyhedron:
         fan = (np.arange(len(flat)) != start[face]) & (succ != start[face])
         face_of = face[fan]
         p0, a, b = self.vertices[np.stack([flat[start[face_of]], flat[fan], flat[succ[fan]]])]
-        tri_area = 0.5 * np.linalg.norm(np.cross(a - p0, b - p0), axis=1)
+        tri_area = 0.5 * np.linalg.norm(cross_rows(a - p0, b - p0), axis=1)
         # midpoint rule is exact for the quadratic integrand y_c^2 / 2
         mids_sq = ((p0 + a) ** 2 + (a + b) ** 2 + (b + p0) ** 2) / 4.0
         acc = (self.normals[face_of] * (tri_area / 6.0)[:, None] * mids_sq).sum(axis=0)
@@ -278,13 +288,13 @@ def _polyhedron(V, flat, sizes, rel_tol: float) -> ConvexPolyhedron:
         a.flags.writeable = False  # _frozen would cast to float
     P = V[flat]
     # Newell normals: twice the vector area of each cycle, robust when near-planar
-    nvec = np.add.reduceat(np.cross(P, P[succ]), start)
+    nvec = np.add.reduceat(cross_rows(P, P[succ]), start)
     areas = 0.5 * np.linalg.norm(nvec, axis=1)
     normals = nvec / (2.0 * np.maximum(areas, MIN_FACE_AREA))[:, None]
     offsets = np.einsum("ij,ij->i", normals, P[start])
     height = np.einsum("ij,ij->i", P, normals[face]) - offsets[face]
     edges = P[succ] - P
-    turns = np.einsum("ij,ij->i", np.cross(edges, edges[succ]), normals[face])
+    turns = np.einsum("ij,ij->i", cross_rows(edges, edges[succ]), normals[face])
     bad = np.vstack([
         areas < MIN_FACE_AREA,
         np.maximum.reduceat(np.abs(height), start) > tol,
@@ -418,7 +428,7 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     if N.ndim != 2 or N.shape[1] != 3 or len(N) != len(a):
         raise ValueError("need matching (k, 3) normals and (k,) offsets")
     for name, values in (("normals", N), ("offsets", a)):
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite")
     if len(N) < 4:
         raise Unbounded("fewer than 4 half spaces cannot bound a solid")
@@ -445,7 +455,7 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     prim = -eqs[:, :3] / eqs[:, 3:4]
     # qhull gives every triangle it cut from one merged dual facet that
     # facet's equation, so exact equality groups them into one vertex
-    verts, merged_into = np.unique(prim, axis=0, return_inverse=True)
+    verts, merged_into = _distinct_rows(prim)
     # a primal vertex lies on exactly the planes of its dual facets
     incident = np.zeros((len(N), len(verts)), dtype=bool)
     incident[hull.simplices, merged_into[:, None]] = True
@@ -453,21 +463,35 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     count = np.bincount(plane, minlength=len(N))
     keep = count[plane] >= 3
     plane, vert = plane[keep], vert[keep]
-    start = np.flatnonzero(np.diff(plane, prepend=-1))
-    kept = plane[start]
+    kept = np.flatnonzero(count >= 3)
+    sizes = count[kept]
     ring = verts[vert]
-    center = np.add.reduceat(ring, start) / count[kept, None]
+    center = np.add.reduceat(ring, np.cumsum(sizes) - sizes) / sizes[:, None]
     # order each ring by its angle about the centre in an in-plane basis
-    e1 = np.cross(N[kept], np.eye(3)[np.argmin(np.abs(N[kept]), axis=1)])
+    e1 = cross_rows(N[kept], np.eye(3)[np.argmin(np.abs(N[kept]), axis=1)])
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(N[kept], e1)
-    seg = np.repeat(np.arange(len(kept)), count[kept])
+    e2 = cross_rows(N[kept], e1)
+    seg = np.repeat(np.arange(len(kept)), sizes)
     rel = ring - center[seg]
     ang = np.arctan2(np.einsum("ij,ij->i", rel, e2[seg]), np.einsum("ij,ij->i", rel, e1[seg]))
-    used, flat = np.unique(vert[np.lexsort((ang, plane))], return_inverse=True)
-    poly = _polyhedron(verts[used], flat, count[kept], INTERSECTION_REL_TOL)
+    # keep and renumber the vertices that the kept rings use
+    ids = vert[np.lexsort((ang, plane))]
+    used = np.bincount(ids, minlength=len(verts)) > 0
+    poly = _polyhedron(verts[used], (np.cumsum(used) - 1)[ids], sizes, INTERSECTION_REL_TOL)
     vanished = tuple(np.flatnonzero(count < 3).tolist())
     return IntersectionResult(poly, plane_index=tuple(kept.tolist()), vanished=vanished)
+
+
+def _distinct_rows(x: np.ndarray):
+    """The distinct rows of ``x``, sorted, and each row's index among them:
+    ``np.unique(x, axis=0, return_inverse=True)`` from one ``lexsort``."""
+    order = np.lexsort(x.T[::-1])
+    x = x[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = np.any(x[1:] != x[:-1], axis=1)
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return x[first], inverse
 
 
 def save_obstacle(poly: ConvexPolyhedron, path) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexPolyhedron, GeometryError, IntersectionResult
-from .geometry import halfspace_intersection
+from .geometry import cross_rows, halfspace_intersection
 
 
 class SpanDeficient(ValueError):
@@ -97,12 +97,14 @@ def volume_hessian(normals, result: IntersectionResult) -> np.ndarray:
     paired = key[twin] == back
     rows, cols = plane[paired], plane[twin[paired]]
     length = np.linalg.norm(poly.vertices[flat[paired]] - poly.vertices[head[paired]], axis=1)
-    cos = np.einsum("ij,ij->i", N[rows], N[cols])
-    sin = np.linalg.norm(np.cross(N[rows], N[cols]), axis=1)
-    M = np.zeros((len(N), len(N)))
-    np.add.at(M, (rows, cols), length / sin)
-    np.add.at(M, (rows, rows), -length * cos / sin)
-    return M
+    nr, nc = N[rows], N[cols]
+    cos = np.einsum("ij,ij->i", nr, nc)
+    sin = np.linalg.norm(cross_rows(nr, nc), axis=1)
+    # off-diagonal and diagonal entries fill disjoint bins, each summed in edge order
+    k = len(N)
+    bins = np.concatenate([rows * k + cols, rows * (k + 1)])
+    M = np.bincount(bins, np.concatenate([length / sin, -length * cos / sin]), k * k)
+    return M.reshape(k, k)
 
 
 @dataclass(frozen=True)

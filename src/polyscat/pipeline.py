@@ -407,27 +407,17 @@ def locate_obstacle(config: ExperimentConfig, samples=None):
 _FLOAT = "%.9f"
 
 
-def _save_table(path: Path, rows, fmt, header="", delimiter=",") -> Path:
-    """Write ``rows`` as ``np.savetxt`` would, with one ``%`` over the whole
-    block instead of one per row."""
-    rows = np.asarray(rows, dtype=float)
-    line = delimiter.join([fmt] * rows.shape[1] if isinstance(fmt, str) else fmt)
-    text = (line + "\n") * len(rows) % tuple(rows.ravel().tolist())
-    Path(path).write_text(header + "\n" + text if header else text)
-    return path
-
-
 def _write_face_table(path: Path, faces: maxima.RecoveredFaceSet) -> Path:
     rows = np.column_stack(
         [faces.source_indices, faces.normals, faces.peak_values, faces.areas]
     )
     header = "source_d_index,nu_x,nu_y,nu_z,peak_value,area"
-    return _save_table(path, rows, ["%d"] + [_FLOAT] * 5, header)
+    return forward.save_table(path, rows, ",".join(["%d"] + [_FLOAT] * 5), header)
 
 
 def _write_offsets(path: Path, fit: minkowski.OffsetFit) -> Path:
     rows = np.column_stack([np.arange(len(fit.offsets)), fit.offsets])
-    return _save_table(path, rows, ["%d", _FLOAT], "face,offset")
+    return forward.save_table(path, rows, "%d," + _FLOAT, "face,offset")
 
 
 def _write_areas(
@@ -437,20 +427,21 @@ def _write_areas(
         [np.arange(len(fit.offsets)), effective.areas, fit.target_areas, fit.areas]
     )
     header = "face,recovered_area,balanced_area,fitted_area"
-    return _save_table(path, rows, ["%d"] + [_FLOAT] * 3, header)
+    return forward.save_table(path, rows, ",".join(["%d"] + [_FLOAT] * 3), header)
 
 
 def _write_vertices(path: Path, poly: geometry.ConvexPolyhedron) -> Path:
     rows = np.column_stack([np.arange(poly.num_vertices), poly.vertices])
-    return _save_table(path, rows, ["%d"] + [_FLOAT] * 3, "vertex,x,y,z")
+    return forward.save_table(path, rows, ",".join(["%d"] + [_FLOAT] * 3), "vertex,x,y,z")
 
 
 def _write_location(path: Path, z: np.ndarray, value: float) -> Path:
-    return _save_table(path, [np.append(z, value)], _FLOAT, "z_x,z_y,z_z,indicator")
+    line = ",".join([_FLOAT] * 4)
+    return forward.save_table(path, [np.append(z, value)], line, "z_x,z_y,z_z,indicator")
 
 
 def _write_scan(path: Path, points: np.ndarray, values: np.ndarray) -> Path:
-    return _save_table(path, np.column_stack([points, values]), _FLOAT, delimiter=" ")
+    return forward.save_table(path, np.column_stack([points, values]), " ".join([_FLOAT] * 4))
 
 
 def _write_fit_report(path: Path, fit: minkowski.OffsetFit) -> Path:

@@ -252,6 +252,22 @@ class TestSamplesOps:
             save_far_field(loaded, again)
             assert path.read_bytes() == again.read_bytes()
 
+    def test_far_field_file_bytes_match_savetxt(self, tetra, tmp_path):
+        # the block writer against one np.savetxt call with the file's format
+        g = build_grid(500)
+        for kind, sampler in ((MODULUS, sample_phaseless), (COMPLEX_E, sample_complex)):
+            s = sampler(tetra, wave(0.5), g)
+            path = tmp_path / f"{kind}.txt"
+            save_far_field(s, path)
+            d, p = (" ".join(f"{c:.17g}" for c in v) for v in (s.wave.d, s.wave.p))
+            header = f"# kind={kind}\n# k={s.wave.k:.17g} d={d} p={p}"
+            values = np.ascontiguousarray(s.values).reshape(g.size, -1).view(float)
+            fmt = "%.17g %.17g %.17g  " + " ".join(["%.17g"] * values.shape[1])
+            ref = tmp_path / f"{kind}_savetxt.txt"
+            rows = np.column_stack([g.points, values])
+            np.savetxt(ref, rows, fmt=fmt, header=header, comments="")
+            assert path.read_bytes() == ref.read_bytes()
+
     def test_non_finite_modulus_file_rejected(self, tetra, tmp_path):
         g = build_grid(500)
         path = tmp_path / "modulus.txt"
@@ -349,6 +365,16 @@ class TestSamplesOps:
         save_far_field(sample_phaseless(tetra, wave(0.5), build_grid(500)), path)
         rows = path.read_text().splitlines()[2:]
         path.write_text("\n".join(rows) + "\n")
+        message = re.escape(f"{path}: missing kind/wave header lines")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_far_field(path)
+
+    def test_header_after_a_data_row_is_not_read(self, tetra, tmp_path):
+        # the header is the run of # lines that opens the file
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), build_grid(500)), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[2], lines[1]] + lines[3:]) + "\n")
         message = re.escape(f"{path}: missing kind/wave header lines")
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_far_field(path)

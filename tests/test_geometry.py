@@ -22,9 +22,11 @@ from polyscat.geometry import (
     NonPlanarFace,
     NotConvex,
     Unbounded,
+    _distinct_rows,
     build_polyhedron,
     check_admissibility,
     classify_faces,
+    cross_rows,
     halfspace_intersection,
     load_obstacle,
     save_obstacle,
@@ -403,6 +405,44 @@ def test_halfspace_matches_frozen_bodies():
         assert result.plane_index == tuple(body["plane_index"])
         assert result.vanished == tuple(body["vanished"])
         assert np.array_equal(result.polyhedron.vertices, body["vertices"])
+
+
+def test_cross_rows_is_bit_equal_to_np_cross():
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((120, 3))
+    b = rng.standard_normal((120, 3))
+    b[:20] = a[:20] * rng.uniform(0.5, 2.0, (20, 1))  # parallel
+    b[20:40] = -a[20:40] * rng.uniform(0.5, 2.0, (20, 1))  # antiparallel
+    b[40:50] = a[40:50]
+    b[50:70] = np.eye(3)[rng.integers(0, 3, 20)]  # the ring basis's axes
+    a[70:80, rng.integers(0, 3)] = 0.0
+    a[80:90, rng.integers(0, 3)] = -0.0
+    got = cross_rows(a, b)
+    assert got.shape == (120, 3)
+    assert got.tobytes() == np.cross(a, b).tobytes()  # signed zeros included
+
+
+def test_distinct_rows_against_np_unique():
+    # exact repeats, with exact zeros in some columns
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 16, 17, 40, 120):
+        base = rng.standard_normal((max(n // 3, 1), 3))
+        base[rng.uniform(size=base.shape) < 0.3] = 0.0
+        rows = base[rng.integers(0, len(base), n)]
+        for zero in (0.0, -0.0):
+            rows = np.where(rows == 0.0, zero, rows)
+            verts, inverse = _distinct_rows(rows)
+            ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+            assert verts.tobytes() == ref.tobytes()
+            assert np.array_equal(inverse, ref_inverse)
+        # 0.0 and -0.0 are one value to both, but np.unique's quicksort may
+        # keep either as a mixed group's representative and the sort keeps
+        # the first row, so only the canonical values agree
+        mixed = np.where((rows == 0.0) & (rng.uniform(size=rows.shape) < 0.5), 0.0, rows)
+        verts, inverse = _distinct_rows(mixed)
+        ref, ref_inverse = np.unique(mixed, axis=0, return_inverse=True)
+        assert (verts + 0.0).tobytes() == (ref + 0.0).tobytes()
+        assert np.array_equal(inverse, ref_inverse)
 
 
 def test_centroid_against_delaunay_oracle():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -218,7 +221,37 @@ def gaussian_hull(rng, n):
     return hull.equations[:, :3], areas, -hull.equations[:, 3], pts[hull.vertices]
 
 
+def add_at_hessian(normals, result):
+    """``volume_hessian`` as two ``np.add.at`` calls over ``np.cross`` sines."""
+    poly = result.polyhedron
+    flat, succ, face, _ = poly.rings
+    plane = np.asarray(result.plane_index)[face]
+    head = flat[succ]
+    key = flat * len(poly.vertices) + head
+    back = head * len(poly.vertices) + flat
+    order = np.argsort(key)
+    twin = order[np.minimum(np.searchsorted(key, back, sorter=order), len(key) - 1)]
+    paired = key[twin] == back
+    rows, cols = plane[paired], plane[twin[paired]]
+    length = np.linalg.norm(poly.vertices[flat[paired]] - poly.vertices[head[paired]], axis=1)
+    cos = np.einsum("ij,ij->i", normals[rows], normals[cols])
+    sin = np.linalg.norm(np.cross(normals[rows], normals[cols]), axis=1)
+    M = np.zeros((len(normals), len(normals)))
+    np.add.at(M, (rows, cols), length / sin)
+    np.add.at(M, (rows, rows), -length * cos / sin)
+    return M
+
+
 class TestVolumeHessian:
+    def test_bit_equal_to_add_at(self):
+        # the frozen intersection bodies, vanished planes included
+        path = Path(__file__).parent / "data" / "intersection_bodies.json"
+        for body in json.loads(path.read_text()):
+            normals = np.asarray(body["normals"])
+            result = halfspace_intersection(normals, body["offsets"])
+            M = volume_hessian(normals, result)
+            assert M.tobytes() == add_at_hessian(normals, result).tobytes()
+
     @staticmethod
     def central_differences(normals, offsets, h=1e-6):
         columns = []
