@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,9 @@ _KINDS = (MODULUS, COMPLEX_E, COMPLEX_H)
 _SERIES_RADIUS = 0.5
 _SERIES_TERMS = 18
 _FACTORIALS = np.array([math.factorial(k) for k in range(_SERIES_TERMS + 3)])
+# a far-field row's coordinates; load_far_field recognizes a lattice file
+# by the text this writes
+_POINT_FORMAT = "%.17g %.17g %.17g"
 
 
 class WrongKind(ValueError):
@@ -314,7 +319,7 @@ def save_far_field(samples: FarFieldSamples, path) -> None:
     )
     values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1)
     values = values.view(float)
-    line = "%.17g %.17g %.17g  " + " ".join(["%.17g"] * values.shape[1])
+    line = _POINT_FORMAT + "  " + " ".join(["%.17g"] * values.shape[1])
     save_table(path, np.column_stack([samples.grid.points, values]), line, header)
 
 
@@ -331,21 +336,27 @@ def save_table(path, rows, line, header=""):
 def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
     """Parse the far-field text format.
 
-    When the file's points equal ``grid.points`` exactly, the samples share
-    ``grid`` and its weights, and points equal to the Fibonacci lattice of
-    their size share :func:`build_grid`'s cached grid; otherwise a new grid
-    is built and validated (distinct unit points with positive weights).
-    The header is the ``#`` lines opening the file, the rest is parsed in
-    one bulk call, and a malformed file raises ``ValueError`` naming ``path``.
+    The header is the ``#`` lines opening the file.  A file of at least 12
+    rows whose coordinates are, as text, those :func:`save_far_field` writes
+    for the Fibonacci lattice of its size has only its value columns
+    parsed; its samples share ``grid`` when ``grid`` holds the lattice's
+    points, and :func:`build_grid`'s cached grid otherwise.  Any other file
+    is parsed whole: its samples share ``grid`` when the file's points equal
+    ``grid.points`` exactly, and otherwise get a new grid, built and
+    validated (distinct unit points with positive weights).  Values are
+    parsed by ``np.loadtxt``, and a malformed file raises ``ValueError``
+    naming ``path``.
     """
     kind = None
     wave = None
     with open(path) as fh:
         lines = fh.read().splitlines()
+    head = 0
     for raw in lines:
         line = raw.strip()
         if not line.startswith("#"):
             break
+        head += 1
         body = line[1:].strip()
         if body.startswith("kind="):
             kind = body[5:].strip()
@@ -362,23 +373,56 @@ def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
         raise ValueError(f"{path}: missing kind/wave header lines")
     if kind not in _KINDS:
         raise ValueError(f"{path}: unknown far-field kind {kind!r}")
-    try:
-        data = np.loadtxt(lines, comments="#", ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    points, n = data[:, :3], len(data)
-    if grid is None or not np.array_equal(points, grid.points):
-        lattice = n >= 12 and np.array_equal(points, fibonacci_points(n))
+    data = _lattice_values(lines[head:], 1 if kind == MODULUS else 6)
+    if data is not None:
+        lattice = build_grid(len(data))
+        if grid is None or not np.array_equal(grid.points, lattice.points):
+            grid = lattice
+    else:
         try:
-            grid = build_grid(n) if lattice else SphericalGrid(points=points)
+            data = np.loadtxt(lines, comments="#", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        points, data = data[:, :3], data[:, 3:]
+        if grid is None or not np.array_equal(points, grid.points):
+            try:
+                grid = SphericalGrid(points=points)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
     if kind == MODULUS:
-        if data.shape[1] != 4:
+        if data.shape[1] != 1:
             raise ValueError(f"{path}: modulus rows need 4 columns")
-        values = data[:, 3]
+        values = data[:, 0]
     else:
-        if data.shape[1] != 9:
+        if data.shape[1] != 6:
             raise ValueError(f"{path}: complex rows need 9 columns")
-        values = data[:, 3::2] + 1j * data[:, 4::2]
+        values = data[:, 0::2] + 1j * data[:, 1::2]
     return FarFieldSamples(grid=grid, values=values, wave=wave, kind=kind)
+
+
+def _lattice_values(rows, m: int):
+    """The ``(n, m)`` values of ``rows`` when they are ``n >= 12`` lattice
+    rows: each is :func:`_lattice_text` of its point followed by ``m``
+    values that ``np.loadtxt`` parses.  ``None`` otherwise."""
+    n = len(rows)
+    if n < 12:
+        return None
+    split = [row.rsplit(None, m) for row in rows]
+    if set(map(len, split)) != {m + 1}:
+        return None
+    if tuple(map(itemgetter(0), split)) != _lattice_text(n):
+        return None
+    text = [parts[1] if m == 1 else " ".join(parts[1:]) for parts in split]
+    try:
+        # no comment character: each text is one row, or the parse fails
+        return np.loadtxt(text, comments=None, ndmin=2)
+    except ValueError:
+        return None  # the full parse raises its own error, naming the file
+
+
+@lru_cache(maxsize=8)
+def _lattice_text(n: int) -> tuple:
+    """The coordinate text :func:`save_far_field` writes for each row of
+    ``fibonacci_points(n)``.  Cached per ``n``, like :func:`build_grid`."""
+    text = "\n".join([_POINT_FORMAT] * n) % tuple(fibonacci_points(n).ravel().tolist())
+    return tuple(text.split("\n"))

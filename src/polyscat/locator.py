@@ -148,7 +148,8 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
     """Maximum of the indicator over the region.
 
     A coarse grid scan picks the best cell, then a clamped compass search
-    with step halving refines it down to ``_REFINE_TOL``.  Returns
+    with step halving refines it down to ``_REFINE_TOL``; the search
+    evaluates each trial point once and looks up its revisits.  Returns
     ``(z, value, (points, values))``: the refined point, its indicator
     value, and the coarse scan of :func:`scan_indicator`.
     """
@@ -163,12 +164,17 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
     )
     step = float(steps.max())
     eye = np.eye(3)
+    # indicator value of each trial point evaluated so far, by its bytes
+    seen = {}
     while step > _REFINE_TOL:
         moved = False
         for axis in range(3):
             for sgn in (1.0, -1.0):
                 trial = region.clamp(z + sgn * step * eye[axis])
-                ft = float(_indicator(G, K, norm2, trial))
+                key = trial.tobytes()
+                ft = seen.get(key)
+                if ft is None:
+                    ft = seen[key] = float(_indicator(G, K, norm2, trial))
                 if ft > fz:
                     z, fz = trial, ft
                     moved = True

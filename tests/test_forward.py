@@ -9,6 +9,7 @@ from scipy.stats import norm
 from conftest import TETRA_FACE_AREA, angle_deg
 from polyscat.forward import (
     COMPLEX_E,
+    COMPLEX_H,
     MODULUS,
     FarFieldSamples,
     NoiseModel,
@@ -331,11 +332,96 @@ class TestSamplesOps:
         assert loaded.grid is not g
         assert np.array_equal(loaded.grid.points, points)
 
+    @pytest.mark.parametrize("n", [12, 500, 1000])
+    @pytest.mark.parametrize("kind", [MODULUS, COMPLEX_E, COMPLEX_H])
+    def test_lattice_file_parses_only_its_values(self, tetra, tmp_path, monkeypatch, n, kind):
+        # the writer and the lattice recognition share one coordinate format
+        g = build_grid(n)
+        if kind == MODULUS:
+            s = sample_phaseless(tetra, wave(0.5), g)
+        else:
+            s = sample_complex(tetra, wave(0.5), g, kind)
+        path = tmp_path / "samples.txt"
+        save_far_field(s, path)
+        full = np.loadtxt(path, comments="#", ndmin=2)
+        loadtxt = np.loadtxt
+        seen = []
+
+        def spy(rows, *args, **kwargs):
+            rows = list(rows)
+            seen.extend(len(row.split()) for row in rows)
+            return loadtxt(rows, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        loaded = load_far_field(path)
+        assert loaded.grid is g
+        if kind == MODULUS:
+            expected = full[:, 3]
+        else:
+            expected = full[:, 3::2] + 1j * full[:, 4::2]
+        assert loaded.values.tobytes() == expected.tobytes()
+        assert set(seen) == {1 if kind == MODULUS else 6}
+
+    def test_lattice_in_another_float_format_gets_equal_weights(self, tetra, tmp_path):
+        # %.17e coordinates are the lattice's floats in other text: the file
+        # is parsed whole and gets its own grid, with the same bits
+        g = build_grid(500)
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
+        lines = path.read_text().splitlines()
+        rows = [
+            " ".join(f"{float(t):.17e}" for t in row.split()[:3]) + "  " + row.split()[3]
+            for row in lines[2:]
+        ]
+        other = tmp_path / "modulus_e.txt"
+        other.write_text("\n".join(lines[:2] + rows) + "\n")
+        a, b = load_far_field(path), load_far_field(other)
+        assert b.grid is not g
+        assert b.grid.points.tobytes() == g.points.tobytes()
+        assert b.grid.point_weights.tobytes() == g.point_weights.tobytes()
+        assert b.values.tobytes() == a.values.tobytes()
+        assert load_far_field(other, g).grid is g
+
+    @pytest.mark.parametrize("extra", ["", "# a note", "   "])
+    def test_blank_or_comment_line_in_the_body(self, tetra, tmp_path, extra):
+        # np.loadtxt skips such a line: the file is parsed whole, as before
+        g = build_grid(500)
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
+        clean = load_far_field(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:7] + [extra] + lines[7:]) + "\n")
+        for known in (None, g):
+            loaded = load_far_field(path, known)
+            assert loaded.values.tobytes() == clean.values.tobytes()
+            assert loaded.grid.points.tobytes() == g.points.tobytes()
+            assert loaded.grid.point_weights.tobytes() == g.point_weights.tobytes()
+        assert load_far_field(path, g).grid is g
+
+    def test_bad_imaginary_part_names_the_file(self, tetra, tmp_path):
+        # intact lattice coordinates, a non-numeric value: the error is the
+        # whole-file parse's, naming the file
+        g = build_grid(500)
+        path = tmp_path / "complex.txt"
+        save_far_field(sample_complex(tetra, wave(0.5), g), path)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].rsplit(" ", 1)[0] + " 1.5x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            np.loadtxt(lines, comments="#")
+        message = re.escape(f"{path}: {exc.value}")
+        for known in (None, g):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                load_far_field(path, known)
+
     # (line index, replacement, expected reason): a non-numeric token, a
+    # non-numeric or commented-out value after intact lattice coordinates, a
     # short row and a long row; a non-numeric k, a 2-component d, a trailing
     # number, a negative k, a non-unit d and an unknown kind in the header
     MALFORMED = [
         (5, "0.5 0.5 abc  1.0", ""),
+        (5, "{coordinates}  abc", ""),
+        (5, "{coordinates}  #0.5", ""),
         (5, "0.6 0.8 0.0", ""),
         (5, "0.6 0.8 0.0  1.0 2.0", ""),
         (1, "# k=abc d=1 0 0 p=0 0 1", ""),
@@ -354,7 +440,7 @@ class TestSamplesOps:
         path = tmp_path / "modulus.txt"
         save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
         lines = path.read_text().splitlines()
-        lines[index] = row
+        lines[index] = row.format(coordinates=lines[index].rsplit(None, 1)[0])
         path.write_text("\n".join(lines) + "\n")
         for known in (None, g):
             with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):

@@ -126,7 +126,60 @@ class TestScan:
         assert_allclose(values, indicator_values(samples, points), rtol=1e-12, atol=0)
 
 
+def compass_reference(samples, region):
+    """``locate``'s scan and compass search with every trial point
+    evaluated afresh, revisits included."""
+    G, K, norm2 = locator._degree_one_projector(samples)
+    Z, vals = locator._scan(G, K, norm2, region)
+    best = int(np.argmax(vals))
+    z, fz = Z[best], vals[best]
+    spacing = (region.upper - region.lower) / np.maximum(np.array(region.resolution) - 1, 1)
+    step = float(spacing.max())
+    eye = np.eye(3)
+    while step > locator._REFINE_TOL:
+        moved = False
+        for axis in range(3):
+            for sgn in (1.0, -1.0):
+                trial = region.clamp(z + sgn * step * eye[axis])
+                ft = float(locator._indicator(G, K, norm2, trial))
+                if ft > fz:
+                    z, fz = trial, ft
+                    moved = True
+        if not moved:
+            step *= 0.5
+    return z, fz
+
+
 class TestLocate:
+    # grid-aligned, off-grid, a corner and an edge of the region, and a
+    # source outside it whose maximum lies on the face x = 100: trials clamp
+    Z0 = [
+        (50.0, 50.0, 50.0),
+        (47.3, 52.8, 49.6),
+        (0.0, 0.0, 0.0),
+        (100.0, 37.1, 0.0),
+        (130.0, 61.7, 23.2),
+    ]
+
+    @pytest.mark.parametrize("z0", Z0)
+    def test_compass_matches_reference_and_evaluates_each_point_once(
+        self, grid, z0, monkeypatch
+    ):
+        samples = degree_one_oracle(grid, LOW_WAVE, z0)
+        ref_z, ref_value = compass_reference(samples, REGION)
+        evaluated = []
+        indicator = locator._indicator
+
+        def recorded(G, K, norm2, Z):
+            evaluated.append(np.asarray(Z).tobytes())
+            return indicator(G, K, norm2, Z)
+
+        monkeypatch.setattr(locator, "_indicator", recorded)
+        z, value, _ = locate(samples, REGION)
+        assert z.tobytes() == ref_z.tobytes()
+        assert value == ref_value
+        assert len(set(evaluated)) == len(evaluated)
+
     def test_recovers_grid_aligned_center(self, grid):
         samples = degree_one_oracle(grid, LOW_WAVE, [50.0, 50.0, 50.0])
         z, value, _ = locate(samples, REGION)

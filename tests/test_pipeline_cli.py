@@ -326,6 +326,30 @@ class TestRecover:
         run_pipeline(parse_config(cfg_b))
         assert read_tree(workspace / "a") == read_tree(workspace / "b")
 
+    def test_lattice_text_and_whole_parse_give_one_report(self, workspace):
+        # the same files with %.17e coordinates take the whole-file parse
+        sizes = dict(grid_shape=500, grid_loc=200, cutoff=6, cluster_angle_deg=10.0)
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **sizes)
+        config = parse_config(cfg)
+        run_pipeline(config)
+        first = read_tree(workspace / "out")
+        for path in sorted((workspace / "out" / "data").glob("*.txt")):
+            lines = path.read_text().splitlines()
+            rows = []
+            for row in lines[2:]:
+                tokens = row.split()
+                coordinates = " ".join(f"{float(t):.17e}" for t in tokens[:3])
+                rows.append(coordinates + "  " + " ".join(tokens[3:]))
+            path.write_text("\n".join(lines[:2] + rows) + "\n")
+        run_pipeline(config)
+        second = read_tree(workspace / "out")
+        reports = [
+            {name: data for name, data in tree.items() if not name.startswith("data/")}
+            for tree in (first, second)
+        ]
+        assert first["data/location.txt"] != second["data/location.txt"]
+        assert reports[0] == reports[1]
+
     def test_po_location_data(self, workspace, tetra):
         # step 3 on the physical-optics field of the tetrahedron, not the
         # degree-1 oracle: front-face PO is not centred on the centroid, so
