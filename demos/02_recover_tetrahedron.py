@@ -25,10 +25,9 @@ from polyscat import (
     fit_offsets,
     locate,
     sample_phaseless,
-    select_critical_directions,
     sht_forward,
 )
-from polyscat.maxima import merge_face_sets, peaks_to_faces
+from polyscat.maxima import peaks_to_faces
 
 s8 = 1.0 / np.sqrt(8.0)
 tetra = build_polyhedron(
@@ -49,7 +48,7 @@ thresholds = RecoveryThresholds(
 noise = NoiseModel(delta=0.0, seed=7)
 
 # Step 1: normals and areas from phaseless backscattering peaks; the peaks
-# of all six directions are searched in one batch
+# of all six directions are searched, selected and inverted in one batch
 grid = build_grid(7518)
 waves, expansions = [], []
 for idx, (d, p) in enumerate(incident):
@@ -59,16 +58,13 @@ for idx, (d, p) in enumerate(incident):
         samples = add_noise(samples, NoiseModel(noise.delta, noise.seed + idx))
     waves.append(wave)
     expansions.append(sht_forward(samples.grid, samples.values, thresholds.cutoff))
-per_direction = []
-for idx, (wave, peaks) in enumerate(zip(waves, find_local_maxima(expansions))):
-    selected = select_critical_directions(peaks, wave.d, thresholds)
-    faces = peaks_to_faces(selected, wave.d, lam, source_index=idx)
-    per_direction.append(faces)
-    print(f"direction {idx}: {len(peaks)} maxima -> {len(faces)} critical")
+peak_sets = find_local_maxima(expansions)
+faces = peaks_to_faces(peak_sets, [w.d for w in waves], lam, thresholds)
+critical = np.bincount(faces.source_indices, minlength=len(waves))
+print(f"maxima per direction: {[len(peaks) for peaks in peak_sets]}")
+print(f"critical per direction: {critical.tolist()}")
 
-effective = cluster_effective_normals(
-    merge_face_sets(per_direction), thresholds.cluster_angle
-)
+effective = cluster_effective_normals(faces, thresholds.cluster_angle)
 print("\neffective normals (recovered vs true):")
 for j in range(len(effective)):
     nu = effective.normals[j]

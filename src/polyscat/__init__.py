@@ -16,7 +16,6 @@ from .forward import (
     PlaneWave,
     add_noise,
     apply_translation_phase,
-    po_far_field,
     po_far_field_grid,
     polygon_fourier_integral,
     sample_complex,

@@ -14,6 +14,7 @@ tangential wavevector is small and the edge sum would cancel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import ConvexPolyhedron, DegenerateFace, unit_vector
+from .geometry import ConvexPolyhedron, DegenerateFace
 from .sphgrid import SphericalGrid, build_grid, fibonacci_points
 
 MODULUS = "modulus"
@@ -50,7 +51,7 @@ class PlaneWave:
     ----------
     d : (3,) unit incident direction
     p : (3,) unit polarization, orthogonal to ``d``
-    k : positive wavenumber
+    k : positive finite wavenumber
     """
 
     d: np.ndarray
@@ -61,12 +62,12 @@ class PlaneWave:
         object.__setattr__(self, "d", _frozen3(self.d))
         object.__setattr__(self, "p", _frozen3(self.p))
         for name in ("d", "p"):
-            if abs(np.linalg.norm(getattr(self, name)) - 1.0) > 1e-12:
-                raise ValueError(f"{name} must be a unit vector")
+            if not abs(np.linalg.norm(getattr(self, name)) - 1.0) <= 1e-12:
+                raise ValueError(f"{name} must be a finite unit vector")
         if abs(float(self.d @ self.p)) > 1e-12:
             raise ValueError("polarization must be orthogonal to the direction")
-        if self.k <= 0:
-            raise ValueError("wavenumber must be positive")
+        if not 0 < self.k < math.inf:
+            raise ValueError("wavenumber must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("relative noise level must be nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"noise seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("relative noise level must be nonnegative and finite")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"noise seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -241,13 +242,6 @@ def po_far_field_grid(poly: ConvexPolyhedron, wave: PlaneWave, points):
     H *= 1j * wave.k / (2.0 * math.pi)
     E = np.cross(H, pts)
     return E, H
-
-
-def po_far_field(poly: ConvexPolyhedron, wave: PlaneWave, xhat):
-    """Far-field pair ``(E, H)`` at a single unit observation direction."""
-    xhat = unit_vector(xhat, "observation direction")
-    E, H = po_far_field_grid(poly, wave, xhat[None, :])
-    return E[0], H[0]
 
 
 def sample_phaseless(

@@ -178,8 +178,8 @@ class AdmissibilityParams:
 
     def __post_init__(self):
         for name in ("h0", "h1", "h2", "h3", "h4", "h5"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
         if self.h0 > self.h1:
             raise ValueError("volume bounds require h0 <= h1")
 

@@ -42,6 +42,8 @@ class SampleRegion:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != (3,) or upper.shape != (3,):
             raise ValueError("region bounds must be 3-vectors")
+        if not np.isfinite([lower, upper]).all():
+            raise ValueError("region bounds must be finite")
         if np.any(lower >= upper):
             raise ValueError("region must satisfy lower < upper on every axis")
         res = np.asarray(self.resolution)

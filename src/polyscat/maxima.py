@@ -1,6 +1,7 @@
-"""Step 1 of the recovery scheme: peak hunting on the smoothed phaseless
-pattern, conversion of critical observation directions to face normals and
-areas, and merging of duplicate normals across incident directions.
+"""Step 1 of the recovery scheme, in three calls over all incident
+directions: peak hunting on the smoothed phaseless patterns, selection of
+the critical observation directions and their inversion into face normals
+and areas, and the clustering of near-duplicate normals.
 
 The backscattering peak of face ``j`` sits at the specular direction
 ``xhat_j = d - 2 (d . nu_j) nu_j``; inverting that relation gives
@@ -27,11 +28,7 @@ from .sphgrid import FOUR_PI, fibonacci_points, harmonic_basis
 
 
 class DegenerateDirection(ValueError):
-    """Peak direction coincides with the incident direction."""
-
-
-class GrazingNormal(ValueError):
-    """Recovered normal is nearly orthogonal to the incident direction."""
+    """Peak direction within 2e-6 of the incident direction."""
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,9 @@ class RecoveryThresholds:
     cutoff: int = 10
 
     def __post_init__(self):
-        if min(self.e_tol, self.exclusion_radius, self.cluster_angle) < 0:
-            raise ValueError("thresholds must be nonnegative")
+        for name in ("e_tol", "exclusion_radius", "cluster_angle"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         if not isinstance(self.cutoff, numbers.Integral) or self.cutoff < 0:
             raise ValueError(f"cutoff must be an integer >= 0, got {self.cutoff!r}")
 
@@ -95,22 +93,19 @@ def normal_and_area_from_peak(xhat, value, d, wavelength):
     Raises
     ------
     DegenerateDirection
-        If ``xhat`` coincides with ``d`` (inversion undefined).
-    GrazingNormal
-        If ``|d . nu|`` is too small for the area to be meaningful.
+        If ``|xhat - d| < 2e-6``: for unit ``xhat`` and ``d`` that is
+        ``|d . nu| = |xhat - d| / 2 < 1e-6``, a normal nearly parallel to
+        the incident direction and no meaningful area.
     """
     xhat = np.asarray(xhat, dtype=float)
     d = np.asarray(d, dtype=float)
     delta = xhat - d
     # |xhat - d| equals sqrt(2 (1 - xhat . d)) but has no cancellation
     chord = float(np.linalg.norm(delta))
-    if chord**2 <= 2e-12:
-        raise DegenerateDirection("peak direction coincides with the incident one")
+    if chord < 2e-6:
+        raise DegenerateDirection("peak direction within 2e-6 of the incident one")
     nu = delta / chord
-    grazing = abs(float(d @ nu))
-    if grazing < 1e-6:
-        raise GrazingNormal("face nearly parallel to the incident direction")
-    area = wavelength * value / grazing
+    area = wavelength * value / abs(float(d @ nu))
     return nu, area
 
 
@@ -310,36 +305,29 @@ def select_critical_directions(
 
 
 def peaks_to_faces(
-    peaks: PeakSet, d, wavelength: float, source_index: int = 0
+    peak_sets, directions, wavelength: float, thresholds: RecoveryThresholds
 ) -> RecoveredFaceSet:
-    """Convert the selected peaks of incident direction ``d`` into face
-    entries, skipping peaks that do not invert (at or next to ``d``)."""
-    normals, areas, values = [], [], []
-    for xhat, val in zip(peaks.directions, peaks.values):
-        try:
-            nu, area = normal_and_area_from_peak(xhat, val, d, wavelength)
-        except (DegenerateDirection, GrazingNormal):
-            continue
-        normals.append(nu)
-        areas.append(area)
-        values.append(val)
-    k = len(areas)
+    """Select the peaks of each incident direction in ``directions`` (one
+    :class:`PeakSet` each) and invert them into one face set whose
+    ``source_indices`` are the directions' positions.  Peaks that do not
+    invert (at or next to their ``d``) are skipped."""
+    normals, areas, values, sources = [], [], [], []
+    for i, (peaks, d) in enumerate(zip(peak_sets, directions, strict=True)):
+        selected = select_critical_directions(peaks, d, thresholds)
+        for xhat, val in zip(selected.directions, selected.values):
+            try:
+                nu, area = normal_and_area_from_peak(xhat, val, d, wavelength)
+            except DegenerateDirection:
+                continue
+            normals.append(nu)
+            areas.append(area)
+            values.append(val)
+            sources.append(i)
     return RecoveredFaceSet(
-        normals=np.array(normals) if k else np.zeros((0, 3)),
+        normals=np.reshape(normals, (-1, 3)),
         areas=np.array(areas),
         peak_values=np.array(values),
-        source_indices=np.full(k, source_index, dtype=int),
-    )
-
-
-def merge_face_sets(sets) -> RecoveredFaceSet:
-    """Concatenate per-direction face sets; there is at least one."""
-    sets = list(sets)
-    return RecoveredFaceSet(
-        normals=np.concatenate([s.normals for s in sets]),
-        areas=np.concatenate([s.areas for s in sets]),
-        peak_values=np.concatenate([s.peak_values for s in sets]),
-        source_indices=np.concatenate([s.source_indices for s in sets]).astype(int),
+        source_indices=np.array(sources, dtype=int),
     )
 
 

@@ -29,6 +29,10 @@ maximum of the degree-1 indicator over ``region``.  A
 and ignored with a warning: step 1 seeds its peak search from a lattice
 sized by ``cutoff``.
 
+The recovery runs the stages ``load``, ``step1``, ``step2`` and ``step3``
+in a straight line; a stage's failure raises a :class:`PipelineError`
+tagged with its name, and ``synth`` tags an obstacle that cannot be loaded.
+
 All stages are deterministic for a fixed config and seed; report files are
 byte-identical across runs.
 """
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +58,19 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+@contextmanager
+def _stage(name: str, *errors):
+    """Raise an exception of ``errors`` (default ``Exception``) escaping the
+    block as a :class:`PipelineError` tagged ``name``; a
+    :class:`PipelineError` passes through untouched."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except errors or Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -300,39 +318,30 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     if not all(p.exists() for p in needed):
         synthesize_dataset(config)
 
-    try:
+    with _stage("load", OSError, ValueError):
         # the shape files share one point set: its grid and weights are built once
         shape_samples = []
         grid = None
-        for i in range(len(config.incident)):
-            samples = forward.load_far_field(_shape_data_path(config, i), grid)
+        for path in needed[:-1]:
+            samples = forward.load_far_field(path, grid)
             grid = samples.grid
             shape_samples.append(samples)
-        loc_samples = forward.load_far_field(_loc_data_path(config))
-    except (OSError, ValueError) as exc:
-        raise PipelineError("load", str(exc)) from exc
+        loc_samples = forward.load_far_field(needed[-1])
 
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     files = []
 
     # Step 1: peaks -> normals and areas, all incident directions in one batch
-    try:
-        lam, t = config.lambda_shape, config.thresholds
+    t = config.thresholds
+    with _stage("step1"):
         peak_sets = maxima.find_local_maxima(
             [sphgrid.sht_forward(s.grid, s.values, t.cutoff) for s in shape_samples]
         )
-        face_sets = []
-        for i, (s, peaks) in enumerate(zip(shape_samples, peak_sets)):
-            d = s.wave.d
-            selected = maxima.select_critical_directions(peaks, d, t)
-            face_sets.append(maxima.peaks_to_faces(selected, d, lam, source_index=i))
-        raw_faces = maxima.merge_face_sets(face_sets)
-        effective = maxima.cluster_effective_normals(
-            raw_faces, config.thresholds.cluster_angle
+        raw_faces = maxima.peaks_to_faces(
+            peak_sets, [s.wave.d for s in shape_samples], config.lambda_shape, t
         )
-    except Exception as exc:
-        raise PipelineError("step1", str(exc)) from exc
+        effective = maxima.cluster_effective_normals(raw_faces, t.cluster_angle)
     files.append(_write_face_table(out / "recovered_faces.csv", raw_faces))
     files.append(_write_face_table(out / "effective_normals.csv", effective))
     if len(effective) < 4:
@@ -341,10 +350,8 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
         )
 
     # Step 2: areas -> offsets and the polyhedron they bound
-    try:
+    with _stage("step2"):
         fit = minkowski.fit_offsets(effective.normals, effective.areas)
-    except Exception as exc:
-        raise PipelineError("step2", str(exc)) from exc
     reconstructed = fit.polyhedron
     files.append(_write_offsets(out / "offsets.csv", fit))
     files.append(_write_areas(out / "areas.csv", effective, fit))
@@ -384,14 +391,10 @@ def locate_obstacle(config: ExperimentConfig, samples=None):
         path = _loc_data_path(config)
         if not path.exists():
             synthesize_dataset(config)
-        try:
+        with _stage("load", OSError, ValueError):
             samples = forward.load_far_field(path)
-        except (OSError, ValueError) as exc:
-            raise PipelineError("load", str(exc)) from exc
-    try:
+    with _stage("step3"):
         z, value, (points, values) = locator.locate(samples, config.region)
-    except Exception as exc:
-        raise PipelineError("step3", str(exc)) from exc
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     files = (

@@ -18,7 +18,6 @@ from polyscat.forward import (
     add_noise,
     apply_translation_phase,
     load_far_field,
-    po_far_field,
     po_far_field_grid,
     polygon_fourier_integral,
     sample_complex,
@@ -113,23 +112,22 @@ class TestPolygonIntegral:
 
 class TestFarField:
     def test_critical_direction_peak_value(self, tetra):
-        E, H = po_far_field(tetra, wave(0.5), X1)
+        (E,), (H,) = po_far_field_grid(tetra, wave(0.5), X1[None])
         law = TETRA_FACE_AREA * 0.81649658 / 0.5
         assert_allclose(np.linalg.norm(E), law, rtol=1e-7)
         assert_allclose(np.linalg.norm(H), np.linalg.norm(E), rtol=1e-12)
 
     def test_incident_direction_value(self, tetra):
         w = wave(0.5)
-        E, _ = po_far_field(tetra, w, w.d)
+        (E,), _ = po_far_field_grid(tetra, w, w.d[None])
         assert_allclose(np.linalg.norm(E), 0.70710678, rtol=1e-7)
 
     def test_field_identities(self, tetra):
         w = wave(0.5)
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = rng.normal(size=3)
-            x /= np.linalg.norm(x)
-            E, H = po_far_field(tetra, w, x)
+        xs = rng.normal(size=(20, 3))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        for x, E, H in zip(xs, *po_far_field_grid(tetra, w, xs)):
             assert abs(E @ x) < 1e-12
             assert abs(H @ x) < 1e-12
             assert abs(np.linalg.norm(E) - np.linalg.norm(H)) < 1e-12
@@ -428,6 +426,8 @@ class TestSamplesOps:
         (1, "# k=12 d=1 0 p=0 0 1", "7 numbers"),
         (1, "# k=12 d=1 0 0 p=0 0 1 9", "7 numbers"),
         (1, "# k=-12 d=1 0 0 p=0 0 1", "wavenumber"),
+        (1, "# k=nan d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),
+        (1, "# k=inf d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),
         (1, "# k=12 d=1 1 0 p=0 0 1", "unit vector"),
         (0, "# kind=foo", "kind 'foo'"),
     ]
@@ -492,6 +492,35 @@ class TestSamplesOps:
             PlaneWave(d=np.array([2.0, 0, 0]), p=np.array([0.0, 0, 1]), k=1.0)
         with pytest.raises(ValueError):
             PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([0.0, 0, 1]), k=-1.0)
+
+    @pytest.mark.parametrize(
+        "d, p, k, reason",
+        [
+            ((1.0, 0, 0), (0, 0, 1.0), math.nan, "wavenumber must be positive and finite"),
+            ((1.0, 0, 0), (0, 0, 1.0), math.inf, "wavenumber must be positive and finite"),
+            ((math.nan, 0, 0), (0, 0, 1.0), 1.0, "d must be a finite unit vector"),
+            ((1.0, 0, 0), (0, math.inf, 1.0), 1.0, "p must be a finite unit vector"),
+            ((1.0, 0, 0), (0, 0, math.nan), 1.0, "p must be a finite unit vector"),
+        ],
+    )
+    def test_plane_wave_rejects_non_finite(self, d, p, k, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            PlaneWave(d=np.array(d), p=np.array(p), k=k)
+
+    @pytest.mark.parametrize(
+        "delta, seed, reason",
+        [
+            (math.nan, 1, "relative noise level must be nonnegative and finite"),
+            (math.inf, 1, "relative noise level must be nonnegative and finite"),
+            (-0.1, 1, "relative noise level must be nonnegative and finite"),
+            (0.1, math.nan, "noise seed must be an integer >= 0, got nan"),
+            (0.1, 1.5, "noise seed must be an integer >= 0, got 1.5"),
+            (0.1, -1, "noise seed must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_noise_model_rejects_non_finite(self, delta, seed, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            NoiseModel(delta=delta, seed=seed)
 
     def test_tangential_validation(self):
         g = build_grid(50)

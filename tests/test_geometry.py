@@ -259,6 +259,14 @@ def test_admissibility_cube_small_faces(cube):
     assert not report.all_ok
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("name", ["h0", "h1", "h2", "h3", "h4", "h5"])
+def test_admissibility_params_must_be_positive_and_finite(name, value):
+    bounds = dict(h0=0.1, h1=10.0, h2=0.5, h3=0.4, h4=10.0, h5=0.1)
+    with pytest.raises(ValueError, match=f"^{name} must be strictly positive and finite$"):
+        AdmissibilityParams(**{**bounds, name: value})
+
+
 def test_halfspace_cube():
     normals = np.vstack([np.eye(3), -np.eye(3)])
     result = halfspace_intersection(normals, np.full(6, 0.5))

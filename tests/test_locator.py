@@ -227,3 +227,16 @@ class TestLocate:
     def test_region_validation(self):
         with pytest.raises(ValueError):
             SampleRegion(lower=[0.0, 0.0, 0.0], upper=[1.0, -1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            ([0.0, 0.0, math.nan], [100.0, 100.0, 100.0]),
+            ([0.0, 0.0, 0.0], [100.0, math.nan, 100.0]),
+            ([-math.inf, 0.0, 0.0], [100.0, 100.0, 100.0]),
+            ([0.0, 0.0, 0.0], [100.0, 100.0, math.inf]),
+        ],
+    )
+    def test_region_bounds_must_be_finite(self, lower, upper):
+        with pytest.raises(ValueError, match="^region bounds must be finite$"):
+            SampleRegion(lower=lower, upper=upper)

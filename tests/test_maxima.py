@@ -15,14 +15,12 @@ from conftest import (
 from polyscat.forward import PlaneWave, sample_phaseless
 from polyscat.maxima import (
     DegenerateDirection,
-    GrazingNormal,
     PeakSet,
     RecoveredFaceSet,
     RecoveryThresholds,
     _seed_lattice,
     cluster_effective_normals,
     find_local_maxima,
-    merge_face_sets,
     normal_and_area_from_peak,
     peaks_to_faces,
     select_critical_directions,
@@ -117,13 +115,18 @@ class TestInversion:
         assert abs(area - 0.47) < 0.005
 
     def test_degenerate_and_grazing(self):
-        with pytest.raises(DegenerateDirection):
-            normal_and_area_from_peak(D1, 1.0, D1, 0.5)
-        almost = np.array([1.0 - 1.5e-12, 0.0, 0.0])
-        almost = almost / np.linalg.norm(almost)
-        xhat = np.array([math.sqrt(1.0 - 3e-12), math.sqrt(3e-12), 0.0])
-        with pytest.raises((GrazingNormal, DegenerateDirection)):
-            normal_and_area_from_peak(xhat, 1.0, D1, 0.5)
+        # a unit peak at chord |xhat - d| has |d . nu| = chord / 2: below a
+        # chord of 2e-6 there is no meaningful area, and one error says so
+        def at_chord(chord):
+            angle = 2.0 * math.asin(chord / 2.0)
+            return np.array([math.cos(angle), math.sin(angle), 0.0])
+
+        for chord in (0.0, 1.7e-6, 1.99e-6):
+            with pytest.raises(DegenerateDirection):
+                normal_and_area_from_peak(at_chord(chord), 1.0, D1, 0.5)
+        nu, area = normal_and_area_from_peak(at_chord(2.01e-6), 1.0, D1, 0.5)
+        assert 1e-6 <= abs(D1 @ nu) < 1.01e-6
+        assert_allclose(area, 0.5 / abs(D1 @ nu), rtol=1e-12)
 
     def test_antipode_is_regular(self):
         # a face seen head-on reflects d to -d; inversion stays well defined
@@ -257,14 +260,50 @@ class TestSelection:
         # with no exclusion radius a peak exactly at d passes selection; it
         # does not invert, so peaks_to_faces drops it
         thresholds = RecoveryThresholds(exclusion_radius=0.0)
-        out = select_critical_directions(self._peaks([D1], [0.9]), D1, thresholds)
-        assert len(out) == 1
-        assert len(peaks_to_faces(out, D1, 0.5)) == 0
-        both = select_critical_directions(self._peaks([D1, X1], [0.9, 0.7]), D1, thresholds)
-        faces = peaks_to_faces(both, D1, 0.5, source_index=3)
+        alone = self._peaks([D1], [0.9])
+        assert len(select_critical_directions(alone, D1, thresholds)) == 1
+        none = peaks_to_faces([alone], [D1], 0.5, thresholds)
+        assert len(none) == 0 and none.normals.shape == (0, 3)
+        both = self._peaks([D1, X1], [0.9, 0.7])
+        faces = peaks_to_faces([alone] * 3 + [both], [D1] * 4, 0.5, thresholds)
         assert len(faces) == 1
         assert_allclose(faces.normals[0], normal_and_area_from_peak(X1, 0.7, D1, 0.5)[0])
         assert faces.source_indices.tolist() == [3]
+
+    def test_batch_is_each_selected_peak_inverted_alone(self):
+        # each direction's selected peaks, inverted one at a time, give the
+        # batch's rows bit for bit, in direction order, tagged with the
+        # direction's position in the batch
+        thresholds = RecoveryThresholds()
+        peak_sets = find_local_maxima(frozen_expansions())
+        directions = [d for d, _ in INCIDENT_TABLE]
+        for order, positions in (
+            ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 4, 5, 5]),
+            ([5, 4, 3, 2, 1, 0], [0, 0, 1, 1, 2, 3, 4, 5]),
+        ):
+            sets = [peak_sets[i] for i in order]
+            ds = [directions[i] for i in order]
+            rows = []
+            for position, (peaks, d) in enumerate(zip(sets, ds)):
+                out = select_critical_directions(peaks, d, thresholds)
+                for xhat, value in zip(out.directions, out.values):
+                    nu, area = normal_and_area_from_peak(xhat, value, d, 0.5)
+                    rows.append((position, nu, area, value))
+            faces = peaks_to_faces(sets, ds, 0.5, thresholds)
+            source, normals, areas, values = zip(*rows)
+            assert faces.source_indices.tolist() == list(source) == positions
+            assert faces.source_indices.dtype == int
+            assert faces.normals.tobytes() == np.array(normals).tobytes()
+            assert faces.areas.tobytes() == np.array(areas).tobytes()
+            assert faces.peak_values.tobytes() == np.array(values).tobytes()
+        with pytest.raises(ValueError):
+            peaks_to_faces(peak_sets, directions[:5], 0.5, thresholds)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["e_tol", "exclusion_radius", "cluster_angle"])
+    def test_thresholds_must_be_nonnegative_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite$"):
+            RecoveryThresholds(**{name: value})
 
     def test_tetrahedron_selection(self, tetra):
         g = build_grid(7518)
@@ -312,12 +351,6 @@ class TestClustering:
         assert out.peak_values[0] == 1.0
         assert out.areas[0] == 1.0
 
-    def test_merge_face_sets(self):
-        a = table_face_set(RECOVERED_NORMAL_TABLE[:2])
-        b = table_face_set(RECOVERED_NORMAL_TABLE[2:4])
-        merged = merge_face_sets([a, b])
-        assert len(merged) == 4
-
 
 class TestSignificantFaceProperty:
     def test_every_significant_face_recovered(self, tetra):
@@ -332,9 +365,7 @@ class TestSignificantFaceProperty:
         ):
             w = PlaneWave(d=d, p=p, k=2.0 * math.pi / lam)
             exp = sht_forward(g, sample_phaseless(tetra, w, g).values, thresholds.cutoff)
-            (peaks,) = find_local_maxima([exp])
-            out = select_critical_directions(peaks, d, thresholds)
-            faces = peaks_to_faces(out, d, lam)
+            faces = peaks_to_faces(find_local_maxima([exp]), [d], lam, thresholds)
             front = [j for j in range(4) if tetra.normals[j] @ d < -0.1]
             for j in front:
                 angles = [

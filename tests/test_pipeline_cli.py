@@ -405,6 +405,23 @@ class TestRecover:
             pipeline.locate_obstacle(config)
         assert err.value.stage == "step3"
 
+    def test_stage_guard(self):
+        # listed errors (default: any Exception) become tagged, chained
+        # PipelineErrors; others, and a PipelineError, pass through untouched
+        for errors, raised in (((), KeyError("k")), ((OSError, ValueError), OSError("o"))):
+            with pytest.raises(PipelineError, match=f"^\\[load\\] {raised}$") as err:
+                with pipeline._stage("load", *errors):
+                    raise raised
+            assert err.value.stage == "load" and err.value.__cause__ is raised
+        with pytest.raises(TypeError):
+            with pipeline._stage("load", OSError, ValueError):
+                raise TypeError("t")
+        inner = PipelineError("step1", "inner")
+        with pytest.raises(PipelineError) as err:
+            with pipeline._stage("step2"):
+                raise inner
+        assert err.value is inner
+
     def test_fit_failure_is_tagged_step2(self, workspace, monkeypatch):
         def span_deficient(normals, areas):
             raise minkowski.SpanDeficient("normals do not span 3-space")
@@ -446,6 +463,12 @@ class TestCli:
         assert "admissible" in capsys.readouterr().out
         # an impossible area bound fails with exit code 3
         assert main(["check", str(workspace / "tetra.obs"), "--h3", "5.0"]) == 3
+
+    def test_check_rejects_a_nan_bound(self, workspace, capsys):
+        assert main(["check", str(workspace / "tetra.obs"), "--h2", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: h2 must be strictly positive and finite\n"
+        assert "admissible" not in captured.out
 
     def test_stage_failure_exits_2(self, workspace, capsys):
         cfg = write_experiment_config(

@@ -47,7 +47,7 @@ from .geometry import _rings, unit_vector
 from polyscat.sphgrid import _x
 from numpy import _private
 geo._frozen(np._NoValue)
-maxima.merge_face_sets._cache
+maxima.peaks_to_faces._cache
 """
     assert private_imports(source) == ["_frozen", "_rings", "_x"]
 

@@ -1,10 +1,14 @@
-"""Every name the package exports has a caller outside the tests."""
+"""Every name the package exports, and every public module-level function
+and class of its modules, has a caller outside the tests."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polyscat"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 # exported names kept with no caller outside the tests, and why
 ALLOWED_UNUSED = {"polygon_fourier_integral": "acceptance criterion 1"}
@@ -20,8 +24,18 @@ def exported_names():
     }
 
 
+def defined_names(path):
+    """Public functions and classes defined at the top level of ``path``."""
+    return {
+        node.name
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
 def used_names():
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources = [p for p in MODULES if p.name != "__init__.py"]
     sources += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     used = set()
     for path in sources:
@@ -38,3 +52,23 @@ def used_names():
 def test_every_export_has_a_caller():
     unused = exported_names() - used_names() - set(ALLOWED_UNUSED)
     assert not unused, f"exported but called only by tests: {sorted(unused)}"
+
+
+def test_scan_sees_module_level_definitions(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "class Shown:\n"
+        "    def method(self): ...\n"
+        "def shown(): ...\n"
+        "def _hidden(): ...\n"
+        "CONSTANT = 1\n"
+        "if CONSTANT:\n"
+        "    def nested(): ...\n"
+    )
+    assert defined_names(path) == {"Shown", "shown"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_public_definition_has_a_caller(path):
+    unused = defined_names(path) - used_names() - set(ALLOWED_UNUSED)
+    assert not unused, f"defined but called only by tests: {sorted(unused)}"
