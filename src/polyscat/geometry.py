@@ -9,8 +9,11 @@ validity checks, the centroid and the perimeters are segment reductions
 over the rings, not loops over faces.  The half-space intersection uses the
 polar dual transform (convex hull of ``nu_j / alpha_j``), which requires the
 origin strictly inside the body; reconstructions are translation-free, so
-this costs no generality.  It orders every face ring with one sort by
-(plane, angle) and builds the body from those rings.
+this costs no generality.  It runs in two parts: :func:`dual_hull` runs
+qhull on the dual points and maps each dual triangle to its primal vertex,
+and :meth:`DualHull.body` orders every face ring with one sort by
+(plane, angle) and builds the body from those rings.  The offset fit
+reads what it needs off the dual hull alone.
 """
 
 from __future__ import annotations
@@ -423,63 +426,113 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     Unbounded
         If the intersection is not a bounded solid.
     """
+    N = unit_normals(normals)
+    if np.linalg.matrix_rank(N, tol=1e-9) < 3:
+        raise Unbounded("normals do not span 3-space")
+    return dual_hull(N, offsets).body()
+
+
+_SHAPES = "need matching (k, 3) normals and (k,) offsets"
+
+
+def unit_normals(normals) -> np.ndarray:
+    """The rows of ``normals`` rescaled to unit length, once checked to be
+    ``(k, 3)``, finite, at least four and unit to 1e-6: what a half-space
+    intersection asks of its normals alone, but that they span 3-space."""
     N = np.asarray(normals, dtype=float)
-    a = np.asarray(offsets, dtype=float)
-    if N.ndim != 2 or N.shape[1] != 3 or len(N) != len(a):
-        raise ValueError("need matching (k, 3) normals and (k,) offsets")
-    for name, values in (("normals", N), ("offsets", a)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} must be finite")
+    if N.ndim != 2 or N.shape[1] != 3:
+        raise ValueError(_SHAPES)
+    if not np.isfinite(N).all():
+        raise ValueError("normals must be finite")
     if len(N) < 4:
         raise Unbounded("fewer than 4 half spaces cannot bound a solid")
     norms = np.linalg.norm(N, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("normals must be unit vectors")
-    N = N / norms[:, None]
-    if np.any(a <= 0.0):
-        raise EmptyInterior("all offsets must be strictly positive")
-    if np.linalg.matrix_rank(N, tol=1e-9) < 3:
-        raise Unbounded("normals do not span 3-space")
+    return N / norms[:, None]
 
-    dual = N / a[:, None]
+
+@dataclass(frozen=True)
+class DualHull:
+    """The polar dual of the half spaces ``x . nu_j <= alpha_j``: qhull's
+    triangles of the points ``nu_j / alpha_j``, for the unit ``normals``.
+
+    ``simplices[t]`` lists the planes of triangle ``t``, ``neighbors[t, c]``
+    the triangle across the edge opposite its corner ``c`` and
+    ``vertices[t]`` the primal vertex it maps to, which lies on exactly
+    those planes.  Triangles qhull cut from one merged dual facet carry
+    that facet's equation, so they map to bit-equal vertices.
+    """
+
+    normals: np.ndarray
+    simplices: np.ndarray
+    neighbors: np.ndarray
+    vertices: np.ndarray
+
+    def body(self) -> IntersectionResult:
+        """The intersection as a validated polyhedron, each face ring
+        ordered by angle about its centre."""
+        N = self.normals
+        # the triangles of one merged dual facet give one vertex
+        verts, merged_into = _distinct_rows(self.vertices)
+        # a primal vertex lies on exactly the planes of its dual facets
+        incident = np.zeros((len(N), len(verts)), dtype=bool)
+        incident[self.simplices, merged_into[:, None]] = True
+        plane, vert = np.nonzero(incident)  # plane by plane, vertices ascending
+        count = np.bincount(plane, minlength=len(N))
+        keep = count[plane] >= 3
+        plane, vert = plane[keep], vert[keep]
+        kept = np.flatnonzero(count >= 3)
+        sizes = count[kept]
+        ring = verts[vert]
+        center = np.add.reduceat(ring, np.cumsum(sizes) - sizes) / sizes[:, None]
+        # order each ring by its angle about the centre in an in-plane basis
+        e1 = cross_rows(N[kept], np.eye(3)[np.argmin(np.abs(N[kept]), axis=1)])
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        e2 = cross_rows(N[kept], e1)
+        seg = np.repeat(np.arange(len(kept)), sizes)
+        rel = ring - center[seg]
+        ang = np.arctan2(np.einsum("ij,ij->i", rel, e2[seg]), np.einsum("ij,ij->i", rel, e1[seg]))
+        # keep and renumber the vertices that the kept rings use
+        ids = vert[np.lexsort((ang, plane))]
+        used = np.bincount(ids, minlength=len(verts)) > 0
+        poly = _polyhedron(verts[used], (np.cumsum(used) - 1)[ids], sizes, INTERSECTION_REL_TOL)
+        vanished = tuple(np.flatnonzero(count < 3).tolist())
+        return IntersectionResult(poly, plane_index=tuple(kept.tolist()), vanished=vanished)
+
+
+def dual_hull(normals: np.ndarray, offsets) -> DualHull:
+    """The dual hull of the half spaces with the given unit ``normals``
+    (as :func:`unit_normals` returns them, spanning 3-space).
+
+    Raises
+    ------
+    ValueError
+        If the offsets are malformed or not finite.
+    EmptyInterior
+        If some offset is non-positive.
+    Unbounded
+        If the intersection is not a bounded solid.
+    """
+    a = np.asarray(offsets, dtype=float)
+    if a.shape != (len(normals),):
+        raise ValueError(_SHAPES)
+    if not np.isfinite(a).all():
+        raise ValueError("offsets must be finite")
+    if (a <= 0.0).any():
+        raise EmptyInterior("all offsets must be strictly positive")
+    dual = normals / a[:, None]
     try:
         hull = ConvexHull(dual)
     except QhullError as exc:
         raise Unbounded("degenerate dual hull; normals do not positively span") from exc
     eqs = hull.equations  # rows [n, b] with n.x + b <= 0 inside
     dual_scale = float(np.abs(dual).max())
-    if np.any(eqs[:, 3] > -1e-12 * dual_scale):
+    if (eqs[:, 3] > -1e-12 * dual_scale).any():
         raise Unbounded("normals do not positively span 3-space")
-
     # Each dual facet plane n.x = -b maps to the primal vertex n / (-b).
     prim = -eqs[:, :3] / eqs[:, 3:4]
-    # qhull gives every triangle it cut from one merged dual facet that
-    # facet's equation, so exact equality groups them into one vertex
-    verts, merged_into = _distinct_rows(prim)
-    # a primal vertex lies on exactly the planes of its dual facets
-    incident = np.zeros((len(N), len(verts)), dtype=bool)
-    incident[hull.simplices, merged_into[:, None]] = True
-    plane, vert = np.nonzero(incident)  # plane by plane, vertices ascending
-    count = np.bincount(plane, minlength=len(N))
-    keep = count[plane] >= 3
-    plane, vert = plane[keep], vert[keep]
-    kept = np.flatnonzero(count >= 3)
-    sizes = count[kept]
-    ring = verts[vert]
-    center = np.add.reduceat(ring, np.cumsum(sizes) - sizes) / sizes[:, None]
-    # order each ring by its angle about the centre in an in-plane basis
-    e1 = cross_rows(N[kept], np.eye(3)[np.argmin(np.abs(N[kept]), axis=1)])
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = cross_rows(N[kept], e1)
-    seg = np.repeat(np.arange(len(kept)), sizes)
-    rel = ring - center[seg]
-    ang = np.arctan2(np.einsum("ij,ij->i", rel, e2[seg]), np.einsum("ij,ij->i", rel, e1[seg]))
-    # keep and renumber the vertices that the kept rings use
-    ids = vert[np.lexsort((ang, plane))]
-    used = np.bincount(ids, minlength=len(verts)) > 0
-    poly = _polyhedron(verts[used], (np.cumsum(used) - 1)[ids], sizes, INTERSECTION_REL_TOL)
-    vanished = tuple(np.flatnonzero(count < 3).tolist())
-    return IntersectionResult(poly, plane_index=tuple(kept.tolist()), vanished=vanished)
+    return DualHull(normals, hull.simplices, hull.neighbors, prim)
 
 
 def _distinct_rows(x: np.ndarray):

@@ -123,8 +123,8 @@ def scan_indicator(samples: FarFieldSamples, region: SampleRegion):
     with ``points = region.coarse_points()``.
 
     The grid is a tensor product, so ``exp(-i K . z)`` factors into one
-    ``(N, n_i)`` table per axis.  ``G e_x`` as ``(6 n_x, N)`` times
-    ``e_y (x) e_z`` as ``(N, n_y n_z)`` is one complex matmul, with
+    ``(n_i, N)`` table per axis.  ``G e_x`` as ``(6 n_x, N)`` times
+    ``e_y (x) e_z`` as ``(n_y n_z, N)``, transposed, is one complex matmul, with
     ``N (n_x + n_y + n_z)`` exponentials instead of ``N n_x n_y n_z``.
     The values equal :func:`indicator_values` at those points up to rounding.
     """
@@ -132,13 +132,14 @@ def scan_indicator(samples: FarFieldSamples, region: SampleRegion):
 
 
 def _scan(G, K, norm2, region: SampleRegion):
+    # (n_i, N) tables, so the products below read contiguous rows
     ex, ey, ez = (
-        np.exp(-1j * np.outer(K[:, i], axis)) for i, axis in enumerate(region.axes())
+        np.exp(-1j * np.outer(axis, K[:, i])) for i, axis in enumerate(region.axes())
     )
     nx, ny, nz = region.resolution
-    left = (G[:, None, :] * ex.T).reshape(6 * nx, len(K))
-    right = (ey[:, :, None] * ez[:, None, :]).reshape(len(K), ny * nz)
-    proj = (left @ right).reshape(6, nx * ny * nz)
+    left = (G[:, None, :] * ex).reshape(6 * nx, len(K))
+    right = (ey[:, None, :] * ez).reshape(ny * nz, len(K))
+    proj = (left @ right.T).reshape(6, nx * ny * nz)
     return region.coarse_points(), np.sum(np.abs(proj) ** 2, axis=0) / norm2
 
 

@@ -129,13 +129,17 @@ _STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=floa
 
 
 @lru_cache(maxsize=8)
-def _seed_lattice(n: int):
-    """Raw Fibonacci lattice of ``n`` points and its neighbour pairs.
+def _seed_lattice(cutoff: int):
+    """Raw Fibonacci lattice sized to the band limit ``cutoff``, its
+    neighbour pairs and its harmonic basis.
 
-    Returns ``(points, (i, j))``: pairs of points a Fibonacci number apart in
-    index and at most ``_SEED_REACH`` spacings apart on the sphere.  Every
-    convex-hull edge of the lattice is such a pair (Keinert et al. 2015).
+    Returns ``(points, (i, j), basis)`` for ``n = _SEEDS_PER_COEFFICIENT
+    (cutoff + 1)^2`` points: pairs of points a Fibonacci number apart in
+    index and at most ``_SEED_REACH`` spacings apart on the sphere, and
+    ``harmonic_basis(points, cutoff)``.  Every convex-hull edge of the
+    lattice is such a pair (Keinert et al. 2015).
     """
+    n = _SEEDS_PER_COEFFICIENT * (cutoff + 1) ** 2
     points = fibonacci_points(n)
     near = math.cos(_SEED_REACH * math.sqrt(FOUR_PI / n))
     i, j = [], []
@@ -146,9 +150,10 @@ def _seed_lattice(n: int):
         j.append(i[-1] + gap)
         gap, next_gap = next_gap, gap + next_gap
     pairs = np.concatenate(i), np.concatenate(j)
-    for a in (points, *pairs):
+    basis = harmonic_basis(points, cutoff)
+    for a in (points, *pairs, basis):
         a.flags.writeable = False
-    return points, pairs
+    return points, pairs, basis
 
 
 def _grid_seeds(expansions, cutoff: int):
@@ -159,8 +164,7 @@ def _grid_seeds(expansions, cutoff: int):
     in order, the expansion of each, and each expansion's largest modulus
     on the lattice.  One basis of the lattice serves every expansion.
     """
-    points, (i, j) = _seed_lattice(_SEEDS_PER_COEFFICIENT * (cutoff + 1) ** 2)
-    B = harmonic_basis(points, cutoff)
+    points, (i, j), B = _seed_lattice(cutoff)
     seeds, scale = [], []
     for expansion in expansions:
         values = B @ expansion.coefficients

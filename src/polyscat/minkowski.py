@@ -8,12 +8,15 @@ offsets then solve Little's variational form of the Minkowski problem:
 minimize ``F(h) = sum_j A_j h_j - c log vol(h)``, which is convex by
 Brunn-Minkowski.  Its gradient is ``A - c a / vol`` with ``a`` the facet
 areas of the half-space intersection, and its Hessian comes from the
-volume Hessian ``M`` (edge lengths over the sines of the dihedral angles),
-so one intersection per trial step gives everything a damped Newton step
-needs.  At the minimum the facet areas are proportional to ``A``; areas
-are 2-homogeneous, so a final rescale makes them equal.  The fit hands
-back the polyhedron of its last intersection, placed at the fitted
-offsets, so step 2 needs no further intersection.
+volume Hessian ``M`` (edge lengths over the sines of the dihedral angles).
+A trial step runs qhull once, on the polar dual of its half spaces; the
+dual hull's edges are the body's edges, and they give ``M``, the areas
+``M h / 2`` (Euler's relation for 2-homogeneous areas), the volume and the
+centroid without building the body.  At the minimum the facet areas are
+proportional to ``A``; areas are 2-homogeneous, so a final rescale makes
+them equal.  The fit builds one polyhedron, from the dual hull of its last
+accepted step, placed at the fitted offsets, so step 2 needs no further
+intersection.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexPolyhedron, GeometryError, IntersectionResult
-from .geometry import cross_rows, halfspace_intersection
+from .geometry import INTERSECTION_REL_TOL, MIN_FACE_AREA, ConvexPolyhedron, DegenerateFace
+from .geometry import DualHull, GeometryError, NonPlanarFace, NotConvex
+from .geometry import cross_rows, dual_hull, unit_normals
 
 
 class SpanDeficient(ValueError):
@@ -70,82 +74,111 @@ def balance_areas(normals, areas) -> np.ndarray:
     return np.maximum(adjusted, floor)
 
 
-def _areas_from_result(result: IntersectionResult, k: int) -> np.ndarray:
-    areas = np.zeros(k)
-    areas[list(result.plane_index)] = result.polyhedron.areas
-    return areas
-
-
-def volume_hessian(normals, result: IntersectionResult) -> np.ndarray:
-    """Hessian of the volume in the offsets, ``M_ij = d a_i / d h_j``.
-
-    Faces ``i`` and ``j`` that share an edge of length ``l`` at normal angle
-    ``theta`` give ``M_ij = l / sin(theta)``; the diagonal is
-    ``M_ii = -sum_j l_ij cot(theta_ij)``.  Read off the face cycles of
-    ``result``, so it costs no further intersection.
-    """
-    N = np.asarray(normals, dtype=float)
-    poly = result.polyhedron
-    flat, succ, face, _ = poly.rings
-    plane = np.asarray(result.plane_index)[face]
-    # pair each directed edge u -> v with its reverse v -> u by one sort
-    head = flat[succ]
-    key = flat * len(poly.vertices) + head
-    back = head * len(poly.vertices) + flat
-    order = np.argsort(key)
-    twin = order[np.minimum(np.searchsorted(key, back, sorter=order), len(key) - 1)]
-    paired = key[twin] == back
-    rows, cols = plane[paired], plane[twin[paired]]
-    length = np.linalg.norm(poly.vertices[flat[paired]] - poly.vertices[head[paired]], axis=1)
-    nr, nc = N[rows], N[cols]
-    cos = np.einsum("ij,ij->i", nr, nc)
-    sin = np.linalg.norm(cross_rows(nr, nc), axis=1)
-    # off-diagonal and diagonal entries fill disjoint bins, each summed in edge order
+def _angle_tables(N: np.ndarray):
+    """``1 / sin`` and ``cot`` of the angle between every pair of the unit
+    normals ``N``, flat, zero where the normals are parallel."""
     k = len(N)
-    bins = np.concatenate([rows * k + cols, rows * (k + 1)])
-    M = np.bincount(bins, np.concatenate([length / sin, -length * cos / sin]), k * k)
-    return M.reshape(k, k)
+    r, c = np.divmod(np.arange(k * k), k)
+    cos = np.einsum("ij,ij->i", N[r], N[c])
+    sin = np.linalg.norm(cross_rows(N[r], N[c]), axis=1)
+    ok = sin > 0.0
+    return (
+        np.divide(1.0, sin, out=np.zeros(k * k), where=ok),
+        np.divide(cos, sin, out=np.zeros(k * k), where=ok),
+    )
 
 
 @dataclass(frozen=True)
 class _State:
-    """Offsets centred on the body's centroid, with what one intersection
-    tells about them; ``body`` is that intersection before the centring
-    and before scaling by ``scale``."""
+    """Offsets centred on the body's centroid, with what one dual hull
+    tells about them; ``hull`` is taken before the centring and before
+    scaling by ``scale``."""
 
     offsets: np.ndarray
     areas: np.ndarray
     volume: float
     hessian: np.ndarray
     vanished: tuple
-    body: ConvexPolyhedron
+    hull: DualHull
+    centroid: np.ndarray
     scale: float = 1.0
 
     def scaled(self, s: float) -> "_State":
         # the body scaled by s about its centroid (the origin)
         return _State(
-            self.offsets * s, self.areas * s**2, self.volume * s**3,
-            self.hessian * s, self.vanished, self.body, self.scale * s,
+            self.offsets * s, self.areas * s**2, self.volume * s**3, self.hessian * s,
+            self.vanished, self.hull, self.centroid, self.scale * s,
         )
 
     def polyhedron(self) -> ConvexPolyhedron:
         """The body at ``offsets``."""
-        return self.body.translated(-self.body.centroid).scaled(self.scale)
+        body = self.hull.body().polyhedron
+        return body.translated(-self.centroid).scaled(self.scale)
 
 
-def _state(N: np.ndarray, offsets: np.ndarray) -> _State:
-    """Intersect once and shift the offsets so the centroid sits at the
-    origin, as the polar dual needs; translation leaves the areas, the
-    volume and the Hessian unchanged."""
-    result = halfspace_intersection(N, offsets)
-    poly = result.polyhedron
+def _state(N: np.ndarray, tables, offsets: np.ndarray) -> _State:
+    """One dual hull of the unit normals ``N`` at ``offsets`` and what it
+    tells, with the offsets shifted so the centroid sits at the origin, as
+    the polar dual needs; translation leaves the areas, the volume and the
+    Hessian unchanged.
+
+    A dual edge ``(i, j)`` shared by triangles ``t < u`` is a primal edge
+    of length ``l = |v_t - v_u|`` (exactly 0 inside a merged dual facet).
+    The edges give the volume Hessian ``M`` (``M_ij = l / sin``, ``M_ii =
+    -sum l cot``), the areas ``a = M h / 2`` (Euler's relation; areas are
+    2-homogeneous), the volume ``h . a / 3`` and the centroid.  The trial
+    is checked to the tolerances of the body it stands for.
+    """
+    csc, cot = tables
+    k = len(N)
+    hull = dual_hull(N, offsets)
+    simplices, vertices = hull.simplices, hull.vertices
+    t, c = np.nonzero(hull.neighbors > np.arange(len(simplices))[:, None])
+    u = hull.neighbors[t, c]
+    i, j = simplices[t, c - 2], simplices[t, c - 1]  # the edge opposite corner c
+    ends = vertices[t], vertices[u]
+    edge = ends[0] - ends[1]
+    length = np.sqrt(np.einsum("ij,ij->i", edge, edge))
+    # a plane keeps its facet when it has three distinct vertices, so three
+    # edges of nonzero length; a vanished plane meets the body in one vertex
+    # at most, so its edges have length 0 and its area and Hessian row are 0
+    live = length > 0.0
+    kept = np.bincount(i[live], minlength=k) + np.bincount(j[live], minlength=k) >= 3
+    ij = i * k + j
+    across, along = length * csc[ij], -length * cot[ij]
+    bins = np.concatenate([ij, j * k + i, i * (k + 1), j * (k + 1)])
+    hessian = np.bincount(bins, np.concatenate([across, across, along, along]), k * k)
+    hessian = hessian.reshape(k, k)
+    areas = 0.5 * (hessian @ offsets)
+    volume = float(offsets @ areas) / 3.0
+
+    tol = INTERSECTION_REL_TOL * float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
+    slack = vertices @ N.T - offsets  # (triangles, planes), <= 0 inside
+    if np.abs(slack[np.arange(len(simplices))[:, None], simplices]).max() > tol:
+        raise NonPlanarFace(f"a vertex deviates from its planes beyond {tol:.3g}")
+    if slack.max() > tol:
+        raise NotConvex(f"vertex protrudes {slack.max():.3g} beyond a face plane")
+    if (areas[kept] < MIN_FACE_AREA).any():
+        raise DegenerateFace(f"a face has area {areas[kept].min():.3g}")
+    if np.linalg.norm(areas @ N) > INTERSECTION_REL_TOL * areas.sum():
+        raise NotConvex("face set does not close up (area-weighted normals != 0)")
+
+    # 12 times the first moment, from the cones (origin, foot h_i nu_i of
+    # face i, edge): with d = (h_j - h_i cos) / sin the signed distance from
+    # the foot to the edge, a cone has volume h_i l d / 6 and centroid
+    # (h_i nu_i + v_t + v_u) / 4, and face i's areas l d / 2 sum to a_i
+    hi, hj = offsets[i], offsets[j]
+    cones = across * hi * hj + 0.5 * along * (hi * hi + hj * hj)
+    moment = cones @ (ends[0] + ends[1]) + (offsets * offsets * areas) @ N
+    centroid = moment / (12.0 * volume)
     return _State(
-        offsets=offsets - N @ poly.centroid,
-        areas=_areas_from_result(result, len(N)),
-        volume=poly.volume,
-        hessian=volume_hessian(N, result),
-        vanished=result.vanished,
-        body=poly,
+        offsets=offsets - N @ centroid,
+        areas=areas,
+        volume=volume,
+        hessian=hessian,
+        vanished=tuple(np.flatnonzero(~kept).tolist()),
+        hull=hull,
+        centroid=centroid,
     )
 
 
@@ -161,13 +194,13 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
     Damped Newton minimization of ``F(h) = A . h - c log vol(h)`` with the
     balance-projected targets ``A``.  The start is scaled so its facet areas
     sum to ``sum A`` and ``c`` is its volume.  Each trial step makes one
-    half-space intersection; a step is accepted when ``F`` decreases, and a
-    trial whose half spaces fail to intersect (any
-    :class:`geometry.GeometryError`) is rejected and the damping raised.
+    dual hull; a step is accepted when ``F`` decreases, and a trial whose
+    half spaces fail to intersect (any :class:`geometry.GeometryError`) is
+    rejected and the damping raised.
     The fit has converged once the Newton decrement ``g . H^-1 g`` (twice
     the fall of ``F`` that a full Newton step predicts) is at most
-    ``_TOLERANCE * c``.  The polyhedron at the fitted offsets comes from the
-    last accepted intersection, with no further intersection.
+    ``_TOLERANCE * c``.  The polyhedron at the fitted offsets is built from
+    the dual hull of the last accepted step, with no further intersection.
 
     Parameters
     ----------
@@ -182,8 +215,10 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
     A = balance_areas(N, A_raw)
     total = float(A.sum())
     alpha = np.ones(len(N)) if alpha0 is None else np.asarray(alpha0, dtype=float)
+    unit = unit_normals(N)
+    tables = _angle_tables(unit)
 
-    state = _state(N, alpha)
+    state = _state(unit, tables, alpha)
     state = state.scaled(np.sqrt(total / state.areas.sum()))
     c = state.volume
 
@@ -213,7 +248,7 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
         for _ in range(12):
             step = np.linalg.solve(hess + mu * eye, -grad)
             try:
-                trial = _state(N, state.offsets + step)
+                trial = _state(unit, tables, state.offsets + step)
             except GeometryError:
                 mu *= 4.0
                 continue

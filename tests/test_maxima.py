@@ -30,6 +30,7 @@ from polyscat.sphgrid import (
     HarmonicExpansion,
     build_grid,
     fibonacci_points,
+    harmonic_basis,
     sht_forward,
 )
 
@@ -143,8 +144,14 @@ class TestPeakSearch:
         tri = ConvexHull(fibonacci_points(n)).simplices
         edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
         edges.sort(axis=1)
-        _, (i, j) = _seed_lattice(n)
+        _, (i, j), _ = _seed_lattice(cutoff)
         assert set(map(tuple, edges.tolist())) <= set(zip(i.tolist(), j.tolist()))
+
+    def test_seed_lattice_keeps_its_basis(self):
+        points, _, basis = _seed_lattice(6)
+        assert len(points) == 20 * 7**2
+        assert not basis.flags.writeable
+        assert basis.tobytes() == harmonic_basis(points, 6).tobytes()
 
     def test_unimodal_function(self):
         g = build_grid(4000)

@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,23 +15,33 @@ from conftest import (
     TETRA_OFFSET,
     TETRA_TRUE_NORMALS,
 )
-from polyscat import minkowski
-from polyscat.geometry import NotConvex, Unbounded, halfspace_intersection
-from polyscat.minkowski import (
-    SpanDeficient,
-    balance_areas,
-    fit_offsets,
-    volume_hessian,
+from polyscat import geometry, minkowski
+from polyscat.geometry import (
+    EmptyInterior,
+    GeometryError,
+    NotConvex,
+    Unbounded,
+    dual_hull,
+    halfspace_intersection,
+    unit_normals,
 )
+from polyscat.minkowski import SpanDeficient, balance_areas, fit_offsets
 
 CUBE_NORMALS = np.vstack([np.eye(3), -np.eye(3)])
 
 
 def facet_areas(normals, offsets):
     """Facet area per input plane, zero where a facet vanished."""
-    normals = np.asarray(normals, dtype=float)
     result = halfspace_intersection(normals, offsets)
-    return minkowski._areas_from_result(result, len(normals))
+    areas = np.zeros(len(normals))
+    areas[list(result.plane_index)] = result.polyhedron.areas
+    return areas
+
+
+def trial(normals, offsets):
+    """One fit trial at ``offsets``: the dual hull and what its edges give."""
+    unit = unit_normals(normals)
+    return minkowski._state(unit, minkowski._angle_tables(unit), np.asarray(offsets, dtype=float))
 
 
 class TestBalance:
@@ -120,9 +131,9 @@ class TestFitOffsets:
             # call 1 is the start, call 2 the first trial step
             if len(calls) == 2:
                 raise error
-            return halfspace_intersection(normals, offsets)
+            return dual_hull(normals, offsets)
 
-        monkeypatch.setattr(minkowski, "halfspace_intersection", first_trial_fails)
+        monkeypatch.setattr(minkowski, "dual_hull", first_trial_fails)
         # a 2 x 4 x 6 box start, so the fit must take steps
         fit = fit_offsets(CUBE_NORMALS, np.ones(6), alpha0=[1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
         assert len(calls) > 2
@@ -148,9 +159,9 @@ class TestFitOffsets:
             calls.append(1)
             if len(calls) > 1:
                 raise Unbounded("half spaces do not enclose a bounded solid")
-            return halfspace_intersection(normals, offsets)
+            return dual_hull(normals, offsets)
 
-        monkeypatch.setattr(minkowski, "halfspace_intersection", only_the_start)
+        monkeypatch.setattr(minkowski, "dual_hull", only_the_start)
         alpha0 = np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
         fit = fit_offsets(CUBE_NORMALS, np.ones(6), alpha0=alpha0)
         assert len(calls) > 2
@@ -222,7 +233,8 @@ def gaussian_hull(rng, n):
 
 
 def add_at_hessian(normals, result):
-    """``volume_hessian`` as two ``np.add.at`` calls over ``np.cross`` sines."""
+    """The volume Hessian read off the face rings of an intersection: twin
+    edges paired by one sort, two ``np.add.at`` calls over ``np.cross`` sines."""
     poly = result.polyhedron
     flat, succ, face, _ = poly.rings
     plane = np.asarray(result.plane_index)[face]
@@ -243,14 +255,16 @@ def add_at_hessian(normals, result):
 
 
 class TestVolumeHessian:
-    def test_bit_equal_to_add_at(self):
-        # the frozen intersection bodies, vanished planes included
+    def test_matches_add_at(self):
+        # the frozen intersection bodies, vanished planes included; the
+        # diagonal is summed in hull-edge order, not ring order, so the
+        # bits differ from the ring-based sums
         path = Path(__file__).parent / "data" / "intersection_bodies.json"
         for body in json.loads(path.read_text()):
-            normals = np.asarray(body["normals"])
-            result = halfspace_intersection(normals, body["offsets"])
-            M = volume_hessian(normals, result)
-            assert M.tobytes() == add_at_hessian(normals, result).tobytes()
+            normals = unit_normals(body["normals"])
+            M = trial(normals, body["offsets"]).hessian
+            want = add_at_hessian(normals, halfspace_intersection(normals, body["offsets"]))
+            assert_allclose(M, want, rtol=1e-12, atol=0)
 
     @staticmethod
     def central_differences(normals, offsets, h=1e-6):
@@ -265,7 +279,7 @@ class TestVolumeHessian:
         return np.column_stack(columns)
 
     def check(self, normals, offsets):
-        M = volume_hessian(normals, halfspace_intersection(normals, offsets))
+        M = trial(normals, offsets).hessian
         assert_allclose(M, M.T, atol=1e-12)
         fd = self.central_differences(normals, offsets)
         assert_allclose(M, fd, rtol=1e-5, atol=1e-7 * np.abs(M).max())
@@ -289,6 +303,105 @@ class TestVolumeHessian:
         offsets = offsets - normals @ vertices.mean(axis=0)
         offsets = offsets + 0.05 * rng.uniform(size=len(offsets))
         self.check(normals, offsets)
+
+
+def oracle_bodies():
+    """Normals and offsets of the frozen intersection bodies (vanished
+    planes included), of exact hulls of Gaussian points (vertices where
+    more than three planes meet) and of the same hulls moved apart."""
+    path = Path(__file__).parent / "data" / "intersection_bodies.json"
+    for body in json.loads(path.read_text()):
+        yield np.asarray(body["normals"]), np.asarray(body["offsets"])
+    rng = np.random.default_rng(41)
+    for n in (8, 14, 20):
+        normals, _, offsets, vertices = gaussian_hull(rng, n)
+        offsets = offsets - normals @ vertices.mean(axis=0)
+        yield normals, offsets
+        yield normals, offsets + 0.05 * rng.uniform(size=len(offsets))
+
+
+class TestTrial:
+    def test_trial_matches_body_oracle(self):
+        # areas, volume, centroid, Hessian and vanished planes read off the
+        # dual hull's edges against the validated body with face rings
+        for normals, offsets in oracle_bodies():
+            state = trial(normals, offsets)
+            result = halfspace_intersection(normals, offsets)
+            body = result.polyhedron
+            extent = float(np.ptp(body.vertices, axis=0).max())
+            assert state.vanished == result.vanished
+            assert_allclose(state.areas, facet_areas(normals, offsets), rtol=1e-12, atol=0)
+            assert_allclose(state.volume, body.volume, rtol=1e-12)
+            assert_allclose(state.centroid, body.centroid, rtol=0, atol=1e-12 * extent)
+            want = add_at_hessian(unit_normals(normals), result)
+            assert_allclose(state.hessian, want, rtol=1e-12, atol=0)
+            # the offsets are centred on the centroid
+            assert_allclose(state.offsets, offsets - normals @ body.centroid, rtol=1e-12)
+
+    @staticmethod
+    def moved_vertex(monkeypatch, factor):
+        """Make qhull's first dual facet map to its primal vertex times ``factor``."""
+        convex_hull = geometry.ConvexHull
+
+        def moved(points):
+            hull = convex_hull(points)
+            eqs = hull.equations.copy()
+            vertex = -eqs[0, :3] / eqs[0, 3] * factor
+            size = np.linalg.norm(vertex)
+            eqs[0] = [*(vertex / size), -1.0 / size]
+            return SimpleNamespace(
+                equations=eqs, simplices=hull.simplices, neighbors=hull.neighbors
+            )
+
+        monkeypatch.setattr(geometry, "ConvexHull", moved)
+
+    @pytest.mark.parametrize(
+        "normals, offsets, factor, error",
+        [
+            (CUBE_NORMALS, [0.5, 0.5, 0.5, 0.5, 0.5, 0.0], 1.0, EmptyInterior),
+            (CUBE_NORMALS, [0.5, 0.5, 0.5, 0.5, 0.5, -0.5], 1.0, EmptyInterior),
+            # no plane bounds the body from below
+            (np.vstack([np.eye(3), -np.eye(3)[:2]]), np.ones(5), 1.0, Unbounded),
+            # a corner pushed out of its three planes
+            (CUBE_NORMALS, np.full(6, 0.5), 1.0 + 1e-3, GeometryError),
+            (CUBE_NORMALS, np.full(6, 0.5), 1.0 - 1e-3, GeometryError),
+            # and moved within the tolerance
+            (CUBE_NORMALS, np.full(6, 0.5), 1.0 + 1e-10, None),
+        ],
+    )
+    def test_trial_raises_when_the_intersection_does(
+        self, monkeypatch, normals, offsets, factor, error
+    ):
+        self.moved_vertex(monkeypatch, factor)
+        for run in (halfspace_intersection, trial):
+            if error is None:
+                run(normals, offsets)
+            else:
+                with pytest.raises(error):
+                    run(normals, offsets)
+
+    def test_one_hull_per_state(self, monkeypatch):
+        # a fit runs qhull once for its start and once per trial step, and
+        # builds its polyhedron from the last accepted hull without another
+        hulls, states = [], []
+        convex_hull, state = geometry.ConvexHull, minkowski._state
+
+        def counted_hull(points):
+            hulls.append(1)
+            return convex_hull(points)
+
+        def counted_state(normals, tables, offsets):
+            # a trial step to a non-positive offset is rejected before qhull
+            states.append(bool(np.all(offsets > 0.0)))
+            return state(normals, tables, offsets)
+
+        monkeypatch.setattr(geometry, "ConvexHull", counted_hull)
+        monkeypatch.setattr(minkowski, "_state", counted_state)
+        normals, areas, _, _ = gaussian_hull(np.random.default_rng(5), 14)
+        fit = fit_offsets(normals, areas)
+        assert fit.converged
+        assert sum(states) == len(hulls) > fit.iterations >= 2
+        assert len(fit.polyhedron.vertices) >= 4
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(8, 20))
