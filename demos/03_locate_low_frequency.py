@@ -4,7 +4,8 @@ complex far field.
 The measurement is synthesized as a fixed tangential degree-1 field
 carrying the translation phase of a body centered at (50, 50, 50); the
 indicator's normalized projection energy peaks exactly where the phase
-cancels.  Dumps the coarse scan for plotting and refines to 1e-3.
+cancels.  Dumps the coarse scan for plotting and refines its best cell by
+projected Newton ascent.
 """
 
 import math

@@ -11,11 +11,13 @@ quadrature weights, as the scalar transform does.  The six fields are
 plain Cartesian fields, built in closed form by :func:`_degree_one_basis`.
 When the phase factor cancels the translation of the obstacle, the
 degree-1 projection captures the whole field and ``I`` attains its
-maximum, which :func:`locate` searches for.
+maximum, which :func:`locate` finds by a coarse scan and a projected Newton
+ascent on the indicator's closed-form gradient and Hessian.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -67,9 +69,6 @@ class SampleRegion:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
 
-    def clamp(self, z: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(z, self.lower), self.upper)
-
 
 # Y_1^-1, Y_1^0, Y_1^1 = sqrt(3 / 4 pi) (y, z, x): the coordinate axis of each
 _DEGREE_ONE_AXES = [1, 2, 0]
@@ -106,16 +105,11 @@ def _degree_one_projector(samples: FarFieldSamples):
     return G, K, norm2
 
 
-def _indicator(G, K, norm2, Z) -> np.ndarray:
-    """Indicator at ``z`` (shape ``(3,)``, a scalar) or at each row of ``Z``."""
-    proj = G @ np.exp(-1j * (K @ Z.T))  # (6,) or (6, nz)
-    return np.sum(np.abs(proj) ** 2, axis=0) / norm2
-
-
 def indicator_values(samples: FarFieldSamples, Z) -> np.ndarray:
     """Indicator at each sampling point ``z`` (rows of ``Z``)."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    return _indicator(*_degree_one_projector(samples), Z)
+    G, K, norm2 = _degree_one_projector(samples)
+    proj = G @ np.exp(-1j * (K @ np.atleast_2d(np.asarray(Z, dtype=float)).T))
+    return np.sum(np.abs(proj) ** 2, axis=0) / norm2
 
 
 def scan_indicator(samples: FarFieldSamples, region: SampleRegion):
@@ -143,46 +137,69 @@ def _scan(G, K, norm2, region: SampleRegion):
     return region.coarse_points(), np.sum(np.abs(proj) ** 2, axis=0) / norm2
 
 
-# compass steps end below this length
-_REFINE_TOL = 1e-3
+# the Newton ascent ends at a clamped step below this fraction of the coarse
+# spacing, or after this many iterations
+_STEP_TOL, _MAX_ITER = 1e-12, 50
+
+
+def _expansion(G, K, norm2, z):
+    """Gradient ``2 Im(c K) / norm2`` and Hessian ``2 Re((PK)^H PK - K^T c K)
+    / norm2`` of the indicator at ``z``, with ``P = G e^{-iK.z}`` and ``c =
+    conj(P 1) P``, and ``s -> I(z + s) - I(z)``, exact where a difference of
+    two indicator values would cancel."""
+    P = G * np.exp(-1j * (K @ z))  # (6, N)
+    PK = P @ K  # i times the gradient of each projection, (6, 3)
+    c = P.sum(axis=1).conj() @ P  # (N,)
+    hess = (PK.conj().T @ PK).real - (K.T * c.real) @ K
+
+    def change(s):
+        x = np.expm1(-1j * (K @ s))  # change of each phase factor
+        return float(2.0 * (c @ x).real + np.sum(np.abs(P @ x) ** 2)) / norm2
+
+    return 2.0 * (c @ K).imag / norm2, 2.0 * hess / norm2, change
 
 
 def locate(samples: FarFieldSamples, region: SampleRegion):
     """Maximum of the indicator over the region.
 
-    A coarse grid scan picks the best cell, then a clamped compass search
-    with step halving refines it down to ``_REFINE_TOL``; the search
-    evaluates each trial point once and looks up its revisits.  Returns
-    ``(z, value, (points, values))``: the refined point, its indicator
-    value, and the coarse scan of :func:`scan_indicator`.
+    A coarse grid scan picks the best cell and a projected Newton ascent
+    refines it (Bertsekas 1982): coordinates on a bound with an outward
+    gradient are held, the rest take a Newton step with every curvature
+    taken by its magnitude, capped at one coarse spacing, clamped and halved
+    until the indicator's exact change is positive.  Returns ``(z, value,
+    (points, values))``: the refined point, its value (never below the scan's
+    maximum) and the coarse scan.
     """
     G, K, norm2 = _degree_one_projector(samples)
     Z, vals = _scan(G, K, norm2, region)
     best = int(np.argmax(vals))
-    z = Z[best]
-    fz = vals[best]
-
-    steps = (region.upper - region.lower) / (
-        np.maximum(np.array(region.resolution) - 1, 1)
-    )
-    step = float(steps.max())
-    eye = np.eye(3)
-    # indicator value of each trial point evaluated so far, by its bytes
-    seen = {}
-    while step > _REFINE_TOL:
-        moved = False
-        for axis in range(3):
-            for sgn in (1.0, -1.0):
-                trial = region.clamp(z + sgn * step * eye[axis])
-                key = trial.tobytes()
-                ft = seen.get(key)
-                if ft is None:
-                    ft = seen[key] = float(_indicator(G, K, norm2, trial))
-                if ft > fz:
-                    z, fz = trial, ft
-                    moved = True
-        if not moved:
+    z, fz = Z[best], vals[best]
+    lo, hi = region.lower, region.upper
+    cap = float(((hi - lo) / np.maximum(np.array(region.resolution) - 1, 1)).max())
+    evals = 0
+    for iters in range(1, _MAX_ITER + 1):
+        g, H, change = _expansion(G, K, norm2, z)
+        free = ~((z <= lo) & (g < 0) | (z >= hi) & (g > 0))
+        gf, Hf, step = g[free], H[np.ix_(free, free)], np.zeros(3)
+        if not gf.any():
+            break
+        # the Newton step where Hf is negative definite; with |curvature|, an
+        # ascent step where it is not
+        lam, V = np.linalg.eigh(Hf)
+        step[free] = V @ (V.T @ gf / np.maximum(np.abs(lam), np.abs(gf).max() / cap))
+        step *= min(1.0, cap / np.abs(step).max())
+        while np.abs((trial := np.clip(z + step, lo, hi)) - z).max() >= _STEP_TOL * cap:
+            gain = change(trial - z)
+            evals += 1
+            if gain > 0:
+                break
             step *= 0.5
+        else:  # no rising step above the tolerance
+            break
+        z, fz = trial, fz + gain
+    logging.getLogger("polyscat").debug(
+        "step 3: %d Newton iterations, %d trial evaluations, best coarse cell ahead "
+        "of the next by %.3e", iters, evals, np.ptp(np.sort(vals)[-2:]))
     return z, fz, (Z, vals)
 
 

@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from polyscat.forward import (
@@ -31,6 +34,14 @@ REGION = SampleRegion(lower=[0.0, 0.0, 0.0], upper=[100.0, 100.0, 100.0])
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(1878)
+
+
+def translated_samples(grid, tetra, wave, z0, data):
+    """The degree-1 oracle, or the tetrahedron's complex far field moved
+    to ``z0``."""
+    if data == "oracle":
+        return degree_one_oracle(grid, wave, z0)
+    return apply_translation_phase(sample_complex(tetra, wave, grid), z0)
 
 
 class TestIndicator:
@@ -116,19 +127,44 @@ class TestScan:
         region = SampleRegion(
             lower=[-7.5, 12.0, 3.25], upper=[41.0, 60.5, 88.0], resolution=(1, 4, 7)
         )
-        z0 = [20.0, 35.0, 50.0]
-        if data == "oracle":
-            samples = degree_one_oracle(grid, LOW_WAVE, z0)
-        else:
-            samples = apply_translation_phase(sample_complex(tetra, LOW_WAVE, grid), z0)
+        samples = translated_samples(grid, tetra, LOW_WAVE, [20.0, 35.0, 50.0], data)
         points, values = scan_indicator(samples, region)
         assert np.array_equal(points, region.coarse_points())
         assert_allclose(values, indicator_values(samples, points), rtol=1e-12, atol=0)
 
 
+class TestExpansion:
+    @pytest.mark.parametrize("data", ["oracle", "sample_complex"])
+    def test_matches_finite_differences(self, grid, tetra, data):
+        samples = translated_samples(grid, tetra, LOW_WAVE, [47.3, 52.8, 49.6], data)
+        G, K, norm2 = locator._degree_one_projector(samples)
+
+        def f(Z):
+            return indicator_values(samples, Z)
+
+        e = 1e-3 * np.eye(3)
+        u = np.array([0.6, -0.48, 0.64])
+        for z in ([50.0, 50.0, 50.0], [40.0, 60.0, 55.0], [20.0, 80.0, 10.0]):
+            z = np.array(z)
+            grad, hess, change = locator._expansion(G, K, norm2, z)
+            fd_grad = (f(z + e) - f(z - e)) / 2e-3
+            fd_hess = np.array(
+                [f(z + ei + e) - f(z + ei - e) - f(z - ei + e) + f(z - ei - e) for ei in e]
+            ) / 4e-6
+            # relative to the largest entry, as some entries are near zero
+            assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-6 * np.abs(fd_grad).max())
+            assert_allclose(hess, fd_hess, rtol=1e-6, atol=1e-6 * np.abs(fd_hess).max())
+            # the exact change: a difference of values where they resolve it,
+            # and the quadratic model where the difference is rounding noise
+            assert_allclose(change(2.0 * u), np.diff(f([z, z + 2.0 * u]))[0], rtol=1e-9)
+            s = 1e-9 * u
+            assert_allclose(change(s), grad @ s + s @ hess @ s / 2, rtol=1e-6)
+
+
 def compass_reference(samples, region):
-    """``locate``'s scan and compass search with every trial point
-    evaluated afresh, revisits included."""
+    """A coarse scan and a clamped compass search with step halving down to
+    1e-3, every trial point evaluated afresh: an independent oracle for
+    ``locate``."""
     G, K, norm2 = locator._degree_one_projector(samples)
     Z, vals = locator._scan(G, K, norm2, region)
     best = int(np.argmax(vals))
@@ -136,18 +172,36 @@ def compass_reference(samples, region):
     spacing = (region.upper - region.lower) / np.maximum(np.array(region.resolution) - 1, 1)
     step = float(spacing.max())
     eye = np.eye(3)
-    while step > locator._REFINE_TOL:
+    while step > 1e-3:
         moved = False
         for axis in range(3):
             for sgn in (1.0, -1.0):
-                trial = region.clamp(z + sgn * step * eye[axis])
-                ft = float(locator._indicator(G, K, norm2, trial))
+                trial = np.clip(z + sgn * step * eye[axis], region.lower, region.upper)
+                ft = float(np.sum(np.abs(G @ np.exp(-1j * (K @ trial))) ** 2) / norm2)
                 if ft > fz:
                     z, fz = trial, ft
                     moved = True
         if not moved:
             step *= 0.5
     return z, fz
+
+
+def count_trials(monkeypatch):
+    """Patch ``locate``'s expansions to record each trial they evaluate."""
+    trials = []
+    expansion = locator._expansion
+
+    def recorded(*args):
+        grad, hess, change = expansion(*args)
+
+        def counted(s):
+            trials.append(s)
+            return change(s)
+
+        return grad, hess, counted
+
+    monkeypatch.setattr(locator, "_expansion", recorded)
+    return trials
 
 
 class TestLocate:
@@ -161,24 +215,32 @@ class TestLocate:
         (130.0, 61.7, 23.2),
     ]
 
+    @pytest.mark.parametrize("data", ["oracle", "sample_complex"])
     @pytest.mark.parametrize("z0", Z0)
-    def test_compass_matches_reference_and_evaluates_each_point_once(
-        self, grid, z0, monkeypatch
+    def test_refines_past_the_compass_in_few_evaluations(
+        self, grid, tetra, z0, data, monkeypatch
     ):
-        samples = degree_one_oracle(grid, LOW_WAVE, z0)
+        samples = translated_samples(grid, tetra, LOW_WAVE, z0, data)
         ref_z, ref_value = compass_reference(samples, REGION)
-        evaluated = []
-        indicator = locator._indicator
-
-        def recorded(G, K, norm2, Z):
-            evaluated.append(np.asarray(Z).tobytes())
-            return indicator(G, K, norm2, Z)
-
-        monkeypatch.setattr(locator, "_indicator", recorded)
+        trials = count_trials(monkeypatch)
         z, value, _ = locate(samples, REGION)
-        assert z.tobytes() == ref_z.tobytes()
-        assert value == ref_value
-        assert len(set(evaluated)) == len(evaluated)
+        # a compass trial clamped back onto its corner re-evaluates that
+        # point and can gain the last bit of the scan's value there
+        assert value >= ref_value - 4 * np.spacing(ref_value)
+        assert np.abs(z - ref_z).max() <= 2e-3
+        assert len(trials) <= 10
+
+    def test_logs_what_the_refinement_did(self, grid, caplog):
+        samples = degree_one_oracle(grid, LOW_WAVE, [47.3, 52.8, 49.6])
+        with caplog.at_level(logging.DEBUG, logger="polyscat"):
+            locate(samples, REGION)
+        _, values = scan_indicator(samples, REGION)
+        top = np.sort(values)[-2:]
+        (record,) = [r for r in caplog.records if r.name == "polyscat"]
+        assert record.levelno == logging.DEBUG
+        iters, evals, margin = record.args
+        assert 1 <= iters <= locator._MAX_ITER and 0 <= evals <= 10
+        assert margin == top[1] - top[0] > 0
 
     def test_recovers_grid_aligned_center(self, grid):
         samples = degree_one_oracle(grid, LOW_WAVE, [50.0, 50.0, 50.0])
@@ -240,3 +302,42 @@ class TestLocate:
     def test_region_bounds_must_be_finite(self, lower, upper):
         with pytest.raises(ValueError, match="^region bounds must be finite$"):
             SampleRegion(lower=lower, upper=upper)
+
+
+@pytest.fixture(scope="module")
+def small_grid():
+    return build_grid(500)
+
+
+@given(
+    inside=st.booleans(),
+    u=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    angles=st.tuples(
+        st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)
+    ),
+    k=st.floats(math.pi / 50, math.pi / 10),
+    oracle=st.booleans(),
+)
+# a maximum on the face x = 100 at the end of a ridge whose curvature along
+# its crest is about 2e-7, against 1.5e-4 across it: a gradient step scaled
+# by the largest curvature crawls 1e-2 an iteration along it
+@example(inside=False, u=(0.78125, 0.0, 0.0), angles=(0.0, 0.0, 0.0), k=0.125, oracle=False)
+def test_locate_ends_at_a_box_kkt_point(small_grid, tetra, inside, u, angles, k, oracle):
+    # z0 inside the region [0, 100]^3, or anywhere in [-50, 150]^3
+    z0 = 50.0 + (50.0 if inside else 100.0) * np.array(u)
+    # d at polar angles (theta, phi); p turned by psi from e_theta to e_phi
+    theta, phi, psi = angles
+    ct, st_, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+    d = np.array([st_ * cp, st_ * sp, ct])
+    e_theta, e_phi = np.array([ct * cp, ct * sp, -st_]), np.array([-sp, cp, 0.0])
+    wave = PlaneWave(d=d, p=math.cos(psi) * e_theta + math.sin(psi) * e_phi, k=k)
+    data = "oracle" if oracle else "sample_complex"
+    samples = translated_samples(small_grid, tetra, wave, z0, data)
+    z, value, (_, values) = locate(samples, REGION)
+    grad, _, _ = locator._expansion(*locator._degree_one_projector(samples), z)
+    # the indicator is at most about 1 and varies over a length 1 / k, so k
+    # is the scale of its gradient; the projected gradient vanishes
+    assert np.abs(np.clip(z + grad, REGION.lower, REGION.upper) - z).max() <= 1e-9 * k
+    assert value >= values.max()
+    if oracle and inside:
+        assert np.abs(z - z0).max() <= 1e-9
