@@ -17,12 +17,10 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
-from .geometry import ConvexPolyhedron, DegenerateFace
+from .geometry import ConvexPolyhedron, DegenerateFace, write_text
 from .sphgrid import SphericalGrid, build_grid, fibonacci_points
 
 MODULUS = "modulus"
@@ -34,9 +32,10 @@ _KINDS = (MODULUS, COMPLEX_E, COMPLEX_H)
 _SERIES_RADIUS = 0.5
 _SERIES_TERMS = 18
 _FACTORIALS = np.array([math.factorial(k) for k in range(_SERIES_TERMS + 3)])
-# a far-field row's coordinates; load_far_field recognizes a lattice file
-# by the text this writes
+# a far-field row's coordinates, and the gap between them and its values;
+# load_far_field recognizes a lattice file by the text these write
 _POINT_FORMAT = "%.17g %.17g %.17g"
+_GAP = "  "
 
 
 class WrongKind(ValueError):
@@ -313,17 +312,18 @@ def save_far_field(samples: FarFieldSamples, path) -> None:
     )
     values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1)
     values = values.view(float)
-    line = _POINT_FORMAT + "  " + " ".join(["%.17g"] * values.shape[1])
+    line = _POINT_FORMAT + _GAP + " ".join(["%.17g"] * values.shape[1])
     save_table(path, np.column_stack([samples.grid.points, values]), line, header)
 
 
 def save_table(path, rows, line, header=""):
     """Write ``rows`` as ``np.savetxt(path, rows, fmt=line, header=header,
     comments="")`` would, with one ``%`` over the whole block instead of one
-    per row; ``line`` formats one row.  Returns ``path``."""
+    per row; ``line`` formats one row.  The file is rewritten in place by
+    :func:`~polyscat.geometry.write_text`.  Returns ``path``."""
     rows = np.asarray(rows, dtype=float)
     text = (line + "\n") * len(rows) % tuple(rows.ravel().tolist())
-    Path(path).write_text(header + "\n" + text if header else text)
+    write_text(path, header + "\n" + text if header else text)
     return path
 
 
@@ -332,8 +332,9 @@ def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
 
     The header is the ``#`` lines opening the file.  A file of at least 12
     rows whose coordinates are, as text, those :func:`save_far_field` writes
-    for the Fibonacci lattice of its size has only its value columns
-    parsed; its samples share ``grid`` when ``grid`` holds the lattice's
+    for the Fibonacci lattice of its size, each followed by the two-space
+    gap, has only its value columns parsed (see :func:`_lattice_values`);
+    its samples share ``grid`` when ``grid`` holds the lattice's
     points, and :func:`build_grid`'s cached grid otherwise.  Any other file
     is parsed whole: its samples share ``grid`` when the file's points equal
     ``grid.points`` exactly, and otherwise get a new grid, built and
@@ -396,22 +397,25 @@ def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
 
 def _lattice_values(rows, m: int):
     """The ``(n, m)`` values of ``rows`` when they are ``n >= 12`` lattice
-    rows: each is :func:`_lattice_text` of its point followed by ``m``
-    values that ``np.loadtxt`` parses.  ``None`` otherwise."""
+    rows: each is :func:`_lattice_text` of its point, the two-space gap and
+    ``m`` values that ``np.loadtxt`` parses.  ``None`` otherwise.
+
+    The rows are joined and split on the gap in one call, so the texts
+    alternate coordinates and values; the coordinates are checked in one
+    tuple comparison.  A row with another gap (one space, a tab) or with
+    blanks before the next row shifts or adds a part and gives ``None``."""
     n = len(rows)
     if n < 12:
         return None
-    split = [row.rsplit(None, m) for row in rows]
-    if set(map(len, split)) != {m + 1}:
+    parts = _GAP.join(rows).split(_GAP)
+    if len(parts) != 2 * n or tuple(parts[0::2]) != _lattice_text(n):
         return None
-    if tuple(map(itemgetter(0), split)) != _lattice_text(n):
-        return None
-    text = [parts[1] if m == 1 else " ".join(parts[1:]) for parts in split]
     try:
         # no comment character: each text is one row, or the parse fails
-        return np.loadtxt(text, comments=None, ndmin=2)
+        values = np.loadtxt(parts[1::2], comments=None, ndmin=2)
     except ValueError:
         return None  # the full parse raises its own error, naming the file
+    return values if values.shape[1] == m else None
 
 
 @lru_cache(maxsize=8)

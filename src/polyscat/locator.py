@@ -165,8 +165,11 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
     A coarse grid scan picks the best cell and a projected Newton ascent
     refines it (Bertsekas 1982): coordinates on a bound with an outward
     gradient are held, the rest take a Newton step with every curvature
-    taken by its magnitude, capped at one coarse spacing, clamped and halved
-    until the indicator's exact change is positive.  Returns ``(z, value,
+    taken by its magnitude, capped by a trust radius, clamped and halved
+    until the indicator's exact change is positive.  The radius starts at
+    one coarse spacing, then follows the last step: twice it where it gained
+    at least a quarter of the quadratic model's prediction, half of it where
+    not, never above one spacing.  Returns ``(z, value,
     (points, values))``: the refined point, its value (never below the scan's
     maximum) and the coarse scan.
     """
@@ -176,7 +179,7 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
     z, fz = Z[best], vals[best]
     lo, hi = region.lower, region.upper
     cap = float(((hi - lo) / np.maximum(np.array(region.resolution) - 1, 1)).max())
-    evals = 0
+    radius, evals = cap, 0
     for iters in range(1, _MAX_ITER + 1):
         g, H, change = _expansion(G, K, norm2, z)
         free = ~((z <= lo) & (g < 0) | (z >= hi) & (g > 0))
@@ -187,7 +190,7 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
         # ascent step where it is not
         lam, V = np.linalg.eigh(Hf)
         step[free] = V @ (V.T @ gf / np.maximum(np.abs(lam), np.abs(gf).max() / cap))
-        step *= min(1.0, cap / np.abs(step).max())
+        step *= min(1.0, radius / np.abs(step).max())
         while np.abs((trial := np.clip(z + step, lo, hi)) - z).max() >= _STEP_TOL * cap:
             gain = change(trial - z)
             evals += 1
@@ -196,6 +199,11 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
             step *= 0.5
         else:  # no rising step above the tolerance
             break
+        # the next cap: twice this step where it gained at least a quarter of
+        # the quadratic model's prediction, half of it where not
+        s = trial - z
+        model = g @ s + 0.5 * s @ H @ s
+        radius = min(cap, np.abs(s).max() * (2.0 if gain >= 0.25 * model else 0.5))
         z, fz = trial, fz + gain
     logging.getLogger("polyscat").debug(
         "step 3: %d Newton iterations, %d trial evaluations, best coarse cell ahead "

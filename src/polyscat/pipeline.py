@@ -43,6 +43,7 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -394,12 +395,12 @@ def locate_obstacle(config: ExperimentConfig, samples=None):
         with _stage("load", OSError, ValueError):
             samples = forward.load_far_field(path)
     with _stage("step3"):
-        z, value, (points, values) = locator.locate(samples, config.region)
+        z, value, (_, values) = locator.locate(samples, config.region)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     files = (
         _write_location(out / "location.csv", z, value),
-        _write_scan(out / "indicator_scan.txt", points, values),
+        _write_scan(out / "indicator_scan.txt", config.region, values),
     )
     return z, value, files
 
@@ -443,8 +444,12 @@ def _write_location(path: Path, z: np.ndarray, value: float) -> Path:
     return forward.save_table(path, [np.append(z, value)], line, "z_x,z_y,z_z,indicator")
 
 
-def _write_scan(path: Path, points: np.ndarray, values: np.ndarray) -> Path:
-    return forward.save_table(path, np.column_stack([points, values]), " ".join([_FLOAT] * 4))
+def _write_scan(path: Path, region: locator.SampleRegion, values: np.ndarray) -> Path:
+    # the rows of region.coarse_points(), each axis coordinate formatted once
+    coords = map(" ".join, product(*([_FLOAT % c for c in a] for a in region.axes())))
+    cells = [cell for row in zip(coords, values.tolist()) for cell in row]
+    geometry.write_text(path, ("%s " + _FLOAT + "\n") * len(values) % tuple(cells))
+    return path
 
 
 def _write_fit_report(path: Path, fit: minkowski.OffsetFit) -> Path:
@@ -455,5 +460,5 @@ def _write_fit_report(path: Path, fit: minkowski.OffsetFit) -> Path:
         f"vanished_facets = {list(fit.vanished)}",
         "objective_history = [" + ", ".join(f"{v:.9e}" for v in fit.history) + "]",
     ]
-    path.write_text("\n".join(lines) + "\n")
+    geometry.write_text(path, "\n".join(lines) + "\n")
     return path

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import norm
 
 from conftest import TETRA_FACE_AREA, angle_deg
+from polyscat import forward
 from polyscat.forward import (
     COMPLEX_E,
     COMPLEX_H,
@@ -379,6 +380,36 @@ class TestSamplesOps:
         assert b.grid.point_weights.tobytes() == g.point_weights.tobytes()
         assert b.values.tobytes() == a.values.tobytes()
         assert load_far_field(other, g).grid is g
+
+    # another gap between a row's coordinates and values: one space, a tab,
+    # or blanks after the values, before the next row
+    GAPS = {
+        "one space": lambda row: row.replace("  ", " "),
+        "tab": lambda row: row.replace("  ", "\t"),
+        "space and tab": lambda row: row.replace("  ", " \t"),
+        "trailing blank": lambda row: row + " ",
+        "trailing blanks": lambda row: row + "  \t ",
+    }
+
+    @pytest.mark.parametrize("rows", ["every row", "one row"])
+    @pytest.mark.parametrize("gap", GAPS)
+    @pytest.mark.parametrize("kind", [MODULUS, COMPLEX_E])
+    def test_other_gap_takes_the_whole_file_parse(self, tetra, tmp_path, kind, gap, rows):
+        g = build_grid(500)
+        sampler = sample_phaseless if kind == MODULUS else sample_complex
+        path = tmp_path / "samples.txt"
+        save_far_field(sampler(tetra, wave(0.5), g), path)
+        clean = load_far_field(path)
+        lines = path.read_text().splitlines()
+        edited = range(2, len(lines)) if rows == "every row" else [7]
+        for i in edited:
+            lines[i] = self.GAPS[gap](lines[i])
+        path.write_text("\n".join(lines) + "\n")
+        assert forward._lattice_values(lines[2:], 1 if kind == MODULUS else 6) is None
+        for known in (None, g):
+            loaded = load_far_field(path, known)
+            assert np.array_equal(loaded.values, clean.values)
+            assert np.array_equal(loaded.grid.points, g.points)
 
     @pytest.mark.parametrize("extra", ["", "# a note", "   "])
     def test_blank_or_comment_line_in_the_body(self, tetra, tmp_path, extra):

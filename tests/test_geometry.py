@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from polyscat.geometry import (
     halfspace_intersection,
     load_obstacle,
     save_obstacle,
+    write_text,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -497,6 +499,52 @@ def test_obstacle_file_round_trip(tmp_path, tetra):
     second = tmp_path / "tetra2.obs"
     save_obstacle(loaded, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "old", [None, "", "a" * 10, "b" * 1000, "c\n" * 40],
+    ids=["new path", "empty", "10 bytes", "1000 bytes", "40 lines"],
+)
+@pytest.mark.parametrize(
+    "new", ["", "short\n", "x y z  0.5\n" * 30], ids=["empty", "one line", "30 lines"]
+)
+def test_write_text_leaves_exactly_the_new_text(tmp_path, old, new):
+    # a new path, and old text shorter than, as long as or longer than the new
+    path = tmp_path / "report.txt"
+    if old is not None:
+        path.write_text(old)
+        path.chmod(0o640)
+        inode = path.stat().st_ino
+    write_text(path, new)
+    assert path.read_bytes() == new.encode()
+    if old is not None:
+        # rewritten in place, as open(path, "w") does
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_write_text_new_file_mode_follows_the_umask(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        write_text(tmp_path / "new.txt", "text\n")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "new.txt").stat().st_mode & 0o777 == 0o640
+
+
+def test_write_text_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old text that is longer than the new one\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
+    # a dangling link creates its target, as open(path, "w") does
+    dangling = tmp_path / "dangling.txt"
+    dangling.symlink_to(tmp_path / "created.txt")
+    write_text(dangling, "made\n")
+    assert (tmp_path / "created.txt").read_text() == "made\n"
 
 
 def test_obstacle_file_comments_and_errors(tmp_path):

@@ -230,6 +230,24 @@ class TestLocate:
         assert np.abs(z - ref_z).max() <= 2e-3
         assert len(trials) <= 10
 
+    @pytest.mark.parametrize(
+        "k, z0", [(0.2236, (36.3, 96.91, 94.56)), (0.2518, (35.83, 75.75, 4.66))]
+    )
+    def test_far_start_does_not_overshoot_back_and_forth(
+        self, small_grid, tetra, k, z0, monkeypatch
+    ):
+        # PO data whose best coarse cell is far out on the main lobe: a full
+        # Newton step lands about as far beyond the peak and still rises a
+        # little, so a cap fixed at one spacing let the ascent swing across
+        # the peak for 32 iterations, and in the second case for all 50
+        wave = PlaneWave(d=LOW_WAVE.d, p=LOW_WAVE.p, k=k)
+        samples = translated_samples(small_grid, tetra, wave, z0, "sample_complex")
+        trials = count_trials(monkeypatch)
+        z, _, _ = locate(samples, REGION)
+        assert len(trials) <= 10
+        grad, _, _ = locator._expansion(*locator._degree_one_projector(samples), z)
+        assert np.abs(np.clip(z + grad, REGION.lower, REGION.upper) - z).max() <= 1e-9 * k
+
     def test_logs_what_the_refinement_did(self, grid, caplog):
         samples = degree_one_oracle(grid, LOW_WAVE, [47.3, 52.8, 49.6])
         with caplog.at_level(logging.DEBUG, logger="polyscat"):

@@ -326,6 +326,24 @@ class TestRecover:
         run_pipeline(parse_config(cfg_b))
         assert read_tree(workspace / "a") == read_tree(workspace / "b")
 
+    def test_rewrites_longer_report_files_to_their_new_end(self, workspace):
+        # every report path already holds 100 kB of junk: a rewrite that
+        # missed the cut at its new end would leave a tail of it
+        cfg = write_experiment_config(
+            workspace / "fresh.cfg", "tetra.obs", output_dir="fresh", **FAST
+        )
+        files = run_pipeline(parse_config(cfg)).files
+        assert len(files) == 10
+        cfg = write_experiment_config(
+            workspace / "stale.cfg", "tetra.obs", output_dir="stale", **FAST
+        )
+        config = parse_config(cfg)
+        synthesize_dataset(config)
+        for path in files:
+            (workspace / "stale" / path.name).write_bytes(b"junk\n" * 20_000)
+        run_pipeline(config)
+        assert read_tree(workspace / "stale") == read_tree(workspace / "fresh")
+
     def test_lattice_text_and_whole_parse_give_one_report(self, workspace):
         # the same files with %.17e coordinates take the whole-file parse
         sizes = dict(grid_shape=500, grid_loc=200, cutoff=6, cluster_angle_deg=10.0)
