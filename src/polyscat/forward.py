@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import ConvexPolyhedron, DegenerateFace, write_text
-from .sphgrid import SphericalGrid, build_grid, fibonacci_points
+from .geometry import ConvexPolyhedron, DegenerateFace, lit_faces, write_text
+from .sphgrid import SphericalGrid, build_grid, fibonacci_points, grid_of
 
 MODULUS = "modulus"
 COMPLEX_E = "complex-E"
@@ -32,10 +32,9 @@ _KINDS = (MODULUS, COMPLEX_E, COMPLEX_H)
 _SERIES_RADIUS = 0.5
 _SERIES_TERMS = 18
 _FACTORIALS = np.array([math.factorial(k) for k in range(_SERIES_TERMS + 3)])
-# a far-field row's coordinates, and the gap between them and its values;
-# load_far_field recognizes a lattice file by the text these write
-_POINT_FORMAT = "%.17g %.17g %.17g"
-_GAP = "  "
+# a far-field row's coordinates and the two-space gap before its values;
+# load_far_field recognizes a lattice file by the text this writes
+_POINT_FORMAT = "%.17g %.17g %.17g  "
 
 
 class WrongKind(ValueError):
@@ -233,7 +232,7 @@ def po_far_field_grid(poly: ConvexPolyhedron, wave: PlaneWave, points):
     Q = wave.k * (wave.d - pts)
     H = np.zeros((len(pts), 3), dtype=complex)
     cross_dp = np.cross(wave.d, wave.p)
-    front = np.flatnonzero(poly.normals @ wave.d < 0.0)
+    front = np.flatnonzero(lit_faces(poly.normals, wave.d))
     for j in front:
         integral = _polygon_integrals(poly.face_vertices(j), poly.normals[j], Q)
         lever = np.cross(poly.normals[j], cross_dp)
@@ -312,7 +311,7 @@ def save_far_field(samples: FarFieldSamples, path) -> None:
     )
     values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1)
     values = values.view(float)
-    line = _POINT_FORMAT + _GAP + " ".join(["%.17g"] * values.shape[1])
+    line = _POINT_FORMAT + " ".join(["%.17g"] * values.shape[1])
     save_table(path, np.column_stack([samples.grid.points, values]), line, header)
 
 
@@ -327,100 +326,79 @@ def save_table(path, rows, line, header=""):
     return path
 
 
-def load_far_field(path, grid: SphericalGrid | None = None) -> FarFieldSamples:
+def load_far_field(path) -> FarFieldSamples:
     """Parse the far-field text format.
 
-    The header is the ``#`` lines opening the file.  A file of at least 12
-    rows whose coordinates are, as text, those :func:`save_far_field` writes
-    for the Fibonacci lattice of its size, each followed by the two-space
-    gap, has only its value columns parsed (see :func:`_lattice_values`);
-    its samples share ``grid`` when ``grid`` holds the lattice's
-    points, and :func:`build_grid`'s cached grid otherwise.  Any other file
-    is parsed whole: its samples share ``grid`` when the file's points equal
-    ``grid.points`` exactly, and otherwise get a new grid, built and
-    validated (distinct unit points with positive weights).  Values are
-    parsed by ``np.loadtxt``, and a malformed file raises ``ValueError``
-    naming ``path``.
+    The header is the ``#`` lines opening the file.  A file whose ``n >= 12``
+    rows each start with the text :func:`save_far_field` writes before the
+    values of its Fibonacci lattice point has only its values parsed (see
+    :func:`_lattice_values`) and gets ``build_grid(n)``.  Any other file is
+    parsed whole and gets :func:`~polyscat.sphgrid.grid_of` its points,
+    which validates them.  Values are parsed by ``np.loadtxt``.  Every
+    ``ValueError`` of a malformed file names ``path``.
     """
-    kind = None
-    wave = None
     with open(path) as fh:
         lines = fh.read().splitlines()
-    head = 0
-    for raw in lines:
-        line = raw.strip()
-        if not line.startswith("#"):
-            break
-        head += 1
-        body = line[1:].strip()
-        if body.startswith("kind="):
-            kind = body[5:].strip()
-        elif body.startswith("k="):
-            tokens = body.replace("k=", "").replace("d=", "").replace("p=", "").split()
-            try:
-                vals = [float(t) for t in tokens]
+    try:
+        kind = wave = None
+        for head, raw in enumerate(lines):
+            line = raw.strip()
+            if not line.startswith("#"):
+                break
+            body = line[1:].strip()
+            if body.startswith("kind="):
+                kind = body[5:].strip()
+            elif body.startswith("k="):
+                tokens = body.replace("k=", "").replace("d=", "").replace("p=", "")
+                vals = [float(t) for t in tokens.split()]
                 if len(vals) != 7:
                     raise ValueError(f"wave header needs 7 numbers, got {len(vals)}")
                 wave = PlaneWave(d=np.array(vals[1:4]), p=np.array(vals[4:7]), k=vals[0])
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-    if kind is None or wave is None:
-        raise ValueError(f"{path}: missing kind/wave header lines")
-    if kind not in _KINDS:
-        raise ValueError(f"{path}: unknown far-field kind {kind!r}")
-    data = _lattice_values(lines[head:], 1 if kind == MODULUS else 6)
-    if data is not None:
-        lattice = build_grid(len(data))
-        if grid is None or not np.array_equal(grid.points, lattice.points):
-            grid = lattice
-    else:
-        try:
+        if kind is None or wave is None:
+            raise ValueError("missing kind/wave header lines")
+        if kind not in _KINDS:
+            raise ValueError(f"unknown far-field kind {kind!r}")
+        m = 1 if kind == MODULUS else 6
+        data = _lattice_values(lines[head:], m)
+        if data is not None:
+            grid = build_grid(len(data))
+        else:
             data = np.loadtxt(lines, comments="#", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        points, data = data[:, :3], data[:, 3:]
-        if grid is None or not np.array_equal(points, grid.points):
-            try:
-                grid = SphericalGrid(points=points)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-    if kind == MODULUS:
-        if data.shape[1] != 1:
-            raise ValueError(f"{path}: modulus rows need 4 columns")
-        values = data[:, 0]
-    else:
-        if data.shape[1] != 6:
-            raise ValueError(f"{path}: complex rows need 9 columns")
-        values = data[:, 0::2] + 1j * data[:, 1::2]
-    return FarFieldSamples(grid=grid, values=values, wave=wave, kind=kind)
+            grid = grid_of(data[:, :3])
+            data = data[:, 3:]
+        if data.shape[1] != m:
+            rows = "modulus" if m == 1 else "complex"
+            raise ValueError(f"{rows} rows need {m + 3} columns")
+        values = data[:, 0] if m == 1 else data[:, 0::2] + 1j * data[:, 1::2]
+        return FarFieldSamples(grid=grid, values=values, wave=wave, kind=kind)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _lattice_values(rows, m: int):
     """The ``(n, m)`` values of ``rows`` when they are ``n >= 12`` lattice
-    rows: each is :func:`_lattice_text` of its point, the two-space gap and
-    ``m`` values that ``np.loadtxt`` parses.  ``None`` otherwise.
-
-    The rows are joined and split on the gap in one call, so the texts
-    alternate coordinates and values; the coordinates are checked in one
-    tuple comparison.  A row with another gap (one space, a tab) or with
-    blanks before the next row shifts or adds a part and gives ``None``."""
+    rows: row ``i`` is ``_lattice_prefixes(n)[i]`` and ``m`` values that
+    ``np.loadtxt`` parses.  ``None`` otherwise, so another gap (one space,
+    a tab) or a missing or moved value takes the whole-file parse; the
+    shape check catches a missing value, whose blank text is skipped."""
     n = len(rows)
     if n < 12:
         return None
-    parts = _GAP.join(rows).split(_GAP)
-    if len(parts) != 2 * n or tuple(parts[0::2]) != _lattice_text(n):
+    prefixes = _lattice_prefixes(n)
+    if not all(map(str.startswith, rows, prefixes)):
         return None
+    texts = list(map(str.removeprefix, rows, prefixes))
     try:
         # no comment character: each text is one row, or the parse fails
-        values = np.loadtxt(parts[1::2], comments=None, ndmin=2)
+        values = np.loadtxt(texts, comments=None, ndmin=2)
     except ValueError:
         return None  # the full parse raises its own error, naming the file
-    return values if values.shape[1] == m else None
+    return values if values.shape == (n, m) else None
 
 
 @lru_cache(maxsize=8)
-def _lattice_text(n: int) -> tuple:
-    """The coordinate text :func:`save_far_field` writes for each row of
-    ``fibonacci_points(n)``.  Cached per ``n``, like :func:`build_grid`."""
+def _lattice_prefixes(n: int) -> tuple:
+    """The text :func:`save_far_field` writes before the values of each
+    point of ``fibonacci_points(n)``.  Cached per ``n``."""
     text = "\n".join([_POINT_FORMAT] * n) % tuple(fibonacci_points(n).ravel().tolist())
     return tuple(text.split("\n"))

@@ -338,18 +338,22 @@ def _polyhedron(V, flat, sizes, rel_tol: float) -> ConvexPolyhedron:
     )
 
 
-def classify_faces(poly: ConvexPolyhedron, d, h5: float = 0.0) -> FrontView:
-    """Split faces into front (illuminated, ``nu . d < 0``) and back views.
+def lit_faces(normals, d) -> np.ndarray:
+    """Mask of the faces with outward ``normals`` that a wave travelling
+    along ``d`` illuminates: ``nu . d < 0``.  Grazing faces are unlit."""
+    return normals @ d < 0.0
 
-    Grazing faces (``nu . d == 0``) belong to the back view.  A front face is
-    *significant* when ``|d . nu| >= h5``.
+
+def classify_faces(poly: ConvexPolyhedron, d, h5: float = 0.0) -> FrontView:
+    """Split faces into front (:func:`lit_faces`) and back views.
+
+    A front face is *significant* when ``|d . nu| >= h5``.
     """
     d = unit_vector(d, "incident direction")
-    dots = poly.normals @ d
-    front = np.flatnonzero(dots < 0.0)
-    back = np.flatnonzero(dots >= 0.0)
-    significant = front[np.abs(dots[front]) >= h5]
-    return FrontView(front=front, back=back, significant=significant)
+    lit = lit_faces(poly.normals, d)
+    front = np.flatnonzero(lit)
+    significant = front[np.abs(poly.normals[front] @ d) >= h5]
+    return FrontView(front=front, back=np.flatnonzero(~lit), significant=significant)
 
 
 def check_admissibility(

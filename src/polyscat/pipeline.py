@@ -30,8 +30,9 @@ and ignored with a warning: step 1 seeds its peak search from a lattice
 sized by ``cutoff``.
 
 The recovery runs the stages ``load``, ``step1``, ``step2`` and ``step3``
-in a straight line; a stage's failure raises a :class:`PipelineError`
-tagged with its name, and ``synth`` tags an obstacle that cannot be loaded.
+in a straight line, step 3 loading its own file as ``load``; a stage's
+failure raises a :class:`PipelineError` tagged with its name, and
+``synth`` tags an obstacle that cannot be loaded.
 
 All stages are deterministic for a fixed config and seed; report files are
 byte-identical across runs.
@@ -311,26 +312,26 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     """Execute steps 1-3 and write the report tables.
 
     Pre-synthesized far-field files in the output directory are reused;
-    missing ones are synthesized first.  Any stage failure aborts with a
+    missing ones are synthesized first.  A reused shape file must hold the
+    wavenumber ``2 pi / lambda_shape``.  Step 3 loads its own file, after
+    the step-1/2 tables are written.  Any stage failure aborts with a
     stage-tagged :class:`PipelineError`, keeping partial artifacts on disk.
     """
-    needed = [_shape_data_path(config, i) for i in range(len(config.incident))]
-    needed.append(_loc_data_path(config))
-    if not all(p.exists() for p in needed):
+    paths = [_shape_data_path(config, i) for i in range(len(config.incident))]
+    if not all(p.exists() for p in [*paths, _loc_data_path(config)]):
         synthesize_dataset(config)
 
+    k = 2.0 * math.pi / config.lambda_shape
     with _stage("load", OSError, ValueError):
-        # the shape files share one point set: its grid and weights are built once
-        shape_samples = []
-        grid = None
-        for path in needed[:-1]:
-            samples = forward.load_far_field(path, grid)
-            grid = samples.grid
-            shape_samples.append(samples)
-        loc_samples = forward.load_far_field(needed[-1])
+        shape_samples = [forward.load_far_field(path) for path in paths]
+        for path, samples in zip(paths, shape_samples):
+            if abs(samples.wave.k - k) > 1e-12 * k:
+                raise ValueError(
+                    f"{path}: k = {samples.wave.k!r} does not match "
+                    f"lambda_shape = {config.lambda_shape!r}"
+                )
 
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     files = []
 
     # Step 1: peaks -> normals and areas, all incident directions in one batch
@@ -360,7 +361,7 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     files.append(_write_fit_report(out / "fit_report.txt", fit))
 
     # Step 3: low-frequency location
-    z_star, ind_val, location_files = locate_obstacle(config, loc_samples)
+    z_star, ind_val, location_files = locate_obstacle(config)
     files.extend(location_files)
     located = reconstructed.translated(z_star - reconstructed.centroid)
     geometry.save_obstacle(reconstructed, out / "recovered.obs")
@@ -380,24 +381,22 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     )
 
 
-def locate_obstacle(config: ExperimentConfig, samples=None):
-    """Step 3: locate the obstacle from its low-frequency far field and write
-    ``location.csv`` and ``indicator_scan.txt`` to the output directory.
+def locate_obstacle(config: ExperimentConfig):
+    """Step 3: locate the obstacle from the config's low-frequency data file,
+    synthesized first when missing, and write ``location.csv`` and
+    ``indicator_scan.txt`` to the output directory.
 
-    ``samples`` defaults to the config's low-frequency data file, which is
-    synthesized first when missing.  Returns ``(z, value, files)``; a
-    failure raises a stage-tagged :class:`PipelineError`.
+    Returns ``(z, value, files)``; a failure raises a stage-tagged
+    :class:`PipelineError`.
     """
-    if samples is None:
-        path = _loc_data_path(config)
-        if not path.exists():
-            synthesize_dataset(config)
-        with _stage("load", OSError, ValueError):
-            samples = forward.load_far_field(path)
+    path = _loc_data_path(config)
+    if not path.exists():
+        synthesize_dataset(config)
+    with _stage("load", OSError, ValueError):
+        samples = forward.load_far_field(path)
     with _stage("step3"):
         z, value, (_, values) = locator.locate(samples, config.region)
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     files = (
         _write_location(out / "location.csv", z, value),
         _write_scan(out / "indicator_scan.txt", config.region, values),

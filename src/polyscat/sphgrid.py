@@ -8,7 +8,8 @@ weights that integrates every harmonic up to a degree fixed by the grid
 size exactly, the least-squares relative of spherical designs (Sloan &
 Womersley 2004).  The standard grid is the raw Fibonacci lattice
 (Gonzalez 2010).  A grid is points, weights and its last transform's
-basis; the lattice neighbours that seed step 1's peak search are found in
+basis; :func:`grid_of` builds one per distinct point set.  The lattice
+neighbours that seed step 1's peak search are found in
 :mod:`polyscat.maxima` from the lattice indices, with no triangulation.
 
 The scalar basis is real and orthonormal: ``Y(n,0) = Pbar(n,0)`` and
@@ -109,13 +110,30 @@ def fibonacci_points(n: int) -> np.ndarray:
     return np.column_stack((st * np.cos(phi), st * np.sin(phi), z))
 
 
-@lru_cache(maxsize=8)
 def build_grid(n: int) -> SphericalGrid:
     """Raw Fibonacci lattice of ``n`` points (at least 12) with its exact
-    low-degree quadrature weights.  Deterministic; cached per ``n``."""
+    low-degree quadrature weights: :func:`grid_of` its points."""
     if n < 12:
         raise ValueError("need at least 12 grid points")
-    return SphericalGrid(points=fibonacci_points(int(n)))
+    return _grid(*_lattice_key(int(n)))
+
+
+def grid_of(points) -> SphericalGrid:
+    """The grid of ``points``: one object per distinct point set (bytes and
+    shape), with its weights and kept basis, for the last 8 asked for."""
+    pts = np.ascontiguousarray(points, dtype=float)
+    return _grid(pts.tobytes(), pts.shape)
+
+
+@lru_cache(maxsize=8)
+def _grid(data: bytes, shape: tuple) -> SphericalGrid:
+    return SphericalGrid(points=np.frombuffer(data).reshape(shape))
+
+
+@lru_cache(maxsize=8)
+def _lattice_key(n: int) -> tuple:
+    # one bytes object per n hashes once: a repeated build_grid(n) is cheap
+    return fibonacci_points(n).tobytes(), (n, 3)
 
 
 def _sphere_coords(points):

@@ -25,6 +25,7 @@ from polyscat.forward import (
     sample_phaseless,
     save_far_field,
 )
+from polyscat.geometry import classify_faces, lit_faces
 from polyscat.sphgrid import SphericalGrid, build_grid
 from quadrature_oracle import polygon_quadrature
 
@@ -181,6 +182,36 @@ class TestFarField:
         assert abs(samples.values.max() - 2.0) < 0.05
 
 
+@pytest.mark.parametrize("name", ["tetra", "cube", "prism"])
+def test_far_field_and_classify_faces_light_the_same_faces(request, monkeypatch, name):
+    # the far field integrates exactly the front faces of classify_faces,
+    # and a grazing face (nu . d == 0) is unlit in both
+    poly = request.getfixturevalue(name)
+    random = np.random.default_rng(5).normal(size=3)
+    directions = [s * e for e in np.eye(3) for s in (1.0, -1.0)]
+    directions.append(random / np.linalg.norm(random))
+    integrated = []
+    integrals = forward._polygon_integrals
+
+    def spy(vertices, normal, Q):
+        integrated.append(normal)
+        return integrals(vertices, normal, Q)
+
+    monkeypatch.setattr(forward, "_polygon_integrals", spy)
+    grazing = 0
+    for d in directions:
+        p = np.cross(d, [0.3, 0.5, 0.7])
+        integrated.clear()
+        po_far_field_grid(poly, wave(d=d, p=p / np.linalg.norm(p)), [[0.0, 0.0, 1.0]])
+        front = classify_faces(poly, d).front
+        assert np.array_equal(np.flatnonzero(lit_faces(poly.normals, d)), front)
+        assert np.array_equal(np.reshape(integrated, (-1, 3)), poly.normals[front])
+        flat = np.flatnonzero(poly.normals @ d == 0.0)
+        assert not np.isin(flat, front).any()
+        grazing += len(flat)
+    assert grazing > 0
+
+
 class TestSamplesOps:
     def test_translation_phase_identity(self, tetra):
         g = build_grid(500)
@@ -276,15 +307,15 @@ class TestSamplesOps:
         coords, _ = lines[5].split("  ")
         lines[5] = f"{coords}  nan"
         path.write_text("\n".join(lines) + "\n")
-        for known in (None, g):
-            with pytest.raises(ValueError, match="samples must be finite"):
-                load_far_field(path, known)
-        # a NaN coordinate never matches a known grid and fails validation
+        # the samples' own validation error names the file too
+        finite = re.escape(str(path)) + ": .*samples must be finite"
+        with pytest.raises(ValueError, match=finite):
+            load_far_field(path)
+        # a NaN coordinate is no lattice point and fails validation
         lines[5] = "nan 0 0  1.0"
         path.write_text("\n".join(lines) + "\n")
-        for known in (None, g):
-            with pytest.raises(ValueError, match="unit vectors"):
-                load_far_field(path, known)
+        with pytest.raises(ValueError, match="unit vectors"):
+            load_far_field(path)
 
     def test_duplicated_point_file_rejected(self, tetra, tmp_path):
         # a repeated point would be counted twice by the quadrature
@@ -293,9 +324,8 @@ class TestSamplesOps:
         save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[5]]) + "\n")
-        for known in (None, g):
-            with pytest.raises(ValueError, match="distinct"):
-                load_far_field(path, known)
+        with pytest.raises(ValueError, match="distinct"):
+            load_far_field(path)
 
     def test_one_hemisphere_file_rejected(self, tetra, tmp_path):
         # points on half the sphere admit no positive quadrature weights
@@ -305,16 +335,14 @@ class TestSamplesOps:
         lines = path.read_text().splitlines()
         upper = [r for r in lines[2:] if float(r.split()[2]) > 0.0]
         path.write_text("\n".join(lines[:2] + upper) + "\n")
-        for known in (None, g):
-            with pytest.raises(ValueError, match="weight"):
-                load_far_field(path, known)
+        with pytest.raises(ValueError, match="weight"):
+            load_far_field(path)
 
     def test_matching_points_share_the_grid(self, tetra, tmp_path):
         g = build_grid(500)
         path = tmp_path / "modulus.txt"
         save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
-        assert load_far_field(path, g).grid is g
-        # with no grid given, the lattice's points get build_grid's cached grid
+        # the lattice's points get build_grid's cached grid
         assert load_far_field(path).grid is g
 
     def test_nudged_point_gets_its_own_grid(self, tetra, tmp_path):
@@ -327,7 +355,7 @@ class TestSamplesOps:
         )
         path = tmp_path / "modulus.txt"
         save_far_field(nudged, path)
-        loaded = load_far_field(path, g)
+        loaded = load_far_field(path)
         assert loaded.grid is not g
         assert np.array_equal(loaded.grid.points, points)
 
@@ -363,7 +391,7 @@ class TestSamplesOps:
 
     def test_lattice_in_another_float_format_gets_equal_weights(self, tetra, tmp_path):
         # %.17e coordinates are the lattice's floats in other text: the file
-        # is parsed whole and gets its own grid, with the same bits
+        # is parsed whole and its points, the same bits, get the lattice's grid
         g = build_grid(500)
         path = tmp_path / "modulus.txt"
         save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
@@ -375,14 +403,13 @@ class TestSamplesOps:
         other = tmp_path / "modulus_e.txt"
         other.write_text("\n".join(lines[:2] + rows) + "\n")
         a, b = load_far_field(path), load_far_field(other)
-        assert b.grid is not g
-        assert b.grid.points.tobytes() == g.points.tobytes()
+        assert b.grid is g
         assert b.grid.point_weights.tobytes() == g.point_weights.tobytes()
         assert b.values.tobytes() == a.values.tobytes()
-        assert load_far_field(other, g).grid is g
 
-    # another gap between a row's coordinates and values: one space, a tab,
-    # or blanks after the values, before the next row
+    # another gap between a row's coordinates and values (one space, a tab)
+    # takes the whole-file parse; blanks after the values leave each row's
+    # lattice prefix intact and are parsed on the lattice path
     GAPS = {
         "one space": lambda row: row.replace("  ", " "),
         "tab": lambda row: row.replace("  ", "\t"),
@@ -405,11 +432,61 @@ class TestSamplesOps:
         for i in edited:
             lines[i] = self.GAPS[gap](lines[i])
         path.write_text("\n".join(lines) + "\n")
-        assert forward._lattice_values(lines[2:], 1 if kind == MODULUS else 6) is None
-        for known in (None, g):
-            loaded = load_far_field(path, known)
-            assert np.array_equal(loaded.values, clean.values)
-            assert np.array_equal(loaded.grid.points, g.points)
+        lattice = forward._lattice_values(lines[2:], 1 if kind == MODULUS else 6)
+        assert (lattice is None) != gap.startswith("trailing")
+        loaded = load_far_field(path)
+        assert np.array_equal(loaded.values, clean.values)
+        assert np.array_equal(loaded.grid.points, g.points)
+
+    def test_moved_value_is_rejected(self, tetra, tmp_path):
+        # row 7 ends with row 8's coordinates and row 8 holds only its value:
+        # joined, the text still alternates coordinates and values, but row 8
+        # is no lattice row and the whole-file parse rejects the file
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), build_grid(50)), path)
+        lines = path.read_text().splitlines()
+        coords, value = lines[8].split("  ")
+        lines[7] += "  " + coords
+        lines[8] = value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*columns"):
+            load_far_field(path)
+
+    def test_row_without_its_value_is_rejected(self, tetra, tmp_path):
+        # np.loadtxt skips a blank value text, which would shift every later
+        # value onto the previous point of a grid one point short
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), build_grid(50)), path)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].split("  ")[0] + "  "
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*columns"):
+            load_far_field(path)
+
+    def test_one_non_lattice_file_loads_one_grid(self, tetra, tmp_path):
+        g = build_grid(500)
+        points = g.points[::-1].copy()  # the lattice's points in reverse order
+        s = FarFieldSamples(
+            grid=SphericalGrid(points=points),
+            values=sample_phaseless(tetra, wave(0.5), g).values[::-1],
+            wave=wave(0.5),
+            kind=MODULUS,
+        )
+        path = tmp_path / "modulus.txt"
+        save_far_field(s, path)
+        first = load_far_field(path)
+        assert first.grid is not g
+        assert load_far_field(path).grid is first.grid
+
+    def test_lattice_on_the_whole_file_parse_gets_the_lattice_grid(self, tetra, tmp_path):
+        g = build_grid(500)
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
+        lines = path.read_text().splitlines()
+        rows = [row.replace("  ", " ") for row in lines[2:]]
+        path.write_text("\n".join(lines[:2] + rows) + "\n")
+        assert forward._lattice_values(rows, 1) is None
+        assert load_far_field(path).grid is g
 
     @pytest.mark.parametrize("extra", ["", "# a note", "   "])
     def test_blank_or_comment_line_in_the_body(self, tetra, tmp_path, extra):
@@ -420,12 +497,9 @@ class TestSamplesOps:
         clean = load_far_field(path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:7] + [extra] + lines[7:]) + "\n")
-        for known in (None, g):
-            loaded = load_far_field(path, known)
-            assert loaded.values.tobytes() == clean.values.tobytes()
-            assert loaded.grid.points.tobytes() == g.points.tobytes()
-            assert loaded.grid.point_weights.tobytes() == g.point_weights.tobytes()
-        assert load_far_field(path, g).grid is g
+        loaded = load_far_field(path)
+        assert loaded.values.tobytes() == clean.values.tobytes()
+        assert loaded.grid is g
 
     def test_bad_imaginary_part_names_the_file(self, tetra, tmp_path):
         # intact lattice coordinates, a non-numeric value: the error is the
@@ -439,9 +513,8 @@ class TestSamplesOps:
         with pytest.raises(ValueError) as exc:
             np.loadtxt(lines, comments="#")
         message = re.escape(f"{path}: {exc.value}")
-        for known in (None, g):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                load_far_field(path, known)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_far_field(path)
 
     # (line index, replacement, expected reason): a non-numeric token, a
     # non-numeric or commented-out value after intact lattice coordinates, a
@@ -473,9 +546,8 @@ class TestSamplesOps:
         lines = path.read_text().splitlines()
         lines[index] = row.format(coordinates=lines[index].rsplit(None, 1)[0])
         path.write_text("\n".join(lines) + "\n")
-        for known in (None, g):
-            with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
-                load_far_field(path, known)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
+            load_far_field(path)
 
     def test_missing_header_names_the_file(self, tetra, tmp_path):
         path = tmp_path / "modulus.txt"
@@ -512,9 +584,8 @@ class TestSamplesOps:
             rows = [row.rsplit(" ", 1)[0] for row in lines[2:]]
         path.write_text("\n".join(lines[:2] + rows) + "\n")
         message = re.escape(f"{path}: {reason} columns")
-        for known in (None, g):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                load_far_field(path, known)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_far_field(path)
 
     def test_plane_wave_validation(self):
         with pytest.raises(ValueError):

@@ -410,6 +410,21 @@ class TestRecover:
             with pytest.raises(PipelineError, match=r"^\[load\] " + re.escape(str(path))):
                 run(config)
 
+    def test_malformed_location_file_fails_after_the_shape_tables(self, workspace):
+        # step 3 loads its own file: the step-1/2 tables are on disk by then
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        synthesize_dataset(config)
+        path = workspace / "out" / "data" / "location.txt"
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].replace(" ", " abc ", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PipelineError, match=r"^\[load\] " + re.escape(str(path))):
+            run_pipeline(config)
+        for name in ("recovered_faces.csv", "offsets.csv", "fit_report.txt"):
+            assert (workspace / "out" / name).exists()
+        assert not (workspace / "out" / "location.csv").exists()
+
     def test_empty_location_field_is_tagged_step3(self, workspace):
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
         config = parse_config(cfg)
@@ -494,6 +509,24 @@ class TestCli:
         )
         assert main(["recover", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error [step1] ")
+
+    def test_data_of_another_wavelength_is_rejected(self, workspace, capsys):
+        # shape files synthesized at lambda 0.5, recovered with lambda 0.3 on
+        # the same output directory: step 1 would invert the areas at the
+        # wrong wavelength and return a wrong body
+        sizes = dict(grid_shape=2000, cutoff=8, cluster_angle_deg=10.0)
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **sizes)
+        assert main(["synth", str(cfg)]) == 0
+        stale = write_experiment_config(
+            workspace / "exp.cfg", "tetra.obs", lambda_shape=0.3, **sizes
+        )
+        capsys.readouterr()
+        assert main(["recover", str(stale)]) == 2
+        path = workspace / "out" / "data" / "shape_00.txt"
+        err = capsys.readouterr().err
+        message = f"error [load] {path}: k = {4 * math.pi!r} does not match lambda_shape = 0.3\n"
+        assert err == message
+        assert not (workspace / "out" / "recovered_faces.csv").exists()
 
     def test_missing_config_is_error(self, workspace, capsys):
         assert main(["recover", str(workspace / "nope.cfg")]) != 0

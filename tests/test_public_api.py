@@ -1,5 +1,6 @@
-"""Every name the package exports, and every public module-level function
-and class of its modules, has a caller outside the tests."""
+"""Every name the package exports, every public module-level function and
+class of its modules, and every public method and property of those
+classes, has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,17 @@ def defined_names(path):
         for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
+    }
+
+
+def public_methods(path):
+    """Public methods and properties of the public top-level classes of ``path``."""
+    return {
+        item.name
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
     }
 
 
@@ -72,3 +84,26 @@ def test_scan_sees_module_level_definitions(tmp_path):
 def test_every_public_definition_has_a_caller(path):
     unused = defined_names(path) - used_names() - set(ALLOWED_UNUSED)
     assert not unused, f"defined but called only by tests: {sorted(unused)}"
+
+
+def test_scan_sees_public_methods(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "class Shown:\n"
+        "    size = 1\n"
+        "    def method(self): ...\n"
+        "    @property\n"
+        "    def prop(self): ...\n"
+        "    def _hidden(self): ...\n"
+        "    def __post_init__(self): ...\n"
+        "class _Hidden:\n"
+        "    def method2(self): ...\n"
+        "def function(): ...\n"
+    )
+    assert public_methods(path) == {"method", "prop"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_public_method_has_a_caller(path):
+    unused = public_methods(path) - used_names() - set(ALLOWED_UNUSED)
+    assert not unused, f"methods called only by tests: {sorted(unused)}"

@@ -13,6 +13,7 @@ from polyscat.sphgrid import (
     SphericalGrid,
     build_grid,
     fibonacci_points,
+    grid_of,
     harmonic_basis,
     sht_forward,
 )
@@ -65,6 +66,16 @@ class TestGrid:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             build_grid(4)
+
+    def test_grid_of_builds_one_grid_per_point_set(self):
+        g = build_grid(300)
+        assert grid_of(g.points) is g
+        assert grid_of(fibonacci_points(300).tolist()) is g
+        reverse = grid_of(g.points[::-1])
+        assert reverse is not g
+        assert grid_of(g.points[::-1].copy()) is reverse
+        with pytest.raises(ValueError, match="distinct"):
+            grid_of(np.vstack([g.points, g.points[:1]]))
 
 
 class TestScalarHarmonics:
