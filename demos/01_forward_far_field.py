@@ -18,6 +18,7 @@ from polyscat import (
     sample_phaseless,
     specular_direction,
 )
+from polyscat.geometry import lit_faces
 
 s8 = 1.0 / np.sqrt(8.0)
 tetra = build_polyhedron(
@@ -31,7 +32,7 @@ wave = PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([0.0, 0, 1.0]), k=2 * np.pi
 print(f"tetrahedron: {tetra.num_faces} faces, areas {np.round(tetra.areas, 4)}")
 print(f"incident direction d = {wave.d}, wavelength = {lam}")
 
-lit = [j for j in range(tetra.num_faces) if tetra.normals[j] @ wave.d < 0]
+lit = np.flatnonzero(lit_faces(tetra.normals, wave.d)).tolist()
 print(f"lit (front) faces for this direction: {lit}")
 
 for j in lit:

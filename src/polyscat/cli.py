@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     except pipeline.PipelineError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, geometry.GeometryError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -298,10 +298,10 @@ def add_noise(samples: FarFieldSamples, noise: NoiseModel) -> FarFieldSamples:
     )
 
 
-def save_far_field(samples: FarFieldSamples, path) -> None:
+def save_far_field(samples: FarFieldSamples, path):
     """Write the far-field text format: two header lines, then per point its
     coordinates and its value (a modulus, or three complex components as
-    real and imaginary parts)."""
+    real and imaginary parts).  Returns ``path``."""
     w = samples.wave
     header = (
         f"# kind={samples.kind}\n"
@@ -312,7 +312,7 @@ def save_far_field(samples: FarFieldSamples, path) -> None:
     values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1)
     values = values.view(float)
     line = _POINT_FORMAT + " ".join(["%.17g"] * values.shape[1])
-    save_table(path, np.column_stack([samples.grid.points, values]), line, header)
+    return save_table(path, np.column_stack([samples.grid.points, values]), line, header)
 
 
 def save_table(path, rows, line, header=""):
@@ -322,8 +322,7 @@ def save_table(path, rows, line, header=""):
     :func:`~polyscat.geometry.write_text`.  Returns ``path``."""
     rows = np.asarray(rows, dtype=float)
     text = (line + "\n") * len(rows) % tuple(rows.ravel().tolist())
-    write_text(path, header + "\n" + text if header else text)
-    return path
+    return write_text(path, header + "\n" + text if header else text)
 
 
 def load_far_field(path) -> FarFieldSamples:

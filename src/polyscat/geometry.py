@@ -554,26 +554,27 @@ def _distinct_rows(x: np.ndarray):
     return x[first], inverse
 
 
-def save_obstacle(poly: ConvexPolyhedron, path) -> None:
-    """Write the ``v x y z`` / ``f i1 i2 ...`` obstacle text format."""
+def save_obstacle(poly: ConvexPolyhedron, path):
+    """Write the ``v x y z`` / ``f i1 i2 ...`` obstacle format; return ``path``."""
     lines = []
     for v in poly.vertices:
         lines.append("v " + " ".join(f"{c:.17g}" for c in v))
     for f in poly.faces:
         lines.append("f " + " ".join(str(i + 1) for i in f))
-    write_text(path, "\n".join(lines) + "\n")
+    return write_text(path, "\n".join(lines) + "\n")
 
 
-def write_text(path, text: str) -> None:
+def write_text(path, text: str):
     """Write ``text`` to ``path`` as ``open(path, "w")`` would (same inode,
     permissions and symlink target; a new file gets ``0o666`` less the
     umask), but over the old bytes, cutting the file at the new end after
     writing instead of truncating it to zero first.  A truncate to zero
     makes ext4 (``auto_da_alloc``) and XFS start writeback on close, which
-    costs about ten times the write of a small file."""
+    costs about ten times the write of a small file.  Returns ``path``."""
     with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.write(text)
         fh.truncate()
+    return path
 
 
 def load_obstacle(path) -> ConvexPolyhedron:

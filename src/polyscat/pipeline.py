@@ -30,9 +30,11 @@ and ignored with a warning: step 1 seeds its peak search from a lattice
 sized by ``cutoff``.
 
 The recovery runs the stages ``load``, ``step1``, ``step2`` and ``step3``
-in a straight line, step 3 loading its own file as ``load``; a stage's
-failure raises a :class:`PipelineError` tagged with its name, and
-``synth`` tags an obstacle that cannot be loaded.
+in a straight line.  The stage that reads a data file of ``output_dir/data/``
+synthesizes that file alone if it is missing, so only
+:func:`synthesize_dataset` rewrites one that exists.  A stage's failure
+raises a :class:`PipelineError` tagged with its name, and ``synth`` tags an
+obstacle that cannot be loaded.
 
 All stages are deterministic for a fixed config and seed; report files are
 byte-identical across runs.
@@ -244,50 +246,66 @@ def _read_config(path: Path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# dataset synthesis
+# data files
 
 
-def _shape_data_path(config: ExperimentConfig, index: int) -> Path:
-    return config.output_dir / "data" / f"shape_{index:02d}.txt"
-
-
-def _loc_data_path(config: ExperimentConfig) -> Path:
-    return config.output_dir / "data" / "location.txt"
+def _data_path(config: ExperimentConfig, index: int) -> Path:
+    """``shape_NN.txt`` of incident pair ``index``; ``location.txt`` after the last."""
+    name = f"shape_{index:02d}.txt" if index < len(config.incident) else "location.txt"
+    return config.output_dir / "data" / name
 
 
 def synthesize_dataset(config: ExperimentConfig) -> list:
-    """Write one modulus far-field file per incident pair plus the complex
-    low-frequency file for the locator.  Deterministic for a fixed seed."""
+    """Write every data file, over any already there: one modulus far-field
+    file per incident pair plus the complex low-frequency file for the
+    locator.  Deterministic for a fixed seed; returns the paths written."""
+    return _synthesize(config, range(len(config.incident) + 1))
+
+
+def _synthesize(config: ExperimentConfig, indices) -> list:
+    """Write the data files ``indices`` (see :func:`_data_path`), loading the
+    obstacle and making the data directory once; returns their paths."""
     try:
         poly = geometry.load_obstacle(config.obstacle)
-    except (OSError, ValueError, geometry.GeometryError) as exc:
+    except (OSError, ValueError) as exc:
         raise PipelineError("synth", f"cannot load obstacle: {exc}") from exc
     (config.output_dir / "data").mkdir(parents=True, exist_ok=True)
+    waves = config.shape_waves()
+    if any(i < len(waves) for i in indices):
+        grid = sphgrid.build_grid(config.grid_shape)
     written = []
-
-    grid = sphgrid.build_grid(config.grid_shape)
-    for i, wave in enumerate(config.shape_waves()):
-        samples = forward.sample_phaseless(poly, wave, grid)
-        if config.noise.delta > 0:
-            per_direction = forward.NoiseModel(
-                delta=config.noise.delta, seed=config.noise.seed + i
-            )
-            samples = forward.add_noise(samples, per_direction)
-        path = _shape_data_path(config, i)
-        forward.save_far_field(samples, path)
-        written.append(path)
-
-    loc_grid = sphgrid.build_grid(config.grid_loc)
-    loc_wave = config.loc_wave()
-    if config.step3_oracle:
-        samples = locator.degree_one_oracle(loc_grid, loc_wave, config.location)
-    else:
-        samples = forward.sample_complex(poly, loc_wave, loc_grid)
-        samples = forward.apply_translation_phase(samples, config.location)
-    path = _loc_data_path(config)
-    forward.save_far_field(samples, path)
-    written.append(path)
+    for i in indices:
+        if i < len(waves):
+            samples = forward.sample_phaseless(poly, waves[i], grid)
+            if config.noise.delta > 0:
+                noise = forward.NoiseModel(config.noise.delta, config.noise.seed + i)
+                samples = forward.add_noise(samples, noise)
+        else:
+            loc_grid, loc_wave = sphgrid.build_grid(config.grid_loc), config.loc_wave()
+            if config.step3_oracle:
+                samples = locator.degree_one_oracle(loc_grid, loc_wave, config.location)
+            else:
+                samples = forward.sample_complex(poly, loc_wave, loc_grid)
+                samples = forward.apply_translation_phase(samples, config.location)
+        written.append(forward.save_far_field(samples, _data_path(config, i)))
     return written
+
+
+def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
+    """Load data file ``index``, synthesizing it first only if it is missing.
+    A shape file must hold the wavenumber ``2 pi / lambda_shape``."""
+    path = _data_path(config, index)
+    if not path.exists():
+        _synthesize(config, [index])
+    with _stage("load", OSError, ValueError):
+        samples = forward.load_far_field(path)
+        k = 2.0 * math.pi / config.lambda_shape
+        if index < len(config.incident) and abs(samples.wave.k - k) > 1e-12 * k:
+            raise ValueError(
+                f"{path}: k = {samples.wave.k!r} does not match "
+                f"lambda_shape = {config.lambda_shape!r}"
+            )
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +329,13 @@ class RecoveryReport:
 def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     """Execute steps 1-3 and write the report tables.
 
-    Pre-synthesized far-field files in the output directory are reused;
-    missing ones are synthesized first.  A reused shape file must hold the
-    wavenumber ``2 pi / lambda_shape``.  Step 3 loads its own file, after
-    the step-1/2 tables are written.  Any stage failure aborts with a
+    Each stage reads its own data files and synthesizes only those missing:
+    a file already there is reused, never rewritten, and a reused shape file
+    must hold the wavenumber ``2 pi / lambda_shape``.  Step 3 reads its file
+    after the step-1/2 tables are written.  Any stage failure aborts with a
     stage-tagged :class:`PipelineError`, keeping partial artifacts on disk.
     """
-    paths = [_shape_data_path(config, i) for i in range(len(config.incident))]
-    if not all(p.exists() for p in [*paths, _loc_data_path(config)]):
-        synthesize_dataset(config)
-
-    k = 2.0 * math.pi / config.lambda_shape
-    with _stage("load", OSError, ValueError):
-        shape_samples = [forward.load_far_field(path) for path in paths]
-        for path, samples in zip(paths, shape_samples):
-            if abs(samples.wave.k - k) > 1e-12 * k:
-                raise ValueError(
-                    f"{path}: k = {samples.wave.k!r} does not match "
-                    f"lambda_shape = {config.lambda_shape!r}"
-                )
-
+    shape_samples = [_read(config, i) for i in range(len(config.incident))]
     out = config.output_dir
     files = []
 
@@ -364,10 +369,8 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     z_star, ind_val, location_files = locate_obstacle(config)
     files.extend(location_files)
     located = reconstructed.translated(z_star - reconstructed.centroid)
-    geometry.save_obstacle(reconstructed, out / "recovered.obs")
-    files.append(out / "recovered.obs")
-    geometry.save_obstacle(located, out / "recovered_located.obs")
-    files.append(out / "recovered_located.obs")
+    files.append(geometry.save_obstacle(reconstructed, out / "recovered.obs"))
+    files.append(geometry.save_obstacle(located, out / "recovered_located.obs"))
 
     return RecoveryReport(
         raw_faces=raw_faces,
@@ -382,18 +385,15 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
 
 
 def locate_obstacle(config: ExperimentConfig):
-    """Step 3: locate the obstacle from the config's low-frequency data file,
-    synthesized first when missing, and write ``location.csv`` and
-    ``indicator_scan.txt`` to the output directory.
+    """Step 3: locate the obstacle from the low-frequency data file
+    ``location.txt``, and write ``location.csv`` and ``indicator_scan.txt``
+    to the output directory.  A file already there is reused; a missing one
+    is synthesized, and it is the only data file written.
 
     Returns ``(z, value, files)``; a failure raises a stage-tagged
     :class:`PipelineError`.
     """
-    path = _loc_data_path(config)
-    if not path.exists():
-        synthesize_dataset(config)
-    with _stage("load", OSError, ValueError):
-        samples = forward.load_far_field(path)
+    samples = _read(config, len(config.incident))
     with _stage("step3"):
         z, value, (_, values) = locator.locate(samples, config.region)
     out = config.output_dir
@@ -447,8 +447,7 @@ def _write_scan(path: Path, region: locator.SampleRegion, values: np.ndarray) ->
     # the rows of region.coarse_points(), each axis coordinate formatted once
     coords = map(" ".join, product(*([_FLOAT % c for c in a] for a in region.axes())))
     cells = [cell for row in zip(coords, values.tolist()) for cell in row]
-    geometry.write_text(path, ("%s " + _FLOAT + "\n") * len(values) % tuple(cells))
-    return path
+    return geometry.write_text(path, ("%s " + _FLOAT + "\n") * len(values) % tuple(cells))
 
 
 def _write_fit_report(path: Path, fit: minkowski.OffsetFit) -> Path:
@@ -459,5 +458,4 @@ def _write_fit_report(path: Path, fit: minkowski.OffsetFit) -> Path:
         f"vanished_facets = {list(fit.vanished)}",
         "objective_history = [" + ", ".join(f"{v:.9e}" for v in fit.history) + "]",
     ]
-    geometry.write_text(path, "\n".join(lines) + "\n")
-    return path
+    return geometry.write_text(path, "\n".join(lines) + "\n")

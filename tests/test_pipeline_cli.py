@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from conftest import write_experiment_config
 from polyscat import geometry, minkowski, pipeline
 from polyscat.cli import main
+from polyscat.forward import NoiseModel, add_noise, load_far_field, save_far_field
 from polyscat.geometry import load_obstacle, save_obstacle
 from polyscat.pipeline import PipelineError, parse_config, run_pipeline, synthesize_dataset
 
@@ -48,6 +49,15 @@ def assert_same_fields(a, b):
             np.testing.assert_array_equal(x, y)
         else:
             assert x == y, f.name
+
+
+def noisy_first_shape_file(config) -> Path:
+    """Synthesize every data file, then put noisy data (delta 0.2, seed 3) in
+    ``shape_00.txt``: a file ``synth`` would not write."""
+    synthesize_dataset(config)
+    path = config.output_dir / "data" / "shape_00.txt"
+    save_far_field(add_noise(load_far_field(path), NoiseModel(0.2, seed=3)), path)
+    return path
 
 
 def read_tree(root):
@@ -275,6 +285,15 @@ class TestSynth:
             synthesize_dataset(parse_config(cfg))
         assert read_tree(workspace / "a") == read_tree(workspace / "b")
 
+    def test_rewrites_an_edited_data_file(self, workspace):
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
+        synthesized = read_tree(workspace / "out")
+        noisy_first_shape_file(parse_config(cfg))
+        (workspace / "out" / "data" / "location.txt").write_text("edited\n")
+        assert main(["synth", str(cfg)]) == 0
+        assert read_tree(workspace / "out") == synthesized
+
 
 class TestRecover:
     def test_full_run_structure(self, workspace, tetra):
@@ -343,6 +362,50 @@ class TestRecover:
             (workspace / "stale" / path.name).write_bytes(b"junk\n" * 20_000)
         run_pipeline(config)
         assert read_tree(workspace / "stale") == read_tree(workspace / "fresh")
+
+    def test_missing_location_file_leaves_the_shape_files(self, workspace):
+        # only location.txt is synthesized: the noisy shape file stays and
+        # the faces are those recovered from it with location.txt present
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        shape = noisy_first_shape_file(config)
+        noisy = shape.read_bytes()
+        run_pipeline(config)
+        faces = (workspace / "out" / "recovered_faces.csv").read_bytes()
+        (workspace / "out" / "data" / "location.txt").unlink()
+        assert main(["recover", str(cfg)]) == 0
+        assert shape.read_bytes() == noisy
+        assert (workspace / "out" / "recovered_faces.csv").read_bytes() == faces
+        assert (workspace / "out" / "data" / "location.txt").exists()
+
+    def test_locate_leaves_the_shape_files(self, workspace):
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        shape = noisy_first_shape_file(config)
+        noisy = shape.read_bytes()
+        run_pipeline(config)
+        faces = (workspace / "out" / "recovered_faces.csv").read_bytes()
+        (workspace / "out" / "data" / "location.txt").unlink()
+        pipeline.locate_obstacle(config)
+        assert shape.read_bytes() == noisy
+        run_pipeline(config)
+        assert (workspace / "out" / "recovered_faces.csv").read_bytes() == faces
+
+    def test_missing_location_file_of_a_bad_obstacle_fails_after_the_shape_tables(
+        self, workspace
+    ):
+        # location.txt is synthesized at step 3, so the obstacle is first
+        # loaded there, with the step-1/2 tables on disk
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        synthesize_dataset(config)
+        (workspace / "out" / "data" / "location.txt").unlink()
+        (workspace / "tetra.obs").unlink()
+        with pytest.raises(PipelineError, match=r"^\[synth\] cannot load obstacle: "):
+            run_pipeline(config)
+        for name in ("recovered_faces.csv", "offsets.csv", "fit_report.txt"):
+            assert (workspace / "out" / name).exists()
+        assert not (workspace / "out" / "location.csv").exists()
 
     def test_lattice_text_and_whole_parse_give_one_report(self, workspace):
         # the same files with %.17e coordinates take the whole-file parse
@@ -490,6 +553,11 @@ class TestCli:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         vals = [float(t) for t in line.split()]
         assert_allclose(vals[:3], 50.0, atol=1e-2)
+
+    def test_locate_on_an_empty_directory_writes_only_the_location_file(self, workspace):
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["locate", str(cfg)]) == 0
+        assert [p.name for p in (workspace / "out" / "data").iterdir()] == ["location.txt"]
 
     def test_check_verb(self, workspace, capsys):
         assert main(["check", str(workspace / "tetra.obs")]) == 0
