@@ -8,12 +8,13 @@ cancels.  Dumps the coarse scan for plotting and refines its best cell by
 projected Newton ascent.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from polyscat import PlaneWave, SampleRegion, build_grid, degree_one_oracle, locate
-from polyscat.locator import indicator_values, scan_indicator
+from polyscat.locator import indicator_values
 
 wave = PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([0.0, 0, 1.0]), k=math.pi / 25.0)
 grid = build_grid(1878)
@@ -21,14 +22,12 @@ true_center = np.array([50.0, 50.0, 50.0])
 samples = degree_one_oracle(grid, wave, true_center)
 region = SampleRegion(lower=[0.0, 0.0, 0.0], upper=[100.0, 100.0, 100.0])
 
-points, values = scan_indicator(samples, region)
+z, value, scan = locate(samples, region)
 with open("indicator_scan.txt", "w") as fh:
-    for pt, v in zip(points, values):
-        fh.write(f"{pt[0]:.3f} {pt[1]:.3f} {pt[2]:.3f} {v:.9f}\n")
-print(f"coarse scan: {len(points)} probes, indicator in "
-      f"[{values.min():.4f}, {values.max():.4f}] -> indicator_scan.txt")
-
-z, value, _ = locate(samples, region)
+    for (x, y, zc), v in zip(itertools.product(*region.axes()), scan.ravel()):
+        fh.write(f"{x:.3f} {y:.3f} {zc:.3f} {v:.9f}\n")
+print(f"coarse scan: {scan.size} probes, indicator in "
+      f"[{scan.min():.4f}, {scan.max():.4f}] -> indicator_scan.txt")
 print(f"refined location: {np.round(z, 4)} (true {true_center}), I = {value:.4f}")
 
 print("\nindicator along the x-axis through the true center:")

@@ -11,8 +11,9 @@ quadrature weights, as the scalar transform does.  The six fields are
 plain Cartesian fields, built in closed form by :func:`_degree_one_basis`.
 When the phase factor cancels the translation of the obstacle, the
 degree-1 projection captures the whole field and ``I`` attains its
-maximum, which :func:`locate` finds by a coarse scan and a projected Newton
-ascent on the indicator's closed-form gradient and Hessian.
+maximum, which :func:`locate` finds by a coarse scan of a box and a projected
+Newton ascent on the indicator's closed-form gradient and Hessian; it hands
+on the scan as an array shaped like the box's grid.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ class SampleRegion:
             for i in range(3)
         ]
 
-    def coarse_points(self) -> np.ndarray:
-        """The ``ij`` tensor grid of :meth:`axes`, x slowest, z fastest."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
-
 
 # Y_1^-1, Y_1^0, Y_1^1 = sqrt(3 / 4 pi) (y, z, x): the coordinate axis of each
 _DEGREE_ONE_AXES = [1, 2, 0]
@@ -112,29 +108,22 @@ def indicator_values(samples: FarFieldSamples, Z) -> np.ndarray:
     return np.sum(np.abs(proj) ** 2, axis=0) / norm2
 
 
-def scan_indicator(samples: FarFieldSamples, region: SampleRegion):
-    """Indicator over the region's coarse grid; returns ``(points, values)``
-    with ``points = region.coarse_points()``.
+def _scan(G, K, norm2, axes) -> np.ndarray:
+    """Indicator over the tensor grid of ``axes``, shaped ``(n_x, n_y, n_z)``.
 
-    The grid is a tensor product, so ``exp(-i K . z)`` factors into one
-    ``(n_i, N)`` table per axis.  ``G e_x`` as ``(6 n_x, N)`` times
-    ``e_y (x) e_z`` as ``(n_y n_z, N)``, transposed, is one complex matmul, with
-    ``N (n_x + n_y + n_z)`` exponentials instead of ``N n_x n_y n_z``.
-    The values equal :func:`indicator_values` at those points up to rounding.
+    ``exp(-i K . z)`` factors into one ``(n_i, N)`` table per axis.  ``G e_x``
+    as ``(6 n_x, N)`` times ``e_y (x) e_z`` as ``(n_y n_z, N)``, transposed, is
+    one complex matmul, with ``N (n_x + n_y + n_z)`` exponentials instead of
+    ``N n_x n_y n_z``.  The values equal :func:`indicator_values` at those
+    points up to rounding.
     """
-    return _scan(*_degree_one_projector(samples), region)
-
-
-def _scan(G, K, norm2, region: SampleRegion):
     # (n_i, N) tables, so the products below read contiguous rows
-    ex, ey, ez = (
-        np.exp(-1j * np.outer(axis, K[:, i])) for i, axis in enumerate(region.axes())
-    )
-    nx, ny, nz = region.resolution
+    ex, ey, ez = (np.exp(-1j * np.outer(axis, K[:, i])) for i, axis in enumerate(axes))
+    nx, ny, nz = map(len, axes)
     left = (G[:, None, :] * ex).reshape(6 * nx, len(K))
     right = (ey[:, None, :] * ez).reshape(ny * nz, len(K))
-    proj = (left @ right.T).reshape(6, nx * ny * nz)
-    return region.coarse_points(), np.sum(np.abs(proj) ** 2, axis=0) / norm2
+    proj = (left @ right.T).reshape(6, nx, ny, nz)
+    return np.sum(np.abs(proj) ** 2, axis=0) / norm2
 
 
 # the Newton ascent ends at a clamped step below this fraction of the coarse
@@ -169,14 +158,16 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
     until the indicator's exact change is positive.  The radius starts at
     one coarse spacing, then follows the last step: twice it where it gained
     at least a quarter of the quadratic model's prediction, half of it where
-    not, never above one spacing.  Returns ``(z, value,
-    (points, values))``: the refined point, its value (never below the scan's
-    maximum) and the coarse scan.
+    not, never above one spacing.  Returns ``(z, value, scan)``: the refined
+    point, its value (never below the scan's maximum) and the coarse scan,
+    the indicator at the points of ``region.axes()`` shaped
+    ``region.resolution``.
     """
     G, K, norm2 = _degree_one_projector(samples)
-    Z, vals = _scan(G, K, norm2, region)
-    best = int(np.argmax(vals))
-    z, fz = Z[best], vals[best]
+    axes = region.axes()
+    scan = _scan(G, K, norm2, axes)
+    best = np.unravel_index(np.argmax(scan), scan.shape)
+    z, fz = np.array([a[i] for a, i in zip(axes, best)]), scan[best]
     lo, hi = region.lower, region.upper
     cap = float(((hi - lo) / np.maximum(np.array(region.resolution) - 1, 1)).max())
     radius, evals = cap, 0
@@ -207,8 +198,8 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
         z, fz = trial, fz + gain
     logging.getLogger("polyscat").debug(
         "step 3: %d Newton iterations, %d trial evaluations, best coarse cell ahead "
-        "of the next by %.3e", iters, evals, np.ptp(np.sort(vals)[-2:]))
-    return z, fz, (Z, vals)
+        "of the next by %.3e", iters, evals, np.ptp(np.sort(scan, axis=None)[-2:]))
+    return z, fz, scan
 
 
 # weights of U_1^-1, V_1^-1, U_1^0, V_1^0, U_1^1, V_1^1 in the oracle field

@@ -293,14 +293,20 @@ def _synthesize(config: ExperimentConfig, indices) -> list:
 
 def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
     """Load data file ``index``, synthesizing it first only if it is missing.
-    A shape file must hold the wavenumber ``2 pi / lambda_shape``."""
+    A shape file must hold moduli at the wavenumber ``2 pi / lambda_shape``,
+    and ``location.txt`` a complex field."""
     path = _data_path(config, index)
     if not path.exists():
         _synthesize(config, [index])
     with _stage("load", OSError, ValueError):
         samples = forward.load_far_field(path)
+        shape = index < len(config.incident)
+        if samples.is_complex == shape:
+            need = "kind=modulus" if shape else "a complex kind"
+            user = "a shape file" if shape else "step 3"
+            raise ValueError(f"{path}: kind={samples.kind}; {user} needs {need}")
         k = 2.0 * math.pi / config.lambda_shape
-        if index < len(config.incident) and abs(samples.wave.k - k) > 1e-12 * k:
+        if shape and abs(samples.wave.k - k) > 1e-12 * k:
             raise ValueError(
                 f"{path}: k = {samples.wave.k!r} does not match "
                 f"lambda_shape = {config.lambda_shape!r}"
@@ -332,8 +338,9 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     Each stage reads its own data files and synthesizes only those missing:
     a file already there is reused, never rewritten, and a reused shape file
     must hold the wavenumber ``2 pi / lambda_shape``.  Step 3 reads its file
-    after the step-1/2 tables are written.  Any stage failure aborts with a
-    stage-tagged :class:`PipelineError`, keeping partial artifacts on disk.
+    after the step-1/2 tables and ``recovered.obs`` are written.  Any stage
+    failure aborts with a stage-tagged :class:`PipelineError`, keeping
+    partial artifacts on disk.
     """
     shape_samples = [_read(config, i) for i in range(len(config.incident))]
     out = config.output_dir
@@ -349,8 +356,10 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
             peak_sets, [s.wave.d for s in shape_samples], config.lambda_shape, t
         )
         effective = maxima.cluster_effective_normals(raw_faces, t.cluster_angle)
-    files.append(_write_face_table(out / "recovered_faces.csv", raw_faces))
-    files.append(_write_face_table(out / "effective_normals.csv", effective))
+    header = "source_d_index,nu_x,nu_y,nu_z,peak_value,area"
+    for name, f in (("recovered_faces.csv", raw_faces), ("effective_normals.csv", effective)):
+        columns = [f.source_indices, f.normals, f.peak_values, f.areas]
+        files.append(_write_csv(out / name, header, columns, 1))
     if len(effective) < 4:
         raise PipelineError(
             "step1", f"only {len(effective)} effective normals; need at least 4"
@@ -360,16 +369,21 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     with _stage("step2"):
         fit = minkowski.fit_offsets(effective.normals, effective.areas)
     reconstructed = fit.polyhedron
-    files.append(_write_offsets(out / "offsets.csv", fit))
-    files.append(_write_areas(out / "areas.csv", effective, fit))
-    files.append(_write_vertices(out / "vertices.csv", reconstructed))
-    files.append(_write_fit_report(out / "fit_report.txt", fit))
+    face, vertex = np.arange(len(fit.offsets)), np.arange(reconstructed.num_vertices)
+    areas = [face, effective.areas, fit.target_areas, fit.areas]
+    areas_header = "face,recovered_area,balanced_area,fitted_area"
+    files += [
+        _write_csv(out / "offsets.csv", "face,offset", [face, fit.offsets], 1),
+        _write_csv(out / "areas.csv", areas_header, areas, 1),
+        _write_csv(out / "vertices.csv", "vertex,x,y,z", [vertex, reconstructed.vertices], 1),
+        geometry.save_obstacle(reconstructed, out / "recovered.obs"),
+        _write_fit_report(out / "fit_report.txt", fit),
+    ]
 
     # Step 3: low-frequency location
     z_star, ind_val, location_files = locate_obstacle(config)
     files.extend(location_files)
     located = reconstructed.translated(z_star - reconstructed.centroid)
-    files.append(geometry.save_obstacle(reconstructed, out / "recovered.obs"))
     files.append(geometry.save_obstacle(located, out / "recovered_located.obs"))
 
     return RecoveryReport(
@@ -395,11 +409,11 @@ def locate_obstacle(config: ExperimentConfig):
     """
     samples = _read(config, len(config.incident))
     with _stage("step3"):
-        z, value, (_, values) = locator.locate(samples, config.region)
+        z, value, scan = locator.locate(samples, config.region)
     out = config.output_dir
     files = (
-        _write_location(out / "location.csv", z, value),
-        _write_scan(out / "indicator_scan.txt", config.region, values),
+        _write_csv(out / "location.csv", "z_x,z_y,z_z,indicator", [*z, value], 0),
+        _write_scan(out / "indicator_scan.txt", config.region, scan),
     )
     return z, value, files
 
@@ -410,44 +424,20 @@ def locate_obstacle(config: ExperimentConfig):
 _FLOAT = "%.9f"
 
 
-def _write_face_table(path: Path, faces: maxima.RecoveredFaceSet) -> Path:
-    rows = np.column_stack(
-        [faces.source_indices, faces.normals, faces.peak_values, faces.areas]
-    )
-    header = "source_d_index,nu_x,nu_y,nu_z,peak_value,area"
-    return forward.save_table(path, rows, ",".join(["%d"] + [_FLOAT] * 5), header)
+def _write_csv(path: Path, header: str, columns, ints: int) -> Path:
+    """Write ``columns`` side by side (``np.column_stack``) under ``header``:
+    the first ``ints`` columns as ``%d``, the rest as ``_FLOAT``."""
+    rows = np.column_stack(columns)
+    line = ",".join(["%d"] * ints + [_FLOAT] * (rows.shape[1] - ints))
+    return forward.save_table(path, rows, line, header)
 
 
-def _write_offsets(path: Path, fit: minkowski.OffsetFit) -> Path:
-    rows = np.column_stack([np.arange(len(fit.offsets)), fit.offsets])
-    return forward.save_table(path, rows, "%d," + _FLOAT, "face,offset")
-
-
-def _write_areas(
-    path: Path, effective: maxima.RecoveredFaceSet, fit: minkowski.OffsetFit
-) -> Path:
-    rows = np.column_stack(
-        [np.arange(len(fit.offsets)), effective.areas, fit.target_areas, fit.areas]
-    )
-    header = "face,recovered_area,balanced_area,fitted_area"
-    return forward.save_table(path, rows, ",".join(["%d"] + [_FLOAT] * 3), header)
-
-
-def _write_vertices(path: Path, poly: geometry.ConvexPolyhedron) -> Path:
-    rows = np.column_stack([np.arange(poly.num_vertices), poly.vertices])
-    return forward.save_table(path, rows, ",".join(["%d"] + [_FLOAT] * 3), "vertex,x,y,z")
-
-
-def _write_location(path: Path, z: np.ndarray, value: float) -> Path:
-    line = ",".join([_FLOAT] * 4)
-    return forward.save_table(path, [np.append(z, value)], line, "z_x,z_y,z_z,indicator")
-
-
-def _write_scan(path: Path, region: locator.SampleRegion, values: np.ndarray) -> Path:
-    # the rows of region.coarse_points(), each axis coordinate formatted once
+def _write_scan(path: Path, region: locator.SampleRegion, scan: np.ndarray) -> Path:
+    """One ``x y z value`` line per scan point, x slowest and z fastest (the
+    order of ``scan.ravel()``), each axis coordinate formatted once."""
     coords = map(" ".join, product(*([_FLOAT % c for c in a] for a in region.axes())))
-    cells = [cell for row in zip(coords, values.tolist()) for cell in row]
-    return geometry.write_text(path, ("%s " + _FLOAT + "\n") * len(values) % tuple(cells))
+    cells = [cell for row in zip(coords, scan.ravel().tolist()) for cell in row]
+    return geometry.write_text(path, ("%s " + _FLOAT + "\n") * scan.size % tuple(cells))
 
 
 def _write_fit_report(path: Path, fit: minkowski.OffsetFit) -> Path:

@@ -28,7 +28,7 @@ from conftest import (
 from polyscat.cli import main
 from polyscat.forward import PlaneWave, po_far_field_grid
 from polyscat.geometry import halfspace_intersection, save_obstacle
-from polyscat.locator import SampleRegion, degree_one_oracle, locate, scan_indicator
+from polyscat.locator import SampleRegion, degree_one_oracle, locate
 from polyscat.maxima import normal_and_area_from_peak, specular_direction
 from polyscat.minkowski import fit_offsets
 from polyscat.pipeline import parse_config, run_pipeline
@@ -355,9 +355,8 @@ def test_criterion_10_locator():
     )
     samples = degree_one_oracle(grid, wave, [50.0, 50.0, 50.0])
     region = SampleRegion(lower=[0.0, 0.0, 0.0], upper=[100.0, 100.0, 100.0])
-    z, _, _ = locate(samples, region)
+    z, _, vals = locate(samples, region)
     coord_err = float(np.abs(z - 50.0).max())
-    _, vals = scan_indicator(samples, region)
     bounds_ok = vals.min() >= 0.0 and vals.max() <= 1.02
     ok = coord_err <= 1e-2 and bounds_ok
     report(

@@ -23,7 +23,6 @@ from polyscat.locator import (
     degree_one_oracle,
     indicator_values,
     locate,
-    scan_indicator,
 )
 from polyscat.sphgrid import build_grid
 
@@ -76,7 +75,7 @@ class TestIndicator:
 
     def test_bounds_over_scan(self, grid):
         samples = degree_one_oracle(grid, LOW_WAVE, [50.0, 50.0, 50.0])
-        _, vals = scan_indicator(samples, REGION)
+        _, _, vals = locate(samples, REGION)
         assert vals.min() >= 0.0
         assert vals.max() <= 1.02
 
@@ -128,9 +127,12 @@ class TestScan:
             lower=[-7.5, 12.0, 3.25], upper=[41.0, 60.5, 88.0], resolution=(1, 4, 7)
         )
         samples = translated_samples(grid, tetra, LOW_WAVE, [20.0, 35.0, 50.0], data)
-        points, values = scan_indicator(samples, region)
-        assert np.array_equal(points, region.coarse_points())
-        assert_allclose(values, indicator_values(samples, points), rtol=1e-12, atol=0)
+        scan = locator._scan(*locator._degree_one_projector(samples), region.axes())
+        assert scan.shape == region.resolution
+        # scan[i, j, l] is the indicator at (x_i, y_j, z_l)
+        points = np.stack(np.meshgrid(*region.axes(), indexing="ij"), axis=-1)
+        expected = indicator_values(samples, points.reshape(-1, 3)).reshape(scan.shape)
+        assert_allclose(scan, expected, rtol=1e-12, atol=0)
 
 
 class TestExpansion:
@@ -166,9 +168,10 @@ def compass_reference(samples, region):
     1e-3, every trial point evaluated afresh: an independent oracle for
     ``locate``."""
     G, K, norm2 = locator._degree_one_projector(samples)
-    Z, vals = locator._scan(G, K, norm2, region)
-    best = int(np.argmax(vals))
-    z, fz = Z[best], vals[best]
+    axes = region.axes()
+    scan = locator._scan(G, K, norm2, axes)
+    best = np.unravel_index(np.argmax(scan), scan.shape)
+    z, fz = np.array([a[i] for a, i in zip(axes, best)]), scan[best]
     spacing = (region.upper - region.lower) / np.maximum(np.array(region.resolution) - 1, 1)
     step = float(spacing.max())
     eye = np.eye(3)
@@ -251,9 +254,8 @@ class TestLocate:
     def test_logs_what_the_refinement_did(self, grid, caplog):
         samples = degree_one_oracle(grid, LOW_WAVE, [47.3, 52.8, 49.6])
         with caplog.at_level(logging.DEBUG, logger="polyscat"):
-            locate(samples, REGION)
-        _, values = scan_indicator(samples, REGION)
-        top = np.sort(values)[-2:]
+            _, _, scan = locate(samples, REGION)
+        top = np.sort(scan, axis=None)[-2:]
         (record,) = [r for r in caplog.records if r.name == "polyscat"]
         assert record.levelno == logging.DEBUG
         iters, evals, margin = record.args
@@ -266,13 +268,22 @@ class TestLocate:
         assert np.abs(z - 50.0).max() <= 1e-2
         assert 0.9 <= value <= 1.02
 
-    def test_returns_its_coarse_scan(self, grid):
+    def test_returns_its_coarse_scan(self, grid, monkeypatch):
         samples = degree_one_oracle(grid, LOW_WAVE, [47.3, 52.8, 49.6])
-        _, value, (points, values) = locate(samples, REGION)
-        ref_points, ref_values = scan_indicator(samples, REGION)
-        assert np.array_equal(points, ref_points)
-        assert np.array_equal(values, ref_values)
-        assert value >= values.max()
+        ref = locator._scan(*locator._degree_one_projector(samples), REGION.axes())
+        scans = []
+        scan_once = locator._scan
+
+        def counted(*args):
+            scans.append(scan_once(*args))
+            return scans[-1]
+
+        monkeypatch.setattr(locator, "_scan", counted)
+        _, value, scan = locate(samples, REGION)
+        assert len(scans) == 1 and scan is scans[0]
+        assert scan.shape == REGION.resolution
+        assert np.array_equal(scan, ref)
+        assert value >= scan.max()
 
     def test_builds_its_projector_once(self, grid, monkeypatch):
         calls = []
@@ -351,11 +362,11 @@ def test_locate_ends_at_a_box_kkt_point(small_grid, tetra, inside, u, angles, k,
     wave = PlaneWave(d=d, p=math.cos(psi) * e_theta + math.sin(psi) * e_phi, k=k)
     data = "oracle" if oracle else "sample_complex"
     samples = translated_samples(small_grid, tetra, wave, z0, data)
-    z, value, (_, values) = locate(samples, REGION)
+    z, value, scan = locate(samples, REGION)
     grad, _, _ = locator._expansion(*locator._degree_one_projector(samples), z)
     # the indicator is at most about 1 and varies over a length 1 / k, so k
     # is the scale of its gradient; the projected gradient vanishes
     assert np.abs(np.clip(z + grad, REGION.lower, REGION.upper) - z).max() <= 1e-9 * k
-    assert value >= values.max()
+    assert value >= scan.max()
     if oracle and inside:
         assert np.abs(z - z0).max() <= 1e-9

@@ -407,6 +407,22 @@ class TestRecover:
             assert (workspace / "out" / name).exists()
         assert not (workspace / "out" / "location.csv").exists()
 
+    def test_a_failed_step3_leaves_the_obs_of_the_new_tables(self, workspace):
+        # recovered.obs is written with the step-2 tables, so a rerun that
+        # fails at step 3 leaves it beside the vertices.csv of the same body
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        assert main(["recover", str(cfg)]) == 0
+        out = workspace / "out"
+        first = (out / "vertices.csv").read_bytes()
+        noisy_first_shape_file(config)
+        (out / "data" / "location.txt").write_text("edited\n")
+        assert main(["recover", str(cfg)]) == 2
+        assert (out / "vertices.csv").read_bytes() != first
+        table = np.loadtxt(out / "vertices.csv", delimiter=",", skiprows=1, ndmin=2)
+        vertices = load_obstacle(out / "recovered.obs").vertices
+        assert_allclose(vertices, table[:, 1:], rtol=0, atol=5e-10)
+
     def test_lattice_text_and_whole_parse_give_one_report(self, workspace):
         # the same files with %.17e coordinates take the whole-file parse
         sizes = dict(grid_shape=500, grid_loc=200, cutoff=6, cluster_angle_deg=10.0)
@@ -595,6 +611,31 @@ class TestCli:
         message = f"error [load] {path}: k = {4 * math.pi!r} does not match lambda_shape = 0.3\n"
         assert err == message
         assert not (workspace / "out" / "recovered_faces.csv").exists()
+
+    @pytest.mark.parametrize(
+        "verb, slot, source, message",
+        [
+            ("recover", "shape_00.txt", "location.txt",
+             "kind=complex-E; a shape file needs kind=modulus"),
+            ("locate", "location.txt", "shape_01.txt",
+             "kind=modulus; step 3 needs a complex kind"),
+        ],
+        ids=["complex-shape", "modulus-location"],
+    )
+    def test_data_of_the_wrong_kind_is_rejected(
+        self, workspace, capsys, verb, slot, source, message
+    ):
+        # at lambda_loc = lambda_shape a file of either kind passes the
+        # wavenumber check, and step 1 would cast complex fields to reals
+        sizes = dict(lambda_loc=0.5, **FAST)
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **sizes)
+        assert main(["synth", str(cfg)]) == 0
+        data = workspace / "out" / "data"
+        (data / slot).write_bytes((data / source).read_bytes())
+        capsys.readouterr()
+        assert main([verb, str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error [load] {data / slot}: {message}\n"
+        assert not any(p.suffix == ".csv" for p in (workspace / "out").iterdir())
 
     def test_missing_config_is_error(self, workspace, capsys):
         assert main(["recover", str(workspace / "nope.cfg")]) != 0

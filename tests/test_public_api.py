@@ -107,3 +107,123 @@ def test_scan_sees_public_methods(tmp_path):
 def test_every_public_method_has_a_caller(path):
     unused = public_methods(path) - used_names() - set(ALLOWED_UNUSED)
     assert not unused, f"methods called only by tests: {sorted(unused)}"
+
+
+# defaulted parameters that no call in src/, demos/ or perfbench/ sets, and why
+ALLOWED_UNSET = {
+    ("main", "argv"): "the console entry point calls main() and reads sys.argv",
+    ("fit_offsets", "alpha0"): "a second start, set only by test_minkowski; the "
+    "ROADMAP keeps it",
+    ("polygon_fourier_integral", "normal"): "acceptance criterion 1",
+    ("sample_complex", "kind"): "names the kind of file to sample",
+}
+
+
+def _defaulted(args, skip_self):
+    """``(position, name)`` of each defaulted parameter; keyword-only
+    parameters get position ``None``."""
+    positional = [*args.posonlyargs, *args.args][1 if skip_self else 0:]
+    out = [
+        (i, a.arg)
+        for i, a in enumerate(positional)
+        if i >= len(positional) - len(args.defaults)
+    ]
+    out += [
+        (None, a.arg)
+        for a, d in zip(args.kwonlyargs, args.kw_defaults)
+        if d is not None
+    ]
+    return out
+
+
+def defaulted_parameters(path):
+    """``(callee, position, name)`` of each defaulted parameter of the public
+    functions, public methods of public classes and fields of public
+    dataclasses defined at the top level of ``path``."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found += [(node.name, i, n) for i, n in _defaulted(node.args, False)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+                found += [
+                    (node.name, i, f.target.id)
+                    for i, f in enumerate(fields)
+                    if f.value is not None
+                ]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found += [(item.name, i, n) for i, n in _defaulted(item.args, True)]
+    return found
+
+
+def calls():
+    """Each call in ``src/``, ``demos/`` and ``perfbench/`` as ``callee ->
+    [(positional count, keyword names)]``; ``*args`` and ``**kwargs`` count
+    as every position and every keyword."""
+    sources = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    found = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            found.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args), keywords)
+            )
+    return found
+
+
+def unset_defaults(path, found):
+    unset = []
+    for callee, position, name in defaulted_parameters(path):
+        if not any(
+            name in keywords
+            or None in keywords
+            or (position is not None and count > position)
+            for count, keywords in found.get(callee, ())
+        ):
+            unset.append((callee, name))
+    return unset
+
+
+def test_scan_sees_defaulted_parameters(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from dataclasses import dataclass\n"
+        "def shown(a, b=1, *, c=2, d): ...\n"
+        "def _hidden(x=1): ...\n"
+        "class Shown:\n"
+        "    def method(self, e=3): ...\n"
+        "    def _hidden(self, f=4): ...\n"
+        "@dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    g: int\n"
+        "    h: int = 5\n"
+        "class Plain:\n"
+        "    i: int = 6\n"
+    )
+    assert defaulted_parameters(path) == [
+        ("shown", 1, "b"),
+        ("shown", None, "c"),
+        ("method", 0, "e"),
+        ("Record", 1, "h"),
+    ]
+    found = {"shown": [(2, set())], "method": [(0, {"e"})], "Record": [(1, set())]}
+    assert unset_defaults(path, found) == [("shown", "c"), ("Record", "h")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_default_is_set_by_a_caller(path):
+    unset = set(unset_defaults(path, calls())) - set(ALLOWED_UNSET)
+    assert not unset, f"defaults no call in src/, demos/ or perfbench/ sets: {sorted(unset)}"
+
+
+def test_every_allowed_default_is_unset():
+    found = calls()
+    unset = {entry for path in MODULES for entry in unset_defaults(path, found)}
+    assert set(ALLOWED_UNSET) <= unset, "stale ALLOWED_UNSET entries"
