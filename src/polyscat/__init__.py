@@ -22,12 +22,8 @@ from .forward import (
     sample_phaseless,
 )
 from .geometry import (
-    AdmissibilityParams,
     ConvexPolyhedron,
-    FrontView,
     build_polyhedron,
-    check_admissibility,
-    classify_faces,
     halfspace_intersection,
     load_obstacle,
     save_obstacle,

@@ -5,10 +5,19 @@ Verbs::
     polyscat synth <config>      synthesize far-field data files
     polyscat recover <config>    run the full three-step recovery
     polyscat locate <config>     run only the location step
-    polyscat check <obstacle>    admissibility report for an obstacle file
+    polyscat check <config>      the faces step 1 can see, by the peak law
 
-Exit code 0 on success; stage-tagged message on stderr and a nonzero code
-otherwise.
+``check`` predicts step 1 from the obstacle alone.  A face ``nu`` lit by
+the incident direction ``d`` peaks at its specular direction with the
+value ``A |d . nu| / lambda_shape``, at ``2 asin |d . nu|`` from ``d``; it
+is seen from ``d`` when step 1's own selection
+(:func:`~polyscat.maxima.critical_mask`) keeps that peak.  It prints one
+line per direction and lit face and one line per face naming the
+directions that see it, and exits with code 3 when some face is seen from
+none, since step 2 cannot rebuild it.
+
+Exit code 0 on success; a config or obstacle error exits 1, and a failed
+pipeline stage exits 2, with the message on stderr.
 """
 
 from __future__ import annotations
@@ -18,16 +27,7 @@ import sys
 
 import numpy as np
 
-from . import geometry, pipeline
-
-_AXIS_DIRECTIONS = (
-    (1.0, 0.0, 0.0),
-    (-1.0, 0.0, 0.0),
-    (0.0, 1.0, 0.0),
-    (0.0, -1.0, 0.0),
-    (0.0, 0.0, 1.0),
-    (0.0, 0.0, -1.0),
-)
+from . import geometry, maxima, pipeline
 
 
 def _cmd_synth(args) -> int:
@@ -69,15 +69,30 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    poly = geometry.load_obstacle(args.obstacle)
-    params = geometry.AdmissibilityParams(
-        h0=args.h0, h1=args.h1, h2=args.h2, h3=args.h3, h4=args.h4, h5=args.h5
-    )
-    report = geometry.check_admissibility(
-        poly, params, [np.array(d) for d in _AXIS_DIRECTIONS]
-    )
-    print(report.summary())
-    return 0 if report.all_ok else 3
+    config = pipeline.parse_config(args.config)
+    poly = geometry.load_obstacle(config.obstacle)
+    seen_by = [[] for _ in range(poly.num_faces)]
+    for i, (d, _) in enumerate(config.incident):
+        faces = np.flatnonzero(geometry.lit_faces(poly.normals, d))
+        nu = poly.normals[faces]
+        c = -(nu @ d)  # |d . nu|, as lit faces have nu . d < 0
+        # the peak law: each lit face peaks at its specular direction
+        peaks = maxima.PeakSet(
+            directions=d + 2.0 * c[:, None] * nu,
+            values=poly.areas[faces] * c / config.lambda_shape,
+        )
+        seen = maxima.critical_mask(peaks, d, config.thresholds)
+        angles = np.degrees(2.0 * np.arcsin(np.minimum(c, 1.0)))
+        for j, value, angle, kept in zip(faces, peaks.values, angles, seen):
+            print(
+                f"d{i} face {j}: peak {value:.4f} at {angle:.2f} deg from d,"
+                f" {'seen' if kept else 'not seen'}"
+            )
+            if kept:
+                seen_by[j].append(f"d{i}")
+    for j, names in enumerate(seen_by):
+        print(f"face {j}: seen from {' '.join(names) or 'no direction'}")
+    return 0 if all(seen_by) else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,17 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_loc.add_argument("config")
     p_loc.set_defaults(func=_cmd_locate)
 
-    p_chk = sub.add_parser("check", help="admissibility report for an obstacle")
-    p_chk.add_argument("obstacle")
-    for name, default in (
-        ("h0", 0.05),
-        ("h1", 10.0),
-        ("h2", 0.3),
-        ("h3", 0.1),
-        ("h4", 10.0),
-        ("h5", 0.1),
-    ):
-        p_chk.add_argument(f"--{name}", type=float, default=default)
+    p_chk = sub.add_parser("check", help="the faces step 1 can see, by the peak law")
+    p_chk.add_argument("config")
     p_chk.set_defaults(func=_cmd_check)
     return parser
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -333,8 +334,9 @@ def load_far_field(path) -> FarFieldSamples:
     values of its Fibonacci lattice point has only its values parsed (see
     :func:`_lattice_values`) and gets ``build_grid(n)``.  Any other file is
     parsed whole and gets :func:`~polyscat.sphgrid.grid_of` its points,
-    which validates them.  Values are parsed by ``np.loadtxt``.  Every
-    ``ValueError`` of a malformed file names ``path``.
+    which validates them, their count of at least 12 included.  Values are
+    parsed by ``np.loadtxt``.  Every ``ValueError`` of a malformed file
+    names ``path``.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -362,7 +364,10 @@ def load_far_field(path) -> FarFieldSamples:
         if data is not None:
             grid = build_grid(len(data))
         else:
-            data = np.loadtxt(lines, comments="#", ndmin=2)
+            with warnings.catch_warnings():
+                # a file with no rows fails the grid's point floor instead
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(lines, comments="#", ndmin=2)
             grid = grid_of(data[:, :3])
             data = data[:, 3:]
         if data.shape[1] != m:

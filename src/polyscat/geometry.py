@@ -1,21 +1,22 @@
-"""Convex polyhedra: construction, validation, illumination bookkeeping and
+"""Convex polyhedra: construction, validation, the lit-face rule and
 half-space intersection.
 
 A polyhedron stores its vertices, one flat layout of all face cycles
 (``rings``), outward unit normals, face areas and plane offsets.  Face
 cycles are ordered counterclockwise when viewed from outside, so the
 right-hand rule yields the outward normal.  Per-face quantities, the
-validity checks, the centroid and the perimeters are segment reductions
-over the rings, not loops over faces.  The half-space intersection uses the
-polar dual transform (convex hull of ``nu_j / alpha_j``), which requires the
-origin strictly inside the body; reconstructions are translation-free, so
-this costs no generality.  It runs in two parts: :func:`dual_hull` runs
-qhull on the dual points and maps each dual triangle to its primal vertex,
-and :meth:`DualHull.body` orders every face ring with one sort by
-(plane, angle) and builds the body from those rings.  The offset fit
-reads what it needs off the dual hull alone.  The module also holds the
-package's one text writer, :func:`write_text`, which rewrites a file in
-place.
+validity checks and the centroid are segment reductions over the rings,
+not loops over faces.  :func:`lit_faces` is the one rule for which faces
+a plane wave lights; the far field and ``polyscat check`` both read it.
+The half-space intersection uses the polar dual transform (convex hull of
+``nu_j / alpha_j``), which requires the origin strictly inside the body;
+reconstructions are translation-free, so this costs no generality.  It
+runs in two parts: :func:`dual_hull` runs qhull on the dual points and
+maps each dual triangle to its primal vertex, and :meth:`DualHull.body`
+orders every face ring with one sort by (plane, angle) and builds the body
+from those rings.  The offset fit reads what it needs off the dual hull
+alone.  The module also holds the package's one text writer,
+:func:`write_text`, which rewrites a file in place.
 """
 
 from __future__ import annotations
@@ -119,13 +120,6 @@ class ConvexPolyhedron:
         return tuple(tuple(f.tolist()) for f in np.split(flat, start[1:]))
 
     @cached_property
-    def perimeters(self) -> np.ndarray:
-        """Face boundary lengths."""
-        flat, succ, _, start = self.rings
-        edges = self.vertices[flat[succ]] - self.vertices[flat]
-        return _frozen(np.add.reduceat(np.linalg.norm(edges, axis=1), start))
-
-    @cached_property
     def volume(self) -> float:
         """Volume via the divergence theorem, ``sum_j l_j |C_j| / 3``."""
         return float(self.offsets @ self.areas) / 3.0
@@ -168,68 +162,6 @@ class ConvexPolyhedron:
             areas=_frozen(self.areas * s**2),
             offsets=_frozen(self.offsets * s),
         )
-
-
-@dataclass(frozen=True)
-class AdmissibilityParams:
-    """A priori constants bounding size, view angles, face areas/perimeters
-    and the significance of a face with respect to an incident direction."""
-
-    h0: float
-    h1: float
-    h2: float
-    h3: float
-    h4: float
-    h5: float
-
-    def __post_init__(self):
-        for name in ("h0", "h1", "h2", "h3", "h4", "h5"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be strictly positive and finite")
-        if self.h0 > self.h1:
-            raise ValueError("volume bounds require h0 <= h1")
-
-
-@dataclass(frozen=True)
-class FrontView:
-    """Partition of face indices into illuminated (front) and shadowed
-    (back) sides for one incident direction, with the significant subset."""
-
-    front: np.ndarray
-    back: np.ndarray
-    significant: np.ndarray
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Per-condition results of :func:`check_admissibility`."""
-
-    volume: float
-    size_ok: bool
-    min_front_pair_cross: tuple  # one value per direction, or None
-    view_ok: bool
-    min_area: float
-    area_ok: bool
-    max_perimeter: float
-    perimeter_ok: bool
-    significant_faces: tuple  # per direction, tuple of face indices
-
-    @property
-    def all_ok(self) -> bool:
-        return self.size_ok and self.view_ok and self.area_ok and self.perimeter_ok
-
-    def summary(self) -> str:
-        lines = [
-            f"volume {self.volume:.6g}: {'pass' if self.size_ok else 'FAIL'}",
-            f"front-pair cross products >= h2: {'pass' if self.view_ok else 'FAIL'}",
-            f"min face area {self.min_area:.6g}: {'pass' if self.area_ok else 'FAIL'}",
-            f"max face perimeter {self.max_perimeter:.6g}: "
-            f"{'pass' if self.perimeter_ok else 'FAIL'}",
-        ]
-        for i, sig in enumerate(self.significant_faces):
-            lines.append(f"direction {i}: significant faces {list(sig)}")
-        lines.append("admissible" if self.all_ok else "NOT admissible")
-        return "\n".join(lines)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -342,62 +274,6 @@ def lit_faces(normals, d) -> np.ndarray:
     """Mask of the faces with outward ``normals`` that a wave travelling
     along ``d`` illuminates: ``nu . d < 0``.  Grazing faces are unlit."""
     return normals @ d < 0.0
-
-
-def classify_faces(poly: ConvexPolyhedron, d, h5: float = 0.0) -> FrontView:
-    """Split faces into front (:func:`lit_faces`) and back views.
-
-    A front face is *significant* when ``|d . nu| >= h5``.
-    """
-    d = unit_vector(d, "incident direction")
-    lit = lit_faces(poly.normals, d)
-    front = np.flatnonzero(lit)
-    significant = front[np.abs(poly.normals[front] @ d) >= h5]
-    return FrontView(front=front, back=np.flatnonzero(~lit), significant=significant)
-
-
-def check_admissibility(
-    poly: ConvexPolyhedron, params: AdmissibilityParams, directions
-) -> AdmissibilityReport:
-    """Report which admissibility conditions the obstacle satisfies.
-
-    Checks the volume window, the pairwise non-parallelism of front-face
-    normals for every supplied incident direction, the minimum face area,
-    the maximum face perimeter, and lists the significant faces per
-    direction.  Report-only; nothing raises on failure.
-    """
-    vol = poly.volume
-    size_ok = params.h0 <= vol <= params.h1
-
-    min_cross = []
-    view_ok = True
-    significant = []
-    for d in directions:
-        view = classify_faces(poly, d, params.h5)
-        significant.append(tuple(int(i) for i in view.significant))
-        if len(view.front) < 2:
-            min_cross.append(None)
-            continue
-        nus = poly.normals[view.front]
-        a, b = np.triu_indices(len(nus), 1)
-        best = float(np.linalg.norm(np.cross(nus[a], nus[b]), axis=1).min())
-        min_cross.append(best)
-        if best < params.h2:
-            view_ok = False
-
-    min_area = float(poly.areas.min())
-    max_perim = float(poly.perimeters.max())
-    return AdmissibilityReport(
-        volume=vol,
-        size_ok=size_ok,
-        min_front_pair_cross=tuple(min_cross),
-        view_ok=view_ok,
-        min_area=min_area,
-        area_ok=min_area >= params.h3,
-        max_perimeter=max_perim,
-        perimeter_ok=max_perim <= params.h4,
-        significant_faces=tuple(significant),
-    )
 
 
 @dataclass(frozen=True)

@@ -290,21 +290,23 @@ def find_local_maxima(expansions) -> list:
     return peak_sets
 
 
+def critical_mask(peaks: PeakSet, d, thresholds: RecoveryThresholds) -> np.ndarray:
+    """Mask of the peaks of incident direction ``d`` that are critical
+    observation directions: at least ``exclusion_radius`` from ``d`` and
+    at least ``e_tol`` high.  Every such unit direction inverts to a
+    front-face normal: the specular law gives
+    ``d . nu = -|xhat - d| / 2 < 0``."""
+    d = np.asarray(d, dtype=float)
+    distance = np.arccos(np.clip(peaks.directions @ d, -1.0, 1.0))
+    return (distance >= thresholds.exclusion_radius) & (peaks.values >= thresholds.e_tol)
+
+
 def select_critical_directions(
     peaks: PeakSet, d, thresholds: RecoveryThresholds
 ) -> PeakSet:
-    """Filter the peaks of incident direction ``d`` down to critical
-    observation directions.
-
-    Removes peaks within ``exclusion_radius`` of ``d`` and peaks below
-    ``e_tol``.  Every other unit direction inverts to a front-face normal:
-    the specular law gives ``d . nu = -|xhat - d| / 2 < 0``.  Idempotent.
-    """
-    d = np.asarray(d, dtype=float)
-    distance = np.arccos(np.clip(peaks.directions @ d, -1.0, 1.0))
-    keep = (distance >= thresholds.exclusion_radius) & (
-        peaks.values >= thresholds.e_tol
-    )
+    """The peaks of incident direction ``d`` that :func:`critical_mask`
+    keeps.  Idempotent."""
+    keep = critical_mask(peaks, d, thresholds)
     return replace(peaks, directions=peaks.directions[keep], values=peaks.values[keep])
 
 

@@ -34,7 +34,8 @@ in a straight line.  The stage that reads a data file of ``output_dir/data/``
 synthesizes that file alone if it is missing, so only
 :func:`synthesize_dataset` rewrites one that exists.  A stage's failure
 raises a :class:`PipelineError` tagged with its name, and ``synth`` tags an
-obstacle that cannot be loaded.
+obstacle that cannot be loaded.  A failed recovery removes every report
+file it did not write, so no file of an earlier run stays beside its own.
 
 All stages are deterministic for a fixed config and seed; report files are
 byte-identical across runs.
@@ -293,8 +294,9 @@ def _synthesize(config: ExperimentConfig, indices) -> list:
 
 def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
     """Load data file ``index``, synthesizing it first only if it is missing.
-    A shape file must hold moduli at the wavenumber ``2 pi / lambda_shape``,
-    and ``location.txt`` a complex field."""
+    A shape file must hold moduli at the wavenumber ``2 pi / lambda_shape``
+    on at least as many points as the ``(cutoff + 1)^2`` coefficients its
+    transform seeks, and ``location.txt`` a complex field."""
     path = _data_path(config, index)
     if not path.exists():
         _synthesize(config, [index])
@@ -310,6 +312,12 @@ def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
             raise ValueError(
                 f"{path}: k = {samples.wave.k!r} does not match "
                 f"lambda_shape = {config.lambda_shape!r}"
+            )
+        cutoff = config.thresholds.cutoff
+        if shape and samples.grid.size < (cutoff + 1) ** 2:
+            raise ValueError(
+                f"{path}: {samples.grid.size} points are fewer than the "
+                f"{(cutoff + 1) ** 2} coefficients of cutoff {cutoff}"
             )
     return samples
 
@@ -332,6 +340,14 @@ class RecoveryReport:
     files: tuple
 
 
+# every report file a run writes, in the order it writes them
+_REPORT_FILES = (
+    "recovered_faces.csv", "effective_normals.csv", "offsets.csv", "areas.csv",
+    "vertices.csv", "recovered.obs", "fit_report.txt", "location.csv",
+    "indicator_scan.txt", "recovered_located.obs",
+)
+
+
 def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     """Execute steps 1-3 and write the report tables.
 
@@ -339,12 +355,26 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     a file already there is reused, never rewritten, and a reused shape file
     must hold the wavenumber ``2 pi / lambda_shape``.  Step 3 reads its file
     after the step-1/2 tables and ``recovered.obs`` are written.  Any stage
-    failure aborts with a stage-tagged :class:`PipelineError`, keeping
-    partial artifacts on disk.
+    failure aborts with a stage-tagged :class:`PipelineError`, keeping the
+    report files this run wrote and removing the others, so that no file
+    of an earlier run stays beside them; ``data/`` is not touched.
     """
+    files = []
+    try:
+        return _recover(config, files)
+    except BaseException:
+        written = {path.name for path in files}
+        for name in _REPORT_FILES:
+            if name not in written:
+                (config.output_dir / name).unlink(missing_ok=True)
+        raise
+
+
+def _recover(config: ExperimentConfig, files: list) -> RecoveryReport:
+    """The body of :func:`run_pipeline`, adding each report file to
+    ``files`` once it is written."""
     shape_samples = [_read(config, i) for i in range(len(config.incident))]
     out = config.output_dir
-    files = []
 
     # Step 1: peaks -> normals and areas, all incident directions in one batch
     t = config.thresholds

@@ -38,11 +38,12 @@ _POINTS_PER_COEFFICIENT = 16
 
 @dataclass(frozen=True)
 class SphericalGrid:
-    """Distinct unit directions with quadrature weights computed from them.
+    """At least 12 distinct unit directions with quadrature weights
+    computed from them.
 
     The weights are built, and the points validated, at construction:
-    points that are not unit vectors, exactly repeated points and any
-    nonpositive weight raise ``ValueError``.
+    fewer than 12 points, points that are not unit vectors, exactly
+    repeated points and any nonpositive weight raise ``ValueError``.
 
     Attributes
     ----------
@@ -53,6 +54,8 @@ class SphericalGrid:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
+        if len(pts) < 12:
+            raise ValueError(f"a grid needs at least 12 points, got {len(pts)}")
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("grid points must be an (N, 3) array")
         if not np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-9):
@@ -111,10 +114,8 @@ def fibonacci_points(n: int) -> np.ndarray:
 
 
 def build_grid(n: int) -> SphericalGrid:
-    """Raw Fibonacci lattice of ``n`` points (at least 12) with its exact
-    low-degree quadrature weights: :func:`grid_of` its points."""
-    if n < 12:
-        raise ValueError("need at least 12 grid points")
+    """Raw Fibonacci lattice of ``n`` points with its exact low-degree
+    quadrature weights: :func:`grid_of` its points."""
     return _grid(*_lattice_key(int(n)))
 
 

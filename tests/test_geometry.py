@@ -16,7 +16,6 @@ from conftest import (
     make_cube,
 )
 from polyscat.geometry import (
-    AdmissibilityParams,
     DegenerateFace,
     EmptyInterior,
     GeometryError,
@@ -25,8 +24,6 @@ from polyscat.geometry import (
     Unbounded,
     _distinct_rows,
     build_polyhedron,
-    check_admissibility,
-    classify_faces,
     cross_rows,
     halfspace_intersection,
     load_obstacle,
@@ -41,7 +38,6 @@ def test_tetrahedron_build(tetra):
     assert_allclose(tetra.normals, TETRA_TRUE_NORMALS, atol=1e-8)
     assert_allclose(tetra.areas, TETRA_FACE_AREA, rtol=1e-12)
     assert_allclose(tetra.offsets, TETRA_OFFSET, rtol=1e-12)
-    assert_allclose(tetra.perimeters, 3.0, rtol=1e-12)
     assert_allclose(tetra.volume, TETRA_VOLUME, rtol=1e-12)
     assert_allclose(tetra.centroid, 0.0, atol=1e-12)
 
@@ -194,79 +190,6 @@ def test_first_bad_face_is_reported(tetra, order):
     _, error, message = _BAD_FACES[order[0]]
     with pytest.raises(error, match=f"^face 1 {message}"):
         build_polyhedron(v, faces)
-
-
-def test_classify_tetrahedron(tetra):
-    view = classify_faces(tetra, [1.0, 0.0, 0.0], h5=0.1)
-    assert list(view.front) == [0]
-    assert sorted(view.back) == [1, 2, 3]  # grazing faces land in the back view
-    assert list(view.significant) == [0]
-
-    view5 = classify_faces(tetra, [0.0, 0.0, 1.0], h5=0.1)
-    assert sorted(view5.front) == [2, 3]
-
-
-def test_classify_cube(cube):
-    view = classify_faces(cube, [0.0, 0.0, -1.0])
-    nus = cube.normals[view.front]
-    assert len(view.front) == 1
-    assert_allclose(nus[0], [0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_classify_partition_property(tetra):
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        view = classify_faces(tetra, d)
-        merged = sorted(list(view.front) + list(view.back))
-        assert merged == list(range(tetra.num_faces))
-
-
-def test_admissibility_tetrahedron(tetra):
-    params = AdmissibilityParams(h0=0.1, h1=1.0, h2=0.5, h3=0.4, h4=3.5, h5=0.1)
-    directions = [np.eye(3)[i] * s for i in range(3) for s in (1, -1)]
-    report = check_admissibility(tetra, params, directions)
-    assert report.all_ok
-    assert_allclose(report.volume, TETRA_VOLUME, rtol=1e-12)
-    # d=(0,0,1) sees the pair (nu_3, nu_4): |nu x nu'| = 0.9428
-    idx = [i for i, d in enumerate(directions) if d[2] == 1.0][0]
-    assert_allclose(report.min_front_pair_cross[idx], 0.9428, atol=1e-4)
-    assert "admissible" in report.summary()
-
-
-def test_admissibility_front_pairs_match_loop():
-    rng = np.random.default_rng(11)
-    normals = rng.normal(size=(14, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    poly = halfspace_intersection(normals, np.ones(14)).polyhedron
-    directions = list(np.eye(3)) + list(rng.normal(size=(5, 3)))
-    directions = [d / np.linalg.norm(d) for d in directions]
-    params = AdmissibilityParams(h0=0.1, h1=100.0, h2=0.1, h3=0.01, h4=100.0, h5=0.01)
-    report = check_admissibility(poly, params, directions)
-    for d, got in zip(directions, report.min_front_pair_cross):
-        nus = poly.normals[classify_faces(poly, d, params.h5).front]
-        want = min(
-            np.linalg.norm(np.cross(nus[a], nus[b]))
-            for a in range(len(nus))
-            for b in range(a + 1, len(nus))
-        )
-        assert abs(got - want) <= 1e-15
-
-
-def test_admissibility_cube_small_faces(cube):
-    params = AdmissibilityParams(h0=0.1, h1=10.0, h2=0.5, h3=2.0, h4=10.0, h5=0.1)
-    report = check_admissibility(cube, params, [np.array([1.0, 0, 0])])
-    assert not report.area_ok
-    assert not report.all_ok
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
-@pytest.mark.parametrize("name", ["h0", "h1", "h2", "h3", "h4", "h5"])
-def test_admissibility_params_must_be_positive_and_finite(name, value):
-    bounds = dict(h0=0.1, h1=10.0, h2=0.5, h3=0.4, h4=10.0, h5=0.1)
-    with pytest.raises(ValueError, match=f"^{name} must be strictly positive and finite$"):
-        AdmissibilityParams(**{**bounds, name: value})
 
 
 def test_halfspace_cube():

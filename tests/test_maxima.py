@@ -20,6 +20,7 @@ from polyscat.maxima import (
     RecoveryThresholds,
     _seed_lattice,
     cluster_effective_normals,
+    critical_mask,
     find_local_maxima,
     normal_and_area_from_peak,
     peaks_to_faces,
@@ -252,6 +253,15 @@ class TestSelection:
         peaks = self._peaks([X1, [0.0, 1.0, 0.0]], [0.7, 0.2])
         out = select_critical_directions(peaks, D1, RecoveryThresholds(e_tol=0.5))
         assert len(out) == 1
+
+    def test_keeps_a_peak_on_either_threshold(self):
+        # both bounds are inclusive: the tetrahedron's faces lit along +-z
+        # peak exactly on e_tol = 0.5 at lambda 0.5, and step 1 keeps them
+        thresholds = RecoveryThresholds(e_tol=0.5, exclusion_radius=np.arccos(X1 @ D1))
+        peaks = self._peaks([X1, X1], [0.5, np.nextafter(0.5, 0.0)])
+        assert critical_mask(peaks, D1, thresholds).tolist() == [True, False]
+        out = select_critical_directions(peaks, D1, thresholds)
+        assert out.values.tolist() == [0.5]
 
     def test_empty_and_idempotent(self):
         empty = self._peaks(np.zeros((0, 3)), [])

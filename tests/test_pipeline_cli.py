@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import logging
 import math
 import re
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +12,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import write_experiment_config
-from polyscat import geometry, minkowski, pipeline
-from polyscat.cli import main
+from polyscat import cli, geometry, maxima, minkowski, pipeline
+from polyscat.cli import build_parser, main
 from polyscat.forward import NoiseModel, add_noise, load_far_field, save_far_field
 from polyscat.geometry import load_obstacle, save_obstacle
 from polyscat.pipeline import PipelineError, parse_config, run_pipeline, synthesize_dataset
+from polyscat.sphgrid import sht_forward
 
 FAST = dict(grid_shape=2000, grid_loc=500, cutoff=6, cluster_angle_deg=10.0)
+# the shorter wavelength that criteria 8 and 9 recover at, on FAST's grids
+SHORT = dict(FAST, lambda_shape=0.3, cutoff=9)
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -423,6 +428,32 @@ class TestRecover:
         vertices = load_obstacle(out / "recovered.obs").vertices
         assert_allclose(vertices, table[:, 1:], rtol=0, atol=5e-10)
 
+    def test_a_failed_rerun_leaves_no_report_file_of_the_first_run(self, workspace):
+        # a rerun that fails keeps the report files it wrote and removes the
+        # others, so none of the first run's stays beside them; data/ stays
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        out = workspace / "out"
+
+        def report_names():
+            return sorted(p.name for p in out.iterdir() if p.is_file())
+
+        assert main(["recover", str(cfg)]) == 0
+        assert report_names() == sorted(pipeline._REPORT_FILES)
+        first = (out / "vertices.csv").read_bytes()
+        noisy_first_shape_file(config)
+        (out / "data" / "location.txt").write_text("edited\n")
+        data = read_tree(out / "data")
+        # fails at the [load] of location.txt, after the step-1/2 tables
+        assert main(["recover", str(cfg)]) == 2
+        assert report_names() == sorted(pipeline._REPORT_FILES[:7])
+        assert (out / "vertices.csv").read_bytes() != first
+        # fails at [step1], after its two tables
+        cfg.write_text(with_line(cfg, "e_tol = 100"))
+        assert main(["recover", str(cfg)]) == 2
+        assert report_names() == ["effective_normals.csv", "recovered_faces.csv"]
+        assert read_tree(out / "data") == data
+
     def test_lattice_text_and_whole_parse_give_one_report(self, workspace):
         # the same files with %.17e coordinates take the whole-file parse
         sizes = dict(grid_shape=500, grid_loc=200, cutoff=6, cluster_angle_deg=10.0)
@@ -575,17 +606,47 @@ class TestCli:
         assert main(["locate", str(cfg)]) == 0
         assert [p.name for p in (workspace / "out" / "data").iterdir()] == ["location.txt"]
 
-    def test_check_verb(self, workspace, capsys):
-        assert main(["check", str(workspace / "tetra.obs")]) == 0
-        assert "admissible" in capsys.readouterr().out
-        # an impossible area bound fails with exit code 3
-        assert main(["check", str(workspace / "tetra.obs"), "--h3", "5.0"]) == 3
+    @pytest.mark.parametrize("sizes", [FAST, SHORT], ids=["lambda05", "lambda03"])
+    @pytest.mark.parametrize("name", ["tetra", "cube", "prism"])
+    def test_check_sees_the_faces_step1_finds(self, tmp_path, request, capsys, name, sizes):
+        # the (direction, face) pairs check prints as seen are those whose
+        # step-1 normals lie within 10 degrees of the face's; step-1 normals
+        # near no face (the prism's sidelobes at lambda 0.3) are not compared
+        poly = request.getfixturevalue(name)
+        save_obstacle(poly, tmp_path / "body.obs")
+        cfg = write_experiment_config(tmp_path / "exp.cfg", "body.obs", **sizes)
+        assert main(["check", str(cfg)]) == 0
+        seen = re.findall(r"^d(\d+) face (\d+): .*, seen$", capsys.readouterr().out, re.M)
+        config = parse_config(cfg)
+        samples = [load_far_field(path) for path in synthesize_dataset(config)[:-1]]
+        t = config.thresholds
+        peak_sets = maxima.find_local_maxima(
+            [sht_forward(s.grid, s.values, t.cutoff) for s in samples]
+        )
+        raw = maxima.peaks_to_faces(
+            peak_sets, [s.wave.d for s in samples], config.lambda_shape, t
+        )
+        cos = raw.normals @ poly.normals.T
+        near = cos.max(axis=1) >= math.cos(math.radians(10.0))
+        found = zip(raw.source_indices[near], cos.argmax(axis=1)[near])
+        assert {(int(i), int(j)) for i, j in seen} == {(int(i), int(j)) for i, j in found}
 
-    def test_check_rejects_a_nan_bound(self, workspace, capsys):
-        assert main(["check", str(workspace / "tetra.obs"), "--h2", "nan"]) == 1
+    def test_check_exits_3_naming_every_unseen_face(self, workspace, capsys):
+        cfg = write_experiment_config(
+            workspace / "exp.cfg", "tetra.obs", e_tol=100.0, **FAST
+        )
+        assert main(["check", str(cfg)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4:] == [f"face {j}: seen from no direction" for j in range(4)]
+        assert all(line.endswith(", not seen") for line in lines[:-4])
+
+    def test_check_config_and_obstacle_errors_exit_1(self, workspace, capsys):
+        assert main(["check", str(workspace / "nope.cfg")]) == 1
+        cfg = write_experiment_config(workspace / "exp.cfg", "nope.obs", **FAST)
+        assert main(["check", str(cfg)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: h2 must be strictly positive and finite\n"
-        assert "admissible" not in captured.out
+        assert captured.out == ""
+        assert captured.err.count("error: ") == 2
 
     def test_stage_failure_exits_2(self, workspace, capsys):
         cfg = write_experiment_config(
@@ -636,6 +697,67 @@ class TestCli:
         assert main([verb, str(cfg)]) == 2
         assert capsys.readouterr().err == f"error [load] {data / slot}: {message}\n"
         assert not any(p.suffix == ".csv" for p in (workspace / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "verb, name, rows, message",
+        [
+            ("recover", "shape_00.txt", 6, "a grid needs at least 12 points, got 6"),
+            ("locate", "location.txt", 5, "a grid needs at least 12 points, got 5"),
+            ("locate", "location.txt", 0, "a grid needs at least 12 points, got 0"),
+        ],
+        ids=["six-point-shape", "five-point-location", "header-only"],
+    )
+    def test_a_data_file_of_too_few_points_is_rejected(
+        self, workspace, capsys, verb, name, rows, message
+    ):
+        # the first rows of a synthesized file: unit, distinct points
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
+        path = workspace / "out" / "data" / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[: 2 + rows]) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([verb, str(cfg)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
+
+    def test_a_shape_file_of_fewer_points_than_coefficients_is_rejected(
+        self, workspace, capsys
+    ):
+        # 20 points cannot fix the 49 coefficients of cutoff 6
+        cfg = write_experiment_config(
+            workspace / "exp.cfg", "tetra.obs", **dict(FAST, grid_shape=20)
+        )
+        assert main(["recover", str(cfg)]) == 2
+        path = workspace / "out" / "data" / "shape_00.txt"
+        message = "20 points are fewer than the 49 coefficients of cutoff 6"
+        assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
+
+    @pytest.mark.parametrize("source", ["README.md", "cli docstring"])
+    def test_documented_verbs_match_the_parser(self, source):
+        # every verb of build_parser(), each with its arguments in order:
+        # a positional as <dest>, an option as [--name]
+        parser = build_parser()
+        [verbs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        usage = {
+            verb: [
+                f"[{a.option_strings[-1]}]" if a.option_strings else f"<{a.dest}>"
+                for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+            for verb, sub in verbs.choices.items()
+        }
+        if source == "README.md":
+            text = README.read_text().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+        else:
+            text = cli.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+        listed = {
+            verb: args.split()
+            for verb, args in re.findall(r"^ *polyscat (\w+)((?: [<\[]\S+[>\]])*)", text, re.M)
+        }
+        assert listed == usage
 
     def test_missing_config_is_error(self, workspace, capsys):
         assert main(["recover", str(workspace / "nope.cfg")]) != 0

@@ -64,8 +64,12 @@ class TestGrid:
         assert np.abs(np.linalg.norm(g.points, axis=1) - 1.0).max() < 1e-12
 
     def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
+        # the one floor of every grid, built or loaded
+        with pytest.raises(ValueError, match="^a grid needs at least 12 points, got 4$"):
             build_grid(4)
+        with pytest.raises(ValueError, match="^a grid needs at least 12 points, got 11$"):
+            SphericalGrid(points=fibonacci_points(11))
+        assert SphericalGrid(points=fibonacci_points(12)).size == 12
 
     def test_grid_of_builds_one_grid_per_point_set(self):
         g = build_grid(300)
