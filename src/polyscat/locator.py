@@ -196,9 +196,11 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
         model = g @ s + 0.5 * s @ H @ s
         radius = min(cap, np.abs(s).max() * (2.0 if gain >= 0.25 * model else 0.5))
         z, fz = trial, fz + gain
-    logging.getLogger("polyscat").debug(
-        "step 3: %d Newton iterations, %d trial evaluations, best coarse cell ahead "
-        "of the next by %.3e", iters, evals, np.ptp(np.sort(scan, axis=None)[-2:]))
+    log = logging.getLogger("polyscat")
+    if log.isEnabledFor(logging.DEBUG):  # the sort of the scan only when logged
+        log.debug(
+            "step 3: %d Newton iterations, %d trial evaluations, best coarse cell "
+            "ahead of the next by %.3e", iters, evals, np.ptp(np.sort(scan, axis=None)[-2:]))
     return z, fz, scan
 
 

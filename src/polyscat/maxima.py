@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import cross_rows
 from .sphgrid import FOUR_PI, fibonacci_points, harmonic_basis
 
 
@@ -182,7 +183,7 @@ def _tangent_bases(x: np.ndarray):
     axis = np.eye(3)[np.argmin(np.abs(x), axis=1)]
     e1 = axis - np.einsum("ij,ij->i", axis, x)[:, None] * x
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    return e1, np.cross(x, e1)
+    return e1, cross_rows(x, e1)
 
 
 def _polish(expansions, cutoff: int, seeds, owner, scale):
@@ -220,16 +221,15 @@ def _polish(expansions, cutoff: int, seeds, owner, scale):
         f0 = f[:, 4]
         ga = (f[:, 7] - f[:, 1]) / (2.0 * h)
         gb = (f[:, 5] - f[:, 3]) / (2.0 * h)
-        haa = (f[:, 7] - 2.0 * f0 + f[:, 1]) / h**2
-        hbb = (f[:, 5] - 2.0 * f0 + f[:, 3]) / h**2
-        hab = (f[:, 8] - f[:, 6] - f[:, 2] + f[:, 0]) / (4.0 * h**2)
+        hess = np.empty((len(x), 2, 2))
+        hess[:, 0, 0] = (f[:, 7] - 2.0 * f0 + f[:, 1]) / h**2
+        hess[:, 1, 1] = (f[:, 5] - 2.0 * f0 + f[:, 3]) / h**2
+        hess[:, 0, 1] = hess[:, 1, 0] = (f[:, 8] - f[:, 6] - f[:, 2] + f[:, 0]) / (4.0 * h**2)
 
         # Newton step where the Hessian is negative definite; elsewhere a
         # gradient step scaled per eigendirection by 1/|curvature|, which
         # leaves saddles along their ascending direction at full speed
-        lam, vec = np.linalg.eigh(
-            np.stack([np.stack([haa, hab], -1), np.stack([hab, hbb], -1)], -2)
-        )
+        lam, vec = np.linalg.eigh(hess)
         g = np.stack([ga, gb], -1)
         gnorm = np.hypot(ga, gb)
         floor = np.maximum(gnorm / _MAX_STEP, 1e-300)[:, None]
@@ -255,10 +255,10 @@ def _suppress(directions: np.ndarray, order, angle: float) -> np.ndarray:
     """Greedy angular suppression: visit ``directions`` in ``order`` and keep
     each one farther than ``angle`` (radians) from every one already kept.
     Returns the kept indices in visiting order."""
+    far = (np.arccos(np.clip(directions @ directions.T, -1.0, 1.0)) > angle).tolist()
     kept = []
     for i in order:
-        dots = directions[kept] @ directions[i]
-        if np.all(np.arccos(np.clip(dots, -1.0, 1.0)) > angle):
+        if all(far[k][i] for k in kept):
             kept.append(i)
     return np.array(kept, dtype=int)
 

@@ -23,8 +23,9 @@ Config files are flat ``key = value`` text with one repeated key::
     output_dir = out
 
 ``cutoff`` and ``noise_seed`` are integers >= 0; ``grid_shape`` and
-``grid_loc`` are integers >= 12.  Step 3 places the obstacle at the
-maximum of the degree-1 indicator over ``region``.  A
+``grid_loc`` are integers >= 12, and ``grid_shape`` is at least the
+``(cutoff + 1)^2`` coefficients of the shape transform.  Step 3 places the
+obstacle at the maximum of the degree-1 indicator over ``region``.  A
 ``multistart = <n_theta> <n_phi>`` line from older configs is accepted
 and ignored with a warning: step 1 seeds its peak search from a lattice
 sized by ``cutoff``.
@@ -35,7 +36,9 @@ synthesizes that file alone if it is missing, so only
 :func:`synthesize_dataset` rewrites one that exists.  A stage's failure
 raises a :class:`PipelineError` tagged with its name, and ``synth`` tags an
 obstacle that cannot be loaded.  A failed recovery removes every report
-file it did not write, so no file of an earlier run stays beside its own.
+file it did not write, so no file of an earlier run stays beside its own;
+a failed :func:`locate_obstacle` does the same with the two step-3 files,
+and leaves ``recovered_located.obs``, which only the recovery writes.
 
 All stages are deterministic for a fixed config and seed; report files are
 byte-identical across runs.
@@ -101,6 +104,12 @@ class ExperimentConfig:
         for key in ("grid_shape", "grid_loc"):
             if getattr(self, key) < 12:
                 raise ValueError(f"{key} needs at least 12 points")
+        need = (self.thresholds.cutoff + 1) ** 2
+        if self.grid_shape < need:
+            raise ValueError(
+                f"grid_shape = {self.grid_shape} is fewer points than the {need} "
+                f"coefficients of cutoff {self.thresholds.cutoff}"
+            )
         if not (0 < self.lambda_shape < math.inf and 0 < self.lambda_loc < math.inf):
             raise ValueError("wavelengths must be positive and finite")
         for d, p in self.incident:
@@ -340,12 +349,26 @@ class RecoveryReport:
     files: tuple
 
 
+_LOCATE_FILES = ("location.csv", "indicator_scan.txt")  # step 3's
 # every report file a run writes, in the order it writes them
 _REPORT_FILES = (
     "recovered_faces.csv", "effective_normals.csv", "offsets.csv", "areas.csv",
-    "vertices.csv", "recovered.obs", "fit_report.txt", "location.csv",
-    "indicator_scan.txt", "recovered_located.obs",
+    "vertices.csv", "recovered.obs", "fit_report.txt", *_LOCATE_FILES,
+    "recovered_located.obs",
 )
+
+
+@contextmanager
+def _report_files(out: Path, names):
+    """Collect in the yielded list the report files the block writes; if it
+    raises, remove each of ``names`` in ``out`` that it did not write."""
+    files = []
+    try:
+        yield files
+    except BaseException:
+        for name in set(names) - {path.name for path in files}:
+            (out / name).unlink(missing_ok=True)
+        raise
 
 
 def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
@@ -359,73 +382,60 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     report files this run wrote and removing the others, so that no file
     of an earlier run stays beside them; ``data/`` is not touched.
     """
-    files = []
-    try:
-        return _recover(config, files)
-    except BaseException:
-        written = {path.name for path in files}
-        for name in _REPORT_FILES:
-            if name not in written:
-                (config.output_dir / name).unlink(missing_ok=True)
-        raise
-
-
-def _recover(config: ExperimentConfig, files: list) -> RecoveryReport:
-    """The body of :func:`run_pipeline`, adding each report file to
-    ``files`` once it is written."""
-    shape_samples = [_read(config, i) for i in range(len(config.incident))]
     out = config.output_dir
+    with _report_files(out, _REPORT_FILES) as files:
+        shape_samples = [_read(config, i) for i in range(len(config.incident))]
 
-    # Step 1: peaks -> normals and areas, all incident directions in one batch
-    t = config.thresholds
-    with _stage("step1"):
-        peak_sets = maxima.find_local_maxima(
-            [sphgrid.sht_forward(s.grid, s.values, t.cutoff) for s in shape_samples]
+        # Step 1: peaks -> normals and areas, all incident directions in one batch
+        t = config.thresholds
+        with _stage("step1"):
+            peak_sets = maxima.find_local_maxima(
+                [sphgrid.sht_forward(s.grid, s.values, t.cutoff) for s in shape_samples]
+            )
+            raw_faces = maxima.peaks_to_faces(
+                peak_sets, [s.wave.d for s in shape_samples], config.lambda_shape, t
+            )
+            effective = maxima.cluster_effective_normals(raw_faces, t.cluster_angle)
+        header = "source_d_index,nu_x,nu_y,nu_z,peak_value,area"
+        for name, f in (("recovered_faces.csv", raw_faces), ("effective_normals.csv", effective)):
+            columns = [f.source_indices, f.normals, f.peak_values, f.areas]
+            files.append(_write_csv(out / name, header, columns, 1))
+        if len(effective) < 4:
+            raise PipelineError(
+                "step1", f"only {len(effective)} effective normals; need at least 4"
+            )
+
+        # Step 2: areas -> offsets and the polyhedron they bound
+        with _stage("step2"):
+            fit = minkowski.fit_offsets(effective.normals, effective.areas)
+        reconstructed = fit.polyhedron
+        face, vertex = np.arange(len(fit.offsets)), np.arange(reconstructed.num_vertices)
+        areas = [face, effective.areas, fit.target_areas, fit.areas]
+        areas_header = "face,recovered_area,balanced_area,fitted_area"
+        files += [
+            _write_csv(out / "offsets.csv", "face,offset", [face, fit.offsets], 1),
+            _write_csv(out / "areas.csv", areas_header, areas, 1),
+            _write_csv(out / "vertices.csv", "vertex,x,y,z", [vertex, reconstructed.vertices], 1),
+            geometry.save_obstacle(reconstructed, out / "recovered.obs"),
+            _write_fit_report(out / "fit_report.txt", fit),
+        ]
+
+        # Step 3: low-frequency location
+        z_star, ind_val, location_files = locate_obstacle(config)
+        files.extend(location_files)
+        located = reconstructed.translated(z_star - reconstructed.centroid)
+        files.append(geometry.save_obstacle(located, out / "recovered_located.obs"))
+
+        return RecoveryReport(
+            raw_faces=raw_faces,
+            effective=effective,
+            fit=fit,
+            reconstructed=reconstructed,
+            location=z_star,
+            indicator_value=ind_val,
+            located=located,
+            files=tuple(files),
         )
-        raw_faces = maxima.peaks_to_faces(
-            peak_sets, [s.wave.d for s in shape_samples], config.lambda_shape, t
-        )
-        effective = maxima.cluster_effective_normals(raw_faces, t.cluster_angle)
-    header = "source_d_index,nu_x,nu_y,nu_z,peak_value,area"
-    for name, f in (("recovered_faces.csv", raw_faces), ("effective_normals.csv", effective)):
-        columns = [f.source_indices, f.normals, f.peak_values, f.areas]
-        files.append(_write_csv(out / name, header, columns, 1))
-    if len(effective) < 4:
-        raise PipelineError(
-            "step1", f"only {len(effective)} effective normals; need at least 4"
-        )
-
-    # Step 2: areas -> offsets and the polyhedron they bound
-    with _stage("step2"):
-        fit = minkowski.fit_offsets(effective.normals, effective.areas)
-    reconstructed = fit.polyhedron
-    face, vertex = np.arange(len(fit.offsets)), np.arange(reconstructed.num_vertices)
-    areas = [face, effective.areas, fit.target_areas, fit.areas]
-    areas_header = "face,recovered_area,balanced_area,fitted_area"
-    files += [
-        _write_csv(out / "offsets.csv", "face,offset", [face, fit.offsets], 1),
-        _write_csv(out / "areas.csv", areas_header, areas, 1),
-        _write_csv(out / "vertices.csv", "vertex,x,y,z", [vertex, reconstructed.vertices], 1),
-        geometry.save_obstacle(reconstructed, out / "recovered.obs"),
-        _write_fit_report(out / "fit_report.txt", fit),
-    ]
-
-    # Step 3: low-frequency location
-    z_star, ind_val, location_files = locate_obstacle(config)
-    files.extend(location_files)
-    located = reconstructed.translated(z_star - reconstructed.centroid)
-    files.append(geometry.save_obstacle(located, out / "recovered_located.obs"))
-
-    return RecoveryReport(
-        raw_faces=raw_faces,
-        effective=effective,
-        fit=fit,
-        reconstructed=reconstructed,
-        location=z_star,
-        indicator_value=ind_val,
-        located=located,
-        files=tuple(files),
-    )
 
 
 def locate_obstacle(config: ExperimentConfig):
@@ -435,17 +445,20 @@ def locate_obstacle(config: ExperimentConfig):
     is synthesized, and it is the only data file written.
 
     Returns ``(z, value, files)``; a failure raises a stage-tagged
-    :class:`PipelineError`.
+    :class:`PipelineError` and removes whichever of the two report files
+    it did not write.  ``recovered_located.obs`` belongs to
+    :func:`run_pipeline`: this neither writes nor removes it.
     """
-    samples = _read(config, len(config.incident))
-    with _stage("step3"):
-        z, value, scan = locator.locate(samples, config.region)
     out = config.output_dir
-    files = (
-        _write_csv(out / "location.csv", "z_x,z_y,z_z,indicator", [*z, value], 0),
-        _write_scan(out / "indicator_scan.txt", config.region, scan),
-    )
-    return z, value, files
+    with _report_files(out, _LOCATE_FILES) as files:
+        samples = _read(config, len(config.incident))
+        with _stage("step3"):
+            z, value, scan = locator.locate(samples, config.region)
+        files += [
+            _write_csv(out / "location.csv", "z_x,z_y,z_z,indicator", [*z, value], 0),
+            _write_scan(out / "indicator_scan.txt", config.region, scan),
+        ]
+    return z, value, tuple(files)
 
 
 # ---------------------------------------------------------------------------

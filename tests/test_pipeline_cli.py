@@ -14,10 +14,16 @@ from numpy.testing import assert_allclose
 from conftest import write_experiment_config
 from polyscat import cli, geometry, maxima, minkowski, pipeline
 from polyscat.cli import build_parser, main
-from polyscat.forward import NoiseModel, add_noise, load_far_field, save_far_field
+from polyscat.forward import (
+    NoiseModel,
+    add_noise,
+    load_far_field,
+    sample_phaseless,
+    save_far_field,
+)
 from polyscat.geometry import load_obstacle, save_obstacle
 from polyscat.pipeline import PipelineError, parse_config, run_pipeline, synthesize_dataset
-from polyscat.sphgrid import sht_forward
+from polyscat.sphgrid import build_grid, sht_forward
 
 FAST = dict(grid_shape=2000, grid_loc=500, cutoff=6, cluster_angle_deg=10.0)
 # the shorter wavelength that criteria 8 and 9 recover at, on FAST's grids
@@ -129,15 +135,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"bad\.cfg: cutoff must be"):
             parse_config(bad)
 
-    @pytest.mark.parametrize("line", ["grid_shape = 3", "grid_loc = 0"])
+    @pytest.mark.parametrize("line", ["grid_shape = 3", "grid_loc = 0", "grid_shape = 40"])
     def test_rejects_small_grids(self, workspace, line):
-        # rejected when parsed, naming the key, before synth creates out/data/
+        # rejected when parsed, naming the key, before synth creates out/data/;
+        # 40 shape points are fewer than the 49 coefficients of FAST's cutoff 6
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
         bad = workspace / "bad.cfg"
         bad.write_text(with_line(plain, line))
-        with pytest.raises(ValueError, match=line.split(" = ")[0]):
+        with pytest.raises(ValueError, match=r"bad\.cfg: " + line.split(" = ")[0]):
             parse_config(bad)
-        assert main(["synth", str(bad)]) == 1
+        for verb in ("synth", "recover", "check"):
+            assert main([verb, str(bad)]) == 1
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize(
@@ -454,6 +462,22 @@ class TestRecover:
         assert report_names() == ["effective_normals.csv", "recovered_faces.csv"]
         assert read_tree(out / "data") == data
 
+    def test_a_failed_locate_leaves_no_step3_table_of_the_last_run(self, workspace, capsys):
+        # locate removes the two step-3 tables it did not write and touches
+        # no other report file, recovered_located.obs included, nor data/
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        out = workspace / "out"
+        assert main(["recover", str(cfg)]) == 0
+        (out / "data" / "location.txt").write_text("edited\n")
+        before = read_tree(out)
+        capsys.readouterr()
+        assert main(["locate", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error [load] ")
+        step3 = {"location.csv", "indicator_scan.txt"}
+        report = {p.name for p in out.iterdir() if p.is_file()}
+        assert report == set(pipeline._REPORT_FILES) - step3
+        assert read_tree(out) == {k: v for k, v in before.items() if k not in step3}
+
     def test_lattice_text_and_whole_parse_give_one_report(self, workspace):
         # the same files with %.17e coordinates take the whole-file parse
         sizes = dict(grid_shape=500, grid_loc=200, cutoff=6, cluster_angle_deg=10.0)
@@ -605,6 +629,9 @@ class TestCli:
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
         assert main(["locate", str(cfg)]) == 0
         assert [p.name for p in (workspace / "out" / "data").iterdir()] == ["location.txt"]
+        # the report files locate writes are those it removes on failure
+        written = sorted(p.name for p in (workspace / "out").iterdir() if p.is_file())
+        assert written == sorted(pipeline._LOCATE_FILES)
 
     @pytest.mark.parametrize("sizes", [FAST, SHORT], ids=["lambda05", "lambda03"])
     @pytest.mark.parametrize("name", ["tetra", "cube", "prism"])
@@ -724,14 +751,16 @@ class TestCli:
         assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
 
     def test_a_shape_file_of_fewer_points_than_coefficients_is_rejected(
-        self, workspace, capsys
+        self, workspace, capsys, tetra
     ):
-        # 20 points cannot fix the 49 coefficients of cutoff 6
-        cfg = write_experiment_config(
-            workspace / "exp.cfg", "tetra.obs", **dict(FAST, grid_shape=20)
-        )
-        assert main(["recover", str(cfg)]) == 2
+        # 20 points cannot fix the 49 coefficients of cutoff 6; the config
+        # cannot ask for them, so the file is written here
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
         path = workspace / "out" / "data" / "shape_00.txt"
+        path.parent.mkdir(parents=True)
+        save_far_field(sample_phaseless(tetra, config.shape_waves()[0], build_grid(20)), path)
+        assert main(["recover", str(cfg)]) == 2
         message = "20 points are fewer than the 49 coefficients of cutoff 6"
         assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
 
