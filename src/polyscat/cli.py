@@ -72,13 +72,13 @@ def _cmd_check(args) -> int:
     config = pipeline.parse_config(args.config)
     poly = geometry.load_obstacle(config.obstacle)
     seen_by = [[] for _ in range(poly.num_faces)]
-    for i, (d, _) in enumerate(config.incident):
+    for i, d in enumerate(wave.d for wave in config.shape_waves):
         faces = np.flatnonzero(geometry.lit_faces(poly.normals, d))
         nu = poly.normals[faces]
         c = -(nu @ d)  # |d . nu|, as lit faces have nu . d < 0
         # the peak law: each lit face peaks at its specular direction
         peaks = maxima.PeakSet(
-            directions=d + 2.0 * c[:, None] * nu,
+            directions=maxima.specular_direction(nu, d),
             values=poly.areas[faces] * c / config.lambda_shape,
         )
         seen = maxima.critical_mask(peaks, d, config.thresholds)

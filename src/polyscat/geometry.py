@@ -296,8 +296,9 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     Uses the polar dual: the hull of the points ``nu_j / alpha_j`` has one
     facet per vertex of the primal body, and that vertex lies on exactly the
     planes whose dual points span the facet, so faces follow the hull's
-    combinatorics rather than a distance tolerance.  All offsets must be
-    strictly positive (origin interior) and the normals must positively
+    combinatorics rather than a distance tolerance.  :func:`unit_normals`
+    checks the normals and :func:`dual_hull` the offsets: all offsets must
+    be strictly positive (origin interior) and the normals must positively
     span space.
 
     Raises
@@ -309,10 +310,7 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     Unbounded
         If the intersection is not a bounded solid.
     """
-    N = unit_normals(normals)
-    if np.linalg.matrix_rank(N, tol=1e-9) < 3:
-        raise Unbounded("normals do not span 3-space")
-    return dual_hull(N, offsets).body()
+    return dual_hull(unit_normals(normals), offsets).body()
 
 
 _SHAPES = "need matching (k, 3) normals and (k,) offsets"
@@ -320,8 +318,8 @@ _SHAPES = "need matching (k, 3) normals and (k,) offsets"
 
 def unit_normals(normals) -> np.ndarray:
     """The rows of ``normals`` rescaled to unit length, once checked to be
-    ``(k, 3)``, finite, at least four and unit to 1e-6: what a half-space
-    intersection asks of its normals alone, but that they span 3-space."""
+    ``(k, 3)``, finite, at least four, unit to 1e-6 and spanning 3-space:
+    what a half-space intersection asks of its normals alone."""
     N = np.asarray(normals, dtype=float)
     if N.ndim != 2 or N.shape[1] != 3:
         raise ValueError(_SHAPES)
@@ -332,7 +330,10 @@ def unit_normals(normals) -> np.ndarray:
     norms = np.linalg.norm(N, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("normals must be unit vectors")
-    return N / norms[:, None]
+    N = N / norms[:, None]
+    if np.linalg.matrix_rank(N, tol=1e-9) < 3:
+        raise Unbounded("normals do not span 3-space")
+    return N
 
 
 @dataclass(frozen=True)

@@ -82,10 +82,10 @@ class RecoveryThresholds:
 
 def specular_direction(nu, d) -> np.ndarray:
     """Critical observation direction: the mirror image of ``d`` in the face
-    plane, ``d - 2 (d . nu) nu``."""
+    plane, ``d - 2 (d . nu) nu``; for ``(k, 3)`` normals, one row each."""
     nu = np.asarray(nu, dtype=float)
     d = np.asarray(d, dtype=float)
-    return d - 2.0 * float(d @ nu) * nu
+    return d - 2.0 * (nu @ d)[..., None] * nu
 
 
 def normal_and_area_from_peak(xhat, value, d, wavelength):

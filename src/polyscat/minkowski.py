@@ -30,10 +30,6 @@ from .geometry import DualHull, GeometryError, NonPlanarFace, NotConvex
 from .geometry import cross_rows, dual_hull, unit_normals
 
 
-class SpanDeficient(ValueError):
-    """Normals do not span 3-space; the fit is unsolvable."""
-
-
 @dataclass(frozen=True)
 class OffsetFit:
     """Result of the offset fit.
@@ -46,7 +42,6 @@ class OffsetFit:
     plane order skipping the ``vanished`` planes.
     """
 
-    normals: np.ndarray
     target_areas: np.ndarray
     offsets: np.ndarray
     residual: float
@@ -201,6 +196,7 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
     the fall of ``F`` that a full Newton step predicts) is at most
     ``_TOLERANCE * c``.  The polyhedron at the fitted offsets is built from
     the dual hull of the last accepted step, with no further intersection.
+    The normals are first checked by :func:`geometry.unit_normals`.
 
     Parameters
     ----------
@@ -208,14 +204,10 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
     areas : (k,) positive target areas
     alpha0 : optional positive initial offsets, defaults to all ones.
     """
-    N = np.asarray(normals, dtype=float)
-    A_raw = np.asarray(areas, dtype=float)
-    if np.linalg.matrix_rank(N, tol=1e-9) < 3:
-        raise SpanDeficient("normals do not span 3-space")
-    A = balance_areas(N, A_raw)
+    unit = unit_normals(normals)
+    A = balance_areas(normals, areas)
     total = float(A.sum())
-    alpha = np.ones(len(N)) if alpha0 is None else np.asarray(alpha0, dtype=float)
-    unit = unit_normals(N)
+    alpha = np.ones(len(unit)) if alpha0 is None else np.asarray(alpha0, dtype=float)
     tables = _angle_tables(unit)
 
     state = _state(unit, tables, alpha)
@@ -236,7 +228,7 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
     # offsets of vanished facets, whose Hessian rows are zero
     scale = float(np.abs(np.diag(hess)).mean())
     mu, mu_min = 1e-3 * scale, 1e-12 * scale
-    eye = np.eye(len(N))
+    eye = np.eye(len(unit))
     iterations = 0
     converged = False
     for iterations in range(1, _MAX_ITERATIONS + 1):
@@ -267,7 +259,6 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
     final = state.scaled(np.sqrt(total / state.areas.sum()))
     residual = float(np.sum((final.areas - A) ** 2))
     return OffsetFit(
-        normals=N,
         target_areas=A,
         offsets=final.offsets,
         residual=residual,

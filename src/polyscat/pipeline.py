@@ -24,7 +24,11 @@ Config files are flat ``key = value`` text with one repeated key::
 
 ``cutoff`` and ``noise_seed`` are integers >= 0; ``grid_shape`` and
 ``grid_loc`` are integers >= 12, and ``grid_shape`` is at least the
-``(cutoff + 1)^2`` coefficients of the shape transform.  Step 3 places the
+``(cutoff + 1)^2`` coefficients of the shape transform.  The config holds
+one shape wave per ``incident`` line, at ``k = 2 pi / lambda_shape``, and
+step 3's wave, the first line's at ``2 pi / lambda_loc``; each is checked
+by :class:`~polyscat.forward.PlaneWave` alone, its error naming the
+incident line and the wavelength key.  Step 3 places the
 obstacle at the maximum of the degree-1 indicator over ``region``.  A
 ``multistart = <n_theta> <n_phi>`` line from older configs is accepted
 and ignored with a warning: step 1 seeds its peak search from a lattice
@@ -86,10 +90,10 @@ class ExperimentConfig:
     """Validated experiment description (see module docstring for keys)."""
 
     obstacle: Path
-    incident: tuple  # of (d, p) pairs
+    shape_waves: tuple  # of forward.PlaneWave, one per incident line
+    loc_wave: forward.PlaneWave
     output_dir: Path
     lambda_shape: float
-    lambda_loc: float
     grid_shape: int
     grid_loc: int
     thresholds: maxima.RecoveryThresholds
@@ -99,8 +103,6 @@ class ExperimentConfig:
     step3_oracle: bool
 
     def __post_init__(self):
-        if not self.incident:
-            raise ValueError("config needs at least one incident direction")
         for key in ("grid_shape", "grid_loc"):
             if getattr(self, key) < 12:
                 raise ValueError(f"{key} needs at least 12 points")
@@ -110,19 +112,6 @@ class ExperimentConfig:
                 f"grid_shape = {self.grid_shape} is fewer points than the {need} "
                 f"coefficients of cutoff {self.thresholds.cutoff}"
             )
-        if not (0 < self.lambda_shape < math.inf and 0 < self.lambda_loc < math.inf):
-            raise ValueError("wavelengths must be positive and finite")
-        for d, p in self.incident:
-            if abs(float(np.dot(d, p))) > 1e-12:
-                raise ValueError("incident polarization must be orthogonal to d")
-
-    def shape_waves(self):
-        k = 2.0 * math.pi / self.lambda_shape
-        return [forward.PlaneWave(d=d, p=p, k=k) for d, p in self.incident]
-
-    def loc_wave(self):
-        d, p = self.incident[0]
-        return forward.PlaneWave(d=d, p=p, k=2.0 * math.pi / self.lambda_loc)
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -141,6 +130,16 @@ def _finite_numbers(key: str, text: str) -> list:
     if not all(math.isfinite(x) for x in nums):
         raise ValueError(f"{key} must be finite")
     return nums
+
+
+def _plane_wave(line, key: str, wavelength: float) -> forward.PlaneWave:
+    """The wave of the parsed incident line ``(where, d, p)`` at the wavelength
+    of ``key``, its error naming both; lambda = 0 gives k = inf, rejected."""
+    where, d, p = line
+    try:
+        return forward.PlaneWave(d, p, 2.0 * math.pi / wavelength if wavelength else math.inf)
+    except ValueError as exc:
+        raise ValueError(f"{where} at {key} = {wavelength!r}: {exc}") from None
 
 
 def _integers(key: str, text: str) -> list:
@@ -181,6 +180,7 @@ def _read_config(path: Path) -> ExperimentConfig:
                     raise ValueError(f"{where} needs 6 numbers (d then p)")
                 incident.append(
                     (
+                        where,
                         geometry.unit_vector(nums[:3], f"{where} direction"),
                         geometry.unit_vector(nums[3:], f"{where} polarization"),
                     )
@@ -212,6 +212,11 @@ def _read_config(path: Path) -> ExperimentConfig:
     obstacle = take("obstacle")
     if obstacle is None:
         raise ValueError("missing 'obstacle'")
+    if not incident:
+        raise ValueError("config needs at least one incident direction")
+    lambda_shape = take_float("lambda_shape", 0.5)
+    shape_waves = tuple(_plane_wave(line, "lambda_shape", lambda_shape) for line in incident)
+    loc_wave = _plane_wave(incident[0], "lambda_loc", take_float("lambda_loc", 50.0))
     output_dir = take("output_dir", "out")
     thresholds = maxima.RecoveryThresholds(
         e_tol=take_float("e_tol", 0.5),
@@ -238,10 +243,10 @@ def _read_config(path: Path) -> ExperimentConfig:
     )
     config = ExperimentConfig(
         obstacle=(base / obstacle).resolve(),
-        incident=tuple(incident),
+        shape_waves=shape_waves,
+        loc_wave=loc_wave,
         output_dir=(base / output_dir).resolve(),
-        lambda_shape=take_float("lambda_shape", 0.5),
-        lambda_loc=take_float("lambda_loc", 50.0),
+        lambda_shape=lambda_shape,
         grid_shape=take_int("grid_shape", 7518),
         grid_loc=take_int("grid_loc", 1878),
         thresholds=thresholds,
@@ -260,16 +265,16 @@ def _read_config(path: Path) -> ExperimentConfig:
 
 
 def _data_path(config: ExperimentConfig, index: int) -> Path:
-    """``shape_NN.txt`` of incident pair ``index``; ``location.txt`` after the last."""
-    name = f"shape_{index:02d}.txt" if index < len(config.incident) else "location.txt"
+    """``shape_NN.txt`` of shape wave ``index``; ``location.txt`` after the last."""
+    name = f"shape_{index:02d}.txt" if index < len(config.shape_waves) else "location.txt"
     return config.output_dir / "data" / name
 
 
 def synthesize_dataset(config: ExperimentConfig) -> list:
     """Write every data file, over any already there: one modulus far-field
-    file per incident pair plus the complex low-frequency file for the
+    file per shape wave plus the complex low-frequency file for the
     locator.  Deterministic for a fixed seed; returns the paths written."""
-    return _synthesize(config, range(len(config.incident) + 1))
+    return _synthesize(config, range(len(config.shape_waves) + 1))
 
 
 def _synthesize(config: ExperimentConfig, indices) -> list:
@@ -280,7 +285,7 @@ def _synthesize(config: ExperimentConfig, indices) -> list:
     except (OSError, ValueError) as exc:
         raise PipelineError("synth", f"cannot load obstacle: {exc}") from exc
     (config.output_dir / "data").mkdir(parents=True, exist_ok=True)
-    waves = config.shape_waves()
+    waves = config.shape_waves
     if any(i < len(waves) for i in indices):
         grid = sphgrid.build_grid(config.grid_shape)
     written = []
@@ -291,11 +296,11 @@ def _synthesize(config: ExperimentConfig, indices) -> list:
                 noise = forward.NoiseModel(config.noise.delta, config.noise.seed + i)
                 samples = forward.add_noise(samples, noise)
         else:
-            loc_grid, loc_wave = sphgrid.build_grid(config.grid_loc), config.loc_wave()
+            loc_grid = sphgrid.build_grid(config.grid_loc)
             if config.step3_oracle:
-                samples = locator.degree_one_oracle(loc_grid, loc_wave, config.location)
+                samples = locator.degree_one_oracle(loc_grid, config.loc_wave, config.location)
             else:
-                samples = forward.sample_complex(poly, loc_wave, loc_grid)
+                samples = forward.sample_complex(poly, config.loc_wave, loc_grid)
                 samples = forward.apply_translation_phase(samples, config.location)
         written.append(forward.save_far_field(samples, _data_path(config, i)))
     return written
@@ -303,31 +308,31 @@ def _synthesize(config: ExperimentConfig, indices) -> list:
 
 def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
     """Load data file ``index``, synthesizing it first only if it is missing.
-    A shape file must hold moduli at the wavenumber ``2 pi / lambda_shape``
-    on at least as many points as the ``(cutoff + 1)^2`` coefficients its
+    A shape file must hold moduli at the wavenumber of its shape wave on
+    at least as many points as the ``(cutoff + 1)^2`` coefficients its
     transform seeks, and ``location.txt`` a complex field."""
     path = _data_path(config, index)
     if not path.exists():
         _synthesize(config, [index])
     with _stage("load", OSError, ValueError):
         samples = forward.load_far_field(path)
-        shape = index < len(config.incident)
+        shape = index < len(config.shape_waves)
         if samples.is_complex == shape:
             need = "kind=modulus" if shape else "a complex kind"
             user = "a shape file" if shape else "step 3"
             raise ValueError(f"{path}: kind={samples.kind}; {user} needs {need}")
-        k = 2.0 * math.pi / config.lambda_shape
-        if shape and abs(samples.wave.k - k) > 1e-12 * k:
-            raise ValueError(
-                f"{path}: k = {samples.wave.k!r} does not match "
-                f"lambda_shape = {config.lambda_shape!r}"
-            )
-        cutoff = config.thresholds.cutoff
-        if shape and samples.grid.size < (cutoff + 1) ** 2:
-            raise ValueError(
-                f"{path}: {samples.grid.size} points are fewer than the "
-                f"{(cutoff + 1) ** 2} coefficients of cutoff {cutoff}"
-            )
+        if shape:
+            k, cutoff = config.shape_waves[index].k, config.thresholds.cutoff
+            if abs(samples.wave.k - k) > 1e-12 * k:
+                raise ValueError(
+                    f"{path}: k = {samples.wave.k!r} does not match "
+                    f"lambda_shape = {config.lambda_shape!r}"
+                )
+            if samples.grid.size < (cutoff + 1) ** 2:
+                raise ValueError(
+                    f"{path}: {samples.grid.size} points are fewer than the "
+                    f"{(cutoff + 1) ** 2} coefficients of cutoff {cutoff}"
+                )
     return samples
 
 
@@ -384,7 +389,7 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     """
     out = config.output_dir
     with _report_files(out, _REPORT_FILES) as files:
-        shape_samples = [_read(config, i) for i in range(len(config.incident))]
+        shape_samples = [_read(config, i) for i in range(len(config.shape_waves))]
 
         # Step 1: peaks -> normals and areas, all incident directions in one batch
         t = config.thresholds
@@ -451,7 +456,7 @@ def locate_obstacle(config: ExperimentConfig):
     """
     out = config.output_dir
     with _report_files(out, _LOCATE_FILES) as files:
-        samples = _read(config, len(config.incident))
+        samples = _read(config, len(config.shape_waves))
         with _stage("step3"):
             z, value, scan = locator.locate(samples, config.region)
         files += [

@@ -25,7 +25,7 @@ from polyscat.forward import (
     sample_phaseless,
     save_far_field,
 )
-from polyscat.geometry import lit_faces
+from polyscat.geometry import DegenerateFace, lit_faces
 from polyscat.sphgrid import SphericalGrid, build_grid
 from quadrature_oracle import polygon_quadrature
 
@@ -61,6 +61,20 @@ class TestPolygonIntegral:
         square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float)
         val = polygon_fourier_integral(square, [2.0 * math.pi, 0.0, 0.0])
         assert abs(val) < 1e-14
+
+    @pytest.mark.parametrize(
+        "vertices, normal, error, reason",
+        [
+            ([[0, 0, 0], [1, 0, 0], [2, 0, 0]], None, DegenerateFace,
+             "polygon area below 1e-12"),
+            ([[0, 0, 0], [1, 0, 0], [1, 1, 0]], [1.0, 0, 0], ValueError,
+             "supplied normal is not perpendicular to the polygon"),
+        ],
+        ids=["zero-area", "normal-off-plane"],
+    )
+    def test_rejects_degenerate_input(self, vertices, normal, error, reason):
+        with pytest.raises(error, match=f"^{reason}$"):
+            polygon_fourier_integral(np.array(vertices, float), [1.0, 0, 0], normal)
 
     def test_tetra_face_against_oracle(self, tetra):
         q = 4.0 * math.pi * (np.array([1.0, 0, 0]) - np.array([0.0, 0, 1.0]))
@@ -235,6 +249,14 @@ class TestSamplesOps:
         s = sample_phaseless(tetra, wave(0.5), g)
         with pytest.raises(WrongKind):
             apply_translation_phase(s, [1.0, 0, 0])
+
+    def test_complex_ops_reject_the_other_kind(self, tetra):
+        g = build_grid(50)
+        with pytest.raises(WrongKind, match="^cannot sample complex data of kind 'modulus'$"):
+            sample_complex(tetra, wave(0.5), g, kind=MODULUS)
+        s = sample_complex(tetra, wave(0.5), g)
+        with pytest.raises(WrongKind, match="^the noise model applies to modulus samples$"):
+            add_noise(s, NoiseModel(0.1))
 
     def test_noise_zero_and_determinism(self, tetra):
         g = build_grid(500)
@@ -590,6 +612,8 @@ class TestSamplesOps:
     def test_plane_wave_validation(self):
         with pytest.raises(ValueError):
             PlaneWave(d=np.array([1.0, 0, 0]), p=np.array([1.0, 0, 0]), k=1.0)
+        with pytest.raises(ValueError, match="^expected a 3-vector$"):
+            PlaneWave(d=np.array([1.0, 0]), p=np.array([0.0, 0, 1]), k=1.0)
         with pytest.raises(ValueError):
             PlaneWave(d=np.array([2.0, 0, 0]), p=np.array([0.0, 0, 1]), k=1.0)
         with pytest.raises(ValueError):
@@ -623,6 +647,22 @@ class TestSamplesOps:
     def test_noise_model_rejects_non_finite(self, delta, seed, reason):
         with pytest.raises(ValueError, match=f"^{reason}$"):
             NoiseModel(delta=delta, seed=seed)
+
+    @pytest.mark.parametrize(
+        "kind, values, reason",
+        [
+            ("phase", lambda m: m, "unknown far-field kind 'phase'"),
+            (MODULUS, lambda m: m[:-1], "modulus samples must be one value per grid point"),
+            (MODULUS, lambda m: -m, "moduli must be nonnegative"),
+            (COMPLEX_E, lambda m: m, "complex samples must be one 3-vector per point"),
+        ],
+        ids=["unknown-kind", "short-moduli", "negative-moduli", "complex-as-moduli"],
+    )
+    def test_samples_reject_malformed_values(self, kind, values, reason):
+        g = build_grid(50)
+        moduli = np.linspace(1.0, 2.0, g.size)
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            FarFieldSamples(grid=g, values=values(moduli), wave=wave(), kind=kind)
 
     def test_tangential_validation(self):
         g = build_grid(50)

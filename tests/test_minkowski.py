@@ -25,9 +25,10 @@ from polyscat.geometry import (
     halfspace_intersection,
     unit_normals,
 )
-from polyscat.minkowski import SpanDeficient, balance_areas, fit_offsets
+from polyscat.minkowski import balance_areas, fit_offsets
 
 CUBE_NORMALS = np.vstack([np.eye(3), -np.eye(3)])
+SQUARE_NORMALS = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])  # rank 2
 
 
 def facet_areas(normals, offsets):
@@ -197,9 +198,27 @@ class TestFitOffsets:
         assert all(a >= b for a, b in zip(fit.history, fit.history[1:]))
 
     def test_span_deficient(self):
-        normals = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
-        with pytest.raises(SpanDeficient):
-            fit_offsets(normals, np.ones(4))
+        with pytest.raises(Unbounded):
+            fit_offsets(SQUARE_NORMALS, np.ones(4))
+
+    @pytest.mark.parametrize("solve", [fit_offsets, halfspace_intersection])
+    @pytest.mark.parametrize(
+        "normals, error, message",
+        [
+            (np.vstack([CUBE_NORMALS[:5], [np.nan, 0.0, 0.0]]), ValueError,
+             "normals must be finite"),
+            (CUBE_NORMALS[:, :2], ValueError,
+             r"need matching \(k, 3\) normals and \(k,\) offsets"),
+            (SQUARE_NORMALS, Unbounded, "normals do not span 3-space"),
+        ],
+        ids=["nan", "two-columns", "rank-2"],
+    )
+    def test_normals_are_checked_as_the_intersection_checks_them(
+        self, solve, normals, error, message
+    ):
+        # the fit checks its normals with unit_normals before any arithmetic
+        with pytest.raises(error, match=f"^{message}$"):
+            solve(normals, np.ones(len(normals)))
 
     def test_self_consistency_random(self):
         rng = np.random.default_rng(21)

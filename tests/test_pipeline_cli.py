@@ -39,14 +39,15 @@ def workspace(tmp_path, tetra):
 
 def with_line(plain: Path, line: str) -> str:
     """Text of the config ``plain`` with ``line`` in place of the line that
-    sets the same key, or added when none does; ``incident`` lines add."""
+    sets the same key, or added when none does; ``incident`` lines add, and
+    a bare ``key =`` removes the key."""
     key = line.split("=", 1)[0].strip()
     kept = [
         old
         for old in plain.read_text().splitlines()
         if key == "incident" or old.split("=", 1)[0].strip() != key
     ]
-    return "\n".join([*kept, line]) + "\n"
+    return "\n".join(kept if line.endswith("=") else [*kept, line]) + "\n"
 
 
 def assert_same_fields(a, b):
@@ -56,6 +57,11 @@ def assert_same_fields(a, b):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if dataclasses.is_dataclass(x):
             assert_same_fields(x, y)
+        elif isinstance(x, tuple) and x and dataclasses.is_dataclass(x[0]):
+            # dataclass == raises on array fields
+            assert len(x) == len(y)
+            for u, v in zip(x, y):
+                assert_same_fields(u, v)
         elif isinstance(x, (np.ndarray, tuple)):
             np.testing.assert_array_equal(x, y)
         else:
@@ -86,7 +92,7 @@ class TestConfig:
         )
         config = parse_config(cfg)
         assert config.obstacle == (workspace / "tetra.obs").resolve()
-        assert len(config.incident) == 6
+        assert len(config.shape_waves) == 6
         assert config.thresholds.cutoff == 6
         assert config.noise.delta == 0.5
         assert config.grid_shape == 2000
@@ -188,6 +194,8 @@ class TestConfig:
         assert config.obstacle == (tmp_path / "tetrahedron.obs").resolve()
         assert config.thresholds.cutoff == 10
         assert config.region.resolution == (11, 11, 11)
+        assert {wave.k for wave in config.shape_waves} == {2.0 * math.pi / 0.5}
+        assert config.loc_wave.k == 2.0 * math.pi / 50.0
 
     def test_multistart_is_accepted_and_ignored(self, workspace, caplog):
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
@@ -228,6 +236,33 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"bad\.cfg: .*finite"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("key", ["lambda_shape", "lambda_loc"])
+    @pytest.mark.parametrize("value", ["1e-320", "0"])
+    def test_rejects_a_wavelength_of_no_finite_wavenumber(self, workspace, key, value):
+        # 2 pi / 1e-320 overflows to k = inf: rejected when parsed, naming the
+        # key and the incident line of the wave, before synth creates out/
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        bad = workspace / "bad.cfg"
+        bad.write_text(with_line(plain, f"{key} = {value}"))
+        message = (
+            f"{bad}: line 2: incident at {key} = {float(value)!r}: "
+            "wavenumber must be positive and finite"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(bad)
+        for verb in ("synth", "recover", "check"):
+            assert main([verb, str(bad)]) == 1
+        assert not (workspace / "out").exists()
+
+    def test_blank_and_comment_lines_are_skipped(self, workspace):
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        lines = plain.read_text().splitlines()
+        noted = workspace / "noted.cfg"
+        noted.write_text(
+            "\n".join(["# a note", "", *lines[:4], "   ", "  # indented", *lines[4:], ""])
+        )
+        assert_same_fields(parse_config(noted), parse_config(plain))
+
     def test_rejects_empty_incident(self, workspace):
         cfg = workspace / "bad.cfg"
         cfg.write_text("obstacle = tetra.obs\noutput_dir = out\n")
@@ -260,6 +295,10 @@ class TestConfig:
             "lambda_shape = -0.5",
             "incident = 1 0 0  1 0 0",
             "step3_oracle = maybe",
+            "obstacle: tetra.obs",
+            "incident = 1 0 0  0 0",
+            "cutoff = 6 7",
+            "obstacle =",
         ],
     )
     def test_errors_name_the_file_once(self, workspace, line):
@@ -269,6 +308,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(f"{bad}: ")) as err:
             parse_config(bad)
         assert str(err.value).count(str(bad)) == 1
+        reason = {
+            "obstacle: tetra.obs": "expected 'key = value'",
+            "incident = 1 0 0  0 0": "incident needs 6 numbers (d then p)",
+            "cutoff = 6 7": "cutoff needs one integer",
+            "obstacle =": "missing 'obstacle'",
+        }.get(line, "")
+        assert reason in str(err.value)
         if line.startswith(("location", "e_tol = abc")):
             assert line.split(" = ")[0] in str(err.value)
         if line.startswith("location"):
@@ -591,7 +637,7 @@ class TestRecover:
 
     def test_fit_failure_is_tagged_step2(self, workspace, monkeypatch):
         def span_deficient(normals, areas):
-            raise minkowski.SpanDeficient("normals do not span 3-space")
+            raise geometry.Unbounded("normals do not span 3-space")
 
         monkeypatch.setattr(minkowski, "fit_offsets", span_deficient)
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
@@ -700,6 +746,18 @@ class TestCli:
         assert err == message
         assert not (workspace / "out" / "recovered_faces.csv").exists()
 
+    def test_data_at_an_infinite_wavenumber_is_not_read(self, workspace, capsys):
+        # lambda_shape = 1e-320 overflows to k = inf, where a file check
+        # |k_file - k| > 1e-12 k reads inf > inf and would pass any file
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
+        synthesized = read_tree(workspace / "out")
+        write_experiment_config(workspace / "exp.cfg", "tetra.obs", lambda_shape=1e-320, **FAST)
+        capsys.readouterr()
+        assert main(["recover", str(cfg)]) == 1
+        assert "lambda_shape = 1e-320: wavenumber must be" in capsys.readouterr().err
+        assert read_tree(workspace / "out") == synthesized
+
     @pytest.mark.parametrize(
         "verb, slot, source, message",
         [
@@ -759,7 +817,7 @@ class TestCli:
         config = parse_config(cfg)
         path = workspace / "out" / "data" / "shape_00.txt"
         path.parent.mkdir(parents=True)
-        save_far_field(sample_phaseless(tetra, config.shape_waves()[0], build_grid(20)), path)
+        save_far_field(sample_phaseless(tetra, config.shape_waves[0], build_grid(20)), path)
         assert main(["recover", str(cfg)]) == 2
         message = "20 points are fewer than the 49 coefficients of cutoff 6"
         assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
