@@ -101,22 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phaseless backscattering recovery of convex polyhedra",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_synth = sub.add_parser("synth", help="synthesize far-field data files")
-    p_synth.add_argument("config")
-    p_synth.set_defaults(func=_cmd_synth)
-
-    p_rec = sub.add_parser("recover", help="run the full three-step recovery")
-    p_rec.add_argument("config")
-    p_rec.set_defaults(func=_cmd_recover)
-
-    p_loc = sub.add_parser("locate", help="run only the location step")
-    p_loc.add_argument("config")
-    p_loc.set_defaults(func=_cmd_locate)
-
-    p_chk = sub.add_parser("check", help="the faces step 1 can see, by the peak law")
-    p_chk.add_argument("config")
-    p_chk.set_defaults(func=_cmd_check)
+    for verb, help_text, handler in (
+        ("synth", "synthesize far-field data files", _cmd_synth),
+        ("recover", "run the full three-step recovery", _cmd_recover),
+        ("locate", "run only the location step", _cmd_locate),
+        ("check", "the faces step 1 can see, by the peak law", _cmd_check),
+    ):
+        verb_parser = sub.add_parser(verb, help=help_text)
+        verb_parser.add_argument("config")
+        verb_parser.set_defaults(func=handler)
     return parser
 
 

@@ -28,7 +28,9 @@ Config files are flat ``key = value`` text with one repeated key::
 one shape wave per ``incident`` line, at ``k = 2 pi / lambda_shape``, and
 step 3's wave, the first line's at ``2 pi / lambda_loc``; each is checked
 by :class:`~polyscat.forward.PlaneWave` alone, its error naming the
-incident line and the wavelength key.  Step 3 places the
+incident line and the wavelength key.  ``obstacle`` and ``output_dir``
+are paths relative to the config's directory and must not be empty: an
+empty value would name that directory itself.  Step 3 places the
 obstacle at the maximum of the degree-1 indicator over ``region``.  A
 ``multistart = <n_theta> <n_phi>`` line from older configs is accepted
 and ignored with a warning: step 1 seeds its peak search from a lattice
@@ -122,13 +124,21 @@ def _parse_bool(key: str, text: str) -> bool:
     raise ValueError(f"{key} must be a boolean, got {text!r}")
 
 
-def _finite_numbers(key: str, text: str) -> list:
+def _numbers(key: str, text: str, count, kind=float) -> list:
+    """The whitespace-separated numbers of ``text``: finite floats, or
+    integers when ``kind`` is ``int``; exactly ``count`` of them unless
+    ``count`` is None."""
     try:
-        nums = [float(t) for t in text.split()]
+        nums = [kind(t) for t in text.split()]
     except ValueError:
-        raise ValueError(f"{key} must be numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{key} must be {noun}, got {text!r}") from None
     if not all(math.isfinite(x) for x in nums):
         raise ValueError(f"{key} must be finite")
+    if count is not None and len(nums) != count:
+        if kind is int:
+            raise ValueError(f"{key} needs one integer")
+        raise ValueError(f"{key} needs {count} numbers, got {len(nums)}")
     return nums
 
 
@@ -140,13 +150,6 @@ def _plane_wave(line, key: str, wavelength: float) -> forward.PlaneWave:
         return forward.PlaneWave(d, p, 2.0 * math.pi / wavelength if wavelength else math.inf)
     except ValueError as exc:
         raise ValueError(f"{where} at {key} = {wavelength!r}: {exc}") from None
-
-
-def _integers(key: str, text: str) -> list:
-    try:
-        return [int(t) for t in text.split()]
-    except ValueError:
-        raise ValueError(f"{key} must be integers, got {text!r}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -175,7 +178,7 @@ def _read_config(path: Path) -> ExperimentConfig:
             key, value = (part.strip() for part in body.split("=", 1))
             if key == "incident":
                 where = f"line {lineno}: incident"
-                nums = _finite_numbers(where, value)
+                nums = _numbers(where, value, None)
                 if len(nums) != 6:
                     raise ValueError(f"{where} needs 6 numbers (d then p)")
                 incident.append(
@@ -190,70 +193,59 @@ def _read_config(path: Path) -> ExperimentConfig:
             else:
                 raw[key] = value
 
-    def take(key, default=None):
-        return raw.pop(key, default)
+    def take(key, default, count=1, kind=float):
+        nums = _numbers(key, raw.pop(key, str(default)), count, kind)
+        return nums[0] if count == 1 else nums
 
-    def take_floats(key, default, count):
-        nums = _finite_numbers(key, take(key, default))
-        if len(nums) != count:
-            raise ValueError(f"{key} needs {count} numbers, got {len(nums)}")
-        return nums
+    def take_path(key, default=None):
+        value = raw.pop(key, default)
+        if value is None:
+            raise ValueError(f"missing '{key}'")
+        if not value:
+            raise ValueError(f"{key} has no value")
+        return (path.parent / value).resolve()
 
-    def take_float(key, default):
-        return take_floats(key, str(default), 1)[0]
-
-    def take_int(key, default):
-        nums = _integers(key, take(key, str(default)))
-        if len(nums) != 1:
-            raise ValueError(f"{key} needs one integer")
-        return nums[0]
-
-    base = path.parent
-    obstacle = take("obstacle")
-    if obstacle is None:
-        raise ValueError("missing 'obstacle'")
+    obstacle = take_path("obstacle")
     if not incident:
         raise ValueError("config needs at least one incident direction")
-    lambda_shape = take_float("lambda_shape", 0.5)
+    lambda_shape = take("lambda_shape", 0.5)
     shape_waves = tuple(_plane_wave(line, "lambda_shape", lambda_shape) for line in incident)
-    loc_wave = _plane_wave(incident[0], "lambda_loc", take_float("lambda_loc", 50.0))
-    output_dir = take("output_dir", "out")
+    loc_wave = _plane_wave(incident[0], "lambda_loc", take("lambda_loc", 50.0))
+    output_dir = take_path("output_dir", "out")
     thresholds = maxima.RecoveryThresholds(
-        e_tol=take_float("e_tol", 0.5),
-        exclusion_radius=take_float("exclusion_radius", 0.3),
-        cluster_angle=math.radians(take_float("cluster_angle_deg", 5.0)),
-        cutoff=take_int("cutoff", 10),
+        e_tol=take("e_tol", 0.5),
+        exclusion_radius=take("exclusion_radius", 0.3),
+        cluster_angle=math.radians(take("cluster_angle_deg", 5.0)),
+        cutoff=take("cutoff", 10, kind=int),
     )
-    multistart = take("multistart")
+    multistart = raw.pop("multistart", None)
     if multistart is not None:
-        shape = _integers("multistart", multistart)
+        shape = _numbers("multistart", multistart, None, int)
         if len(shape) != 2 or min(shape) < 1:
             raise ValueError("multistart needs two positive integers")
         log.warning("%s: 'multistart' is ignored; peaks are seeded from a grid", path)
     noise = forward.NoiseModel(
-        delta=take_float("noise_delta", 0.0), seed=take_int("noise_seed", 7)
+        delta=take("noise_delta", 0.0), seed=take("noise_seed", 7, kind=int)
     )
-    region_nums = take_floats("region", "0 100 0 100 0 100", 6)
+    region_nums = take("region", "0 100 0 100 0 100", 6)
     region = locator.SampleRegion(
         lower=region_nums[0::2],
         upper=region_nums[1::2],
-        resolution=tuple(
-            _integers("region_resolution", take("region_resolution", "11 11 11"))
-        ),
+        resolution=tuple(take("region_resolution", "11 11 11", None, int)),
     )
     config = ExperimentConfig(
-        obstacle=(base / obstacle).resolve(),
+        obstacle=obstacle,
         shape_waves=shape_waves,
         loc_wave=loc_wave,
-        output_dir=(base / output_dir).resolve(),
+        output_dir=output_dir,
         lambda_shape=lambda_shape,
-        grid_shape=take_int("grid_shape", 7518),
-        grid_loc=take_int("grid_loc", 1878),
+        grid_shape=take("grid_shape", 7518, kind=int),
+        grid_loc=take("grid_loc", 1878, kind=int),
         thresholds=thresholds,
         noise=noise,
-        location=np.array(take_floats("location", "0 0 0", 3)),
+        location=np.array(take("location", "0 0 0", 3)),
         region=region,
-        step3_oracle=_parse_bool("step3_oracle", take("step3_oracle", "true")),
+        step3_oracle=_parse_bool("step3_oracle", raw.pop("step3_oracle", "true")),
     )
     if raw:
         raise ValueError(f"unknown keys {sorted(raw)}")

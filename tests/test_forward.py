@@ -76,6 +76,17 @@ class TestPolygonIntegral:
         with pytest.raises(error, match=f"^{reason}$"):
             polygon_fourier_integral(np.array(vertices, float), [1.0, 0, 0], normal)
 
+    def test_repeated_vertex_adds_nothing(self):
+        # the zero-length edge of a repeated vertex contributes no term
+        triangle = np.array([[0, 0, 0], [1, 0, 0], [0.3, 0.8, 0]], float)
+        repeated = triangle[[0, 1, 1, 2]]
+        q = [7.0, 5.0, 0.3]
+        assert_allclose(
+            polygon_fourier_integral(repeated, q),
+            polygon_fourier_integral(triangle, q),
+            rtol=1e-12,
+        )
+
     def test_tetra_face_against_oracle(self, tetra):
         q = 4.0 * math.pi * (np.array([1.0, 0, 0]) - np.array([0.0, 0, 1.0]))
         face = tetra.face_vertices(0)

@@ -241,6 +241,12 @@ def test_halfspace_errors(tetra):
     slab = np.array([[0, 0, 1.0], [0, 0, -1.0], [0, 1, 0], [0, -1, 0]])
     with pytest.raises(Unbounded):
         halfspace_intersection(slab, np.ones(4))
+    # the fourth plane passes through the corner where the other three meet,
+    # so the dual points lie on the plane x + y + z = 1 and qhull builds no hull
+    corner = np.vstack([np.eye(3), np.ones(3) / np.sqrt(3.0)])
+    degenerate = "^degenerate dual hull; normals do not positively span$"
+    with pytest.raises(Unbounded, match=degenerate):
+        halfspace_intersection(corner, [1.0, 1.0, 1.0, np.sqrt(3.0)])
     # non-finite input is a plain ValueError, which a fit does not take for
     # a rejected trial step
     for bad in (np.nan, np.inf, -np.inf):

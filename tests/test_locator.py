@@ -318,6 +318,8 @@ class TestLocate:
     def test_region_validation(self):
         with pytest.raises(ValueError):
             SampleRegion(lower=[0.0, 0.0, 0.0], upper=[1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="^region bounds must be 3-vectors$"):
+            SampleRegion(lower=[0.0, 0.0], upper=[1.0, 1.0])
 
     @pytest.mark.parametrize(
         "lower, upper",

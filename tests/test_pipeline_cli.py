@@ -322,6 +322,31 @@ class TestConfig:
             assert main(["synth", str(bad)]) == 1
             assert not (workspace / "out" / "data").exists()
 
+    @pytest.mark.parametrize("comment", ["", "  # no path"])
+    @pytest.mark.parametrize("key", ["obstacle", "output_dir"])
+    def test_rejects_an_empty_path(self, workspace, capsys, key, comment):
+        # an empty path would name the config's own directory: as the obstacle
+        # it cannot be read, and as output_dir a run writes and removes report
+        # files beside the config
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        bad = workspace / "bad.cfg"
+        bad.write_text(
+            "".join(
+                f"{key} ={comment}\n" if line.split("=", 1)[0].strip() == key else line
+                for line in plain.read_text().splitlines(keepends=True)
+            )
+        )
+        assert f"{key} ={comment}\n" in bad.read_text()
+        message = f"{bad}: {key} has no value"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(bad)
+        (workspace / "areas.csv").write_text("an earlier table\n")
+        before = read_tree(workspace)
+        for verb in ("synth", "recover", "locate", "check"):
+            assert main([verb, str(bad)]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert read_tree(workspace) == before
+
 
 class TestSynth:
     def test_writes_expected_files(self, workspace):

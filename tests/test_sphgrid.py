@@ -47,6 +47,8 @@ class TestGrid:
             SphericalGrid(points=np.vstack([pts, pts[:1]]))
         with pytest.raises(ValueError, match="weight"):
             SphericalGrid(points=pts[pts[:, 2] > 0.0])
+        with pytest.raises(ValueError, match=r"^grid points must be an \(N, 3\) array$"):
+            SphericalGrid(points=fibonacci_points(12)[:, :2])
 
     def test_near_uniform_spacing(self):
         g = build_grid(7518)
