@@ -108,18 +108,19 @@ def indicator_values(samples: FarFieldSamples, Z) -> np.ndarray:
     return np.sum(np.abs(proj) ** 2, axis=0) / norm2
 
 
-def _scan(G, K, norm2, axes) -> np.ndarray:
-    """Indicator over the tensor grid of ``axes``, shaped ``(n_x, n_y, n_z)``.
+def _scan(G, K, norm2, lower, spacing, shape) -> np.ndarray:
+    """Indicator on the grid ``lower + spacing * (i, j, l)`` of ``shape``.
 
-    ``exp(-i K . z)`` factors into one ``(n_i, N)`` table per axis.  ``G e_x``
-    as ``(6 n_x, N)`` times ``e_y (x) e_z`` as ``(n_y n_z, N)``, transposed, is
-    one complex matmul, with ``N (n_x + n_y + n_z)`` exponentials instead of
-    ``N n_x n_y n_z``.  The values equal :func:`indicator_values` at those
-    points up to rounding.
+    ``exp(-i K . z)`` factors into one ``(n_i, N)`` table per axis, each row
+    the last times ``exp(-i K_i spacing_i)``.  ``G e_x`` as ``(6 n_x, N)``
+    times ``e_y (x) e_z`` as ``(n_y n_z, N)``, transposed, is one complex
+    matmul, with ``2 N`` exponentials per axis instead of ``N n_x n_y n_z``.
+    The values equal :func:`indicator_values` at those points up to rounding.
     """
     # (n_i, N) tables, so the products below read contiguous rows
-    ex, ey, ez = (np.exp(-1j * np.outer(axis, K[:, i])) for i, axis in enumerate(axes))
-    nx, ny, nz = map(len, axes)
+    ex, ey, ez = (np.cumprod([np.exp(-1j * a * k), *[np.exp(-1j * h * k)] * (n - 1)], axis=0)
+                  for a, h, n, k in zip(lower, spacing, shape, K.T))
+    nx, ny, nz = shape
     left = (G[:, None, :] * ex).reshape(6 * nx, len(K))
     right = (ey[:, None, :] * ez).reshape(ny * nz, len(K))
     proj = (left @ right.T).reshape(6, nx, ny, nz)
@@ -164,12 +165,12 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
     ``region.resolution``.
     """
     G, K, norm2 = _degree_one_projector(samples)
-    axes = region.axes()
-    scan = _scan(G, K, norm2, axes)
-    best = np.unravel_index(np.argmax(scan), scan.shape)
-    z, fz = np.array([a[i] for a, i in zip(axes, best)]), scan[best]
     lo, hi = region.lower, region.upper
-    cap = float(((hi - lo) / np.maximum(np.array(region.resolution) - 1, 1)).max())
+    spacing = (hi - lo) / np.maximum(np.array(region.resolution) - 1, 1)
+    scan = _scan(G, K, norm2, lo, spacing, region.resolution)
+    best = np.unravel_index(np.argmax(scan), scan.shape)
+    z, fz = np.array([a[i] for a, i in zip(region.axes(), best)]), scan[best]
+    cap = float(spacing.max())
     radius, evals = cap, 0
     for iters in range(1, _MAX_ITER + 1):
         g, H, change = _expansion(G, K, norm2, z)

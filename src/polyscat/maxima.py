@@ -11,8 +11,9 @@ The backscattering peak of face ``j`` sits at the specular direction
 and the peak magnitude yields the face area ``A = lambda |E| / |d . nu|``.
 Every unit ``xhat != d`` inverts to a front face (``d . nu < 0``), so
 selection needs only the exclusion radius around ``d`` and the peak
-threshold.  The peak search sees only the expansion; the incident
-direction and the wavelength are passed to the stages that use them.
+threshold.  The peak search sees only the expansion, and polishes peaks on
+exact derivatives of its Cartesian form; the incident direction and the
+wavelength are passed to the stages that use them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import cross_rows
 from .sphgrid import FOUR_PI, fibonacci_points, harmonic_basis
 
 
@@ -112,11 +112,10 @@ def normal_and_area_from_peak(xhat, value, d, wavelength):
 
 # Step-1 peak search constants: seeding-lattice points per harmonic
 # coefficient, the seed neighbourhood's radius in lattice spacings
-# sqrt(4 pi / n), tangent-plane stencil spacing (radians), largest step
-# (radians), step size that ends a polish, and the iteration cap.
+# sqrt(4 pi / n), largest step (radians), step size that ends a polish,
+# and the iteration cap.
 _SEEDS_PER_COEFFICIENT = 20
 _SEED_REACH = 1.5
-_STENCIL_H = 1e-4
 _MAX_STEP = 0.1
 _STEP_TOL = 1e-9
 _MAX_ITERATIONS = 50
@@ -124,9 +123,6 @@ _MAX_ITERATIONS = 50
 _FLAT_GRADIENT = 1e-10
 # polished peaks closer than this (radians) are one peak
 _DEDUP_ANGLE = math.radians(1.0)
-
-# tangent-plane offsets (a, b) of the 3 x 3 stencil; index 3 (a + 1) + (b + 1)
-_STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
 
 
 @lru_cache(maxsize=8)
@@ -178,75 +174,89 @@ def _grid_seeds(expansions, cutoff: int):
     return np.concatenate(seeds), owner, np.array(scale)
 
 
-def _tangent_bases(x: np.ndarray):
-    """Orthonormal tangent vectors ``(e1, e2)`` at each row of ``x``."""
-    axis = np.eye(3)[np.argmin(np.abs(x), axis=1)]
-    e1 = axis - np.einsum("ij,ij->i", axis, x)[:, None] * x
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    return e1, cross_rows(x, e1)
+def _monomials(x: np.ndarray, exponents) -> np.ndarray:
+    """``x^i y^j z^k`` at the rows of ``x``, one column per exponent triple."""
+    i, j, k = exponents
+    powers = np.vander(x.ravel(), i.max() + 1, increasing=True).reshape(len(x), 3, -1)
+    return powers[:, 0, i] * powers[:, 1, j] * powers[:, 2, k]
+
+
+@lru_cache(maxsize=8)
+def _cartesian_form(cutoff: int):
+    """The harmonics up to degree ``cutoff`` as polynomials, fitted by QR on
+    every fourth seed-lattice point.  Returns the ``(i, j, k)`` of the ``K =
+    (cutoff + 1)^2`` monomials ``x^i y^j z^k``, ``k <= 1`` and ``i + j + k <=
+    cutoff`` (a basis on the sphere, where ``z^2 = 1 - x^2 - y^2``), and the
+    ``(K, 13, K)`` map from harmonic coefficients to the monomial coefficients
+    of the surrogate, its gradient and its row-major Hessian.
+    """
+    points, _, basis = _seed_lattice(cutoff)
+    exponents = np.nonzero(np.indices((cutoff + 1, cutoff + 1, 2)).sum(axis=0) <= cutoff)
+    q, r = np.linalg.qr(_monomials(points[::4], exponents))
+    cube = np.zeros((cutoff + 1, cutoff + 1, 2, len(r)))
+    cube[exponents] = np.linalg.solve(r, q.T @ basis[::4])
+
+    def d(c, axis):  # a derivative shifts exponents: c[e] becomes (e + 1) c[e + 1]
+        return np.roll(c * np.arange(c.shape[axis]).reshape((-1,) + (1,) * (3 - axis)), -1, axis)
+
+    grad = [d(cube, axis) for axis in range(3)]
+    jets = [cube, *grad, *(d(g, axis) for g in grad for axis in range(3))]
+    form = np.stack([c[exponents] for c in jets], axis=1)
+    form.flags.writeable = False
+    return exponents, form
 
 
 def _polish(expansions, cutoff: int, seeds, owner, scale):
     """Projected Newton ascent of the seeds of all expansions at once.
 
-    Each iteration evaluates the surrogates on a 3 x 3 tangent-plane stencil
-    around every active point (one basis, one product per expansion), reads
-    off the gradient and 2 x 2 Hessian by central differences, takes the
-    Newton step where the Hessian is negative definite and a curvature-scaled
-    gradient step elsewhere, caps it at ``_MAX_STEP`` and retracts onto the
-    sphere.
+    Each iteration evaluates the surrogates' Cartesian forms at the active
+    points (one monomial matrix, one product per expansion) for values,
+    gradients ``g`` and Hessians ``H``: on the sphere, the gradient is ``P g``
+    and the Hessian ``P H P - (x . g) P``, ``P = I - x x^T`` (Absil et al.
+    2008, 5.5).  It takes the Newton step where the Hessian is negative
+    definite and a curvature-scaled gradient step elsewhere, caps it at
+    ``_MAX_STEP`` and retracts onto the sphere.  A point ends flat, or after
+    a step below ``_STEP_TOL``, valued as before that step.
 
     Returns ``(points, values, seed_index, owner, failed)``: converged
     points, their values, the seed each came from, its expansion, and per
     expansion the number of seeds still moving after ``_MAX_ITERATIONS``.
     """
-    h = _STENCIL_H
+    exponents, form = _cartesian_form(cutoff)
+    forms = [form @ e.coefficients for e in expansions]  # (K, 13) each
     x = seeds
     index = np.arange(len(seeds))
     done = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0, int), np.zeros(0, int))]
     for _ in range(_MAX_ITERATIONS):
         if len(x) == 0:
             break
-        e1, e2 = _tangent_bases(x)
-        stencil = x[:, None, :] + h * (
-            _STENCIL[None, :, 0, None] * e1[:, None, :]
-            + _STENCIL[None, :, 1, None] * e2[:, None, :]
-        )
-        stencil /= np.linalg.norm(stencil, axis=2, keepdims=True)
-        B = harmonic_basis(stencil.reshape(-1, 3), cutoff)
-        # owner is sorted: each expansion's stencil rows are one block of B
-        rows = 9 * np.searchsorted(owner, np.arange(len(expansions) + 1))
-        f = [B[a:b] @ e.coefficients for e, a, b in zip(expansions, rows, rows[1:])]
-        f = np.concatenate(f).reshape(len(x), 9)
-        f0 = f[:, 4]
-        ga = (f[:, 7] - f[:, 1]) / (2.0 * h)
-        gb = (f[:, 5] - f[:, 3]) / (2.0 * h)
-        hess = np.empty((len(x), 2, 2))
-        hess[:, 0, 0] = (f[:, 7] - 2.0 * f0 + f[:, 1]) / h**2
-        hess[:, 1, 1] = (f[:, 5] - 2.0 * f0 + f[:, 3]) / h**2
-        hess[:, 0, 1] = hess[:, 1, 0] = (f[:, 8] - f[:, 6] - f[:, 2] + f[:, 0]) / (4.0 * h**2)
+        M = _monomials(x, exponents)
+        # owner is sorted: each expansion's points are one block of M
+        rows = np.searchsorted(owner, np.arange(len(expansions) + 1))
+        f = np.concatenate([M[a:b] @ c for c, a, b in zip(forms, rows, rows[1:])])
+        f0, radial = f[:, 0], np.einsum("ki,ki->k", x, f[:, 1:4])
+        g = f[:, 1:4] - radial[:, None] * x
+        proj = np.eye(3) - x[:, :, None] * x[:, None, :]
 
         # Newton step where the Hessian is negative definite; elsewhere a
         # gradient step scaled per eigendirection by 1/|curvature|, which
-        # leaves saddles along their ascending direction at full speed
+        # leaves saddles along their ascending direction at full speed.  x
+        # spans the Hessian's null space and is projected out of the step
+        hess = proj @ f[:, 4:].reshape(-1, 3, 3) @ proj - radial[:, None, None] * proj
         lam, vec = np.linalg.eigh(hess)
-        g = np.stack([ga, gb], -1)
-        gnorm = np.hypot(ga, gb)
+        gnorm = np.linalg.norm(g, axis=1)
         floor = np.maximum(gnorm / _MAX_STEP, 1e-300)[:, None]
         along = np.einsum("kji,kj->ki", vec, g) / np.maximum(np.abs(lam), floor)
-        sa, sb = np.einsum("kij,kj->ik", vec, along)
-        length = np.hypot(sa, sb)
-        cap = np.minimum(1.0, _MAX_STEP / np.maximum(length, 1e-300))
-        sa *= cap
-        sb *= cap
+        step = np.einsum("kij,kj->ki", proj @ vec, along)
+        length = np.linalg.norm(step, axis=1)
+        step *= np.minimum(1.0, _MAX_STEP / np.maximum(length, 1e-300))[:, None]
 
-        finished = (length < _STEP_TOL) | (gnorm <= _FLAT_GRADIENT * scale[owner])
-        done.append((x[finished], f0[finished], index[finished], owner[finished]))
-        moving = ~finished
-        x = x[moving] + sa[moving, None] * e1[moving] + sb[moving, None] * e2[moving]
+        flat = gnorm <= _FLAT_GRADIENT * scale[owner]
+        x = np.where(flat[:, None], x, x + step)
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        index = index[moving]
-        owner = owner[moving]
+        finished = flat | (length < _STEP_TOL)
+        done.append((x[finished], f0[finished], index[finished], owner[finished]))
+        x, index, owner = x[~finished], index[~finished], owner[~finished]
     failed = np.bincount(owner, minlength=len(expansions))
     return (*(np.concatenate(column) for column in zip(*done)), failed)
 
@@ -271,7 +281,7 @@ def find_local_maxima(expansions) -> list:
     lattice of ``20 (cutoff + 1)^2`` points, each at least as high as every
     lattice point a Fibonacci number away in index and within
     ``_SEED_REACH`` spacings; all seeds are then polished together by
-    projected Newton ascent on the sphere.  Per expansion, end points closer
+    projected Newton ascent on exact sphere derivatives.  Per expansion, end points closer
     than ``_DEDUP_ANGLE`` are merged keeping the higher value.  Seeds still
     moving after the iteration cap are only counted in ``failed_starts``,
     never fatal.

@@ -30,7 +30,8 @@ step 3's wave, the first line's at ``2 pi / lambda_loc``; each is checked
 by :class:`~polyscat.forward.PlaneWave` alone, its error naming the
 incident line and the wavelength key.  ``obstacle`` and ``output_dir``
 are paths relative to the config's directory and must not be empty: an
-empty value would name that directory itself.  Step 3 places the
+empty value would name that directory itself.  An ``obstacle`` that names
+a directory (``.`` among others) is rejected too.  Step 3 places the
 obstacle at the maximum of the degree-1 indicator over ``region``.  A
 ``multistart = <n_theta> <n_phi>`` line from older configs is accepted
 and ignored with a warning: step 1 seeds its peak search from a lattice
@@ -206,6 +207,8 @@ def _read_config(path: Path) -> ExperimentConfig:
         return (path.parent / value).resolve()
 
     obstacle = take_path("obstacle")
+    if obstacle.is_dir():
+        raise ValueError(f"obstacle names a directory: {obstacle}")
     if not incident:
         raise ValueError("config needs at least one incident direction")
     lambda_shape = take("lambda_shape", 0.5)

@@ -118,6 +118,13 @@ class TestIndicator:
             indicator_values(zero, [[0.0, 0.0, 0.0]])
 
 
+def region_scan(samples, region):
+    """``locator._scan`` over the points of ``region.axes()``."""
+    spacing = (region.upper - region.lower) / np.maximum(np.array(region.resolution) - 1, 1)
+    projector = locator._degree_one_projector(samples)
+    return locator._scan(*projector, region.lower, spacing, region.resolution)
+
+
 class TestScan:
     @pytest.mark.parametrize("data", ["oracle", "sample_complex"])
     def test_separable_scan_matches_pointwise(self, grid, tetra, data):
@@ -127,7 +134,7 @@ class TestScan:
             lower=[-7.5, 12.0, 3.25], upper=[41.0, 60.5, 88.0], resolution=(1, 4, 7)
         )
         samples = translated_samples(grid, tetra, LOW_WAVE, [20.0, 35.0, 50.0], data)
-        scan = locator._scan(*locator._degree_one_projector(samples), region.axes())
+        scan = region_scan(samples, region)
         assert scan.shape == region.resolution
         # scan[i, j, l] is the indicator at (x_i, y_j, z_l)
         points = np.stack(np.meshgrid(*region.axes(), indexing="ij"), axis=-1)
@@ -168,10 +175,9 @@ def compass_reference(samples, region):
     1e-3, every trial point evaluated afresh: an independent oracle for
     ``locate``."""
     G, K, norm2 = locator._degree_one_projector(samples)
-    axes = region.axes()
-    scan = locator._scan(G, K, norm2, axes)
+    scan = region_scan(samples, region)
     best = np.unravel_index(np.argmax(scan), scan.shape)
-    z, fz = np.array([a[i] for a, i in zip(axes, best)]), scan[best]
+    z, fz = np.array([a[i] for a, i in zip(region.axes(), best)]), scan[best]
     spacing = (region.upper - region.lower) / np.maximum(np.array(region.resolution) - 1, 1)
     step = float(spacing.max())
     eye = np.eye(3)
@@ -270,7 +276,7 @@ class TestLocate:
 
     def test_returns_its_coarse_scan(self, grid, monkeypatch):
         samples = degree_one_oracle(grid, LOW_WAVE, [47.3, 52.8, 49.6])
-        ref = locator._scan(*locator._degree_one_projector(samples), REGION.axes())
+        ref = region_scan(samples, REGION)
         scans = []
         scan_once = locator._scan
 

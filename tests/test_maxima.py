@@ -18,6 +18,8 @@ from polyscat.maxima import (
     PeakSet,
     RecoveredFaceSet,
     RecoveryThresholds,
+    _cartesian_form,
+    _monomials,
     _seed_lattice,
     cluster_effective_normals,
     critical_mask,
@@ -28,6 +30,7 @@ from polyscat.maxima import (
     specular_direction,
 )
 from polyscat.sphgrid import (
+    FOUR_PI,
     HarmonicExpansion,
     build_grid,
     fibonacci_points,
@@ -72,6 +75,27 @@ def frozen_expansions():
         load_frozen_expansion(DATA / f"tetra_l05_cutoff6_d{i}.txt")
         for i in range(len(INCIDENT_TABLE))
     ]
+
+
+def along_great_circles(x, cutoff, t):
+    """``harmonic_basis`` at ``cos(t) x + sin(t) u`` for each unit row ``x``,
+    each of its tangents ``u = e1, e2, (e1 + e2) / sqrt(2)`` and each ``t``:
+    shaped ``(len(x), 3, len(t), (cutoff + 1)^2)``, with the tangents."""
+    axis = np.eye(3)[np.argmin(np.abs(x), axis=1)]
+    e1 = axis - np.einsum("ij,ij->i", axis, x)[:, None] * x
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(x, e1)
+    u = np.stack([e1, e2, (e1 + e2) / math.sqrt(2.0)], axis=1)  # (n, 3, 3)
+    t = np.asarray(t)[:, None]
+    arcs = np.cos(t) * x[:, None, None, :] + np.sin(t) * u[:, :, None, :]
+    basis = harmonic_basis(arcs.reshape(-1, 3), cutoff)
+    return basis.reshape(*arcs.shape[:3], -1), u
+
+
+# 5-point central differences at spacing h: first and second derivative
+_H = 1e-3
+_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * _H)
+_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * _H**2)
 
 
 def table_face_set(rows=RECOVERED_NORMAL_TABLE):
@@ -224,6 +248,42 @@ class TestPeakSearch:
         singles = [find_local_maxima([e])[0] for e in expansions]
         self.assert_bit_equal(find_local_maxima(expansions), singles)
         self.assert_bit_equal(find_local_maxima(expansions[::-1]), singles[::-1])
+
+    def test_peaks_are_stationary(self):
+        # the sphere gradient at every peak, by central differences of
+        # harmonic_basis along two tangents, within 1e-9 of the pattern's
+        # largest lattice value; a 9-point stencil's bias leaves 1.8e-8
+        expansions = frozen_expansions()
+        for e, peaks in zip(expansions, find_local_maxima(expansions)):
+            scale = np.abs(_seed_lattice(e.cutoff)[2] @ e.coefficients).max()
+            t = _H * np.arange(-2.0, 3.0)
+            slopes = along_great_circles(peaks.directions, e.cutoff, t)[0] @ e.coefficients @ _D1
+            assert np.hypot(slopes[:, 0], slopes[:, 1]).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("cutoff", [*range(11), 16])
+    def test_cartesian_form_matches_harmonic_basis(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        x = rng.normal(size=(200, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        exponents, form = _cartesian_form(cutoff)
+        jets = (_monomials(x, exponents) @ form.reshape(len(form), -1)).reshape(len(x), 13, -1)
+        value, grad, hess = jets[:, 0], jets[:, 1:4], jets[:, 4:].reshape(len(x), 3, 3, -1)
+        atol = 1e-12 if cutoff <= 10 else 1e-9
+        assert_allclose(value, harmonic_basis(x, cutoff), rtol=0, atol=atol)
+        # along the great circle from x with unit tangent u, the first
+        # derivative is u . grad and the second u^T hess u - x . grad
+        arcs, u = along_great_circles(x, cutoff, _H * np.arange(-2.0, 3.0))
+        slope = np.einsum("kui,kib->kub", u, grad)
+        radial = np.einsum("ki,kib->kb", x, grad)[:, None]
+        curvature = np.einsum("kui,kijb,kuj->kub", u, hess, u) - radial
+        # truncation h^4 f^(5) / 30 and h^4 f^(6) / 90, with |f^(m)| at most
+        # cutoff^m max |Y| (Bernstein), and a few ulps of rounding per value
+        largest = math.sqrt((2 * cutoff + 1) / FOUR_PI)
+        noise = 1e-14 * largest
+        assert_allclose(slope, np.einsum("kutb,t->kub", arcs, _D1), rtol=0,
+                        atol=_H**4 / 30 * cutoff**5 * largest + np.abs(_D1).sum() * noise)
+        assert_allclose(curvature, np.einsum("kutb,t->kub", arcs, _D2), rtol=0,
+                        atol=_H**4 / 90 * cutoff**6 * largest + np.abs(_D2).sum() * noise)
 
     def test_batch_with_mixed_cutoffs_rejected(self):
         mixed = [HarmonicExpansion(c, np.ones((c + 1) ** 2)) for c in (6, 7)]

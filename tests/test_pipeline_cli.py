@@ -348,6 +348,21 @@ class TestConfig:
         assert read_tree(workspace) == before
 
 
+    @pytest.mark.parametrize("value", [".", "./", "sub"])
+    def test_rejects_an_obstacle_that_names_a_directory(self, workspace, capsys, value):
+        # "." names the config's directory, as an empty value would
+        (workspace / "sub").mkdir()
+        bad = write_experiment_config(workspace / "bad.cfg", value, **FAST)
+        message = f"{bad}: obstacle names a directory: {(workspace / value).resolve()}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(bad)
+        before = read_tree(workspace), sorted(workspace.rglob("*"))
+        for verb in ("synth", "recover", "locate", "check"):
+            assert main([verb, str(bad)]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert (read_tree(workspace), sorted(workspace.rglob("*"))) == before
+
+
 class TestSynth:
     def test_writes_expected_files(self, workspace):
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
