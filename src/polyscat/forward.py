@@ -101,6 +101,8 @@ class FarFieldSamples:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown far-field kind {self.kind!r}")
         vals = np.asarray(self.values)
+        if not np.isfinite(vals).all():
+            raise ValueError("far-field samples must be finite (no NaN or inf)")
         if self.kind == MODULUS:
             vals = vals.astype(float)
             if vals.shape != (self.grid.size,):
@@ -112,11 +114,8 @@ class FarFieldSamples:
             if vals.shape != (self.grid.size, 3):
                 raise ValueError("complex samples must be one 3-vector per point")
             radial = np.abs(np.einsum("ij,ij->i", self.grid.points, vals))
-            limit = 1e-9 * max(1.0, float(np.abs(vals).max()))
-            if radial.max() > limit:
+            if radial.max() > 1e-9 * max(1.0, float(np.abs(vals).max())):
                 raise ValueError("complex far fields must be tangential")
-        if not np.isfinite(vals).all():
-            raise ValueError("far-field samples must be finite (no NaN or inf)")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -310,8 +309,7 @@ def save_far_field(samples: FarFieldSamples, path):
             w.k, *w.d, *w.p
         )
     )
-    values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1)
-    values = values.view(float)
+    values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1).view(float)
     line = _POINT_FORMAT + " ".join(["%.17g"] * values.shape[1])
     return save_table(path, np.column_stack([samples.grid.points, values]), line, header)
 
@@ -371,9 +369,8 @@ def load_far_field(path) -> FarFieldSamples:
             grid = grid_of(data[:, :3])
             data = data[:, 3:]
         if data.shape[1] != m:
-            rows = "modulus" if m == 1 else "complex"
-            raise ValueError(f"{rows} rows need {m + 3} columns")
-        values = data[:, 0] if m == 1 else data[:, 0::2] + 1j * data[:, 1::2]
+            raise ValueError(f"{'modulus' if m == 1 else 'complex'} rows need {m + 3} columns")
+        values = data[:, 0] if m == 1 else np.ascontiguousarray(data).view(complex)
         return FarFieldSamples(grid=grid, values=values, wave=wave, kind=kind)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -40,8 +40,11 @@ sized by ``cutoff``.
 The recovery runs the stages ``load``, ``step1``, ``step2`` and ``step3``
 in a straight line.  The stage that reads a data file of ``output_dir/data/``
 synthesizes that file alone if it is missing, so only
-:func:`synthesize_dataset` rewrites one that exists.  A stage's failure
-raises a :class:`PipelineError` tagged with its name, and ``synth`` tags an
+:func:`synthesize_dataset` rewrites one that exists.  ``load`` rejects a
+file whose kind, ``k``, ``d`` or ``p`` is not what synthesis writes there:
+``shape_NN.txt`` the moduli of shape wave ``NN``, ``location.txt`` the
+complex field of step 3's wave.  A stage's failure raises a
+:class:`PipelineError` tagged with its name, and ``synth`` tags an
 obstacle that cannot be loaded.  A failed recovery removes every report
 file it did not write, so no file of an earlier run stays beside its own;
 a failed :func:`locate_obstacle` does the same with the two step-3 files,
@@ -57,6 +60,7 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -97,6 +101,7 @@ class ExperimentConfig:
     loc_wave: forward.PlaneWave
     output_dir: Path
     lambda_shape: float
+    lambda_loc: float
     grid_shape: int
     grid_loc: int
     thresholds: maxima.RecoveryThresholds
@@ -211,9 +216,9 @@ def _read_config(path: Path) -> ExperimentConfig:
         raise ValueError(f"obstacle names a directory: {obstacle}")
     if not incident:
         raise ValueError("config needs at least one incident direction")
-    lambda_shape = take("lambda_shape", 0.5)
+    lambda_shape, lambda_loc = take("lambda_shape", 0.5), take("lambda_loc", 50.0)
     shape_waves = tuple(_plane_wave(line, "lambda_shape", lambda_shape) for line in incident)
-    loc_wave = _plane_wave(incident[0], "lambda_loc", take("lambda_loc", 50.0))
+    loc_wave = _plane_wave(incident[0], "lambda_loc", lambda_loc)
     output_dir = take_path("output_dir", "out")
     thresholds = maxima.RecoveryThresholds(
         e_tol=take("e_tol", 0.5),
@@ -242,6 +247,7 @@ def _read_config(path: Path) -> ExperimentConfig:
         loc_wave=loc_wave,
         output_dir=output_dir,
         lambda_shape=lambda_shape,
+        lambda_loc=lambda_loc,
         grid_shape=take("grid_shape", 7518, kind=int),
         grid_loc=take("grid_loc", 1878, kind=int),
         thresholds=thresholds,
@@ -259,76 +265,73 @@ def _read_config(path: Path) -> ExperimentConfig:
 # data files
 
 
-def _data_path(config: ExperimentConfig, index: int) -> Path:
-    """``shape_NN.txt`` of shape wave ``index``; ``location.txt`` after the last."""
-    name = f"shape_{index:02d}.txt" if index < len(config.shape_waves) else "location.txt"
-    return config.output_dir / "data" / name
+def _data_file(config: ExperimentConfig, index: int):
+    """Data file ``index`` as ``(path, wave, modulus, line)``, ``line`` counting
+    ``incident`` lines from 1: ``shape_NN.txt`` holds the moduli of shape wave
+    ``NN`` and ``location.txt``, after the last, the complex field of step 3's."""
+    data = config.output_dir / "data"
+    if index < len(config.shape_waves):
+        return data / f"shape_{index:02d}.txt", config.shape_waves[index], True, index + 1
+    return data / "location.txt", config.loc_wave, False, 1
 
 
 def synthesize_dataset(config: ExperimentConfig) -> list:
-    """Write every data file, over any already there: one modulus far-field
-    file per shape wave plus the complex low-frequency file for the
-    locator.  Deterministic for a fixed seed; returns the paths written."""
+    """Write every data file over any already there, the moduli of each shape
+    wave and step 3's complex field, deterministically; return their paths."""
     return _synthesize(config, range(len(config.shape_waves) + 1))
 
 
 def _synthesize(config: ExperimentConfig, indices) -> list:
-    """Write the data files ``indices`` (see :func:`_data_path`), loading the
-    obstacle and making the data directory once; returns their paths."""
+    """Write the data files ``indices`` (see :func:`_data_file`) and return
+    their paths, loading the obstacle and building each grid once."""
     try:
         poly = geometry.load_obstacle(config.obstacle)
     except (OSError, ValueError) as exc:
         raise PipelineError("synth", f"cannot load obstacle: {exc}") from exc
     (config.output_dir / "data").mkdir(parents=True, exist_ok=True)
-    waves = config.shape_waves
-    if any(i < len(waves) for i in indices):
-        grid = sphgrid.build_grid(config.grid_shape)
+    grid = cache(sphgrid.build_grid)
     written = []
     for i in indices:
-        if i < len(waves):
-            samples = forward.sample_phaseless(poly, waves[i], grid)
+        path, wave, modulus, _ = _data_file(config, i)
+        if modulus:
+            samples = forward.sample_phaseless(poly, wave, grid(config.grid_shape))
             if config.noise.delta > 0:
                 noise = forward.NoiseModel(config.noise.delta, config.noise.seed + i)
                 samples = forward.add_noise(samples, noise)
+        elif config.step3_oracle:
+            samples = locator.degree_one_oracle(grid(config.grid_loc), wave, config.location)
         else:
-            loc_grid = sphgrid.build_grid(config.grid_loc)
-            if config.step3_oracle:
-                samples = locator.degree_one_oracle(loc_grid, config.loc_wave, config.location)
-            else:
-                samples = forward.sample_complex(poly, config.loc_wave, loc_grid)
-                samples = forward.apply_translation_phase(samples, config.location)
-        written.append(forward.save_far_field(samples, _data_path(config, i)))
+            samples = forward.sample_complex(poly, wave, grid(config.grid_loc))
+            samples = forward.apply_translation_phase(samples, config.location)
+        written.append(forward.save_far_field(samples, path))
     return written
 
 
 def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
-    """Load data file ``index``, synthesizing it first only if it is missing.
-    A shape file must hold moduli at the wavenumber of its shape wave on
-    at least as many points as the ``(cutoff + 1)^2`` coefficients its
-    transform seeks, and ``location.txt`` a complex field."""
-    path = _data_path(config, index)
+    """Load data file ``index``, synthesizing it first only if it is missing,
+    and check it against :func:`_data_file`, in order: its kind; its wave's
+    ``k`` to 1e-12 relative; its ``d`` and ``p`` to 1e-12 absolute; and for a
+    shape file, at least the ``(cutoff + 1)^2`` points its transform seeks."""
+    path, wave, modulus, line = _data_file(config, index)
     if not path.exists():
         _synthesize(config, [index])
     with _stage("load", OSError, ValueError):
         samples = forward.load_far_field(path)
-        shape = index < len(config.shape_waves)
-        if samples.is_complex == shape:
-            need = "kind=modulus" if shape else "a complex kind"
-            user = "a shape file" if shape else "step 3"
-            raise ValueError(f"{path}: kind={samples.kind}; {user} needs {need}")
-        if shape:
-            k, cutoff = config.shape_waves[index].k, config.thresholds.cutoff
-            if abs(samples.wave.k - k) > 1e-12 * k:
-                raise ValueError(
-                    f"{path}: k = {samples.wave.k!r} does not match "
-                    f"lambda_shape = {config.lambda_shape!r}"
-                )
-            if samples.grid.size < (cutoff + 1) ** 2:
-                raise ValueError(
-                    f"{path}: {samples.grid.size} points are fewer than the "
-                    f"{(cutoff + 1) ** 2} coefficients of cutoff {cutoff}"
-                )
-    return samples
+        got, cutoff = samples.wave, config.thresholds.cutoff
+        if samples.is_complex == modulus:
+            need = "a shape file needs kind=modulus" if modulus else "step 3 needs a complex kind"
+            error = f"kind={samples.kind}; {need}"
+        elif abs(got.k - wave.k) > 1e-12 * wave.k:
+            key = "lambda_shape" if modulus else "lambda_loc"
+            error = f"k = {got.k!r} does not match {key} = {getattr(config, key)!r}"
+        elif np.abs(np.r_[got.d - wave.d, got.p - wave.p]).max() > 1e-12:
+            error = f"d = {got.d.tolist()}, p = {got.p.tolist()} do not match incident line {line}"
+        elif modulus and samples.grid.size < (cutoff + 1) ** 2:
+            error = (f"{samples.grid.size} points are fewer than the "
+                     f"{(cutoff + 1) ** 2} coefficients of cutoff {cutoff}")
+        else:
+            return samples
+        raise ValueError(f"{path}: {error}")
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +378,8 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     """Execute steps 1-3 and write the report tables.
 
     Each stage reads its own data files and synthesizes only those missing:
-    a file already there is reused, never rewritten, and a reused shape file
-    must hold the wavenumber ``2 pi / lambda_shape``.  Step 3 reads its file
+    a file already there is reused, never rewritten, and must carry the
+    wave of its config line (see :func:`_read`).  Step 3 reads its file
     after the step-1/2 tables and ``recovered.obs`` are written.  Any stage
     failure aborts with a stage-tagged :class:`PipelineError`, keeping the
     report files this run wrote and removing the others, so that no file

@@ -786,6 +786,94 @@ class TestCli:
         assert err == message
         assert not (workspace / "out" / "recovered_faces.csv").exists()
 
+    @pytest.mark.parametrize(
+        "name, old, new, message",
+        [
+            ("shape_00.txt", " d=1 0 0 ", " d=-1 0 0 ",
+             "d = [-1.0, 0.0, 0.0], p = [0.0, 0.0, 1.0] do not match incident line 1"),
+            ("shape_00.txt", " p=0 0 1", " p=0 1 0",
+             "d = [1.0, 0.0, 0.0], p = [0.0, 1.0, 0.0] do not match incident line 1"),
+            ("location.txt", f"k={2 * math.pi / 50!r} ", "k=1e-300 ",
+             "k = 1e-300 does not match lambda_loc = 50.0"),
+            ("location.txt", f"k={2 * math.pi / 50!r} ", f"k={2 * math.pi / 50 * 10!r} ",
+             f"k = {2 * math.pi / 50 * 10!r} does not match lambda_loc = 50.0"),
+        ],
+        ids=["shape-flipped-d", "shape-other-p", "location-tiny-k", "location-k-times-10"],
+    )
+    def test_data_of_another_incident_wave_is_rejected(
+        self, workspace, capsys, name, old, new, message
+    ):
+        # step 1 inverts each peak through its file's own d, and step 3
+        # phase-translates by its file's k: read as they are, such headers
+        # give a wrong body or location with exit 0
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
+        path = workspace / "out" / "data" / name
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["recover", str(cfg)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
+        assert not (workspace / "out" / "location.csv").exists()
+
+    def test_swapped_shape_files_are_rejected(self, workspace, capsys):
+        # each file carries its own wave, so swapped files could still give
+        # the body; a shape file belongs to its own incident line only
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
+        first, second = (workspace / "out" / "data" / f"shape_0{i}.txt" for i in (0, 1))
+        texts = first.read_text(), second.read_text()
+        first.write_text(texts[1])
+        second.write_text(texts[0])
+        capsys.readouterr()
+        assert main(["recover", str(cfg)]) == 2
+        message = "d = [-1.0, 0.0, 0.0], p = [0.0, 0.0, 1.0] do not match incident line 1"
+        assert capsys.readouterr().err == f"error [load] {first}: {message}\n"
+        assert not (workspace / "out" / "recovered_faces.csv").exists()
+
+    def test_an_infinite_location_value_fails_at_load_without_a_warning(
+        self, workspace, capsys
+    ):
+        # 1j * inf is NaN: arithmetic on the values before their finiteness
+        # check warns, and under an error filter escapes the load stage
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
+        path = workspace / "out" / "data" / "location.txt"
+        lines = path.read_text().splitlines()
+        coords, values = lines[5].split("  ")
+        tokens = values.split()
+        lines[5] = coords + "  " + " ".join([tokens[0], "inf", *tokens[2:]])  # an imaginary part
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["locate", str(cfg)]) == 2
+        message = "far-field samples must be finite (no NaN or inf)"
+        assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
+        assert not (workspace / "out" / "location.csv").exists()
+
+    def test_reversed_data_rows_give_the_same_report(self, workspace):
+        # reversed rows are no lattice text: each file takes the whole-file
+        # parse onto a grid of its own point order, and step 1's transform
+        # and step 3's indicator sum over the points in that order
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["recover", str(cfg)]) == 0
+        names = ("effective_normals.csv", "vertices.csv", "location.csv")
+        lattice = [np.loadtxt(workspace / "out" / n, delimiter=",", skiprows=1) for n in names]
+        for path in sorted((workspace / "out" / "data").glob("*.txt")):
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[:2] + lines[:1:-1]) + "\n")
+            points = load_far_field(path).grid.points
+            assert not np.array_equal(points, build_grid(len(points)).points)
+        assert main(["recover", str(cfg)]) == 0
+        for name, expected in zip(names, lattice):
+            got = np.loadtxt(workspace / "out" / name, delimiter=",", skiprows=1)
+            assert_allclose(got, expected, rtol=0, atol=1e-9, err_msg=name)
+
     def test_data_at_an_infinite_wavenumber_is_not_read(self, workspace, capsys):
         # lambda_shape = 1e-320 overflows to k = inf, where a file check
         # |k_file - k| > 1e-12 k reads inf > inf and would pass any file
