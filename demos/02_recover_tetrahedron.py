@@ -58,11 +58,11 @@ for idx, (d, p) in enumerate(incident):
         samples = add_noise(samples, NoiseModel(noise.delta, noise.seed + idx))
     waves.append(wave)
     expansions.append(sht_forward(samples.grid, samples.values, thresholds.cutoff))
-peak_sets = find_local_maxima(expansions)
-faces = peaks_to_faces(peak_sets, [w.d for w in waves], lam, thresholds)
-critical = np.bincount(faces.source_indices, minlength=len(waves))
-print(f"maxima per direction: {[len(peaks) for peaks in peak_sets]}")
-print(f"critical per direction: {critical.tolist()}")
+peaks = find_local_maxima(expansions)
+faces = peaks_to_faces(peaks, [w.d for w in waves], lam, thresholds)
+for name, table in (("maxima", peaks), ("critical", faces)):
+    per_direction = np.bincount(table.source_indices, minlength=len(waves))
+    print(f"{name} per direction: {per_direction.tolist()}")
 
 effective = cluster_effective_normals(faces, thresholds.cluster_angle)
 print("\neffective normals (recovered vs true):")

@@ -71,25 +71,24 @@ def _cmd_locate(args) -> int:
 def _cmd_check(args) -> int:
     config = pipeline.parse_config(args.config)
     poly = geometry.load_obstacle(config.obstacle)
+    incident = np.array([wave.d for wave in config.shape_waves])
+    # one row per direction and face it lights, direction after direction
+    source, faces = np.nonzero([geometry.lit_faces(poly.normals, d) for d in incident])
+    d, nu = incident[source], poly.normals[faces]
+    c = -np.einsum("ij,ij->i", nu, d)  # |d . nu|, as lit faces have nu . d < 0
+    # the peak law: each lit face peaks at its specular direction
+    values = poly.areas[faces] * c / config.lambda_shape
+    peaks = maxima.PeakSet(maxima.specular_direction(nu, d), values, source)
+    seen = maxima.critical_mask(peaks, d, config.thresholds)
+    angles = np.degrees(2.0 * np.arcsin(np.minimum(c, 1.0)))
     seen_by = [[] for _ in range(poly.num_faces)]
-    for i, d in enumerate(wave.d for wave in config.shape_waves):
-        faces = np.flatnonzero(geometry.lit_faces(poly.normals, d))
-        nu = poly.normals[faces]
-        c = -(nu @ d)  # |d . nu|, as lit faces have nu . d < 0
-        # the peak law: each lit face peaks at its specular direction
-        peaks = maxima.PeakSet(
-            directions=maxima.specular_direction(nu, d),
-            values=poly.areas[faces] * c / config.lambda_shape,
+    for i, j, value, angle, kept in zip(source, faces, peaks.values, angles, seen):
+        print(
+            f"d{i} face {j}: peak {value:.4f} at {angle:.2f} deg from d,"
+            f" {'seen' if kept else 'not seen'}"
         )
-        seen = maxima.critical_mask(peaks, d, config.thresholds)
-        angles = np.degrees(2.0 * np.arcsin(np.minimum(c, 1.0)))
-        for j, value, angle, kept in zip(faces, peaks.values, angles, seen):
-            print(
-                f"d{i} face {j}: peak {value:.4f} at {angle:.2f} deg from d,"
-                f" {'seen' if kept else 'not seen'}"
-            )
-            if kept:
-                seen_by[j].append(f"d{i}")
+        if kept:
+            seen_by[j].append(f"d{i}")
     for j, names in enumerate(seen_by):
         print(f"face {j}: seen from {' '.join(names) or 'no direction'}")
     return 0 if all(seen_by) else 3

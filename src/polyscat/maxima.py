@@ -1,7 +1,7 @@
 """Step 1 of the recovery scheme, in three calls over all incident
-directions: peak hunting on the smoothed phaseless patterns, selection of
-the critical observation directions and their inversion into face normals
-and areas, and the clustering of near-duplicate normals.
+directions: peak hunting on the smoothed phaseless patterns into one peak
+table, selection of the critical observation directions and their
+inversion into face normals and areas, and the clustering of normals.
 
 The backscattering peak of face ``j`` sits at the specular direction
 ``xhat_j = d - 2 (d . nu_j) nu_j``; inverting that relation gives
@@ -10,17 +10,17 @@ The backscattering peak of face ``j`` sits at the specular direction
 
 and the peak magnitude yields the face area ``A = lambda |E| / |d . nu|``.
 Every unit ``xhat != d`` inverts to a front face (``d . nu < 0``), so
-selection needs only the exclusion radius around ``d`` and the peak
-threshold.  The peak search sees only the expansion, and polishes peaks on
-exact derivatives of its Cartesian form; the incident direction and the
-wavelength are passed to the stages that use them.
+selection needs only the exclusion radius, the peak threshold and the
+floor on ``|xhat - d|`` of inversion.  The peak search sees only the
+expansion, and polishes peaks on exact derivatives of its Cartesian form;
+the incident direction and the wavelength go to the stages that use them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,17 +28,21 @@ import numpy as np
 from .sphgrid import FOUR_PI, fibonacci_points, harmonic_basis
 
 
+_MIN_CHORD = 2e-6  # |xhat - d| below which a peak gives no face
+
+
 class DegenerateDirection(ValueError):
-    """Peak direction within 2e-6 of the incident direction."""
+    """Peak direction within ``_MIN_CHORD`` of the incident direction."""
 
 
 @dataclass(frozen=True)
 class PeakSet:
-    """Local maxima of the smoothed pattern, sorted by descending value."""
+    """Local maxima of smoothed patterns, source after source, each by descending value."""
 
     directions: np.ndarray  # (n, 3) unit vectors
     values: np.ndarray  # (n,)
-    failed_starts: int = 0
+    source_indices: np.ndarray  # (n,) int
+    failed_starts: int = 0  # seeds of all sources still moving at the iteration cap
 
     def __len__(self) -> int:
         return len(self.values)
@@ -80,33 +84,36 @@ class RecoveryThresholds:
             raise ValueError(f"cutoff must be an integer >= 0, got {self.cutoff!r}")
 
 
+def _dot(a, b) -> np.ndarray:
+    """Row-wise dot products of ``(..., 3)`` arrays, rounded as 1-D ``@``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def specular_direction(nu, d) -> np.ndarray:
     """Critical observation direction: the mirror image of ``d`` in the face
-    plane, ``d - 2 (d . nu) nu``; for ``(k, 3)`` normals, one row each."""
-    nu = np.asarray(nu, dtype=float)
-    d = np.asarray(d, dtype=float)
-    return d - 2.0 * (nu @ d)[..., None] * nu
+    plane, ``d - 2 (d . nu) nu``; one row per row of ``nu`` or ``d``."""
+    nu, d = np.asarray(nu, dtype=float), np.asarray(d, dtype=float)
+    return d - 2.0 * _dot(nu, d)[..., None] * nu
 
 
 def normal_and_area_from_peak(xhat, value, d, wavelength):
-    """Invert a critical-direction peak into a face normal and area.
+    """Invert critical-direction peaks into face normals and areas, row by row.
 
     Raises
     ------
     DegenerateDirection
-        If ``|xhat - d| < 2e-6``: for unit ``xhat`` and ``d`` that is
-        ``|d . nu| = |xhat - d| / 2 < 1e-6``, a normal nearly parallel to
+        If some ``|xhat - d| < _MIN_CHORD``: for unit ``xhat`` and ``d`` that
+        is ``|d . nu| = |xhat - d| / 2 < 1e-6``, a normal nearly parallel to
         the incident direction and no meaningful area.
     """
-    xhat = np.asarray(xhat, dtype=float)
     d = np.asarray(d, dtype=float)
-    delta = xhat - d
+    delta = np.asarray(xhat, dtype=float) - d
     # |xhat - d| equals sqrt(2 (1 - xhat . d)) but has no cancellation
-    chord = float(np.linalg.norm(delta))
-    if chord < 2e-6:
+    chord = np.sqrt(_dot(delta, delta))
+    if np.any(chord < _MIN_CHORD):
         raise DegenerateDirection("peak direction within 2e-6 of the incident one")
-    nu = delta / chord
-    area = wavelength * value / abs(float(d @ nu))
+    nu = delta / chord[..., None]
+    area = wavelength * value / np.abs(_dot(d, nu))
     return nu, area
 
 
@@ -223,7 +230,9 @@ def _polish(expansions, cutoff: int, seeds, owner, scale):
     expansion the number of seeds still moving after ``_MAX_ITERATIONS``.
     """
     exponents, form = _cartesian_form(cutoff)
-    forms = [form @ e.coefficients for e in expansions]  # (K, 13) each
+    # each surrogate over a power of two near its scale: exact, and |g|^2 stays finite
+    unit = np.ldexp(1.0, -np.frexp(scale)[1])
+    forms = [form @ (e.coefficients * u) for e, u in zip(expansions, unit)]  # (K, 13) each
     x = seeds
     index = np.arange(len(seeds))
     done = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0, int), np.zeros(0, int))]
@@ -251,14 +260,15 @@ def _polish(expansions, cutoff: int, seeds, owner, scale):
         length = np.linalg.norm(step, axis=1)
         step *= np.minimum(1.0, _MAX_STEP / np.maximum(length, 1e-300))[:, None]
 
-        flat = gnorm <= _FLAT_GRADIENT * scale[owner]
+        flat = gnorm <= _FLAT_GRADIENT * (scale * unit)[owner]
         x = np.where(flat[:, None], x, x + step)
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         finished = flat | (length < _STEP_TOL)
         done.append((x[finished], f0[finished], index[finished], owner[finished]))
         x, index, owner = x[~finished], index[~finished], owner[~finished]
     failed = np.bincount(owner, minlength=len(expansions))
-    return (*(np.concatenate(column) for column in zip(*done)), failed)
+    points, values, seed_index, source = (np.concatenate(column) for column in zip(*done))
+    return points, values / unit[source], seed_index, source, failed
 
 
 def _suppress(directions: np.ndarray, order, angle: float) -> np.ndarray:
@@ -273,93 +283,78 @@ def _suppress(directions: np.ndarray, order, angle: float) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
-def find_local_maxima(expansions) -> list:
-    """One :class:`PeakSet` of local maxima per band-limited expansion, all
-    found in one batch; the expansions share one cutoff (else ``ValueError``).
+def find_local_maxima(expansions) -> PeakSet:
+    """The local maxima of band-limited expansions, all found in one batch,
+    as one :class:`PeakSet` whose ``source_indices`` are the expansions'
+    positions; the expansions share one cutoff (else ``ValueError``).
 
     Seeds are the discrete maxima of each surrogate on a raw Fibonacci
     lattice of ``20 (cutoff + 1)^2`` points, each at least as high as every
     lattice point a Fibonacci number away in index and within
     ``_SEED_REACH`` spacings; all seeds are then polished together by
-    projected Newton ascent on exact sphere derivatives.  Per expansion, end points closer
-    than ``_DEDUP_ANGLE`` are merged keeping the higher value.  Seeds still
-    moving after the iteration cap are only counted in ``failed_starts``,
-    never fatal.
+    projected Newton ascent on exact sphere derivatives.  Per expansion, end
+    points closer than ``_DEDUP_ANGLE`` are merged keeping the higher value.
+    Seeds still moving after the iteration cap are only counted, in
+    ``failed_starts``, never fatal.
     """
     cutoffs = sorted({e.cutoff for e in expansions})
     if len(cutoffs) != 1:
         raise ValueError(f"expansions must share one cutoff, got {cutoffs}")
     seeded = _grid_seeds(expansions, cutoffs[0])
     points, values, seed_index, owner, failed = _polish(expansions, cutoffs[0], *seeded)
-    peak_sets = []
-    for k, n_failed in enumerate(failed):
-        mine = owner == k
-        p, v = points[mine], values[mine]
-        keep = _suppress(p, np.lexsort((seed_index[mine], -v)), _DEDUP_ANGLE)
-        peak_sets.append(PeakSet(p[keep], v[keep], failed_starts=int(n_failed)))
-    return peak_sets
+    kept = []
+    for k in range(len(expansions)):
+        mine = np.flatnonzero(owner == k)
+        order = np.lexsort((seed_index[mine], -values[mine]))
+        kept.append(mine[_suppress(points[mine], order, _DEDUP_ANGLE)])
+    kept = np.concatenate(kept)
+    return PeakSet(points[kept], values[kept], owner[kept], failed_starts=int(failed.sum()))
+
+
+def _rows(table, keep):
+    """``table`` with only the rows ``keep`` of each of its array columns."""
+    columns = {f.name: getattr(table, f.name) for f in fields(table)}
+    return replace(table, **{k: v[keep] for k, v in columns.items() if isinstance(v, np.ndarray)})
 
 
 def critical_mask(peaks: PeakSet, d, thresholds: RecoveryThresholds) -> np.ndarray:
-    """Mask of the peaks of incident direction ``d`` that are critical
-    observation directions: at least ``exclusion_radius`` from ``d`` and
-    at least ``e_tol`` high.  Every such unit direction inverts to a
-    front-face normal: the specular law gives
-    ``d . nu = -|xhat - d| / 2 < 0``."""
+    """Mask of the critical peaks of ``d`` (one, or one per peak), the one
+    rule that drops a peak: at least ``exclusion_radius`` from ``d``, at
+    least ``e_tol`` high and at least ``_MIN_CHORD`` from ``d``, as inversion
+    needs.  Every such unit direction inverts to a front-face normal: the
+    specular law gives ``d . nu = -|xhat - d| / 2 < 0``."""
     d = np.asarray(d, dtype=float)
-    distance = np.arccos(np.clip(peaks.directions @ d, -1.0, 1.0))
-    return (distance >= thresholds.exclusion_radius) & (peaks.values >= thresholds.e_tol)
+    delta = peaks.directions - d
+    distance = np.arccos(np.clip(_dot(peaks.directions, d), -1.0, 1.0))
+    keep = (distance >= thresholds.exclusion_radius) & (peaks.values >= thresholds.e_tol)
+    return keep & (np.sqrt(_dot(delta, delta)) >= _MIN_CHORD)
 
 
-def select_critical_directions(
-    peaks: PeakSet, d, thresholds: RecoveryThresholds
-) -> PeakSet:
-    """The peaks of incident direction ``d`` that :func:`critical_mask`
-    keeps.  Idempotent."""
-    keep = critical_mask(peaks, d, thresholds)
-    return replace(peaks, directions=peaks.directions[keep], values=peaks.values[keep])
+def select_critical_directions(peaks: PeakSet, d, thresholds: RecoveryThresholds) -> PeakSet:
+    """The peaks that :func:`critical_mask` keeps.  Idempotent."""
+    return _rows(peaks, critical_mask(peaks, d, thresholds))
 
 
 def peaks_to_faces(
-    peak_sets, directions, wavelength: float, thresholds: RecoveryThresholds
+    peaks: PeakSet, directions, wavelength: float, thresholds: RecoveryThresholds
 ) -> RecoveredFaceSet:
-    """Select the peaks of each incident direction in ``directions`` (one
-    :class:`PeakSet` each) and invert them into one face set whose
-    ``source_indices`` are the directions' positions.  Peaks that do not
-    invert (at or next to their ``d``) are skipped."""
-    normals, areas, values, sources = [], [], [], []
-    for i, (peaks, d) in enumerate(zip(peak_sets, directions, strict=True)):
-        selected = select_critical_directions(peaks, d, thresholds)
-        for xhat, val in zip(selected.directions, selected.values):
-            try:
-                nu, area = normal_and_area_from_peak(xhat, val, d, wavelength)
-            except DegenerateDirection:
-                continue
-            normals.append(nu)
-            areas.append(area)
-            values.append(val)
-            sources.append(i)
-    return RecoveredFaceSet(
-        normals=np.reshape(normals, (-1, 3)),
-        areas=np.array(areas),
-        peak_values=np.array(values),
-        source_indices=np.array(sources, dtype=int),
-    )
+    """Select the critical peaks, each of ``directions[source]``, and invert
+    them into one face set with their ``source_indices``; ``ValueError`` if
+    a source has no direction."""
+    directions = np.asarray(directions, dtype=float).reshape(-1, 3)
+    if np.any(peaks.source_indices >= len(directions)):
+        raise ValueError(f"a peak's source has none of the {len(directions)} directions")
+    kept = select_critical_directions(peaks, directions[peaks.source_indices], thresholds)
+    d = directions[kept.source_indices]
+    normals, areas = normal_and_area_from_peak(kept.directions, kept.values, d, wavelength)
+    return RecoveredFaceSet(normals, areas, kept.values, kept.source_indices)
 
 
-def cluster_effective_normals(
-    entries: RecoveredFaceSet, cluster_angle: float
-) -> RecoveredFaceSet:
+def cluster_effective_normals(entries: RecoveredFaceSet, cluster_angle: float) -> RecoveredFaceSet:
     """Merge near-duplicate normals, keeping the strongest peak per cluster.
 
     Greedy: entries are visited in order of descending peak value, and each
     is kept unless it lies within ``cluster_angle`` of one already kept.
     """
     order = np.argsort(-entries.peak_values, kind="stable")
-    reps = _suppress(entries.normals, order, cluster_angle)
-    return RecoveredFaceSet(
-        normals=entries.normals[reps],
-        areas=entries.areas[reps],
-        peak_values=entries.peak_values[reps],
-        source_indices=entries.source_indices[reps],
-    )
+    return _rows(entries, _suppress(entries.normals, order, cluster_angle))

@@ -181,6 +181,9 @@ def _state(N: np.ndarray, tables, offsets: np.ndarray) -> _State:
 # ends the fit
 _MAX_ITERATIONS = 120
 _TOLERANCE = 1e-14
+# the largest total area S that keeps c a <= S^(5/2) / (6 sqrt(pi)) finite at
+# the start (a <= S and the isoperimetric inequality): about 5.2e123
+_MAX_TOTAL_AREA = (6.0 * np.sqrt(np.pi)) ** 0.4 * np.finfo(float).max ** 0.4
 
 
 def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
@@ -196,7 +199,8 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
     the fall of ``F`` that a full Newton step predicts) is at most
     ``_TOLERANCE * c``.  The polyhedron at the fitted offsets is built from
     the dual hull of the last accepted step, with no further intersection.
-    The normals are first checked by :func:`geometry.unit_normals`.
+    The normals are first checked by :func:`geometry.unit_normals`, and a
+    balanced total area above ``_MAX_TOTAL_AREA`` is a ``ValueError``.
 
     Parameters
     ----------
@@ -207,6 +211,8 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
     unit = unit_normals(normals)
     A = balance_areas(normals, areas)
     total = float(A.sum())
+    if total > _MAX_TOTAL_AREA:
+        raise ValueError(f"total area {total:.3g} is above the fit's limit {_MAX_TOTAL_AREA:.3g}")
     alpha = np.ones(len(unit)) if alpha0 is None else np.asarray(alpha0, dtype=float)
     tables = _angle_tables(unit)
 

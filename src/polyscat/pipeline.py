@@ -392,11 +392,11 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
         # Step 1: peaks -> normals and areas, all incident directions in one batch
         t = config.thresholds
         with _stage("step1"):
-            peak_sets = maxima.find_local_maxima(
+            peaks = maxima.find_local_maxima(
                 [sphgrid.sht_forward(s.grid, s.values, t.cutoff) for s in shape_samples]
             )
             raw_faces = maxima.peaks_to_faces(
-                peak_sets, [s.wave.d for s in shape_samples], config.lambda_shape, t
+                peaks, [s.wave.d for s in shape_samples], config.lambda_shape, t
             )
             effective = maxima.cluster_effective_normals(raw_faces, t.cluster_angle)
         header = "source_d_index,nu_x,nu_y,nu_z,peak_value,area"

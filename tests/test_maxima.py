@@ -154,6 +154,21 @@ class TestInversion:
         assert 1e-6 <= abs(D1 @ nu) < 1.01e-6
         assert_allclose(area, 0.5 / abs(D1 @ nu), rtol=1e-12)
 
+    def test_rows_invert_as_single_peaks(self):
+        rng = np.random.default_rng(4)
+        xhat, d = rng.normal(size=(2, 50, 3))
+        xhat /= np.linalg.norm(xhat, axis=1, keepdims=True)
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        values = rng.uniform(0.1, 2.0, 50)
+        nu, area = normal_and_area_from_peak(xhat, values, d, 0.5)
+        alone = [normal_and_area_from_peak(*row, 0.5) for row in zip(xhat, values, d)]
+        assert nu.tobytes() == np.array([n for n, _ in alone]).tobytes()
+        assert area.tobytes() == np.array([a for _, a in alone]).tobytes()
+        # one row that does not invert fails the whole call
+        xhat[7] = d[7]
+        with pytest.raises(DegenerateDirection):
+            normal_and_area_from_peak(xhat, values, d, 0.5)
+
     def test_antipode_is_regular(self):
         # a face seen head-on reflects d to -d; inversion stays well defined
         nu, area = normal_and_area_from_peak(-D1, 2.0, D1, 0.5)
@@ -182,7 +197,7 @@ class TestPeakSearch:
         g = build_grid(4000)
         f = np.exp(10.0 * g.points[:, 2])
         exp = sht_forward(g, f, 10)
-        (peaks,) = find_local_maxima([exp])
+        peaks = find_local_maxima([exp])
         assert len(peaks) >= 1
         assert angle_deg(peaks.directions[0], [0.0, 0.0, 1.0]) < 1.0
         # truncation ripples may create minor maxima, but far below the top
@@ -192,7 +207,7 @@ class TestPeakSearch:
     def test_constant_expansion_degenerate(self):
         g = build_grid(2000)
         exp = sht_forward(g, np.ones(g.size), 0)
-        (peaks,) = find_local_maxima([exp])
+        peaks = find_local_maxima([exp])
         # a constant has no isolated maxima: everything is flat and equal
         assert_allclose(peaks.values, peaks.values[0], atol=1e-9)
         thresholds = RecoveryThresholds(e_tol=peaks.values[0] + 1.0)
@@ -203,7 +218,7 @@ class TestPeakSearch:
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         samples = sample_phaseless(tetra, w, g)
         exp = sht_forward(g, samples.values, 10)
-        (peaks,) = find_local_maxima([exp])
+        peaks = find_local_maxima([exp])
         strong = [i for i in range(len(peaks)) if peaks.values[i] > 0.5]
         assert len(strong) == 2
         tops = peaks.directions[strong]
@@ -212,29 +227,36 @@ class TestPeakSearch:
         assert d_near < 8.0 and x1_near < 8.0
 
     def test_matches_multistart_peaks(self):
-        batch = find_local_maxima(frozen_expansions())
-        for i, ((d, _), peaks) in enumerate(zip(INCIDENT_TABLE, batch)):
-            assert peaks.failed_starts == 0
-            out = select_critical_directions(peaks, d, RecoveryThresholds())
-            expected = [row for row in MULTISTART_PEAKS_L05 if row[0] == i]
-            assert len(out) == len(expected)
-            for xhat, val, (_, ref_xhat, ref_val) in zip(
-                out.directions, out.values, expected
-            ):
-                assert_allclose(xhat, ref_xhat, atol=1e-5)
-                assert_allclose(val, ref_val, atol=1e-5)
+        peaks = find_local_maxima(frozen_expansions())
+        assert peaks.failed_starts == 0
+        directions = np.array([d for d, _ in INCIDENT_TABLE])
+        out = select_critical_directions(
+            peaks, directions[peaks.source_indices], RecoveryThresholds()
+        )
+        assert out.source_indices.tolist() == [row[0] for row in MULTISTART_PEAKS_L05]
+        for xhat, val, (_, ref_xhat, ref_val) in zip(
+            out.directions, out.values, MULTISTART_PEAKS_L05
+        ):
+            assert_allclose(xhat, ref_xhat, atol=1e-5)
+            assert_allclose(val, ref_val, atol=1e-5)
 
     @staticmethod
     def assert_bit_equal(batch, singles):
-        assert len(batch) == len(singles)
-        for got, alone in zip(batch, singles):
-            assert got.directions.tobytes() == alone.directions.tobytes()
-            assert got.values.tobytes() == alone.values.tobytes()
-            assert got.failed_starts == alone.failed_starts
+        # one table, source after source, each source's rows bit for bit
+        # those of a one-expansion call
+        assert batch.source_indices.dtype == int
+        assert batch.source_indices.tolist() == sorted(batch.source_indices.tolist())
+        assert len(batch) == sum(len(alone) for alone in singles)
+        assert batch.failed_starts == sum(alone.failed_starts for alone in singles)
+        for k, alone in enumerate(singles):
+            mine = batch.source_indices == k
+            assert alone.source_indices.tolist() == [0] * len(alone)
+            assert batch.directions[mine].tobytes() == alone.directions.tobytes()
+            assert batch.values[mine].tobytes() == alone.values.tobytes()
 
     def test_batch_equals_one_at_a_time_frozen(self):
         expansions = frozen_expansions()
-        singles = [find_local_maxima([e])[0] for e in expansions]
+        singles = [find_local_maxima([e]) for e in expansions]
         self.assert_bit_equal(find_local_maxima(expansions), singles)
         self.assert_bit_equal(find_local_maxima(expansions[::-1]), singles[::-1])
 
@@ -245,7 +267,7 @@ class TestPeakSearch:
             HarmonicExpansion(cutoff, rng.normal(size=(cutoff + 1) ** 2))
             for _ in range(3)
         ]
-        singles = [find_local_maxima([e])[0] for e in expansions]
+        singles = [find_local_maxima([e]) for e in expansions]
         self.assert_bit_equal(find_local_maxima(expansions), singles)
         self.assert_bit_equal(find_local_maxima(expansions[::-1]), singles[::-1])
 
@@ -254,10 +276,12 @@ class TestPeakSearch:
         # harmonic_basis along two tangents, within 1e-9 of the pattern's
         # largest lattice value; a 9-point stencil's bias leaves 1.8e-8
         expansions = frozen_expansions()
-        for e, peaks in zip(expansions, find_local_maxima(expansions)):
+        peaks = find_local_maxima(expansions)
+        for k, e in enumerate(expansions):
             scale = np.abs(_seed_lattice(e.cutoff)[2] @ e.coefficients).max()
             t = _H * np.arange(-2.0, 3.0)
-            slopes = along_great_circles(peaks.directions, e.cutoff, t)[0] @ e.coefficients @ _D1
+            mine = peaks.directions[peaks.source_indices == k]
+            slopes = along_great_circles(mine, e.cutoff, t)[0] @ e.coefficients @ _D1
             assert np.hypot(slopes[:, 0], slopes[:, 1]).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("cutoff", [*range(11), 16])
@@ -294,14 +318,15 @@ class TestPeakSearch:
         g = build_grid(3000)
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         exp = sht_forward(g, sample_phaseless(tetra, w, g).values, 8)
-        (peaks,) = find_local_maxima([exp])
+        peaks = find_local_maxima([exp])
         assert np.abs(np.linalg.norm(peaks.directions, axis=1) - 1.0).max() < 1e-9
         assert all(a >= b for a, b in zip(peaks.values, peaks.values[1:]))
 
 
 class TestSelection:
-    def _peaks(self, dirs, vals):
-        return PeakSet(directions=np.array(dirs, float), values=np.array(vals, float))
+    def _peaks(self, dirs, vals, sources=None):
+        sources = np.zeros(len(vals), int) if sources is None else np.array(sources)
+        return PeakSet(np.array(dirs, float), np.array(vals, float), sources)
 
     def test_excludes_incident_neighborhood(self):
         peaks = self._peaks([D1, X1], [0.9, 0.7])
@@ -334,47 +359,80 @@ class TestSelection:
         assert_allclose(once.values, twice.values)
 
     def test_peak_at_incident_direction_yields_no_face(self):
-        # with no exclusion radius a peak exactly at d passes selection; it
-        # does not invert, so peaks_to_faces drops it
+        # with no exclusion radius a peak exactly at d is still dropped by
+        # selection, since it does not invert; no face results
         thresholds = RecoveryThresholds(exclusion_radius=0.0)
         alone = self._peaks([D1], [0.9])
-        assert len(select_critical_directions(alone, D1, thresholds)) == 1
-        none = peaks_to_faces([alone], [D1], 0.5, thresholds)
+        assert len(select_critical_directions(alone, D1, thresholds)) == 0
+        none = peaks_to_faces(alone, [D1], 0.5, thresholds)
         assert len(none) == 0 and none.normals.shape == (0, 3)
-        both = self._peaks([D1, X1], [0.9, 0.7])
-        faces = peaks_to_faces([alone] * 3 + [both], [D1] * 4, 0.5, thresholds)
+        table = self._peaks([D1, D1, D1, D1, X1], [0.9] * 4 + [0.7], [0, 1, 2, 3, 3])
+        faces = peaks_to_faces(table, [D1] * 4, 0.5, thresholds)
         assert len(faces) == 1
         assert_allclose(faces.normals[0], normal_and_area_from_peak(X1, 0.7, D1, 0.5)[0])
         assert faces.source_indices.tolist() == [3]
 
+    def test_selection_drops_exactly_the_peaks_that_do_not_invert(self):
+        # the inversion's floor |xhat - d| >= 2e-6 is part of selection: with
+        # no other bound, a peak is kept if and only if it inverts
+        thresholds = RecoveryThresholds(e_tol=0.0, exclusion_radius=0.0)
+        angles = 2.0 * np.arcsin(np.array([0.0, 1.7e-6, 1.99e-6, 2.01e-6, 1e-3]) / 2.0)
+        xhat = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(5)])
+        peaks = self._peaks(xhat, np.ones(5))
+        kept = critical_mask(peaks, D1, thresholds)
+        assert kept.tolist() == [False, False, False, True, True]
+        for row, keep in zip(xhat, kept):
+            if keep:
+                normal_and_area_from_peak(row, 1.0, D1, 0.5)
+            else:
+                with pytest.raises(DegenerateDirection):
+                    normal_and_area_from_peak(row, 1.0, D1, 0.5)
+        faces = peaks_to_faces(peaks, [D1], 0.5, thresholds)
+        inverted, _ = normal_and_area_from_peak(xhat[kept], 1.0, D1, 0.5)
+        assert faces.normals.tobytes() == inverted.tobytes()
+
+    def test_one_direction_per_row_is_each_direction_alone(self):
+        peaks = self._peaks([X1, D1, [0, 1.0, 0], X1, -D1], [0.8, 0.9, 0.6, 0.7, 0.9])
+        directions = np.array([D1, [0, 0, 1.0], D1, -D1, [0, 1.0, 0]])
+        thresholds = RecoveryThresholds()
+        per_row = critical_mask(peaks, directions, thresholds)
+        alone = [critical_mask(peaks, d, thresholds)[k] for k, d in enumerate(directions)]
+        assert per_row.tolist() == alone
+
     def test_batch_is_each_selected_peak_inverted_alone(self):
         # each direction's selected peaks, inverted one at a time, give the
-        # batch's rows bit for bit, in direction order, tagged with the
+        # batch's rows bit for bit, in table order, tagged with the
         # direction's position in the batch
         thresholds = RecoveryThresholds()
-        peak_sets = find_local_maxima(frozen_expansions())
+        peaks = find_local_maxima(frozen_expansions())
         directions = [d for d, _ in INCIDENT_TABLE]
         for order, positions in (
             ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 4, 5, 5]),
             ([5, 4, 3, 2, 1, 0], [0, 0, 1, 1, 2, 3, 4, 5]),
         ):
-            sets = [peak_sets[i] for i in order]
+            blocks = [np.flatnonzero(peaks.source_indices == i) for i in order]
+            rows = np.concatenate(blocks)
+            sources = np.repeat(np.arange(len(order)), [len(b) for b in blocks])
+            table = PeakSet(peaks.directions[rows], peaks.values[rows], sources)
             ds = [directions[i] for i in order]
-            rows = []
-            for position, (peaks, d) in enumerate(zip(sets, ds)):
-                out = select_critical_directions(peaks, d, thresholds)
+            expected = []
+            for position, d in enumerate(ds):
+                mine = sources == position
+                out = select_critical_directions(
+                    self._peaks(table.directions[mine], table.values[mine]), d, thresholds
+                )
                 for xhat, value in zip(out.directions, out.values):
                     nu, area = normal_and_area_from_peak(xhat, value, d, 0.5)
-                    rows.append((position, nu, area, value))
-            faces = peaks_to_faces(sets, ds, 0.5, thresholds)
-            source, normals, areas, values = zip(*rows)
+                    expected.append((position, nu, area, value))
+            faces = peaks_to_faces(table, ds, 0.5, thresholds)
+            source, normals, areas, values = zip(*expected)
             assert faces.source_indices.tolist() == list(source) == positions
             assert faces.source_indices.dtype == int
             assert faces.normals.tobytes() == np.array(normals).tobytes()
             assert faces.areas.tobytes() == np.array(areas).tobytes()
             assert faces.peak_values.tobytes() == np.array(values).tobytes()
-        with pytest.raises(ValueError):
-            peaks_to_faces(peak_sets, directions[:5], 0.5, thresholds)
+        with pytest.raises(ValueError, match="source"):
+            peaks_to_faces(peaks, directions[:5], 0.5, thresholds)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("name", ["e_tol", "exclusion_radius", "cluster_angle"])
@@ -386,7 +444,7 @@ class TestSelection:
         g = build_grid(7518)
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         exp = sht_forward(g, sample_phaseless(tetra, w, g).values, 10)
-        (peaks,) = find_local_maxima([exp])
+        peaks = find_local_maxima([exp])
         out = select_critical_directions(
             peaks, D1, RecoveryThresholds(e_tol=0.5, exclusion_radius=0.3)
         )

@@ -197,6 +197,16 @@ class TestFitOffsets:
         fit = fit_offsets(prism.normals, prism.areas * 1.3)
         assert all(a >= b for a, b in zip(fit.history, fit.history[1:]))
 
+    def test_a_total_area_beyond_the_fit_is_rejected(self):
+        # just under the largest total the fit represents, the cube fits
+        # with no overflow warning; twice it is an error before any step
+        largest = minkowski._MAX_TOTAL_AREA
+        fit = fit_offsets(CUBE_NORMALS, np.full(6, 0.999 * largest / 6))
+        assert fit.converged and np.isfinite(fit.offsets).all()
+        message = r"^total area 1\.03e\+124 is above the fit's limit 5\.16e\+123$"
+        with pytest.raises(ValueError, match=message):
+            fit_offsets(CUBE_NORMALS, np.full(6, largest / 3))
+
     def test_span_deficient(self):
         with pytest.raises(Unbounded):
             fit_offsets(SQUARE_NORMALS, np.ones(4))

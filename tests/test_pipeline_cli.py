@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import write_experiment_config
+from conftest import INCIDENT_TABLE, write_experiment_config
 from polyscat import cli, geometry, maxima, minkowski, pipeline
 from polyscat.cli import build_parser, main
 from polyscat.forward import (
@@ -733,16 +733,30 @@ class TestCli:
         config = parse_config(cfg)
         samples = [load_far_field(path) for path in synthesize_dataset(config)[:-1]]
         t = config.thresholds
-        peak_sets = maxima.find_local_maxima(
+        peaks = maxima.find_local_maxima(
             [sht_forward(s.grid, s.values, t.cutoff) for s in samples]
         )
-        raw = maxima.peaks_to_faces(
-            peak_sets, [s.wave.d for s in samples], config.lambda_shape, t
-        )
+        raw = maxima.peaks_to_faces(peaks, [s.wave.d for s in samples], config.lambda_shape, t)
         cos = raw.normals @ poly.normals.T
         near = cos.max(axis=1) >= math.cos(math.radians(10.0))
         found = zip(raw.source_indices[near], cos.argmax(axis=1)[near])
         assert {(int(i), int(j)) for i, j in seen} == {(int(i), int(j)) for i, j in found}
+
+    def test_check_drops_a_peak_step1_cannot_invert(self, tmp_path, capsys, cube):
+        # turned 1e-7 rad about z, face 3 of the cube is lit from d0 = +x at
+        # nu . d = -1e-7 and peaks 2e-7 from d; with no other bound, step 1
+        # selects it only if it inverts, and it does not
+        c, s = math.cos(1e-7), math.sin(1e-7)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        turned = geometry.build_polyhedron(cube.vertices @ turn.T, cube.faces)
+        save_obstacle(turned, tmp_path / "body.obs")
+        cfg = write_experiment_config(
+            tmp_path / "exp.cfg", "body.obs", e_tol=0.0, exclusion_radius=0.0, **FAST
+        )
+        assert main(["check", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "d0 face 3: peak 0.0000 at 0.00 deg from d, not seen" in lines
+        assert "face 3: seen from d3" in lines
 
     def test_check_exits_3_naming_every_unseen_face(self, workspace, capsys):
         cfg = write_experiment_config(
@@ -873,6 +887,51 @@ class TestCli:
         for name, expected in zip(names, lattice):
             got = np.loadtxt(workspace / "out" / name, delimiter=",", skiprows=1)
             assert_allclose(got, expected, rtol=0, atol=1e-9, err_msg=name)
+
+    def test_reversed_incident_lines_give_the_same_body(self, workspace):
+        # the faces of direction i come from direction n - 1 - i; the
+        # clustered normals keep their order (by peak value), so step 2 and
+        # step 3 read the same input: equal to 1e-12, and in practice bit
+        # for bit
+        tables = {}
+        for name, incident in (("out", INCIDENT_TABLE), ("rev", INCIDENT_TABLE[::-1])):
+            cfg = write_experiment_config(
+                workspace / f"{name}.cfg", "tetra.obs", output_dir=name, incident=incident, **FAST
+            )
+            assert main(["recover", str(cfg)]) == 0
+            tables[name] = {
+                p.name: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
+                for p in (workspace / name).glob("*.csv")
+            }
+        first, reversed_ = tables["out"], tables["rev"]
+        for name in ("effective_normals.csv", "recovered_faces.csv"):
+            reversed_[name][:, 0] = len(INCIDENT_TABLE) - 1 - reversed_[name][:, 0]
+        np.testing.assert_array_equal(
+            reversed_["effective_normals.csv"], first["effective_normals.csv"]
+        )
+        rows = [np.unique(t["recovered_faces.csv"], axis=0) for t in (reversed_, first)]
+        np.testing.assert_array_equal(*rows)
+        for name in ("offsets.csv", "areas.csv", "vertices.csv", "location.csv"):
+            assert_allclose(reversed_[name], first[name], rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_areas_beyond_the_fit_fail_step2(self, workspace, capsys, scale):
+        # moduli scaled by 1e150 give a total area near 3e150, past the
+        # largest the offset fit represents (5.16e123, where c a overflows);
+        # the data are finite, so they pass the load stage
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
+        for path in sorted((workspace / "out" / "data").glob("shape_*.txt")):
+            samples = load_far_field(path)
+            save_far_field(dataclasses.replace(samples, values=samples.values * scale), path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["recover", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        message = r"error \[step2\] total area \S+ is above the fit's limit 5\.16e\+123"
+        assert re.fullmatch(message + "\n", err)
+        assert not (workspace / "out" / "offsets.csv").exists()
 
     def test_data_at_an_infinite_wavenumber_is_not_read(self, workspace, capsys):
         # lambda_shape = 1e-320 overflows to k = inf, where a file check
