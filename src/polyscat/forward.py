@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import ConvexPolyhedron, DegenerateFace, lit_faces, write_text
-from .sphgrid import SphericalGrid, build_grid, fibonacci_points, grid_of
+from . import sphgrid
+from .sphgrid import SphericalGrid, fibonacci_points
 
 MODULUS = "modulus"
 COMPLEX_E = "complex-E"
@@ -330,8 +331,8 @@ def load_far_field(path) -> FarFieldSamples:
     The header is the ``#`` lines opening the file.  A file whose ``n >= 12``
     rows each start with the text :func:`save_far_field` writes before the
     values of its Fibonacci lattice point has only its values parsed (see
-    :func:`_lattice_values`) and gets ``build_grid(n)``.  Any other file is
-    parsed whole and gets :func:`~polyscat.sphgrid.grid_of` its points,
+    :func:`_lattice_values`) and gets ``sphgrid.build_grid(n)``.  Any other
+    file is parsed whole and gets :func:`~polyscat.sphgrid.grid_of` its points,
     which validates them, their count of at least 12 included.  Values are
     parsed by ``np.loadtxt``.  Every ``ValueError`` of a malformed file
     names ``path``.
@@ -360,13 +361,13 @@ def load_far_field(path) -> FarFieldSamples:
         m = 1 if kind == MODULUS else 6
         data = _lattice_values(lines[head:], m)
         if data is not None:
-            grid = build_grid(len(data))
+            grid = sphgrid.build_grid(len(data))
         else:
             with warnings.catch_warnings():
                 # a file with no rows fails the grid's point floor instead
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(lines, comments="#", ndmin=2)
-            grid = grid_of(data[:, :3])
+            grid = sphgrid.grid_of(data[:, :3])
             data = data[:, 3:]
         if data.shape[1] != m:
             raise ValueError(f"{'modulus' if m == 1 else 'complex'} rows need {m + 3} columns")

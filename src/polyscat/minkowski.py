@@ -15,8 +15,8 @@ dual hull's edges are the body's edges, and they give ``M``, the areas
 centroid without building the body.  At the minimum the facet areas are
 proportional to ``A``; areas are 2-homogeneous, so a final rescale makes
 them equal.  The fit builds one polyhedron, from the dual hull of its last
-accepted step, placed at the fitted offsets, so step 2 needs no further
-intersection.
+accepted step, placed at the fitted offsets, and reads the vanished planes
+off that body, so step 2 needs no further intersection.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class OffsetFit:
     ``history`` the objective after every accepted step (non-increasing).
     ``polyhedron`` is the body at ``offsets``: the last accepted
     intersection, centred and scaled as the offsets are, with faces in
-    plane order skipping the ``vanished`` planes.
+    plane order skipping the ``vanished`` planes, which are read off the
+    same body: a plane vanished when it has no face.
     """
 
     target_areas: np.ndarray
@@ -93,7 +94,6 @@ class _State:
     areas: np.ndarray
     volume: float
     hessian: np.ndarray
-    vanished: tuple
     hull: DualHull
     centroid: np.ndarray
     scale: float = 1.0
@@ -102,13 +102,8 @@ class _State:
         # the body scaled by s about its centroid (the origin)
         return _State(
             self.offsets * s, self.areas * s**2, self.volume * s**3, self.hessian * s,
-            self.vanished, self.hull, self.centroid, self.scale * s,
+            self.hull, self.centroid, self.scale * s,
         )
-
-    def polyhedron(self) -> ConvexPolyhedron:
-        """The body at ``offsets``."""
-        body = self.hull.body().polyhedron
-        return body.translated(-self.centroid).scaled(self.scale)
 
 
 def _state(N: np.ndarray, tables, offsets: np.ndarray) -> _State:
@@ -122,7 +117,8 @@ def _state(N: np.ndarray, tables, offsets: np.ndarray) -> _State:
     The edges give the volume Hessian ``M`` (``M_ij = l / sin``, ``M_ii =
     -sum l cot``), the areas ``a = M h / 2`` (Euler's relation; areas are
     2-homogeneous), the volume ``h . a / 3`` and the centroid.  The trial
-    is checked to the tolerances of the body it stands for.
+    is checked to the tolerances of the body it stands for; the vanished
+    planes are read off the final body by :func:`fit_offsets`.
     """
     csc, cot = tables
     k = len(N)
@@ -134,9 +130,8 @@ def _state(N: np.ndarray, tables, offsets: np.ndarray) -> _State:
     ends = vertices[t], vertices[u]
     edge = ends[0] - ends[1]
     length = np.sqrt(np.einsum("ij,ij->i", edge, edge))
-    # a plane keeps its facet when it has three distinct vertices, so three
-    # edges of nonzero length; a vanished plane meets the body in one vertex
-    # at most, so its edges have length 0 and its area and Hessian row are 0
+    # the area floor holds on the planes with three edges of nonzero length;
+    # a vanished plane's edges have length 0, so its area and Hessian row are 0
     live = length > 0.0
     kept = np.bincount(i[live], minlength=k) + np.bincount(j[live], minlength=k) >= 3
     ij = i * k + j
@@ -171,7 +166,6 @@ def _state(N: np.ndarray, tables, offsets: np.ndarray) -> _State:
         areas=areas,
         volume=volume,
         hessian=hessian,
-        vanished=tuple(np.flatnonzero(~kept).tolist()),
         hull=hull,
         centroid=centroid,
     )
@@ -197,8 +191,9 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
     rejected and the damping raised.
     The fit has converged once the Newton decrement ``g . H^-1 g`` (twice
     the fall of ``F`` that a full Newton step predicts) is at most
-    ``_TOLERANCE * c``.  The polyhedron at the fitted offsets is built from
-    the dual hull of the last accepted step, with no further intersection.
+    ``_TOLERANCE * c``.  The polyhedron at the fitted offsets and its
+    vanished planes are read off one body, built from the dual hull of the
+    last accepted step with no further intersection.
     The normals are first checked by :func:`geometry.unit_normals`, and a
     balanced total area above ``_MAX_TOTAL_AREA`` is a ``ValueError``.
 
@@ -263,6 +258,7 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
             break
 
     final = state.scaled(np.sqrt(total / state.areas.sum()))
+    body = final.hull.body()
     residual = float(np.sum((final.areas - A) ** 2))
     return OffsetFit(
         target_areas=A,
@@ -270,8 +266,8 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
         residual=residual,
         iterations=iterations,
         converged=converged,
-        vanished=tuple(int(j) for j in final.vanished),
+        vanished=body.vanished,
         history=tuple(history),
         areas=final.areas,
-        polyhedron=final.polyhedron(),
+        polyhedron=body.polyhedron.translated(-final.centroid).scaled(final.scale),
     )

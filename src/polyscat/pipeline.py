@@ -60,7 +60,6 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -283,25 +282,25 @@ def synthesize_dataset(config: ExperimentConfig) -> list:
 
 def _synthesize(config: ExperimentConfig, indices) -> list:
     """Write the data files ``indices`` (see :func:`_data_file`) and return
-    their paths, loading the obstacle and building each grid once."""
+    their paths, loading the obstacle once."""
     try:
         poly = geometry.load_obstacle(config.obstacle)
     except (OSError, ValueError) as exc:
         raise PipelineError("synth", f"cannot load obstacle: {exc}") from exc
     (config.output_dir / "data").mkdir(parents=True, exist_ok=True)
-    grid = cache(sphgrid.build_grid)
     written = []
     for i in indices:
         path, wave, modulus, _ = _data_file(config, i)
+        grid = sphgrid.build_grid(config.grid_shape if modulus else config.grid_loc)
         if modulus:
-            samples = forward.sample_phaseless(poly, wave, grid(config.grid_shape))
+            samples = forward.sample_phaseless(poly, wave, grid)
             if config.noise.delta > 0:
                 noise = forward.NoiseModel(config.noise.delta, config.noise.seed + i)
                 samples = forward.add_noise(samples, noise)
         elif config.step3_oracle:
-            samples = locator.degree_one_oracle(grid(config.grid_loc), wave, config.location)
+            samples = locator.degree_one_oracle(grid, wave, config.location)
         else:
-            samples = forward.sample_complex(poly, wave, grid(config.grid_loc))
+            samples = forward.sample_complex(poly, wave, grid)
             samples = forward.apply_translation_phase(samples, config.location)
         written.append(forward.save_far_field(samples, path))
     return written

@@ -871,48 +871,60 @@ class TestCli:
         assert not (workspace / "out" / "location.csv").exists()
 
     def test_reversed_data_rows_give_the_same_report(self, workspace):
-        # reversed rows are no lattice text: each file takes the whole-file
-        # parse onto a grid of its own point order, and step 1's transform
-        # and step 3's indicator sum over the points in that order
+        # reversed or shuffled rows are no lattice text: each file takes the
+        # whole-file parse onto a grid of its own point order, and step 1's
+        # transform and step 3's indicator sum over the points in that order
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
         assert main(["recover", str(cfg)]) == 0
         names = ("effective_normals.csv", "vertices.csv", "location.csv")
         lattice = [np.loadtxt(workspace / "out" / n, delimiter=",", skiprows=1) for n in names]
-        for path in sorted((workspace / "out" / "data").glob("*.txt")):
-            lines = path.read_text().splitlines()
-            path.write_text("\n".join(lines[:2] + lines[:1:-1]) + "\n")
-            points = load_far_field(path).grid.points
-            assert not np.array_equal(points, build_grid(len(points)).points)
-        assert main(["recover", str(cfg)]) == 0
-        for name, expected in zip(names, lattice):
-            got = np.loadtxt(workspace / "out" / name, delimiter=",", skiprows=1)
-            assert_allclose(got, expected, rtol=0, atol=1e-9, err_msg=name)
+        paths = sorted((workspace / "out" / "data").glob("*.txt"))
+        texts = [path.read_text().splitlines() for path in paths]
+        rng = np.random.default_rng(11)
+        orders = {
+            "reversed": lambda rows: rows[::-1],
+            "shuffled": lambda rows: [rows[i] for i in rng.permutation(len(rows))],
+        }
+        for label, order in orders.items():
+            for path, lines in zip(paths, texts):
+                path.write_text("\n".join(lines[:2] + order(lines[2:])) + "\n")
+                points = load_far_field(path).grid.points
+                assert not np.array_equal(points, build_grid(len(points)).points)
+            assert main(["recover", str(cfg)]) == 0
+            for name, expected in zip(names, lattice):
+                got = np.loadtxt(workspace / "out" / name, delimiter=",", skiprows=1)
+                assert_allclose(got, expected, rtol=0, atol=1e-9, err_msg=f"{label} {name}")
 
     def test_reversed_incident_lines_give_the_same_body(self, workspace):
-        # the faces of direction i come from direction n - 1 - i; the
-        # clustered normals keep their order (by peak value), so step 2 and
-        # step 3 read the same input: equal to 1e-12, and in practice bit
-        # for bit
+        # line i of a reordered table is line order[i] of the first, and so
+        # are the faces of its direction; the clustered normals keep their
+        # order (by peak value), so step 2 and step 3 read the same input:
+        # equal to 1e-12, and in practice bit for bit
+        n = len(INCIDENT_TABLE)
+        orders = {"out": np.arange(n), "rev": np.arange(n)[::-1], "shift": np.roll(np.arange(n), 2)}
         tables = {}
-        for name, incident in (("out", INCIDENT_TABLE), ("rev", INCIDENT_TABLE[::-1])):
+        for name, order in orders.items():
             cfg = write_experiment_config(
-                workspace / f"{name}.cfg", "tetra.obs", output_dir=name, incident=incident, **FAST
+                workspace / f"{name}.cfg", "tetra.obs", output_dir=name,
+                incident=[INCIDENT_TABLE[i] for i in order], **FAST,
             )
             assert main(["recover", str(cfg)]) == 0
             tables[name] = {
                 p.name: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
                 for p in (workspace / name).glob("*.csv")
             }
-        first, reversed_ = tables["out"], tables["rev"]
-        for name in ("effective_normals.csv", "recovered_faces.csv"):
-            reversed_[name][:, 0] = len(INCIDENT_TABLE) - 1 - reversed_[name][:, 0]
-        np.testing.assert_array_equal(
-            reversed_["effective_normals.csv"], first["effective_normals.csv"]
-        )
-        rows = [np.unique(t["recovered_faces.csv"], axis=0) for t in (reversed_, first)]
-        np.testing.assert_array_equal(*rows)
-        for name in ("offsets.csv", "areas.csv", "vertices.csv", "location.csv"):
-            assert_allclose(reversed_[name], first[name], rtol=0, atol=1e-12, err_msg=name)
+            for csv in ("effective_normals.csv", "recovered_faces.csv"):
+                tables[name][csv][:, 0] = order[tables[name][csv][:, 0].astype(int)]
+        first = tables.pop("out")
+        for label, table in tables.items():
+            np.testing.assert_array_equal(
+                table["effective_normals.csv"], first["effective_normals.csv"], err_msg=label
+            )
+            rows = [np.unique(t["recovered_faces.csv"], axis=0) for t in (table, first)]
+            np.testing.assert_array_equal(*rows, err_msg=label)
+            for name in ("offsets.csv", "areas.csv", "vertices.csv", "location.csv"):
+                got, want = table[name], first[name]
+                assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{label} {name}")
 
     @pytest.mark.parametrize("scale", [1e150, 1e300])
     def test_areas_beyond_the_fit_fail_step2(self, workspace, capsys, scale):
