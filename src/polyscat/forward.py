@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import ConvexPolyhedron, DegenerateFace, lit_faces, write_text
+from .geometry import ConvexPolyhedron, DegenerateFace, area_floor, lit_faces, write_text
 from . import sphgrid
 from .sphgrid import SphericalGrid, fibonacci_points
 
@@ -89,8 +89,8 @@ class FarFieldSamples:
     """Far-field data on a spherical grid.
 
     ``values`` holds nonnegative moduli (shape ``(N,)``) for kind
-    ``modulus`` or complex tangential vectors (shape ``(N, 3)``) for the
-    complex kinds.
+    ``modulus`` or complex tangential vectors (shape ``(N, 3)``, radial to
+    1e-9 of the largest modulus) for the complex kinds.
     """
 
     grid: SphericalGrid
@@ -115,7 +115,7 @@ class FarFieldSamples:
             if vals.shape != (self.grid.size, 3):
                 raise ValueError("complex samples must be one 3-vector per point")
             radial = np.abs(np.einsum("ij,ij->i", self.grid.points, vals))
-            if radial.max() > 1e-9 * max(1.0, float(np.abs(vals).max())):
+            if radial.max() > 1e-9 * float(np.abs(vals).max()):
                 raise ValueError("complex far fields must be tangential")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -143,8 +143,8 @@ def _polygon_integrals(vertices, normal, Q) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     nvec = np.cross(V, np.roll(V, -1, axis=0)).sum(axis=0)
     area2 = np.linalg.norm(nvec)
-    if 0.5 * area2 < 1e-12:
-        raise DegenerateFace("polygon area below 1e-12")
+    if 0.5 * area2 <= area_floor(V):
+        raise DegenerateFace(f"polygon area {0.5 * area2:.3g} is at or below {area_floor(V):.3g}")
     nu = nvec / area2
     if normal is not None and abs(float(np.asarray(normal, dtype=float) @ nu)) < 0.99:
         raise ValueError("supplied normal is not perpendicular to the polygon")
@@ -192,11 +192,11 @@ def _series_integral(Vrel, nu, W) -> np.ndarray:
 def _edge_integral(Vrel, nu, W, wnorm) -> np.ndarray:
     """In-plane divergence theorem: one analytic sinc term per edge."""
     acc = np.zeros(len(W), dtype=complex)
-    inv = 1.0 / (1j * wnorm**2)
+    inv, shortest = 1.0 / (1j * wnorm**2), 1e-15 * float(np.abs(Vrel).max())
     for a, b in zip(Vrel, np.roll(Vrel, -1, axis=0)):
         edge = b - a
         length = float(np.linalg.norm(edge))
-        if length < 1e-15:
+        if length < shortest:
             continue
         n_edge = np.cross(edge / length, nu)
         beta = W @ edge

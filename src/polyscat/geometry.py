@@ -32,7 +32,7 @@ from scipy.spatial import ConvexHull, QhullError
 REL_TOL = 1e-9
 # The same for bodies from computed plane intersections (qhull-level noise).
 INTERSECTION_REL_TOL = 1e-7
-# Faces below this absolute area are rejected as degenerate.
+# Faces below this times the squared bounding-box diagonal are degenerate.
 MIN_FACE_AREA = 1e-12
 
 
@@ -67,6 +67,11 @@ def unit_vector(v, name="vector"):
     if n < 1e-14:
         raise ValueError(f"{name} has near-zero length")
     return v / n
+
+
+def area_floor(points) -> float:
+    """``MIN_FACE_AREA`` times the squared bounding-box diagonal of ``points``."""
+    return MIN_FACE_AREA * float(np.sum(np.ptp(np.asarray(points, dtype=float), axis=0) ** 2))
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,12 +214,11 @@ def build_polyhedron(vertices, faces) -> ConvexPolyhedron:
 
 def _polyhedron(V, flat, sizes, rel_tol: float) -> ConvexPolyhedron:
     """The polyhedron whose faces list the vertex indices ``flat`` face after
-    face, ``sizes[j]`` of them on face j, validated to ``rel_tol``."""
-    span = V.max(axis=0) - V.min(axis=0)
-    scale = float(np.linalg.norm(span))
-    if scale < 1e-14:
+    face, ``sizes[j]`` of them on face j, validated to ``rel_tol`` and :func:`area_floor`."""
+    scale = float(np.linalg.norm(np.ptp(V, axis=0)))
+    if scale <= 1e-14 * float(np.abs(V).max()):
         raise ValueError("all vertices coincide")
-    tol = rel_tol * scale
+    tol, floor = rel_tol * scale, area_floor(V)
 
     # the layout ConvexPolyhedron.rings keeps
     start = np.cumsum(sizes) - sizes
@@ -228,13 +232,13 @@ def _polyhedron(V, flat, sizes, rel_tol: float) -> ConvexPolyhedron:
     # Newell normals: twice the vector area of each cycle, robust when near-planar
     nvec = np.add.reduceat(cross_rows(P, P[succ]), start)
     areas = 0.5 * np.linalg.norm(nvec, axis=1)
-    normals = nvec / (2.0 * np.maximum(areas, MIN_FACE_AREA))[:, None]
+    normals = nvec / (2.0 * np.maximum(areas, floor))[:, None]
     offsets = np.einsum("ij,ij->i", normals, P[start])
     height = np.einsum("ij,ij->i", P, normals[face]) - offsets[face]
     edges = P[succ] - P
     turns = np.einsum("ij,ij->i", cross_rows(edges, edges[succ]), normals[face])
     bad = np.vstack([
-        areas < MIN_FACE_AREA,
+        areas < floor,
         np.maximum.reduceat(np.abs(height), start) > tol,
         np.minimum.reduceat(turns, start) < -rel_tol * scale**2,
     ])

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import COMPLEX_E, FarFieldSamples, PlaneWave, WrongKind
-from .sphgrid import SphericalGrid
+from .sphgrid import SphericalGrid, in_own_unit
 
 
 class ZeroField(ValueError):
-    """Far-field samples vanish; the indicator is undefined."""
+    """Far-field samples are 0 at every point; the indicator is undefined."""
 
 
 @dataclass(frozen=True)
@@ -87,15 +87,14 @@ def _degree_one_basis(points) -> np.ndarray:
 
 
 def _degree_one_projector(samples: FarFieldSamples):
-    """Weighted projections ``g_b[i] = w_i (E_i . W_b,i)`` and the norm."""
+    """Projections ``g_b[i] = w_i (E_i . W_b,i)`` and the norm, of ``E`` in its own unit."""
     if not samples.is_complex:
         raise WrongKind("the indicator needs complex tangential samples")
-    grid = samples.grid
-    w = grid.point_weights
-    E = samples.values
+    grid, w = samples.grid, samples.grid.point_weights
+    E, _ = in_own_unit(samples.values, np.abs(samples.values).max())
+    if not E.any():
+        raise ZeroField("far field is 0 at every sample")
     norm2 = float(np.sum(w * np.einsum("ij,ij->i", E, E.conj()).real))
-    if norm2 < 1e-28:
-        raise ZeroField("far field has (near) zero norm")
     G = w * np.einsum("ij,bij->bi", E, _degree_one_basis(grid.points))  # (6, N)
     K = samples.wave.k * (samples.wave.d - grid.points)  # (N, 3)
     return G, K, norm2

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sphgrid import FOUR_PI, fibonacci_points, harmonic_basis
+from .sphgrid import FOUR_PI, fibonacci_points, harmonic_basis, in_own_unit
 
 
 _MIN_CHORD = 2e-6  # |xhat - d| below which a peak gives no face
@@ -230,9 +230,9 @@ def _polish(expansions, cutoff: int, seeds, owner, scale):
     expansion the number of seeds still moving after ``_MAX_ITERATIONS``.
     """
     exponents, form = _cartesian_form(cutoff)
-    # each surrogate over a power of two near its scale: exact, and |g|^2 stays finite
-    unit = np.ldexp(1.0, -np.frexp(scale)[1])
-    forms = [form @ (e.coefficients * u) for e, u in zip(expansions, unit)]  # (K, 13) each
+    # each surrogate in its own unit: exact, and |g|^2 stays finite
+    coefficients, unit = in_own_unit([e.coefficients for e in expansions], scale[:, None])
+    forms = [form @ c for c in coefficients]  # (K, 13) each
     x = seeds
     index = np.arange(len(seeds))
     done = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0, int), np.zeros(0, int))]
@@ -260,7 +260,7 @@ def _polish(expansions, cutoff: int, seeds, owner, scale):
         length = np.linalg.norm(step, axis=1)
         step *= np.minimum(1.0, _MAX_STEP / np.maximum(length, 1e-300))[:, None]
 
-        flat = gnorm <= _FLAT_GRADIENT * (scale * unit)[owner]
+        flat = gnorm <= _FLAT_GRADIENT * np.ldexp(scale, -unit[:, 0])[owner]
         x = np.where(flat[:, None], x, x + step)
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         finished = flat | (length < _STEP_TOL)
@@ -268,7 +268,7 @@ def _polish(expansions, cutoff: int, seeds, owner, scale):
         x, index, owner = x[~finished], index[~finished], owner[~finished]
     failed = np.bincount(owner, minlength=len(expansions))
     points, values, seed_index, source = (np.concatenate(column) for column in zip(*done))
-    return points, values / unit[source], seed_index, source, failed
+    return points, np.ldexp(values, unit[source, 0]), seed_index, source, failed
 
 
 def _suppress(directions: np.ndarray, order, angle: float) -> np.ndarray:

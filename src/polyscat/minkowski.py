@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import INTERSECTION_REL_TOL, MIN_FACE_AREA, ConvexPolyhedron, DegenerateFace
+from .geometry import INTERSECTION_REL_TOL, ConvexPolyhedron, DegenerateFace
 from .geometry import DualHull, GeometryError, NonPlanarFace, NotConvex
-from .geometry import cross_rows, dual_hull, unit_normals
+from .geometry import area_floor, cross_rows, dual_hull, unit_normals
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,14 @@ def balance_areas(normals, areas) -> np.ndarray:
 
     Projects out the component of the area vector seen by the normal
     matrix (via pseudo-inverse, so rank-deficient normal sets are handled)
-    and clamps any non-positive result to the floor
-    ``1e-10 max(max_j A_j, 1)``.
+    and clamps any result below ``1e-10 max_j A_j`` to that floor.  Areas
+    with no positive value are a ``ValueError``.
     """
     N = np.asarray(normals, dtype=float).T  # (3, k)
     A = np.asarray(areas, dtype=float)
-    floor = 1e-10 * max(float(A.max()), 1.0)
+    if not A.max() > 0.0:
+        raise ValueError("target areas need a positive value")
+    floor = 1e-10 * float(A.max())
     u = np.linalg.pinv(N @ N.T) @ (N @ A)
     adjusted = A - N.T @ u
     return np.maximum(adjusted, floor)
@@ -148,7 +150,7 @@ def _state(N: np.ndarray, tables, offsets: np.ndarray) -> _State:
         raise NonPlanarFace(f"a vertex deviates from its planes beyond {tol:.3g}")
     if slack.max() > tol:
         raise NotConvex(f"vertex protrudes {slack.max():.3g} beyond a face plane")
-    if (areas[kept] < MIN_FACE_AREA).any():
+    if (areas[kept] < area_floor(vertices)).any():
         raise DegenerateFace(f"a face has area {areas[kept].min():.3g}")
     if np.linalg.norm(areas @ N) > INTERSECTION_REL_TOL * areas.sum():
         raise NotConvex("face set does not close up (area-weighted normals != 0)")
@@ -222,8 +224,7 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
         a, vol = s.areas, s.volume
         return A - c * a / vol, c * (np.outer(a, a) / vol - s.hessian) / vol
 
-    cost = objective(state)
-    history = [cost]
+    history = [objective(state)]
     grad, hess = newton_terms(state)
     # Levenberg damping on the scale of the Hessian; it also moves the
     # offsets of vanished facets, whose Hessian rows are zero
@@ -237,7 +238,6 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
         if grad @ np.linalg.solve(hess + mu_min * eye, grad) <= _TOLERANCE * c:
             converged = True
             break
-        improved = False
         for _ in range(12):
             step = np.linalg.solve(hess + mu * eye, -grad)
             try:
@@ -245,16 +245,16 @@ def fit_offsets(normals, areas, alpha0=None) -> OffsetFit:
             except GeometryError:
                 mu *= 4.0
                 continue
-            cost_trial = objective(trial)
-            if cost_trial < cost:
-                state, cost = trial, cost_trial
-                history.append(cost)
+            # F falls: unlike F's c log vol, its fall is exact under scaling
+            growth = np.log1p((trial.volume - state.volume) / state.volume)
+            if c * growth > A @ (trial.offsets - state.offsets):
+                state = trial
+                history.append(objective(state))
                 grad, hess = newton_terms(state)
                 mu = max(mu / 3.0, mu_min)
-                improved = True
                 break
             mu *= 4.0
-        if not improved:
+        else:  # no trial step lowered F
             break
 
     final = state.scaled(np.sqrt(total / state.areas.sum()))

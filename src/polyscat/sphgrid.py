@@ -219,3 +219,10 @@ def sht_forward(grid: SphericalGrid, values, cutoff: int) -> HarmonicExpansion:
     coeffs = B.T @ (grid.point_weights * np.asarray(values, dtype=float))
     coeffs.flags.writeable = False
     return HarmonicExpansion(cutoff=cutoff, coefficients=coeffs)
+
+
+def in_own_unit(values, peak):
+    """``(values / 2^e, e)`` with ``|peak| / 2^e`` in [1/2, 1): a pattern in its own unit, for
+    steps 1 and 3.  ``np.ldexp`` of each real and imaginary part: exact, finite for any peak."""
+    e, v = np.frexp(peak)[1], np.ascontiguousarray(values)
+    return np.ldexp(v.view(float), -e).view(v.dtype), e

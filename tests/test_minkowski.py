@@ -69,6 +69,12 @@ class TestBalance:
         assert_allclose(out[:2], 0.9, atol=1e-12)
         assert 0.0 < out[2] <= 1e-9
 
+    def test_areas_with_no_positive_value_are_rejected(self):
+        # the floor is relative to the largest area, so there must be one
+        for areas in (np.zeros(6), -np.ones(6)):
+            with pytest.raises(ValueError, match="^target areas need a positive value$"):
+                fit_offsets(CUBE_NORMALS, areas)
+
 
 class TestFacetAreas:
     def test_tetrahedron_at_inradius(self):
@@ -192,6 +198,19 @@ class TestFitOffsets:
         rebuilt = halfspace_intersection(normals, fit.offsets).polyhedron
         for v in RECOVERED_VERTEX_TABLE:
             assert np.linalg.norm(rebuilt.vertices - v, axis=1).min() <= 0.06
+
+    @pytest.mark.parametrize("k", [-30, -20, 3])
+    def test_areas_scaled_by_four_to_the_k_scale_the_offsets_by_two_to_the_k(self, k):
+        # the fit has no size of its own: its area floors are relative and a
+        # step is taken on the fall of F, which scales exactly where F does
+        # not; on Gaussian hulls the fits agree bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            normals, areas, _, _ = gaussian_hull(rng, int(rng.integers(8, 21)))
+            fit = fit_offsets(normals, areas)
+            scaled = fit_offsets(normals, areas * 4.0**k)
+            assert scaled.converged
+            np.testing.assert_array_equal(scaled.offsets, fit.offsets * 2.0**k)
 
     def test_history_non_increasing(self, prism):
         fit = fit_offsets(prism.normals, prism.areas * 1.3)

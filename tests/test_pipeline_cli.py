@@ -601,6 +601,32 @@ class TestRecover:
         assert circumradius == pytest.approx(math.sqrt(6.0) / 4.0)
         assert np.linalg.norm(report.location - 50.0) < circumradius
 
+    @pytest.mark.parametrize("k", [-40, 40])
+    def test_a_recovery_scaled_by_two_to_the_k_is_the_recovery_scaled(self, workspace, tetra, k):
+        # every threshold is relative to what it measures, so scaling the
+        # body, both wavelengths, e_tol, location and region by s = 2^k
+        # scales the answer by s, bit for bit; the returned arrays are
+        # compared, as the report tables print at a fixed number of decimals
+        def recover(s, name):
+            save_obstacle(tetra.scaled(s), workspace / f"{name}.obs")
+            plain = write_experiment_config(
+                workspace / f"{name}.cfg", f"{name}.obs", lambda_shape=0.5 * s,
+                lambda_loc=50.0 * s, e_tol=0.5 * s, output_dir=name, **FAST,
+            )
+            # the config writer rounds location and region to 6 digits
+            for line in ("location = " + " ".join([repr(50.0 * s)] * 3),
+                         "region = " + " ".join(["0", repr(100.0 * s)] * 3)):
+                plain.write_text(with_line(plain, line))
+            return run_pipeline(parse_config(plain))
+
+        s = 2.0**k
+        base, scaled = recover(1.0, "base"), recover(s, "scaled")
+        np.testing.assert_array_equal(scaled.effective.normals, base.effective.normals)
+        np.testing.assert_array_equal(scaled.effective.areas / s**2, base.effective.areas)
+        np.testing.assert_array_equal(scaled.fit.offsets / s, base.fit.offsets)
+        np.testing.assert_array_equal(scaled.reconstructed.vertices / s, base.reconstructed.vertices)
+        np.testing.assert_array_equal(scaled.location / s, base.location)
+
     def test_stage_tagged_failure(self, workspace):
         # a threshold nothing survives -> step1 failure with stage tag
         cfg = write_experiment_config(
@@ -653,7 +679,7 @@ class TestRecover:
         lines = path.read_text().splitlines()
         rows = [" ".join(row.split()[:3] + ["0"] * 6) for row in lines[2:]]
         path.write_text("\n".join(lines[:2] + rows) + "\n")
-        message = r"^\[step3\] far field has \(near\) zero norm$"
+        message = r"^\[step3\] far field is 0 at every sample$"
         with pytest.raises(PipelineError, match=message) as err:
             pipeline.locate_obstacle(config)
         assert err.value.stage == "step3"
@@ -869,6 +895,33 @@ class TestCli:
         message = "far-field samples must be finite (no NaN or inf)"
         assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
         assert not (workspace / "out" / "location.csv").exists()
+
+    @pytest.mark.parametrize(
+        "factor, exact",
+        [(2.0**-60, True), (2.0**900, True), (1e-15, False), (1e155, False)],
+        ids=["2^-60", "2^900", "1e-15", "1e155"],
+    )
+    def test_locate_reads_a_location_field_of_any_size(self, workspace, factor, exact):
+        # the indicator is a ratio of the field to its own norm, computed in
+        # the field's own unit: a power-of-two factor gives the same bytes,
+        # any other factor the same tables to rounding
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["locate", str(cfg)]) == 0
+        out = workspace / "out"
+        names = ("location.csv", "indicator_scan.txt")
+        clean = {name: (out / name).read_bytes() for name in names}
+        path = out / "data" / "location.txt"
+        samples = load_far_field(path)
+        save_far_field(dataclasses.replace(samples, values=samples.values * factor), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["locate", str(cfg)]) == 0
+        for name, sep, skip in zip(names, (",", None), (1, 0)):
+            if exact:
+                assert (out / name).read_bytes() == clean[name], name
+            got, want = (np.loadtxt(t, delimiter=sep, skiprows=skip)
+                         for t in (out / name, clean[name].decode().splitlines()))
+            assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=name)
 
     def test_reversed_data_rows_give_the_same_report(self, workspace):
         # reversed or shuffled rows are no lattice text: each file takes the

@@ -15,6 +15,7 @@ from polyscat.sphgrid import (
     fibonacci_points,
     grid_of,
     harmonic_basis,
+    in_own_unit,
     sht_forward,
 )
 
@@ -258,3 +259,30 @@ class TestTransform:
         with pytest.raises(ValueError):
             HarmonicExpansion(cutoff=2, coefficients=np.zeros(5))
         HarmonicExpansion(cutoff=2, coefficients=np.arange(9.0))
+
+
+class TestOwnUnit:
+    @pytest.mark.parametrize("peak", [3.0, 2.0**-1074, 5e-310, 1.7e308])
+    def test_peak_lands_in_half_to_one_exactly(self, peak):
+        # a subnormal or huge peak stays finite: no 2^-e is formed apart
+        values = np.array([peak, -0.5 * peak, 0.0, -0.0])
+        scaled, e = in_own_unit(values, peak)
+        assert 0.5 <= scaled[0] < 1.0
+        np.testing.assert_array_equal(np.ldexp(scaled, e), values)
+        assert np.signbit(scaled[3])
+
+    def test_complex_parts_scale_alike(self):
+        values = np.array([[3e200 - 1e200j, -0.0 + 2e-100j, 1e200 + 0j]])
+        scaled, e = in_own_unit(values, np.abs(values).max())
+        np.testing.assert_array_equal(scaled.real, np.ldexp(values.real, -e))
+        np.testing.assert_array_equal(scaled.imag, np.ldexp(values.imag, -e))
+        assert 0.5 <= np.abs(scaled).max() < 1.0
+
+    def test_power_of_two_scaling_gives_the_same_quotient(self):
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((4, 9))
+        peak = np.abs(values).max(axis=1, keepdims=True)
+        for k in (-900, -60, 900):
+            scaled, _ = in_own_unit(values * 2.0**k, peak * 2.0**k)
+            np.testing.assert_array_equal(scaled, in_own_unit(values, peak)[0])
+
