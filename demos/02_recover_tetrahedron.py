@@ -42,9 +42,7 @@ incident = [
     ((0, 0, 1), (1, 0, 0)), ((0, 0, -1), (1, 0, 0)),
 ]
 lam = 0.5
-thresholds = RecoveryThresholds(
-    e_tol=0.5, exclusion_radius=0.3, cluster_angle=math.radians(10.0), cutoff=6
-)
+thresholds = RecoveryThresholds(e_tol=0.5, cluster_angle=math.radians(10.0), cutoff=6)
 noise = NoiseModel(delta=0.0, seed=7)
 
 # Step 1: normals and areas from phaseless backscattering peaks; the peaks

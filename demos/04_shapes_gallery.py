@@ -51,7 +51,7 @@ def recover(name, poly, lam=0.5, cutoff=6, cluster_deg=10.0):
             f"obstacle = {name}.obs\n{INCIDENT}\n"
             f"lambda_shape = {lam}\nlambda_loc = 50\n"
             "grid_shape = 7518\ngrid_loc = 1878\n"
-            f"cutoff = {cutoff}\ne_tol = 0.5\nexclusion_radius = 0.3\n"
+            f"cutoff = {cutoff}\ne_tol = 0.5\n"
             f"cluster_angle_deg = {cluster_deg}\n"
             "noise_delta = 0\nnoise_seed = 7\n"
             "location = 50 50 50\nregion = 0 100 0 100 0 100\n"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +30,8 @@ MODULUS = "modulus"
 COMPLEX_E = "complex-E"
 COMPLEX_H = "complex-H"
 _KINDS = (MODULUS, COMPLEX_E, COMPLEX_H)
+# the keys of the wave header line and the count of numbers each takes
+_WAVE_KEYS = {"k": 1, "d": 3, "p": 3}
 
 # switch from the edge sum to the series once |w| * radius drops below this
 _SERIES_RADIUS = 0.5
@@ -348,12 +351,8 @@ def load_far_field(path) -> FarFieldSamples:
             body = line[1:].strip()
             if body.startswith("kind="):
                 kind = body[5:].strip()
-            elif body.startswith("k="):
-                tokens = body.replace("k=", "").replace("d=", "").replace("p=", "")
-                vals = [float(t) for t in tokens.split()]
-                if len(vals) != 7:
-                    raise ValueError(f"wave header needs 7 numbers, got {len(vals)}")
-                wave = PlaneWave(d=np.array(vals[1:4]), p=np.array(vals[4:7]), k=vals[0])
+            elif re.match(r"[kdp]=", body):
+                wave = _wave_header(body)
         if kind is None or wave is None:
             raise ValueError("missing kind/wave header lines")
         if kind not in _KINDS:
@@ -375,6 +374,27 @@ def load_far_field(path) -> FarFieldSamples:
         return FarFieldSamples(grid=grid, values=values, wave=wave, kind=kind)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _wave_header(body: str) -> PlaneWave:
+    """The wave of the header line ``k=<k> d=<dx dy dz> p=<px py pz>``, read
+    by key in any order; a missing, repeated or unknown key, or a key with
+    the wrong count of numbers, is a ``ValueError``."""
+    _, *pairs = re.split(r"(?:^|\s+)(\w+)=", body)
+    values = {}
+    for key, text in zip(pairs[::2], pairs[1::2]):
+        if key not in _WAVE_KEYS:
+            raise ValueError(f"unknown wave header key {key}=")
+        if key in values:
+            raise ValueError(f"wave header repeats {key}=")
+        values[key] = [float(t) for t in text.split()]
+        if len(values[key]) != _WAVE_KEYS[key]:
+            raise ValueError(f"wave header {key}= has {len(values[key])} numbers, "
+                             f"not {_WAVE_KEYS[key]}")
+    missing = [key for key in _WAVE_KEYS if key not in values]
+    if missing:
+        raise ValueError(f"wave header misses {'= '.join(missing)}=")
+    return PlaneWave(d=np.array(values["d"]), p=np.array(values["p"]), k=values["k"][0])
 
 
 def _lattice_values(rows, m: int):

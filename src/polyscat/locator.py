@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import COMPLEX_E, FarFieldSamples, PlaneWave, WrongKind
-from .sphgrid import SphericalGrid, in_own_unit
+from .sphgrid import SphericalGrid, in_own_unit, points_for_degree
 
 
 class ZeroField(ValueError):
@@ -65,6 +65,10 @@ class SampleRegion:
             for i in range(3)
         ]
 
+
+# the six degree-1 fields are orthonormal, and the indicator at most 1, only
+# under weights exact to degree 2, the degree of their products
+MIN_GRID_POINTS = points_for_degree(2)
 
 # Y_1^-1, Y_1^0, Y_1^1 = sqrt(3 / 4 pi) (y, z, x): the coordinate axis of each
 _DEGREE_ONE_AXES = [1, 2, 0]

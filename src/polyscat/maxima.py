@@ -10,10 +10,10 @@ The backscattering peak of face ``j`` sits at the specular direction
 
 and the peak magnitude yields the face area ``A = lambda |E| / |d . nu|``.
 Every unit ``xhat != d`` inverts to a front face (``d . nu < 0``), so
-selection needs only the exclusion radius, the peak threshold and the
-floor on ``|xhat - d|`` of inversion.  The peak search sees only the
-expansion, and polishes peaks on exact derivatives of its Cartesian form;
-the incident direction and the wavelength go to the stages that use them.
+selection needs only the exclusion radius and the peak threshold.  The peak
+search sees only the expansion, and polishes peaks on exact derivatives of
+its Cartesian form; the incident direction and the wavelength go to the
+stages that use them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .sphgrid import FOUR_PI, fibonacci_points, harmonic_basis, in_own_unit
 
 
 _MIN_CHORD = 2e-6  # |xhat - d| below which a peak gives no face
+# radians about d: the cap of the forward lobe, where no face peak is read;
+# its chord 2 sin 0.15 ~ 0.299 keeps every selected peak far above _MIN_CHORD
+_EXCLUSION_RADIUS = 0.3
 
 
 class DegenerateDirection(ValueError):
@@ -63,21 +66,19 @@ class RecoveredFaceSet:
 
 @dataclass(frozen=True)
 class RecoveryThresholds:
-    """Knobs of the peak-selection stage.
+    """Settings of step 1.
 
-    ``e_tol`` deletes weak maxima, ``exclusion_radius`` (radians) removes
-    peaks too close to the incident direction, ``cluster_angle`` (radians)
-    merges near-duplicate normals and ``cutoff`` is the harmonic band limit,
-    an integer >= 0.
+    ``e_tol`` deletes weak maxima and ``cluster_angle`` (radians) merges
+    near-duplicate normals.  ``cutoff``, an integer >= 0, is the harmonic
+    band limit of the smoothed patterns, not a selection knob.
     """
 
     e_tol: float = 0.5
-    exclusion_radius: float = 0.3
     cluster_angle: float = math.radians(5.0)
     cutoff: int = 10
 
     def __post_init__(self):
-        for name in ("e_tol", "exclusion_radius", "cluster_angle"):
+        for name in ("e_tol", "cluster_angle"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
         if not isinstance(self.cutoff, numbers.Integral) or self.cutoff < 0:
@@ -319,15 +320,12 @@ def _rows(table, keep):
 
 def critical_mask(peaks: PeakSet, d, thresholds: RecoveryThresholds) -> np.ndarray:
     """Mask of the critical peaks of ``d`` (one, or one per peak), the one
-    rule that drops a peak: at least ``exclusion_radius`` from ``d``, at
-    least ``e_tol`` high and at least ``_MIN_CHORD`` from ``d``, as inversion
-    needs.  Every such unit direction inverts to a front-face normal: the
-    specular law gives ``d . nu = -|xhat - d| / 2 < 0``."""
+    rule that drops a peak: at least ``_EXCLUSION_RADIUS`` from ``d`` and at
+    least ``e_tol`` high.  Every such unit direction inverts to a front-face
+    normal: the specular law gives ``d . nu = -|xhat - d| / 2 < 0``."""
     d = np.asarray(d, dtype=float)
-    delta = peaks.directions - d
     distance = np.arccos(np.clip(_dot(peaks.directions, d), -1.0, 1.0))
-    keep = (distance >= thresholds.exclusion_radius) & (peaks.values >= thresholds.e_tol)
-    return keep & (np.sqrt(_dot(delta, delta)) >= _MIN_CHORD)
+    return (distance >= _EXCLUSION_RADIUS) & (peaks.values >= thresholds.e_tol)
 
 
 def select_critical_directions(peaks: PeakSet, d, thresholds: RecoveryThresholds) -> PeakSet:

@@ -101,9 +101,11 @@ class _State:
     scale: float = 1.0
 
     def scaled(self, s: float) -> "_State":
-        # the body scaled by s about its centroid (the origin)
+        # the body scaled by s about its centroid (the origin); the volume by
+        # s * s * s, which scales exactly with s by a power of two, as pow
+        # need not
         return _State(
-            self.offsets * s, self.areas * s**2, self.volume * s**3, self.hessian * s,
+            self.offsets * s, self.areas * s**2, self.volume * (s * s * s), self.hessian * s,
             self.hull, self.centroid, self.scale * s,
         )
 

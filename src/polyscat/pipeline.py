@@ -12,7 +12,6 @@ Config files are flat ``key = value`` text with one repeated key::
     grid_loc = 1878
     cutoff = 10
     e_tol = 0.5
-    exclusion_radius = 0.3
     cluster_angle_deg = 5
     noise_delta = 0
     noise_seed = 7
@@ -22,9 +21,11 @@ Config files are flat ``key = value`` text with one repeated key::
     step3_oracle = true
     output_dir = out
 
-``cutoff`` and ``noise_seed`` are integers >= 0; ``grid_shape`` and
-``grid_loc`` are integers >= 12, and ``grid_shape`` is at least the
-``(cutoff + 1)^2`` coefficients of the shape transform.  The config holds
+``cutoff`` and ``noise_seed`` are integers >= 0; ``grid_shape`` is an
+integer >= 12 and at least the ``(cutoff + 1)^2`` coefficients of the
+shape transform, and ``grid_loc`` at least the 144 points
+(:data:`~polyscat.locator.MIN_GRID_POINTS`) whose weights are exact to
+degree 2, as step 3's degree-1 fields need.  The config holds
 one shape wave per ``incident`` line, at ``k = 2 pi / lambda_shape``, and
 step 3's wave, the first line's at ``2 pi / lambda_loc``; each is checked
 by :class:`~polyscat.forward.PlaneWave` alone, its error naming the
@@ -110,9 +111,13 @@ class ExperimentConfig:
     step3_oracle: bool
 
     def __post_init__(self):
-        for key in ("grid_shape", "grid_loc"):
-            if getattr(self, key) < 12:
-                raise ValueError(f"{key} needs at least 12 points")
+        if self.grid_shape < 12:
+            raise ValueError("grid_shape needs at least 12 points")
+        if self.grid_loc < locator.MIN_GRID_POINTS:
+            raise ValueError(
+                f"grid_loc = {self.grid_loc} is fewer than the {locator.MIN_GRID_POINTS} "
+                "points whose weights are exact to degree 2, as step 3 needs"
+            )
         need = (self.thresholds.cutoff + 1) ** 2
         if self.grid_shape < need:
             raise ValueError(
@@ -221,7 +226,6 @@ def _read_config(path: Path) -> ExperimentConfig:
     output_dir = take_path("output_dir", "out")
     thresholds = maxima.RecoveryThresholds(
         e_tol=take("e_tol", 0.5),
-        exclusion_radius=take("exclusion_radius", 0.3),
         cluster_angle=math.radians(take("cluster_angle_deg", 5.0)),
         cutoff=take("cutoff", 10, kind=int),
     )
@@ -309,8 +313,9 @@ def _synthesize(config: ExperimentConfig, indices) -> list:
 def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
     """Load data file ``index``, synthesizing it first only if it is missing,
     and check it against :func:`_data_file`, in order: its kind; its wave's
-    ``k`` to 1e-12 relative; its ``d`` and ``p`` to 1e-12 absolute; and for a
-    shape file, at least the ``(cutoff + 1)^2`` points its transform seeks."""
+    ``k`` to 1e-12 relative; its ``d`` and ``p`` to 1e-12 absolute; and at
+    least the ``(cutoff + 1)^2`` points a shape file's transform seeks, or
+    the :data:`~polyscat.locator.MIN_GRID_POINTS` of ``location.txt``."""
     path, wave, modulus, line = _data_file(config, index)
     if not path.exists():
         _synthesize(config, [index])
@@ -328,6 +333,9 @@ def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
         elif modulus and samples.grid.size < (cutoff + 1) ** 2:
             error = (f"{samples.grid.size} points are fewer than the "
                      f"{(cutoff + 1) ** 2} coefficients of cutoff {cutoff}")
+        elif not modulus and samples.grid.size < locator.MIN_GRID_POINTS:
+            error = (f"{samples.grid.size} points are fewer than the {locator.MIN_GRID_POINTS} "
+                     "whose weights are exact to degree 2, as step 3 needs")
         else:
             return samples
         raise ValueError(f"{path}: {error}")

@@ -102,6 +102,12 @@ class SphericalGrid:
         return kept[1]
 
 
+def points_for_degree(degree: int) -> int:
+    """The fewest points whose weights are exact to ``degree``: ``16
+    (degree + 1)^2``."""
+    return _POINTS_PER_COEFFICIENT * (degree + 1) ** 2
+
+
 def fibonacci_points(n: int) -> np.ndarray:
     """``n`` quasi-uniform points on the unit sphere (golden-angle lattice)."""
     i = np.arange(n, dtype=float) + 0.5

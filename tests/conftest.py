@@ -140,7 +140,6 @@ def write_experiment_config(
     grid_loc=1878,
     cutoff=10,
     e_tol=0.5,
-    exclusion_radius=0.3,
     cluster_angle_deg=5.0,
     noise_delta=0.0,
     noise_seed=7,
@@ -165,7 +164,6 @@ def write_experiment_config(
         f"grid_loc = {grid_loc}",
         f"cutoff = {cutoff}",
         f"e_tol = {e_tol}",
-        f"exclusion_radius = {exclusion_radius}",
         f"cluster_angle_deg = {cluster_angle_deg}",
         f"noise_delta = {noise_delta}",
         f"noise_seed = {noise_seed}",

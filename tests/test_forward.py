@@ -552,7 +552,8 @@ class TestSamplesOps:
     # (line index, replacement, expected reason): a non-numeric token, a
     # non-numeric or commented-out value after intact lattice coordinates, a
     # short row and a long row; a non-numeric k, a 2-component d, a trailing
-    # number, a negative k, a non-unit d and an unknown kind in the header
+    # number, two k numbers, a repeated d, a missing p, an unknown key, a
+    # negative k, a non-unit d and an unknown kind in the header
     MALFORMED = [
         (5, "0.5 0.5 abc  1.0", ""),
         (5, "{coordinates}  abc", ""),
@@ -560,8 +561,12 @@ class TestSamplesOps:
         (5, "0.6 0.8 0.0", ""),
         (5, "0.6 0.8 0.0  1.0 2.0", ""),
         (1, "# k=abc d=1 0 0 p=0 0 1", ""),
-        (1, "# k=12 d=1 0 p=0 0 1", "7 numbers"),
-        (1, "# k=12 d=1 0 0 p=0 0 1 9", "7 numbers"),
+        (1, "# k=12 d=1 0 p=0 0 1", "wave header d= has 2 numbers, not 3"),
+        (1, "# k=12 d=1 0 0 p=0 0 1 9", "wave header p= has 4 numbers, not 3"),
+        (1, "# k=12 13 d=1 0 0 p=0 0 1", "wave header k= has 2 numbers, not 1"),
+        (1, "# k=12 d=1 0 0 d=1 0 0 p=0 0 1", "wave header repeats d="),
+        (1, "# k=12 d=1 0 0", "wave header misses p="),
+        (1, "# k=12 d=1 0 0 p=0 0 1 q=1", "unknown wave header key q="),
         (1, "# k=-12 d=1 0 0 p=0 0 1", "wavenumber"),
         (1, "# k=nan d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),
         (1, "# k=inf d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),
@@ -581,6 +586,26 @@ class TestSamplesOps:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
             load_far_field(path)
+
+    @pytest.mark.parametrize("order", ["k p d", "p k d", "d p k"])
+    def test_wave_header_keys_read_in_any_order(self, tetra, tmp_path, order):
+        # each number is read by its key, not its place: d and p given in
+        # the other order are not swapped
+        path = tmp_path / "modulus.txt"
+        written = sample_phaseless(tetra, wave(0.5), build_grid(500))
+        save_far_field(written, path)
+        w = written.wave
+        text = {"k": f"{w.k:.17g}", "d": "%.17g %.17g %.17g" % (*w.d,),
+                "p": "%.17g %.17g %.17g" % (*w.p,)}
+        lines = path.read_text().splitlines()
+        assert lines[1] == f"# k={text['k']} d={text['d']} p={text['p']}"
+        lines[1] = "# " + " ".join(f"{key}={text[key]}" for key in order.split())
+        path.write_text("\n".join(lines) + "\n")
+        got = load_far_field(path)
+        assert (got.wave.k, got.wave.d.tolist(), got.wave.p.tolist()) == (
+            w.k, w.d.tolist(), w.p.tolist()
+        )
+        assert got.values.tobytes() == written.values.tobytes()
 
     def test_missing_header_names_the_file(self, tetra, tmp_path):
         path = tmp_path / "modulus.txt"

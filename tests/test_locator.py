@@ -51,6 +51,16 @@ class TestIndicator:
         )
         assert abs(indicator_values(samples, [[0.0, 0.0, 0.0]])[0] - 1.0) <= 1e-2
 
+    def test_the_fewest_exact_points_read_indicator_one(self):
+        # 144 = 16 (2 + 1)^2 points make the weights exact to degree 2, so
+        # the six fields are orthonormal and the oracle reads 1 at its own
+        # location; one point fewer and the indicator exceeds 1
+        z0 = [50.0, 50.0, 50.0]
+        assert locator.MIN_GRID_POINTS == 144
+        for n, low, high in ((144, 1.0 - 1e-12, 1.0 + 1e-12), (143, 1.00005, 1.0001)):
+            samples = degree_one_oracle(build_grid(n), LOW_WAVE, z0)
+            assert low <= indicator_values(samples, [z0])[0] <= high, n
+
     def test_degree_two_rejected(self, grid):
         # the normalized surface gradient of the degree-2 harmonic xz
         x, _, z = grid.points.T

@@ -12,6 +12,7 @@ from conftest import (
     TETRA_TRUE_NORMALS,
     angle_deg,
 )
+from polyscat import maxima
 from polyscat.forward import PlaneWave, sample_phaseless
 from polyscat.maxima import (
     DegenerateDirection,
@@ -339,14 +340,26 @@ class TestSelection:
         out = select_critical_directions(peaks, D1, RecoveryThresholds(e_tol=0.5))
         assert len(out) == 1
 
-    def test_keeps_a_peak_on_either_threshold(self):
+    def test_keeps_a_peak_on_either_threshold(self, monkeypatch):
         # both bounds are inclusive: the tetrahedron's faces lit along +-z
-        # peak exactly on e_tol = 0.5 at lambda 0.5, and step 1 keeps them
-        thresholds = RecoveryThresholds(e_tol=0.5, exclusion_radius=np.arccos(X1 @ D1))
-        peaks = self._peaks([X1, X1], [0.5, np.nextafter(0.5, 0.0)])
-        assert critical_mask(peaks, D1, thresholds).tolist() == [True, False]
+        # peak exactly on e_tol = 0.5 at lambda 0.5, and step 1 keeps them.
+        # The radius parts the two peaks whose cosines to d are adjacent
+        # floats around cos 0.3: the outer is kept, the inner dropped
+        cos = math.cos(maxima._EXCLUSION_RADIUS)
+        while np.arccos(cos) < maxima._EXCLUSION_RADIUS:
+            cos = np.nextafter(cos, -1.0)
+        while np.arccos(np.nextafter(cos, 2.0)) >= maxima._EXCLUSION_RADIUS:
+            cos = np.nextafter(cos, 2.0)
+        outer, inner = ([c, math.sqrt(1.0 - c * c), 0.0] for c in (cos, np.nextafter(cos, 2.0)))
+        thresholds = RecoveryThresholds(e_tol=0.5)
+        peaks = self._peaks([outer, outer, inner], [0.5, np.nextafter(0.5, 0.0), 0.5])
+        assert critical_mask(peaks, D1, thresholds).tolist() == [True, False, False]
         out = select_critical_directions(peaks, D1, thresholds)
         assert out.values.tolist() == [0.5]
+        # no float's arccos is 0.3 here; with the radius on the outer peak's
+        # own distance, that peak is still kept
+        monkeypatch.setattr(maxima, "_EXCLUSION_RADIUS", float(np.arccos(cos)))
+        assert critical_mask(peaks, D1, thresholds).tolist() == [True, False, False]
 
     def test_empty_and_idempotent(self):
         empty = self._peaks(np.zeros((0, 3)), [])
@@ -359,9 +372,9 @@ class TestSelection:
         assert_allclose(once.values, twice.values)
 
     def test_peak_at_incident_direction_yields_no_face(self):
-        # with no exclusion radius a peak exactly at d is still dropped by
-        # selection, since it does not invert; no face results
-        thresholds = RecoveryThresholds(exclusion_radius=0.0)
+        # a peak exactly at d, which does not invert, is dropped by the
+        # exclusion radius; no face results and nothing raises
+        thresholds = RecoveryThresholds()
         alone = self._peaks([D1], [0.9])
         assert len(select_critical_directions(alone, D1, thresholds)) == 0
         none = peaks_to_faces(alone, [D1], 0.5, thresholds)
@@ -372,21 +385,18 @@ class TestSelection:
         assert_allclose(faces.normals[0], normal_and_area_from_peak(X1, 0.7, D1, 0.5)[0])
         assert faces.source_indices.tolist() == [3]
 
-    def test_selection_drops_exactly_the_peaks_that_do_not_invert(self):
-        # the inversion's floor |xhat - d| >= 2e-6 is part of selection: with
-        # no other bound, a peak is kept if and only if it inverts
-        thresholds = RecoveryThresholds(e_tol=0.0, exclusion_radius=0.0)
-        angles = 2.0 * np.arcsin(np.array([0.0, 1.7e-6, 1.99e-6, 2.01e-6, 1e-3]) / 2.0)
-        xhat = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(5)])
-        peaks = self._peaks(xhat, np.ones(5))
+    def test_every_selected_peak_inverts(self):
+        # the radius's chord 2 sin 0.15 is far above inversion's floor
+        # |xhat - d| >= 2e-6, so the peaks that do not invert are dropped
+        # with the others near d, and every peak kept inverts
+        thresholds = RecoveryThresholds(e_tol=0.0)
+        angles = np.array([0.0, 1.99e-6, 2.01e-6, 1e-3, 0.29, 0.31, 2.0, math.pi])
+        xhat = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(len(angles))])
+        peaks = self._peaks(xhat, np.ones(len(angles)))
         kept = critical_mask(peaks, D1, thresholds)
-        assert kept.tolist() == [False, False, False, True, True]
-        for row, keep in zip(xhat, kept):
-            if keep:
-                normal_and_area_from_peak(row, 1.0, D1, 0.5)
-            else:
-                with pytest.raises(DegenerateDirection):
-                    normal_and_area_from_peak(row, 1.0, D1, 0.5)
+        assert kept.tolist() == [False] * 5 + [True] * 3
+        with pytest.raises(DegenerateDirection):
+            normal_and_area_from_peak(xhat[:2], 1.0, D1, 0.5)
         faces = peaks_to_faces(peaks, [D1], 0.5, thresholds)
         inverted, _ = normal_and_area_from_peak(xhat[kept], 1.0, D1, 0.5)
         assert faces.normals.tobytes() == inverted.tobytes()
@@ -435,7 +445,7 @@ class TestSelection:
             peaks_to_faces(peaks, directions[:5], 0.5, thresholds)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    @pytest.mark.parametrize("name", ["e_tol", "exclusion_radius", "cluster_angle"])
+    @pytest.mark.parametrize("name", ["e_tol", "cluster_angle"])
     def test_thresholds_must_be_nonnegative_and_finite(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite$"):
             RecoveryThresholds(**{name: value})
@@ -445,9 +455,7 @@ class TestSelection:
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         exp = sht_forward(g, sample_phaseless(tetra, w, g).values, 10)
         peaks = find_local_maxima([exp])
-        out = select_critical_directions(
-            peaks, D1, RecoveryThresholds(e_tol=0.5, exclusion_radius=0.3)
-        )
+        out = select_critical_directions(peaks, D1, RecoveryThresholds(e_tol=0.5))
         assert len(out) == 1
         assert angle_deg(out.directions[0], X1) < 8.0
 
@@ -493,7 +501,7 @@ class TestSignificantFaceProperty:
         # peak near its specular direction and an area within 15%
         lam = 0.5
         g = build_grid(7518)
-        thresholds = RecoveryThresholds(e_tol=0.3, exclusion_radius=0.3, cutoff=10)
+        thresholds = RecoveryThresholds(e_tol=0.3, cutoff=10)
         for d, p in (
             (D1, np.array([0.0, 0, 1.0])),
             (np.array([0.0, 0, 1.0]), np.array([1.0, 0, 0])),

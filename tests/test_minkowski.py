@@ -212,6 +212,17 @@ class TestFitOffsets:
             assert scaled.converged
             np.testing.assert_array_equal(scaled.offsets, fit.offsets * 2.0**k)
 
+    def test_a_rescale_by_a_power_of_two_cubes_the_volume_exactly(self):
+        # hull 4 of seed 22: with areas times 4^-20, the start's volume
+        # scaled by s**3 was not 2^-60 times the unscaled one, an ulp that
+        # moved the fitted offsets by 4e-22; s * s * s scales exactly
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            normals, areas, _, _ = gaussian_hull(rng, int(rng.integers(8, 21)))
+        fit = fit_offsets(normals, areas)
+        scaled = fit_offsets(normals, areas * 4.0**-20)
+        np.testing.assert_array_equal(scaled.offsets, fit.offsets * 2.0**-20)
+
     def test_history_non_increasing(self, prism):
         fit = fit_offsets(prism.normals, prism.areas * 1.3)
         assert all(a >= b for a, b in zip(fit.history, fit.history[1:]))

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import INCIDENT_TABLE, write_experiment_config
-from polyscat import cli, geometry, maxima, minkowski, pipeline
+from polyscat import cli, geometry, locator, maxima, minkowski, pipeline
 from polyscat.cli import build_parser, main
 from polyscat.forward import (
     NoiseModel,
@@ -99,14 +99,18 @@ class TestConfig:
         assert config.step3_oracle is True
         assert_allclose(config.location, [50.0, 50.0, 50.0])
 
-    def test_rejects_unknown_keys(self, workspace):
+    def test_rejects_unknown_keys(self, workspace, capsys):
         cfg = workspace / "bad.cfg"
-        # merge_vertices and indicator_polarity are no longer keys: a stale
-        # line fails, it is not ignored
-        for key in ("what", "merge_vertices", "indicator_polarity"):
-            cfg.write_text(f"obstacle = tetra.obs\nincident = 1 0 0 0 0 1\n{key} = 0\n")
+        # merge_vertices, indicator_polarity and exclusion_radius are no
+        # longer keys: a stale line fails every verb, it is not ignored
+        for key in ("what", "merge_vertices", "indicator_polarity", "exclusion_radius"):
+            cfg.write_text(f"obstacle = tetra.obs\nincident = 1 0 0 0 0 1\n{key} = 0.3\n")
             with pytest.raises(ValueError, match=f"unknown keys.*{key}"):
                 parse_config(cfg)
+            for verb in ("synth", "recover", "locate", "check"):
+                assert main([verb, str(cfg)]) == 1
+            assert capsys.readouterr().err == f"error: {cfg}: unknown keys ['{key}']\n" * 4
+        assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("key, values", [("cutoff", (6, 10)), ("output_dir", "ab")])
     def test_rejects_repeated_key(self, workspace, key, values):
@@ -141,10 +145,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"bad\.cfg: cutoff must be"):
             parse_config(bad)
 
-    @pytest.mark.parametrize("line", ["grid_shape = 3", "grid_loc = 0", "grid_shape = 40"])
+    @pytest.mark.parametrize(
+        "line", ["grid_shape = 3", "grid_loc = 0", "grid_loc = 143", "grid_shape = 40"]
+    )
     def test_rejects_small_grids(self, workspace, line):
         # rejected when parsed, naming the key, before synth creates out/data/;
-        # 40 shape points are fewer than the 49 coefficients of FAST's cutoff 6
+        # 40 shape points are fewer than the 49 coefficients of FAST's cutoff
+        # 6, and 143 location points than the 144 whose weights are exact to
+        # degree 2
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
         bad = workspace / "bad.cfg"
         bad.write_text(with_line(plain, line))
@@ -220,7 +228,6 @@ class TestConfig:
             "lambda_shape = nan",
             "lambda_loc = inf",
             "e_tol = nan",
-            "exclusion_radius = -inf",
             "cluster_angle_deg = nan",
             "noise_delta = inf",
             "location = 50 nan 50",
@@ -770,15 +777,13 @@ class TestCli:
 
     def test_check_drops_a_peak_step1_cannot_invert(self, tmp_path, capsys, cube):
         # turned 1e-7 rad about z, face 3 of the cube is lit from d0 = +x at
-        # nu . d = -1e-7 and peaks 2e-7 from d; with no other bound, step 1
-        # selects it only if it inverts, and it does not
+        # nu . d = -1e-7 and peaks 2e-7 from d, where it does not invert; at
+        # e_tol = 0 the exclusion radius drops it, as it drops every such peak
         c, s = math.cos(1e-7), math.sin(1e-7)
         turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         turned = geometry.build_polyhedron(cube.vertices @ turn.T, cube.faces)
         save_obstacle(turned, tmp_path / "body.obs")
-        cfg = write_experiment_config(
-            tmp_path / "exp.cfg", "body.obs", e_tol=0.0, exclusion_radius=0.0, **FAST
-        )
+        cfg = write_experiment_config(tmp_path / "exp.cfg", "body.obs", e_tol=0.0, **FAST)
         assert main(["check", str(cfg)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "d0 face 3: peak 0.0000 at 0.00 deg from d, not seen" in lines
@@ -1073,6 +1078,23 @@ class TestCli:
         assert main(["recover", str(cfg)]) == 2
         message = "20 points are fewer than the 49 coefficients of cutoff 6"
         assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
+
+    def test_a_location_file_of_fewer_points_than_degree_two_needs_is_rejected(
+        self, workspace, capsys
+    ):
+        # on 143 points the six degree-1 fields are not orthonormal and the
+        # indicator can exceed 1; the config cannot ask for them, so the file
+        # is written here
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        path = workspace / "out" / "data" / "location.txt"
+        path.parent.mkdir(parents=True)
+        oracle = locator.degree_one_oracle(build_grid(143), config.loc_wave, config.location)
+        save_far_field(oracle, path)
+        assert main(["locate", str(cfg)]) == 2
+        message = "143 points are fewer than the 144 whose weights are exact to degree 2"
+        assert capsys.readouterr().err == f"error [load] {path}: {message}, as step 3 needs\n"
+        assert not (workspace / "out" / "location.csv").exists()
 
     @pytest.mark.parametrize("source", ["README.md", "cli docstring"])
     def test_documented_verbs_match_the_parser(self, source):

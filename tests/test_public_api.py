@@ -1,8 +1,10 @@
 """Every name the package exports, every public module-level function and
 class of its modules, and every public method and property of those
-classes, has a caller outside the tests."""
+classes, has a caller outside the tests; every defaulted parameter and every
+config key is set there too, or allowed with a reason."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polyscat"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the callers outside the package and the tests
+SCRIPTS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 # exported names kept with no caller outside the tests, and why
 ALLOWED_UNUSED = {"polygon_fourier_integral": "acceptance criterion 1"}
@@ -48,7 +52,7 @@ def public_methods(path):
 
 def used_names():
     sources = [p for p in MODULES if p.name != "__init__.py"]
-    sources += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    sources += SCRIPTS
     used = set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -162,7 +166,7 @@ def calls():
     """Each call in ``src/``, ``demos/`` and ``perfbench/`` as ``callee ->
     [(positional count, keyword names)]``; ``*args`` and ``**kwargs`` count
     as every position and every keyword."""
-    sources = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    sources = [*MODULES, *SCRIPTS]
     found = {}
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -227,3 +231,71 @@ def test_every_allowed_default_is_unset():
     found = calls()
     unset = {entry for path in MODULES for entry in unset_defaults(path, found)}
     assert set(ALLOWED_UNSET) <= unset, "stale ALLOWED_UNSET entries"
+
+
+# config keys that no config writer in perfbench/ or demos/ sets, and why
+ALLOWED_UNWRITTEN = {
+    "region_resolution": "11 points per axis miss the indicator's maximum once the "
+    "box is about 20 wavelengths of lambda_loc wide (README, step 3); a finer "
+    "scan is the remedy",
+}
+
+
+def config_keys(path):
+    """The keys the config reader in ``path`` accepts: the first argument of
+    each ``take``, ``take_path`` and ``raw.pop`` call, and ``incident``."""
+    keys = {"incident"}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func, first = node.func, node.args[0]
+        named = isinstance(func, ast.Name) and func.id in ("take", "take_path")
+        popped = (
+            isinstance(func, ast.Attribute) and func.attr == "pop"
+            and isinstance(func.value, ast.Name) and func.value.id == "raw"
+        )
+        if (named or popped) and isinstance(first, ast.Constant):
+            keys.add(first.value)
+    return keys
+
+
+def written_keys(paths):
+    """The keys that open a ``key = value`` line in a string of ``paths``,
+    f-string parts included."""
+    keys = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                keys.update(re.findall(r"(?:^|\n)(\w+) = ", node.value))
+    return keys
+
+
+def test_scan_sees_config_keys(tmp_path):
+    reader = tmp_path / "reader.py"
+    reader.write_text(
+        "def read(raw):\n"
+        "    a = take('a', 1)\n"
+        "    b = take_path('b')\n"
+        "    c = raw.pop('c', None)\n"
+        "    d = other.pop('d')\n"
+    )
+    assert config_keys(reader) == {"incident", "a", "b", "c"}
+    writer, test = tmp_path / "writer.py", tmp_path / "test_writer.py"
+    writer.write_text("x = 2\ntext = f'a = {x}\\nincident = 1 0 0  0 0 1\\n' + 'b = out'\n")
+    test.write_text("text = 'c = 3\\n'\n")
+    # c is written only by a test, so the audit of the writers flags it
+    assert config_keys(reader) - written_keys([writer]) == {"c"}
+    assert config_keys(reader) <= written_keys([writer, test])
+
+
+def test_every_config_key_is_written_by_a_config_writer():
+    unwritten = config_keys(PACKAGE / "pipeline.py") - written_keys(SCRIPTS)
+    assert unwritten <= set(ALLOWED_UNWRITTEN), (
+        f"config keys no writer in perfbench/ or demos/ sets: "
+        f"{sorted(unwritten - set(ALLOWED_UNWRITTEN))}"
+    )
+
+
+def test_every_allowed_config_key_is_unwritten():
+    unwritten = config_keys(PACKAGE / "pipeline.py") - written_keys(SCRIPTS)
+    assert set(ALLOWED_UNWRITTEN) <= unwritten, "stale ALLOWED_UNWRITTEN entries"
