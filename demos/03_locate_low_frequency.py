@@ -24,7 +24,7 @@ region = SampleRegion(lower=[0.0, 0.0, 0.0], upper=[100.0, 100.0, 100.0])
 
 z, value, scan = locate(samples, region)
 with open("indicator_scan.txt", "w") as fh:
-    for (x, y, zc), v in zip(itertools.product(*region.axes()), scan.ravel()):
+    for (x, y, zc), v in zip(itertools.product(*region.axes(wave.k)), scan.ravel()):
         fh.write(f"{x:.3f} {y:.3f} {zc:.3f} {v:.9f}\n")
 print(f"coarse scan: {scan.size} probes, indicator in "
       f"[{scan.min():.4f}, {scan.max():.4f}] -> indicator_scan.txt")

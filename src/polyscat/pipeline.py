@@ -17,7 +17,6 @@ Config files are flat ``key = value`` text with one repeated key::
     noise_seed = 7
     location = 50 50 50
     region = 0 100 0 100 0 100
-    region_resolution = 11 11 11
     step3_oracle = true
     output_dir = out
 
@@ -32,11 +31,11 @@ by :class:`~polyscat.forward.PlaneWave` alone, its error naming the
 incident line and the wavelength key.  ``obstacle`` and ``output_dir``
 are paths relative to the config's directory and must not be empty: an
 empty value would name that directory itself.  An ``obstacle`` that names
-a directory (``.`` among others) is rejected too.  Step 3 places the
-obstacle at the maximum of the degree-1 indicator over ``region``.  A
-``multistart = <n_theta> <n_phi>`` line from older configs is accepted
-and ignored with a warning: step 1 seeds its peak search from a lattice
-sized by ``cutoff``.
+a directory (``.`` among others) is rejected too.  Step 3 seeks the
+indicator's maximum over ``region``, scanned half a wavelength of
+``lambda_loc`` apart within a point budget.  A ``multistart = <n_theta>
+<n_phi>`` line from older configs is accepted and ignored with a warning:
+step 1 seeds its peak search from a lattice sized by ``cutoff``.
 
 The recovery runs the stages ``load``, ``step1``, ``step2`` and ``step3``
 in a straight line.  The stage that reads a data file of ``output_dir/data/``
@@ -124,6 +123,10 @@ class ExperimentConfig:
                 f"grid_shape = {self.grid_shape} is fewer points than the {need} "
                 f"coefficients of cutoff {self.thresholds.cutoff}"
             )
+        try:
+            self.region.axes(self.loc_wave.k)
+        except ValueError as exc:
+            raise ValueError(f"region at lambda_loc = {self.lambda_loc!r}: {exc}") from None
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -239,11 +242,7 @@ def _read_config(path: Path) -> ExperimentConfig:
         delta=take("noise_delta", 0.0), seed=take("noise_seed", 7, kind=int)
     )
     region_nums = take("region", "0 100 0 100 0 100", 6)
-    region = locator.SampleRegion(
-        lower=region_nums[0::2],
-        upper=region_nums[1::2],
-        resolution=tuple(take("region_resolution", "11 11 11", None, int)),
-    )
+    region = locator.SampleRegion(lower=region_nums[0::2], upper=region_nums[1::2])
     config = ExperimentConfig(
         obstacle=obstacle,
         shape_waves=shape_waves,
@@ -466,7 +465,7 @@ def locate_obstacle(config: ExperimentConfig):
             z, value, scan = locator.locate(samples, config.region)
         files += [
             _write_csv(out / "location.csv", "z_x,z_y,z_z,indicator", [*z, value], 0),
-            _write_scan(out / "indicator_scan.txt", config.region, scan),
+            _write_scan(out / "indicator_scan.txt", config.region.axes(samples.wave.k), scan),
         ]
     return z, value, tuple(files)
 
@@ -485,10 +484,10 @@ def _write_csv(path: Path, header: str, columns, ints: int) -> Path:
     return forward.save_table(path, rows, line, header)
 
 
-def _write_scan(path: Path, region: locator.SampleRegion, scan: np.ndarray) -> Path:
-    """One ``x y z value`` line per scan point, x slowest and z fastest (the
-    order of ``scan.ravel()``), each axis coordinate formatted once."""
-    coords = map(" ".join, product(*([_FLOAT % c for c in a] for a in region.axes())))
+def _write_scan(path: Path, axes, scan: np.ndarray) -> Path:
+    """One ``x y z value`` line per point of the scan over ``axes``, x slowest
+    and z fastest (the order of ``scan.ravel()``), each coordinate formatted once."""
+    coords = map(" ".join, product(*([_FLOAT % c for c in a] for a in axes)))
     cells = [cell for row in zip(coords, scan.ravel().tolist()) for cell in row]
     return geometry.write_text(path, ("%s " + _FLOAT + "\n") * scan.size % tuple(cells))
 

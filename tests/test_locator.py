@@ -16,7 +16,9 @@ from polyscat.forward import (
     sample_complex,
     sample_phaseless,
 )
-from polyscat import locator
+from conftest import write_experiment_config
+from polyscat import cli, locator
+from polyscat.geometry import save_obstacle
 from polyscat.locator import (
     SampleRegion,
     ZeroField,
@@ -128,26 +130,30 @@ class TestIndicator:
             indicator_values(zero, [[0.0, 0.0, 0.0]])
 
 
+def grid_scan(samples, lower, upper, shape):
+    """``locator._scan`` over the ``shape`` grid from ``lower`` to ``upper``."""
+    spacing = (upper - lower) / np.maximum(np.array(shape) - 1, 1)
+    return locator._scan(*locator._degree_one_projector(samples), lower, spacing, shape)
+
+
 def region_scan(samples, region):
-    """``locator._scan`` over the points of ``region.axes()``."""
-    spacing = (region.upper - region.lower) / np.maximum(np.array(region.resolution) - 1, 1)
-    projector = locator._degree_one_projector(samples)
-    return locator._scan(*projector, region.lower, spacing, region.resolution)
+    """``locator._scan`` over the points of ``region.axes(k)``."""
+    shape = tuple(len(a) for a in region.axes(samples.wave.k))
+    return grid_scan(samples, region.lower, region.upper, shape)
 
 
 class TestScan:
     @pytest.mark.parametrize("data", ["oracle", "sample_complex"])
     def test_separable_scan_matches_pointwise(self, grid, tetra, data):
-        # a non-cubic resolution and a nonzero lower corner catch a wrong
+        # a non-cubic shape and a nonzero lower corner catch a wrong
         # axis order or origin in the per-axis phase tables
-        region = SampleRegion(
-            lower=[-7.5, 12.0, 3.25], upper=[41.0, 60.5, 88.0], resolution=(1, 4, 7)
-        )
+        lower, upper, shape = np.array([-7.5, 12.0, 3.25]), np.array([41.0, 60.5, 88.0]), (1, 4, 7)
         samples = translated_samples(grid, tetra, LOW_WAVE, [20.0, 35.0, 50.0], data)
-        scan = region_scan(samples, region)
-        assert scan.shape == region.resolution
+        scan = grid_scan(samples, lower, upper, shape)
+        assert scan.shape == shape
         # scan[i, j, l] is the indicator at (x_i, y_j, z_l)
-        points = np.stack(np.meshgrid(*region.axes(), indexing="ij"), axis=-1)
+        axes = [np.linspace(a, b, n) for a, b, n in zip(lower, upper, shape)]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         expected = indicator_values(samples, points.reshape(-1, 3)).reshape(scan.shape)
         assert_allclose(scan, expected, rtol=1e-12, atol=0)
 
@@ -185,10 +191,10 @@ def compass_reference(samples, region):
     1e-3, every trial point evaluated afresh: an independent oracle for
     ``locate``."""
     G, K, norm2 = locator._degree_one_projector(samples)
-    scan = region_scan(samples, region)
+    scan, axes = region_scan(samples, region), region.axes(samples.wave.k)
     best = np.unravel_index(np.argmax(scan), scan.shape)
-    z, fz = np.array([a[i] for a, i in zip(region.axes(), best)]), scan[best]
-    spacing = (region.upper - region.lower) / np.maximum(np.array(region.resolution) - 1, 1)
+    z, fz = np.array([a[i] for a, i in zip(axes, best)]), scan[best]
+    spacing = (region.upper - region.lower) / np.maximum(np.array(scan.shape) - 1, 1)
     step = float(spacing.max())
     eye = np.eye(3)
     while step > 1e-3:
@@ -274,9 +280,43 @@ class TestLocate:
         top = np.sort(scan, axis=None)[-2:]
         (record,) = [r for r in caplog.records if r.name == "polyscat"]
         assert record.levelno == logging.DEBUG
-        iters, evals, margin = record.args
+        nx, ny, nz, iters, evals, margin = record.args
+        assert (nx, ny, nz) == scan.shape == (5, 5, 5)
         assert 1 <= iters <= locator._MAX_ITER and 0 <= evals <= 10
         assert margin == top[1] - top[0] > 0
+
+    # in boxes 20 and 33 wavelengths wide, z0 in [5, 95]^3: the first point,
+    # then seeded draws; 11 points per axis ended on a sidelobe in each case,
+    # 14 to 86 away
+    WIDE = [(5.0, (29.8, 43.2, 42.5))] + [
+        (wavelength, tuple(z0)) for wavelength, z0 in
+        zip([5.0] * 3 + [100.0 / 33.0] * 3, np.random.default_rng(20261020).uniform(5, 95, (6, 3)))
+    ]
+
+    @pytest.mark.parametrize("wavelength, z0", WIDE)
+    def test_finds_the_main_lobe_in_a_wide_box(self, small_grid, wavelength, z0):
+        wave = PlaneWave(d=LOW_WAVE.d, p=LOW_WAVE.p, k=2.0 * math.pi / wavelength)
+        z, _, _ = locate(degree_one_oracle(small_grid, wave, z0), REGION)
+        assert np.abs(z - z0).max() <= 1e-9
+
+    def test_polyscat_locate_prints_the_main_lobe_of_a_wide_box(self, tmp_path, tetra, capsys):
+        save_obstacle(tetra, tmp_path / "tetra.obs")
+        cfg = write_experiment_config(
+            tmp_path / "wide.cfg", "tetra.obs", lambda_loc=5.0, grid_loc=500,
+            location=self.WIDE[0][1],
+        )
+        assert cli.main(["locate", str(cfg)]) == 0
+        assert capsys.readouterr().out == "29.800000 43.200000 42.500000 1.000000\n"
+
+    def test_a_scan_over_budget_is_refused_before_it_starts(self, grid, monkeypatch):
+        def scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(locator, "_scan", scan)
+        # lambda 0.5 over REGION: 401 points per axis
+        wave = PlaneWave(d=LOW_WAVE.d, p=LOW_WAVE.p, k=4.0 * math.pi)
+        with pytest.raises(ValueError, match="^401 x 401 x 401 scan points"):
+            locate(degree_one_oracle(grid, wave, [50.0, 50.0, 50.0]), REGION)
 
     def test_recovers_grid_aligned_center(self, grid):
         samples = degree_one_oracle(grid, LOW_WAVE, [50.0, 50.0, 50.0])
@@ -297,7 +337,7 @@ class TestLocate:
         monkeypatch.setattr(locator, "_scan", counted)
         _, value, scan = locate(samples, REGION)
         assert len(scans) == 1 and scan is scans[0]
-        assert scan.shape == REGION.resolution
+        assert scan.shape == tuple(len(a) for a in REGION.axes(LOW_WAVE.k))
         assert np.array_equal(scan, ref)
         assert value >= scan.max()
 

@@ -121,22 +121,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"twice.cfg: line 4: '{key}' given twice"):
             parse_config(cfg)
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "region_resolution = 11 11",
-            "region_resolution = 0 11 11",
-            "region_resolution = -2 11 11",
-            "region_resolution = 11 11 11 11",
-        ],
-    )
-    def test_rejects_bad_region_resolution(self, workspace, line):
-        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
-        bad = workspace / "bad.cfg"
-        bad.write_text(with_line(plain, line))
-        with pytest.raises(ValueError, match="resolution"):
-            parse_config(bad)
-
     @pytest.mark.parametrize("value", ["-1", "-10"])
     def test_rejects_negative_cutoff(self, workspace, value):
         plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
@@ -168,7 +152,6 @@ class TestConfig:
             "cutoff = 2.5",
             "noise_seed = 1.5",
             "grid_shape = 2000.0",
-            "region_resolution = 11 11 2.5",
         ],
     )
     def test_rejects_non_integer_values(self, workspace, line):
@@ -201,7 +184,6 @@ class TestConfig:
         config = parse_config(cfg)
         assert config.obstacle == (tmp_path / "tetrahedron.obs").resolve()
         assert config.thresholds.cutoff == 10
-        assert config.region.resolution == (11, 11, 11)
         assert {wave.k for wave in config.shape_waves} == {2.0 * math.pi / 0.5}
         assert config.loc_wave.k == 2.0 * math.pi / 50.0
 
@@ -295,7 +277,8 @@ class TestConfig:
             "location = 1 2",
             "location = 1 2 3 4",
             "region = 100 0 0 100 0 100",
-            "region_resolution = 0 11 11",
+            "lambda_loc = 0.5",
+            "region = 0 1e300 0 1e300 0 1e300",
             "noise_delta = -0.1",
             "e_tol = -1",
             "e_tol = abc",
@@ -328,6 +311,14 @@ class TestConfig:
             # rejected when parsed, before synth writes any data
             assert main(["synth", str(bad)]) == 1
             assert not (workspace / "out" / "data").exists()
+        if line in ("lambda_loc = 0.5", "region = 0 1e300 0 1e300 0 1e300"):
+            # a scan over budget, rejected when parsed: the default region
+            # is 200 wavelengths of 0.5 wide, 401^3 points, and a product of
+            # counts that overflows reads inf, without a warning
+            assert "region" in str(err.value) and "lambda_loc" in str(err.value)
+            for verb in ("synth", "recover", "locate", "check"):
+                assert main([verb, str(bad)]) == 1
+            assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("comment", ["", "  # no path"])
     @pytest.mark.parametrize("key", ["obstacle", "output_dir"])
@@ -1029,8 +1020,9 @@ class TestCli:
         self, workspace, capsys, verb, slot, source, message
     ):
         # at lambda_loc = lambda_shape a file of either kind passes the
-        # wavenumber check, and step 1 would cast complex fields to reals
-        sizes = dict(lambda_loc=0.5, **FAST)
+        # wavenumber check, and step 1 would cast complex fields to reals; a
+        # region 4 wavelengths wide keeps step 3's scan within its budget
+        sizes = dict(lambda_loc=0.5, region=(0, 2, 0, 2, 0, 2), **FAST)
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **sizes)
         assert main(["synth", str(cfg)]) == 0
         data = workspace / "out" / "data"

@@ -234,11 +234,7 @@ def test_every_allowed_default_is_unset():
 
 
 # config keys that no config writer in perfbench/ or demos/ sets, and why
-ALLOWED_UNWRITTEN = {
-    "region_resolution": "11 points per axis miss the indicator's maximum once the "
-    "box is about 20 wavelengths of lambda_loc wide (README, step 3); a finer "
-    "scan is the remedy",
-}
+ALLOWED_UNWRITTEN: dict = {}
 
 
 def config_keys(path):
