@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from polyscat import build_polyhedron, save_obstacle
-from polyscat.pipeline import parse_config, run_pipeline
+from polyscat.pipeline import parse_config, run_pipeline, synthesize_dataset
 
 INCIDENT = "\n".join(
     [
@@ -57,7 +57,9 @@ def recover(name, poly, lam=0.5, cutoff=6, cluster_deg=10.0):
             "location = 50 50 50\nregion = 0 100 0 100 0 100\n"
             "step3_oracle = true\noutput_dir = out\n"
         )
-        report = run_pipeline(parse_config(cfg))
+        config = parse_config(cfg)
+        synthesize_dataset(config)  # the data files the recovery reads
+        report = run_pipeline(config)
         rec = report.reconstructed
         rec_centered = rec.vertices - rec.centroid
         err = max(

@@ -2,7 +2,7 @@
 
 Verbs::
 
-    polyscat synth <config>      synthesize far-field data files
+    polyscat synth <config>      write the data files recover and locate read
     polyscat recover <config>    run the full three-step recovery
     polyscat locate <config>     run only the location step
     polyscat check <config>      the faces step 1 can see, by the peak law
@@ -70,6 +70,8 @@ def _cmd_locate(args) -> int:
 
 def _cmd_check(args) -> int:
     config = pipeline.parse_config(args.config)
+    if config.obstacle is None:
+        raise ValueError("missing 'obstacle'")
     poly = geometry.load_obstacle(config.obstacle)
     incident = np.array([wave.d for wave in config.shape_waves])
     # one row per direction and face it lights, direction after direction

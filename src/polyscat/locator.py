@@ -57,7 +57,8 @@ class SampleRegion:
         """Scan coordinates along x, y and z, at most half a wavelength ``pi / k`` apart:
         the indicator is band-limited to ``2k``, the diameter of the sphere of its
         ``K_i = k(d - xhat_i)``.  A scan over ``_SCAN_BUDGET`` points raises ``ValueError``."""
-        counts = np.ceil((self.upper - self.lower) * (k / math.pi)) + 1
+        with np.errstate(over="ignore"):  # a width that overflows counts inf points
+            counts = np.ceil((self.upper - self.lower) * (k / math.pi)) + 1
         if math.prod(counts.tolist()) > _SCAN_BUDGET:  # inf where the product overflows
             shape = " x ".join("%g" % n for n in counts)
             raise ValueError(f"{shape} scan points half a wavelength apart exceed {_SCAN_BUDGET}")

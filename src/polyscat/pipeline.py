@@ -37,13 +37,13 @@ indicator's maximum over ``region``, scanned half a wavelength of
 <n_phi>`` line from older configs is accepted and ignored with a warning:
 step 1 seeds its peak search from a lattice sized by ``cutoff``.
 
-The recovery runs the stages ``load``, ``step1``, ``step2`` and ``step3``
-in a straight line.  The stage that reads a data file of ``output_dir/data/``
-synthesizes that file alone if it is missing, so only
-:func:`synthesize_dataset` rewrites one that exists.  ``load`` rejects a
-file whose kind, ``k``, ``d`` or ``p`` is not what synthesis writes there:
-``shape_NN.txt`` the moduli of shape wave ``NN``, ``location.txt`` the
-complex field of step 3's wave.  A stage's failure raises a
+:func:`synthesize_dataset` alone writes ``output_dir/data/``, and it and
+``polyscat check`` alone read ``obstacle``.  The recovery only reads the
+data, in the stages ``load``, ``step1``, ``step2`` and ``step3``, run in a
+straight line.  ``load`` rejects a missing file, naming ``polyscat synth``,
+and a file whose kind, ``k``, ``d`` or ``p`` is not what synthesis writes
+there: ``shape_NN.txt`` the moduli of shape wave ``NN``, ``location.txt``
+the complex field of step 3's wave.  A stage's failure raises a
 :class:`PipelineError` tagged with its name, and ``synth`` tags an
 obstacle that cannot be loaded.  A failed recovery removes every report
 file it did not write, so no file of an earlier run stays beside its own;
@@ -95,7 +95,7 @@ def _stage(name: str, *errors):
 class ExperimentConfig:
     """Validated experiment description (see module docstring for keys)."""
 
-    obstacle: Path
+    obstacle: Path | None  # None without an obstacle line
     shape_waves: tuple  # of forward.PlaneWave, one per incident line
     loc_wave: forward.PlaneWave
     output_dir: Path
@@ -212,14 +212,12 @@ def _read_config(path: Path) -> ExperimentConfig:
 
     def take_path(key, default=None):
         value = raw.pop(key, default)
-        if value is None:
-            raise ValueError(f"missing '{key}'")
-        if not value:
+        if value == "":
             raise ValueError(f"{key} has no value")
-        return (path.parent / value).resolve()
+        return None if value is None else (path.parent / value).resolve()
 
     obstacle = take_path("obstacle")
-    if obstacle.is_dir():
+    if obstacle is not None and obstacle.is_dir():
         raise ValueError(f"obstacle names a directory: {obstacle}")
     if not incident:
         raise ValueError("config needs at least one incident direction")
@@ -278,21 +276,18 @@ def _data_file(config: ExperimentConfig, index: int):
 
 
 def synthesize_dataset(config: ExperimentConfig) -> list:
-    """Write every data file over any already there, the moduli of each shape
-    wave and step 3's complex field, deterministically; return their paths."""
-    return _synthesize(config, range(len(config.shape_waves) + 1))
-
-
-def _synthesize(config: ExperimentConfig, indices) -> list:
-    """Write the data files ``indices`` (see :func:`_data_file`) and return
-    their paths, loading the obstacle once."""
+    """The one writer of ``output_dir/data/``: write every data file over any
+    already there, the moduli of each shape wave and step 3's complex field,
+    deterministically from ``obstacle``; return their paths."""
+    if config.obstacle is None:
+        raise ValueError("missing 'obstacle'")
     try:
         poly = geometry.load_obstacle(config.obstacle)
     except (OSError, ValueError) as exc:
         raise PipelineError("synth", f"cannot load obstacle: {exc}") from exc
     (config.output_dir / "data").mkdir(parents=True, exist_ok=True)
     written = []
-    for i in indices:
+    for i in range(len(config.shape_waves) + 1):
         path, wave, modulus, _ = _data_file(config, i)
         grid = sphgrid.build_grid(config.grid_shape if modulus else config.grid_loc)
         if modulus:
@@ -310,16 +305,17 @@ def _synthesize(config: ExperimentConfig, indices) -> list:
 
 
 def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
-    """Load data file ``index``, synthesizing it first only if it is missing,
+    """Load data file ``index``, naming ``polyscat synth`` if it is missing,
     and check it against :func:`_data_file`, in order: its kind; its wave's
     ``k`` to 1e-12 relative; its ``d`` and ``p`` to 1e-12 absolute; and at
     least the ``(cutoff + 1)^2`` points a shape file's transform seeks, or
     the :data:`~polyscat.locator.MIN_GRID_POINTS` of ``location.txt``."""
     path, wave, modulus, line = _data_file(config, index)
-    if not path.exists():
-        _synthesize(config, [index])
     with _stage("load", OSError, ValueError):
-        samples = forward.load_far_field(path)
+        try:
+            samples = forward.load_far_field(path)
+        except FileNotFoundError:
+            raise ValueError(f"{path}: no such data file; polyscat synth writes it") from None
         got, cutoff = samples.wave, config.thresholds.cutoff
         if samples.is_complex == modulus:
             need = "a shape file needs kind=modulus" if modulus else "step 3 needs a complex kind"
@@ -383,9 +379,9 @@ def _report_files(out: Path, names):
 def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
     """Execute steps 1-3 and write the report tables.
 
-    Each stage reads its own data files and synthesizes only those missing:
-    a file already there is reused, never rewritten, and must carry the
-    wave of its config line (see :func:`_read`).  Step 3 reads its file
+    Each stage reads its own data files, never writes one, and fails at
+    ``load`` on a file that is missing or does not carry the wave of its
+    config line (see :func:`_read`).  Step 3 reads its file
     after the step-1/2 tables and ``recovered.obs`` are written.  Any stage
     failure aborts with a stage-tagged :class:`PipelineError`, keeping the
     report files this run wrote and removing the others, so that no file
@@ -450,8 +446,7 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
 def locate_obstacle(config: ExperimentConfig):
     """Step 3: locate the obstacle from the low-frequency data file
     ``location.txt``, and write ``location.csv`` and ``indicator_scan.txt``
-    to the output directory.  A file already there is reused; a missing one
-    is synthesized, and it is the only data file written.
+    to the output directory.  It reads no other data file and writes none.
 
     Returns ``(z, value, files)``; a failure raises a stage-tagged
     :class:`PipelineError` and removes whichever of the two report files

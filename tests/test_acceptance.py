@@ -31,7 +31,7 @@ from polyscat.geometry import halfspace_intersection, save_obstacle
 from polyscat.locator import SampleRegion, degree_one_oracle, locate
 from polyscat.maxima import normal_and_area_from_peak, specular_direction
 from polyscat.minkowski import fit_offsets
-from polyscat.pipeline import parse_config, run_pipeline
+from polyscat.pipeline import parse_config, run_pipeline, synthesize_dataset
 from polyscat.sphgrid import build_grid, harmonic_basis, sht_forward
 from quadrature_oracle import polygon_quadrature
 from test_forward import random_planar_polygon
@@ -76,8 +76,11 @@ def _run(tmp_path, tag, **kwargs):
     cfg = write_experiment_config(
         tmp_path / f"{tag}.cfg", "tetra.obs", output_dir=tag, **kwargs
     )
+    # timed end to end: synthesis, then the recovery that reads its data
     t0 = time.time()
-    rep = run_pipeline(parse_config(cfg))
+    config = parse_config(cfg)
+    synthesize_dataset(config)
+    rep = run_pipeline(config)
     return rep, time.time() - t0
 
 
@@ -383,6 +386,7 @@ def test_criterion_11_determinism(tmp_path):
             noise_delta=1.0,
             output_dir=sub,
         )
+        assert main(["synth", str(cfg)]) == 0
         assert main(["recover", str(cfg)]) == 0
         root = tmp_path / sub
         trees.append(

@@ -305,6 +305,8 @@ class TestLocate:
             tmp_path / "wide.cfg", "tetra.obs", lambda_loc=5.0, grid_loc=500,
             location=self.WIDE[0][1],
         )
+        assert cli.main(["synth", str(cfg)]) == 0
+        capsys.readouterr()
         assert cli.main(["locate", str(cfg)]) == 0
         assert capsys.readouterr().out == "29.800000 43.200000 42.500000 1.000000\n"
 

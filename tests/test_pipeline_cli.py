@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import INCIDENT_TABLE, write_experiment_config
-from polyscat import cli, geometry, locator, maxima, minkowski, pipeline
+from polyscat import cli, forward, geometry, locator, maxima, minkowski, pipeline
 from polyscat.cli import build_parser, main
 from polyscat.forward import (
     NoiseModel,
@@ -75,6 +75,19 @@ def noisy_first_shape_file(config) -> Path:
     path = config.output_dir / "data" / "shape_00.txt"
     save_far_field(add_noise(load_far_field(path), NoiseModel(0.2, seed=3)), path)
     return path
+
+
+def assert_missing_location_file_leaves_the_shape_files(workspace, verb):
+    """A missing ``location.txt`` fails ``verb`` at [load] and is not
+    written; the noisy shape file, which synth would not write, stays."""
+    cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+    shape = noisy_first_shape_file(parse_config(cfg))
+    noisy = shape.read_bytes()
+    location = workspace / "out" / "data" / "location.txt"
+    location.unlink()
+    assert main([verb, str(cfg)]) == 2
+    assert shape.read_bytes() == noisy
+    assert not location.exists()
 
 
 def read_tree(root):
@@ -288,7 +301,7 @@ class TestConfig:
             "obstacle: tetra.obs",
             "incident = 1 0 0  0 0",
             "cutoff = 6 7",
-            "obstacle =",
+            "region = -1e308 1e308 0 1 0 1",
         ],
     )
     def test_errors_name_the_file_once(self, workspace, line):
@@ -302,7 +315,6 @@ class TestConfig:
             "obstacle: tetra.obs": "expected 'key = value'",
             "incident = 1 0 0  0 0": "incident needs 6 numbers (d then p)",
             "cutoff = 6 7": "cutoff needs one integer",
-            "obstacle =": "missing 'obstacle'",
         }.get(line, "")
         assert reason in str(err.value)
         if line.startswith(("location", "e_tol = abc")):
@@ -311,10 +323,13 @@ class TestConfig:
             # rejected when parsed, before synth writes any data
             assert main(["synth", str(bad)]) == 1
             assert not (workspace / "out" / "data").exists()
-        if line in ("lambda_loc = 0.5", "region = 0 1e300 0 1e300 0 1e300"):
+        over_budget = (
+            "lambda_loc = 0.5", "region = 0 1e300 0 1e300 0 1e300", "region = -1e308 1e308 0 1 0 1"
+        )
+        if line in over_budget:
             # a scan over budget, rejected when parsed: the default region
             # is 200 wavelengths of 0.5 wide, 401^3 points, and a product of
-            # counts that overflows reads inf, without a warning
+            # counts or a width that overflows reads inf, without a warning
             assert "region" in str(err.value) and "lambda_loc" in str(err.value)
             for verb in ("synth", "recover", "locate", "check"):
                 assert main([verb, str(bad)]) == 1
@@ -395,7 +410,9 @@ class TestSynth:
 class TestRecover:
     def test_full_run_structure(self, workspace, tetra):
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
-        report = run_pipeline(parse_config(cfg))
+        config = parse_config(cfg)
+        synthesize_dataset(config)
+        report = run_pipeline(config)
         assert len(report.effective) == 4
         assert_allclose(report.location, 50.0, atol=1e-2)
         out = workspace / "out"
@@ -428,19 +445,49 @@ class TestRecover:
         located = load_obstacle(out / "recovered_located.obs")
         assert_allclose(located.centroid, report.location, atol=1e-6)
 
-    def test_presynthesized_equals_one_shot(self, workspace):
-        cfg_a = write_experiment_config(
-            workspace / "a.cfg", "tetra.obs", output_dir="a", **FAST
-        )
-        config_a = parse_config(cfg_a)
-        synthesize_dataset(config_a)
-        run_pipeline(config_a)
+    @pytest.mark.parametrize(
+        "verb, name", [("recover", "shape_00.txt"), ("locate", "location.txt")]
+    )
+    def test_a_missing_data_file_names_synth(self, workspace, capsys, verb, name):
+        # only synth writes data: on an empty data/ the first file the verb
+        # reads fails at [load], and no data or report file is written
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        (workspace / "out" / "data").mkdir(parents=True)
+        assert main([verb, str(cfg)]) == 2
+        path = workspace / "out" / "data" / name
+        message = f"error [load] {path}: no such data file; polyscat synth writes it\n"
+        assert capsys.readouterr().err == message
+        assert read_tree(workspace / "out") == {}
 
-        cfg_b = write_experiment_config(
-            workspace / "b.cfg", "tetra.obs", output_dir="b", **FAST
+    def test_a_recovery_needs_no_ground_truth(self, workspace, monkeypatch, capsys):
+        # recover and locate read only the data: from a config without an
+        # obstacle line, with every way to the answer made to raise, they
+        # write the tree a run with the obstacle writes; synth and check,
+        # which need the body, exit 1 naming the key
+        truth, cfg = (
+            write_experiment_config(workspace / f"{name}.cfg", "tetra.obs", output_dir=name, **FAST)
+            for name in ("truth", "blind")
         )
-        run_pipeline(parse_config(cfg_b))
-        assert read_tree(workspace / "a") == read_tree(workspace / "b")
+        for verb, config in (("synth", truth), ("synth", cfg), ("recover", truth), ("locate", truth)):
+            assert main([verb, str(config)]) == 0
+        cfg.write_text(with_line(cfg, "obstacle ="))
+        assert parse_config(cfg).obstacle is None
+
+        def answer(*args, **kwargs):
+            raise AssertionError("read the true obstacle")
+
+        for module, name in ((geometry, "load_obstacle"), (forward, "sample_phaseless"),
+                             (forward, "sample_complex"), (locator, "degree_one_oracle")):
+            monkeypatch.setattr(module, name, answer)
+        assert main(["recover", str(cfg)]) == 0
+        assert main(["locate", str(cfg)]) == 0
+        blind = read_tree(workspace / "blind")
+        assert blind == read_tree(workspace / "truth")
+        capsys.readouterr()
+        for verb in ("synth", "check"):
+            assert main([verb, str(cfg)]) == 1
+            assert capsys.readouterr() == ("", "error: missing 'obstacle'\n")
+        assert read_tree(workspace / "blind") == blind
 
     def test_rewrites_longer_report_files_to_their_new_end(self, workspace):
         # every report path already holds 100 kB of junk: a rewrite that
@@ -448,7 +495,9 @@ class TestRecover:
         cfg = write_experiment_config(
             workspace / "fresh.cfg", "tetra.obs", output_dir="fresh", **FAST
         )
-        files = run_pipeline(parse_config(cfg)).files
+        config = parse_config(cfg)
+        synthesize_dataset(config)
+        files = run_pipeline(config).files
         assert len(files) == 10
         cfg = write_experiment_config(
             workspace / "stale.cfg", "tetra.obs", output_dir="stale", **FAST
@@ -461,44 +510,21 @@ class TestRecover:
         assert read_tree(workspace / "stale") == read_tree(workspace / "fresh")
 
     def test_missing_location_file_leaves_the_shape_files(self, workspace):
-        # only location.txt is synthesized: the noisy shape file stays and
-        # the faces are those recovered from it with location.txt present
-        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
-        config = parse_config(cfg)
-        shape = noisy_first_shape_file(config)
-        noisy = shape.read_bytes()
-        run_pipeline(config)
-        faces = (workspace / "out" / "recovered_faces.csv").read_bytes()
-        (workspace / "out" / "data" / "location.txt").unlink()
-        assert main(["recover", str(cfg)]) == 0
-        assert shape.read_bytes() == noisy
-        assert (workspace / "out" / "recovered_faces.csv").read_bytes() == faces
-        assert (workspace / "out" / "data" / "location.txt").exists()
+        assert_missing_location_file_leaves_the_shape_files(workspace, "recover")
 
     def test_locate_leaves_the_shape_files(self, workspace):
-        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
-        config = parse_config(cfg)
-        shape = noisy_first_shape_file(config)
-        noisy = shape.read_bytes()
-        run_pipeline(config)
-        faces = (workspace / "out" / "recovered_faces.csv").read_bytes()
-        (workspace / "out" / "data" / "location.txt").unlink()
-        pipeline.locate_obstacle(config)
-        assert shape.read_bytes() == noisy
-        run_pipeline(config)
-        assert (workspace / "out" / "recovered_faces.csv").read_bytes() == faces
+        assert_missing_location_file_leaves_the_shape_files(workspace, "locate")
 
-    def test_missing_location_file_of_a_bad_obstacle_fails_after_the_shape_tables(
-        self, workspace
-    ):
-        # location.txt is synthesized at step 3, so the obstacle is first
-        # loaded there, with the step-1/2 tables on disk
+    def test_missing_location_file_fails_after_the_shape_tables(self, workspace):
+        # step 3 reads location.txt itself, so a missing one fails at [load]
+        # with the step-1/2 tables on disk
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
         config = parse_config(cfg)
         synthesize_dataset(config)
-        (workspace / "out" / "data" / "location.txt").unlink()
-        (workspace / "tetra.obs").unlink()
-        with pytest.raises(PipelineError, match=r"^\[synth\] cannot load obstacle: "):
+        path = workspace / "out" / "data" / "location.txt"
+        path.unlink()
+        message = f"[load] {path}: no such data file; polyscat synth writes it"
+        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
             run_pipeline(config)
         for name in ("recovered_faces.csv", "offsets.csv", "fit_report.txt"):
             assert (workspace / "out" / name).exists()
@@ -509,6 +535,7 @@ class TestRecover:
         # fails at step 3 leaves it beside the vertices.csv of the same body
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
         config = parse_config(cfg)
+        assert main(["synth", str(cfg)]) == 0
         assert main(["recover", str(cfg)]) == 0
         out = workspace / "out"
         first = (out / "vertices.csv").read_bytes()
@@ -530,6 +557,7 @@ class TestRecover:
         def report_names():
             return sorted(p.name for p in out.iterdir() if p.is_file())
 
+        assert main(["synth", str(cfg)]) == 0
         assert main(["recover", str(cfg)]) == 0
         assert report_names() == sorted(pipeline._REPORT_FILES)
         first = (out / "vertices.csv").read_bytes()
@@ -551,6 +579,7 @@ class TestRecover:
         # no other report file, recovered_located.obs included, nor data/
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
         out = workspace / "out"
+        assert main(["synth", str(cfg)]) == 0
         assert main(["recover", str(cfg)]) == 0
         (out / "data" / "location.txt").write_text("edited\n")
         before = read_tree(out)
@@ -567,6 +596,7 @@ class TestRecover:
         sizes = dict(grid_shape=500, grid_loc=200, cutoff=6, cluster_angle_deg=10.0)
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **sizes)
         config = parse_config(cfg)
+        synthesize_dataset(config)
         run_pipeline(config)
         first = read_tree(workspace / "out")
         for path in sorted((workspace / "out" / "data").glob("*.txt")):
@@ -593,7 +623,9 @@ class TestRecover:
         cfg = write_experiment_config(
             workspace / "exp.cfg", "tetra.obs", step3_oracle=False, **FAST
         )
-        report = run_pipeline(parse_config(cfg))
+        config = parse_config(cfg)
+        synthesize_dataset(config)
+        report = run_pipeline(config)
         assert (workspace / "out" / "location.csv").exists()
         circumradius = float(np.linalg.norm(tetra.vertices - tetra.centroid, axis=1).max())
         assert circumradius == pytest.approx(math.sqrt(6.0) / 4.0)
@@ -615,7 +647,9 @@ class TestRecover:
             for line in ("location = " + " ".join([repr(50.0 * s)] * 3),
                          "region = " + " ".join(["0", repr(100.0 * s)] * 3)):
                 plain.write_text(with_line(plain, line))
-            return run_pipeline(parse_config(plain))
+            config = parse_config(plain)
+            synthesize_dataset(config)
+            return run_pipeline(config)
 
         s = 2.0**k
         base, scaled = recover(1.0, "base"), recover(s, "scaled")
@@ -630,14 +664,16 @@ class TestRecover:
         cfg = write_experiment_config(
             workspace / "exp.cfg", "tetra.obs", e_tol=100.0, **FAST
         )
+        config = parse_config(cfg)
+        synthesize_dataset(config)
         with pytest.raises(PipelineError) as err:
-            run_pipeline(parse_config(cfg))
+            run_pipeline(config)
         assert "step1" in str(err.value)
 
     def test_missing_obstacle_is_tagged_synth(self, workspace):
         cfg = write_experiment_config(workspace / "exp.cfg", "nope.obs", **FAST)
         with pytest.raises(PipelineError, match=r"^\[synth\] cannot load obstacle: ") as err:
-            run_pipeline(parse_config(cfg))
+            synthesize_dataset(parse_config(cfg))
         assert err.value.stage == "synth"
 
     def test_malformed_data_is_tagged_load(self, workspace):
@@ -705,8 +741,10 @@ class TestRecover:
 
         monkeypatch.setattr(minkowski, "fit_offsets", span_deficient)
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        synthesize_dataset(config)
         with pytest.raises(PipelineError, match=r"^\[step2\] normals do not span 3-space$"):
-            run_pipeline(parse_config(cfg))
+            run_pipeline(config)
 
     def test_step2_polyhedron_comes_from_the_fit(self, workspace, monkeypatch):
         # the fit intersects through the name minkowski imported, which this
@@ -716,7 +754,9 @@ class TestRecover:
 
         monkeypatch.setattr(geometry, "halfspace_intersection", no_intersection)
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
-        report = run_pipeline(parse_config(cfg))
+        config = parse_config(cfg)
+        synthesize_dataset(config)
+        report = run_pipeline(config)
         assert report.reconstructed is report.fit.polyhedron
 
 
@@ -730,15 +770,11 @@ class TestCli:
 
     def test_locate_verb(self, workspace, capsys):
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
         assert main(["locate", str(cfg)]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         vals = [float(t) for t in line.split()]
         assert_allclose(vals[:3], 50.0, atol=1e-2)
-
-    def test_locate_on_an_empty_directory_writes_only_the_location_file(self, workspace):
-        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
-        assert main(["locate", str(cfg)]) == 0
-        assert [p.name for p in (workspace / "out" / "data").iterdir()] == ["location.txt"]
         # the report files locate writes are those it removes on failure
         written = sorted(p.name for p in (workspace / "out").iterdir() if p.is_file())
         assert written == sorted(pipeline._LOCATE_FILES)
@@ -801,6 +837,7 @@ class TestCli:
         cfg = write_experiment_config(
             workspace / "exp.cfg", "tetra.obs", e_tol=100.0, **FAST
         )
+        assert main(["synth", str(cfg)]) == 0
         assert main(["recover", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error [step1] ")
 
@@ -902,6 +939,7 @@ class TestCli:
         # the field's own unit: a power-of-two factor gives the same bytes,
         # any other factor the same tables to rounding
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
         assert main(["locate", str(cfg)]) == 0
         out = workspace / "out"
         names = ("location.csv", "indicator_scan.txt")
@@ -924,6 +962,7 @@ class TestCli:
         # whole-file parse onto a grid of its own point order, and step 1's
         # transform and step 3's indicator sum over the points in that order
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
         assert main(["recover", str(cfg)]) == 0
         names = ("effective_normals.csv", "vertices.csv", "location.csv")
         lattice = [np.loadtxt(workspace / "out" / n, delimiter=",", skiprows=1) for n in names]
@@ -957,6 +996,7 @@ class TestCli:
                 workspace / f"{name}.cfg", "tetra.obs", output_dir=name,
                 incident=[INCIDENT_TABLE[i] for i in order], **FAST,
             )
+            assert main(["synth", str(cfg)]) == 0
             assert main(["recover", str(cfg)]) == 0
             tables[name] = {
                 p.name: np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
@@ -1127,6 +1167,7 @@ class TestCli:
                 output_dir=sub,
                 **FAST,
             )
+            assert main(["synth", str(cfg)]) == 0
             assert main(["recover", str(cfg)]) == 0
             trees.append(read_tree(workspace / sub))
         assert trees[0] == trees[1]
