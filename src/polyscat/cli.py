@@ -30,8 +30,16 @@ import numpy as np
 from . import geometry, maxima, pipeline
 
 
+def _config_with_obstacle(path) -> pipeline.ExperimentConfig:
+    """The config at ``path``, which must name an obstacle."""
+    config = pipeline.parse_config(path)
+    if config.obstacle is None:
+        raise ValueError(f"{path}: missing 'obstacle'")
+    return config
+
+
 def _cmd_synth(args) -> int:
-    config = pipeline.parse_config(args.config)
+    config = _config_with_obstacle(args.config)
     written = pipeline.synthesize_dataset(config)
     for path in written:
         print(path)
@@ -69,9 +77,7 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = pipeline.parse_config(args.config)
-    if config.obstacle is None:
-        raise ValueError("missing 'obstacle'")
+    config = _config_with_obstacle(args.config)
     poly = geometry.load_obstacle(config.obstacle)
     incident = np.array([wave.d for wave in config.shape_waves])
     # one row per direction and face it lights, direction after direction

@@ -37,9 +37,12 @@ _WAVE_KEYS = {"k": 1, "d": 3, "p": 3}
 _SERIES_RADIUS = 0.5
 _SERIES_TERMS = 18
 _FACTORIALS = np.array([math.factorial(k) for k in range(_SERIES_TERMS + 3)])
-# a far-field row's coordinates and the two-space gap before its values;
-# load_far_field recognizes a lattice file by the text this writes
-_POINT_FORMAT = "%.17g %.17g %.17g  "
+# every number of a far-field row is one cell of 23 characters, exact to
+# the bit; a row is its three coordinate cells, two spaces, its value cells
+_CELL = "%+.16e"
+_CELL_WIDTH = len(_CELL % 0.0)
+_POINT_FORMAT = f"{_CELL} {_CELL} {_CELL}  "
+_POINT_WIDTH = len(_POINT_FORMAT % (0.0, 0.0, 0.0))
 
 
 class WrongKind(ValueError):
@@ -305,7 +308,11 @@ def add_noise(samples: FarFieldSamples, noise: NoiseModel) -> FarFieldSamples:
 def save_far_field(samples: FarFieldSamples, path):
     """Write the far-field text format: two header lines, then per point its
     coordinates and its value (a modulus, or three complex components as
-    real and imaginary parts).  Returns ``path``."""
+    real and imaginary parts).  Every number of a row is one ``%+.16e``
+    cell of 23 characters, exact to the bit; the cells are one space apart
+    and the coordinates two spaces from the values, so all rows have one
+    length, which :func:`load_far_field` reads as one block.  Returns
+    ``path``."""
     w = samples.wave
     header = (
         f"# kind={samples.kind}\n"
@@ -314,7 +321,7 @@ def save_far_field(samples: FarFieldSamples, path):
         )
     )
     values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1).view(float)
-    line = _POINT_FORMAT + " ".join(["%.17g"] * values.shape[1])
+    line = _POINT_FORMAT + " ".join([_CELL] * values.shape[1])
     return save_table(path, np.column_stack([samples.grid.points, values]), line, header)
 
 
@@ -331,34 +338,32 @@ def save_table(path, rows, line, header=""):
 def load_far_field(path) -> FarFieldSamples:
     """Parse the far-field text format.
 
-    The header is the ``#`` lines opening the file.  A file whose ``n >= 12``
-    rows each start with the text :func:`save_far_field` writes before the
-    values of its Fibonacci lattice point has only its values parsed (see
-    :func:`_lattice_values`) and gets ``sphgrid.build_grid(n)``.  Any other
-    file is parsed whole and gets :func:`~polyscat.sphgrid.grid_of` its points,
-    which validates them, their count of at least 12 included.  Values are
-    parsed by ``np.loadtxt``.  Every ``ValueError`` of a malformed file
-    names ``path``.
+    The header is the ``#`` lines opening the file.  A file whose rows are
+    the ``n`` rows :func:`save_far_field` writes for the Fibonacci lattice,
+    byte for byte up to the value cells, has only its values parsed, by one
+    cast of the cells to floats (see :func:`_lattice_block`), and gets
+    ``sphgrid.build_grid(n)``.  Any other file, one written in an earlier
+    number format included, is parsed whole by ``np.loadtxt`` and gets
+    :func:`~polyscat.sphgrid.grid_of` its points, which validates them.  Both
+    parses give the same values for the same numbers, and both grids need
+    at least 12 points.  Every ``ValueError`` of a malformed file names
+    ``path``.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        text = fh.read()
     try:
-        kind = wave = None
-        for head, raw in enumerate(lines):
-            line = raw.strip()
-            if not line.startswith("#"):
-                break
-            body = line[1:].strip()
-            if body.startswith("kind="):
-                kind = body[5:].strip()
-            elif re.match(r"[kdp]=", body):
-                wave = _wave_header(body)
-        if kind is None or wave is None:
-            raise ValueError("missing kind/wave header lines")
-        if kind not in _KINDS:
-            raise ValueError(f"unknown far-field kind {kind!r}")
+        start = 0  # past the lines that open the file with "#"
+        while text.startswith(b"#", start):
+            start = text.find(b"\n", start) + 1 or len(text)
+        lines = text[:start].decode().splitlines()
+        data = None
+        # a block read alone needs the header the whole-file parse would read
+        if all(line.strip().startswith("#") for line in lines):
+            data = _lattice_block(text, start)
+        if data is None:
+            lines = text.decode().splitlines()
+        kind, wave = _header(lines)
         m = 1 if kind == MODULUS else 6
-        data = _lattice_values(lines[head:], m)
         if data is not None:
             grid = sphgrid.build_grid(len(data))
         else:
@@ -374,6 +379,25 @@ def load_far_field(path) -> FarFieldSamples:
         return FarFieldSamples(grid=grid, values=values, wave=wave, kind=kind)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _header(lines) -> tuple:
+    """The kind and the wave of the ``#`` lines opening ``lines``."""
+    kind = wave = None
+    for raw in lines:
+        line = raw.strip()
+        if not line.startswith("#"):
+            break
+        body = line[1:].strip()
+        if body.startswith("kind="):
+            kind = body[5:].strip()
+        elif re.match(r"[kdp]=", body):
+            wave = _wave_header(body)
+    if kind is None or wave is None:
+        raise ValueError("missing kind/wave header lines")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown far-field kind {kind!r}")
+    return kind, wave
 
 
 def _wave_header(body: str) -> PlaneWave:
@@ -397,30 +421,42 @@ def _wave_header(body: str) -> PlaneWave:
     return PlaneWave(d=np.array(values["d"]), p=np.array(values["p"]), k=values["k"][0])
 
 
-def _lattice_values(rows, m: int):
-    """The ``(n, m)`` values of ``rows`` when they are ``n >= 12`` lattice
-    rows: row ``i`` is ``_lattice_prefixes(n)[i]`` and ``m`` values that
-    ``np.loadtxt`` parses.  ``None`` otherwise, so another gap (one space,
-    a tab) or a missing or moved value takes the whole-file parse; the
-    shape check catches a missing value, whose blank text is skipped."""
-    n = len(rows)
-    if n < 12:
+def _lattice_block(text: bytes, start: int):
+    """The ``(n, m)`` values of the rows ``text[start:]`` when they are the
+    ``n`` rows :func:`save_far_field` writes for ``fibonacci_points(n)``:
+    each row's text up to its values is ``_lattice_text(n)``'s row, and then
+    come ``m`` cells of 23 bytes, each followed by a space and the last by
+    a newline.  ``None`` otherwise, so a file in another layout takes the
+    whole-file parse.  A cell holds no blank or control byte and no ``_``,
+    which ``float()`` would take and ``np.loadtxt`` would not, so the cast
+    of the cells gives the whole-file parse's values."""
+    end = text.find(b"\n", start)
+    if end < 0:
         return None
-    prefixes = _lattice_prefixes(n)
-    if not all(map(str.startswith, rows, prefixes)):
+    width = end + 1 - start  # the first row's, newline included
+    lead, step = _POINT_WIDTH, _CELL_WIDTH + 1
+    m, gap = divmod(width - lead, step)
+    n, rest = divmod(len(text) - start, width)
+    if gap or rest or m < 1:
         return None
-    texts = list(map(str.removeprefix, rows, prefixes))
+    rows = np.frombuffer(text, np.uint8, n * width, start).reshape(n, width)
+    if not np.array_equal(rows[:, :lead], _lattice_text(n)):
+        return None
+    ends = rows[:, lead + _CELL_WIDTH::step]
+    if not ((ends[:, :-1] == 32).all() and (ends[:, -1] == 10).all()):
+        return None
+    if np.count_nonzero(rows[:, lead:] <= 32) != n * m or text.find(b"_", start) >= 0:
+        return None
+    cells = np.ndarray((n, m), f"S{_CELL_WIDTH}", text, start + lead, (width, step))
     try:
-        # no comment character: each text is one row, or the parse fails
-        values = np.loadtxt(texts, comments=None, ndmin=2)
+        return cells.astype(float)
     except ValueError:
-        return None  # the full parse raises its own error, naming the file
-    return values if values.shape == (n, m) else None
+        return None  # the whole-file parse raises its own error, naming the file
 
 
 @lru_cache(maxsize=8)
-def _lattice_prefixes(n: int) -> tuple:
-    """The text :func:`save_far_field` writes before the values of each
-    point of ``fibonacci_points(n)``.  Cached per ``n``."""
-    text = "\n".join([_POINT_FORMAT] * n) % tuple(fibonacci_points(n).ravel().tolist())
-    return tuple(text.split("\n"))
+def _lattice_text(n: int) -> np.ndarray:
+    """The ``(n, 73)`` bytes :func:`save_far_field` writes before the values
+    of each point of ``fibonacci_points(n)``.  Cached per ``n``."""
+    text = _POINT_FORMAT * n % tuple(fibonacci_points(n).ravel().tolist())
+    return np.frombuffer(text.encode(), np.uint8).reshape(n, -1)

@@ -3,11 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
 from conftest import TETRA_FACE_AREA, angle_deg
-from polyscat import forward
+from polyscat import forward, sphgrid
 from polyscat.forward import (
     COMPLEX_E,
     COMPLEX_H,
@@ -26,10 +28,42 @@ from polyscat.forward import (
     save_far_field,
 )
 from polyscat.geometry import DegenerateFace, lit_faces
-from polyscat.sphgrid import SphericalGrid, build_grid
+from polyscat.sphgrid import SphericalGrid, build_grid, fibonacci_points
 from quadrature_oracle import polygon_quadrature
 
 X1 = np.array([-1.0 / 3.0, 0.0, 2.0 * np.sqrt(2.0) / 3.0])  # specular of d1 in face 1
+
+
+@pytest.fixture()
+def whole_file_parses(monkeypatch):
+    """The names of the whole-file parse's calls, ``np.loadtxt`` and
+    ``sphgrid.grid_of``, in the order the test makes them."""
+    calls = []
+    for module, name in ((np, "loadtxt"), (sphgrid, "grid_of")):
+        def spy(*args, _call=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def nudged(text: str, line: int) -> str:
+    """``text`` with the first number of its line ``line`` one ulp larger."""
+    lines = text.split("\n")
+    first, rest = lines[line].split(" ", 1)
+    lines[line] = f"{np.nextafter(float(first), 2.0):+.16e} {rest}"
+    return "\n".join(lines)
+
+
+@given(st.lists(st.floats(-9.9e99, 9.9e99).filter(lambda x: x == 0 or abs(x) >= 1e-99),
+                min_size=1, max_size=64))
+def test_cells_cast_to_the_floats_they_print(xs):
+    # one S23 cast of %+.16e cells is float() of each, and exact to the bit
+    cells = np.array([(forward._CELL % x).encode() for x in xs])
+    assert cells.dtype == np.dtype("S23")
+    by_float = np.array([float(cell) for cell in cells])
+    assert cells.astype(float).tobytes() == by_float.tobytes() == np.array(xs).tobytes()
 
 
 def wave(lam=0.5, d=(1.0, 0.0, 0.0), p=(0.0, 0.0, 1.0)):
@@ -317,7 +351,8 @@ class TestSamplesOps:
             assert path.read_bytes() == again.read_bytes()
 
     def test_far_field_file_bytes_match_savetxt(self, tetra, tmp_path):
-        # the block writer against one np.savetxt call with the file's format
+        # the block writer against one np.savetxt call with the file's format:
+        # every number of a row one %+.16e cell, so every row has one length
         g = build_grid(500)
         for kind, sampler in ((MODULUS, sample_phaseless), (COMPLEX_E, sample_complex)):
             s = sampler(tetra, wave(0.5), g)
@@ -326,11 +361,15 @@ class TestSamplesOps:
             d, p = (" ".join(f"{c:.17g}" for c in v) for v in (s.wave.d, s.wave.p))
             header = f"# kind={kind}\n# k={s.wave.k:.17g} d={d} p={p}"
             values = np.ascontiguousarray(s.values).reshape(g.size, -1).view(float)
-            fmt = "%.17g %.17g %.17g  " + " ".join(["%.17g"] * values.shape[1])
+            fmt = "%+.16e %+.16e %+.16e  " + " ".join(["%+.16e"] * values.shape[1])
             ref = tmp_path / f"{kind}_savetxt.txt"
             rows = np.column_stack([g.points, values])
             np.savetxt(ref, rows, fmt=fmt, header=header, comments="")
             assert path.read_bytes() == ref.read_bytes()
+            # 23 characters per number and 2 + 2 + (m - 1) spaces in a row
+            m = values.shape[1]
+            lengths = {len(row) for row in path.read_bytes().splitlines()[2:]}
+            assert lengths == {23 * (3 + m) + m + 3}
 
     def test_non_finite_modulus_file_rejected(self, tetra, tmp_path):
         g = build_grid(500)
@@ -394,8 +433,11 @@ class TestSamplesOps:
 
     @pytest.mark.parametrize("n", [12, 500, 1000])
     @pytest.mark.parametrize("kind", [MODULUS, COMPLEX_E, COMPLEX_H])
-    def test_lattice_file_parses_only_its_values(self, tetra, tmp_path, monkeypatch, n, kind):
-        # the writer and the lattice recognition share one coordinate format
+    def test_lattice_file_parses_only_its_values(
+        self, tetra, tmp_path, whole_file_parses, n, kind
+    ):
+        # the writer and the lattice recognition share one row layout: what
+        # save_far_field writes loads with neither np.loadtxt nor grid_of
         g = build_grid(n)
         if kind == MODULUS:
             s = sample_phaseless(tetra, wave(0.5), g)
@@ -404,23 +446,15 @@ class TestSamplesOps:
         path = tmp_path / "samples.txt"
         save_far_field(s, path)
         full = np.loadtxt(path, comments="#", ndmin=2)
-        loadtxt = np.loadtxt
-        seen = []
-
-        def spy(rows, *args, **kwargs):
-            rows = list(rows)
-            seen.extend(len(row.split()) for row in rows)
-            return loadtxt(rows, *args, **kwargs)
-
-        monkeypatch.setattr(np, "loadtxt", spy)
+        whole_file_parses.clear()
         loaded = load_far_field(path)
+        assert whole_file_parses == []
         assert loaded.grid is g
         if kind == MODULUS:
             expected = full[:, 3]
         else:
             expected = full[:, 3::2] + 1j * full[:, 4::2]
-        assert loaded.values.tobytes() == expected.tobytes()
-        assert set(seen) == {1 if kind == MODULUS else 6}
+        assert loaded.values.tobytes() == expected.tobytes() == s.values.tobytes()
 
     def test_lattice_in_another_float_format_gets_equal_weights(self, tetra, tmp_path):
         # %.17e coordinates are the lattice's floats in other text: the file
@@ -441,8 +475,7 @@ class TestSamplesOps:
         assert b.values.tobytes() == a.values.tobytes()
 
     # another gap between a row's coordinates and values (one space, a tab)
-    # takes the whole-file parse; blanks after the values leave each row's
-    # lattice prefix intact and are parsed on the lattice path
+    # or blanks after the values take the whole-file parse
     GAPS = {
         "one space": lambda row: row.replace("  ", " "),
         "tab": lambda row: row.replace("  ", "\t"),
@@ -454,7 +487,9 @@ class TestSamplesOps:
     @pytest.mark.parametrize("rows", ["every row", "one row"])
     @pytest.mark.parametrize("gap", GAPS)
     @pytest.mark.parametrize("kind", [MODULUS, COMPLEX_E])
-    def test_other_gap_takes_the_whole_file_parse(self, tetra, tmp_path, kind, gap, rows):
+    def test_other_gap_takes_the_whole_file_parse(
+        self, tetra, tmp_path, whole_file_parses, kind, gap, rows
+    ):
         g = build_grid(500)
         sampler = sample_phaseless if kind == MODULUS else sample_complex
         path = tmp_path / "samples.txt"
@@ -465,11 +500,66 @@ class TestSamplesOps:
         for i in edited:
             lines[i] = self.GAPS[gap](lines[i])
         path.write_text("\n".join(lines) + "\n")
-        lattice = forward._lattice_values(lines[2:], 1 if kind == MODULUS else 6)
-        assert (lattice is None) != gap.startswith("trailing")
         loaded = load_far_field(path)
-        assert np.array_equal(loaded.values, clean.values)
-        assert np.array_equal(loaded.grid.points, g.points)
+        assert whole_file_parses == ["loadtxt", "grid_of"]
+        assert loaded.values.tobytes() == clean.values.tobytes()
+        assert loaded.grid is g
+
+    # layouts that are no lattice block: each takes the whole-file parse and
+    # loads the values save_far_field wrote, on the lattice's grid unless a
+    # point moved
+    LAYOUTS = {
+        "three-digit exponent": lambda text: text,
+        "CRLF": lambda text: text.replace("\n", "\r\n"),
+        "trailing blank": lambda text: text[:-1] + " \n",
+        "nudged coordinate": lambda text: nudged(text, 9),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_other_layout_takes_the_whole_file_parse(
+        self, tetra, tmp_path, whole_file_parses, layout
+    ):
+        g = build_grid(500)
+        values = sample_phaseless(tetra, wave(0.5), g).values.copy()
+        if layout == "three-digit exponent":
+            values[7] = 1e-120  # written as a 24-character cell
+        s = FarFieldSamples(grid=g, values=values, wave=wave(0.5), kind=MODULUS)
+        path = tmp_path / "modulus.txt"
+        save_far_field(s, path)
+        path.write_bytes(self.LAYOUTS[layout](path.read_text()).encode())
+        whole_file_parses.clear()
+        loaded = load_far_field(path)
+        assert whole_file_parses == ["loadtxt", "grid_of"]
+        assert loaded.values.tobytes() == values.tobytes()
+        assert (loaded.grid is g) != (layout == "nudged coordinate")
+
+    # a block edited in one cell or one row end, its width kept, that
+    # np.loadtxt does not read as the block's numbers (float() takes the
+    # underscore and the NUL): (kind, offset of the edit from the row's end,
+    # the new text, the whole-file parse's error)
+    UNREAD_BLOCKS = {
+        "non-numeric cell": (MODULUS, -24, "+1.0000000000000000e+0x", "convert string"),
+        "underscore in a cell": (MODULUS, -24, "+1.00000000000000_0e+00", "convert string"),
+        "NUL in a cell": (MODULUS, -24, "+1.0000000000000000e+0\0", "convert string"),
+        "blank in a cell": (MODULUS, -24, "+1.00000000000000 0e+00", "from 4 to 5"),
+        "two rows on a line": (MODULUS, -1, " ", "from 4 to 8"),
+        "a row on two lines": (COMPLEX_E, -25, "\n", "from 9 to 8"),
+    }
+
+    @pytest.mark.parametrize("case", UNREAD_BLOCKS)
+    def test_block_that_does_not_parse_names_the_file(self, tetra, tmp_path, case):
+        kind, offset, text, reason = self.UNREAD_BLOCKS[case]
+        sampler = sample_phaseless if kind == MODULUS else sample_complex
+        path = tmp_path / "samples.txt"
+        save_far_field(sampler(tetra, wave(0.5), build_grid(500)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        row = lines[5]
+        i = len(row) + offset
+        lines[5] = row[:i] + text + row[i + len(text):]
+        assert len(lines[5]) == len(row)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{reason}.* at row"):
+            load_far_field(path)
 
     def test_moved_value_is_rejected(self, tetra, tmp_path):
         # row 7 ends with row 8's coordinates and row 8 holds only its value:
@@ -511,15 +601,27 @@ class TestSamplesOps:
         assert first.grid is not g
         assert load_far_field(path).grid is first.grid
 
-    def test_lattice_on_the_whole_file_parse_gets_the_lattice_grid(self, tetra, tmp_path):
+    def test_lattice_block_of_eleven_points_is_rejected(self, tmp_path):
+        # the block's grid has the whole-file parse's point floor
+        path = tmp_path / "modulus.txt"
+        rows = np.column_stack([fibonacci_points(11), np.ones(11)])
+        header = "# kind=modulus\n# k=1 d=1 0 0 p=0 0 1"
+        forward.save_table(path, rows, forward._POINT_FORMAT + forward._CELL, header)
+        message = re.escape(f"{path}: a grid needs at least 12 points, got 11")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_far_field(path)
+
+    def test_lattice_on_the_whole_file_parse_gets_the_lattice_grid(
+        self, tetra, tmp_path, whole_file_parses
+    ):
         g = build_grid(500)
         path = tmp_path / "modulus.txt"
         save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
         lines = path.read_text().splitlines()
         rows = [row.replace("  ", " ") for row in lines[2:]]
         path.write_text("\n".join(lines[:2] + rows) + "\n")
-        assert forward._lattice_values(rows, 1) is None
         assert load_far_field(path).grid is g
+        assert whole_file_parses == ["loadtxt", "grid_of"]
 
     @pytest.mark.parametrize("extra", ["", "# a note", "   "])
     def test_blank_or_comment_line_in_the_body(self, tetra, tmp_path, extra):
@@ -553,6 +655,7 @@ class TestSamplesOps:
     # non-numeric or commented-out value after intact lattice coordinates, a
     # short row and a long row; a non-numeric k, a 2-component d, a trailing
     # number, two k numbers, a repeated d, a missing p, an unknown key, a
+    # line break and a non-numeric line after the wave, a
     # negative k, a non-unit d and an unknown kind in the header
     MALFORMED = [
         (5, "0.5 0.5 abc  1.0", ""),
@@ -567,6 +670,7 @@ class TestSamplesOps:
         (1, "# k=12 d=1 0 0 d=1 0 0 p=0 0 1", "wave header repeats d="),
         (1, "# k=12 d=1 0 0", "wave header misses p="),
         (1, "# k=12 d=1 0 0 p=0 0 1 q=1", "unknown wave header key q="),
+        (1, "# k=12 d=1 0 0 p=0 0 1\rjunk", "convert string 'junk'"),
         (1, "# k=-12 d=1 0 0 p=0 0 1", "wavenumber"),
         (1, "# k=nan d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),
         (1, "# k=inf d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),

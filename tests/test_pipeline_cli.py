@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import INCIDENT_TABLE, write_experiment_config
-from polyscat import cli, forward, geometry, locator, maxima, minkowski, pipeline
+from polyscat import cli, forward, geometry, locator, maxima, minkowski, pipeline, sphgrid
 from polyscat.cli import build_parser, main
 from polyscat.forward import (
     NoiseModel,
@@ -486,7 +486,7 @@ class TestRecover:
         capsys.readouterr()
         for verb in ("synth", "check"):
             assert main([verb, str(cfg)]) == 1
-            assert capsys.readouterr() == ("", "error: missing 'obstacle'\n")
+            assert capsys.readouterr() == ("", f"error: {cfg}: missing 'obstacle'\n")
         assert read_tree(workspace / "blind") == blind
 
     def test_rewrites_longer_report_files_to_their_new_end(self, workspace):
@@ -615,6 +615,41 @@ class TestRecover:
         ]
         assert first["data/location.txt"] != second["data/location.txt"]
         assert reports[0] == reports[1]
+
+    def test_data_in_the_earlier_row_format_recovers_the_same(self, workspace, monkeypatch):
+        # data/ as an earlier synth wrote it, every number of a row %.17g:
+        # each file takes the whole-file parse and loads the same values on
+        # build_grid's own grid, and the recovery writes the same reports
+        sizes = dict(grid_shape=500, grid_loc=200, cutoff=6, cluster_angle_deg=10.0)
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **sizes)
+        config = parse_config(cfg)
+        written = {path: load_far_field(path) for path in synthesize_dataset(config)}
+        run_pipeline(config)
+        first = read_tree(workspace / "out")
+        for path, samples in written.items():
+            values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1)
+            rows = np.column_stack([samples.grid.points, values.view(float)])
+            line = "%.17g %.17g %.17g  " + " ".join(["%.17g"] * (rows.shape[1] - 3))
+            header = path.read_text().splitlines()[:2]
+            path.write_text("\n".join(header + [line % tuple(row) for row in rows]) + "\n")
+        whole_file_parses = []
+        grid_of = sphgrid.grid_of
+        monkeypatch.setattr(
+            sphgrid, "grid_of", lambda points: whole_file_parses.append(1) or grid_of(points)
+        )
+        for path, samples in written.items():
+            loaded = load_far_field(path)
+            assert loaded.values.tobytes() == samples.values.tobytes()
+            assert loaded.grid is build_grid(samples.grid.size)
+        assert len(whole_file_parses) == len(written)
+        run_pipeline(config)
+        second = read_tree(workspace / "out")
+        data = {name for name in first if name.startswith("data/")}
+        assert len(data) == len(written)
+        assert all(first[name] != second[name] for name in data)
+        assert {k: v for k, v in first.items() if k not in data} == {
+            k: v for k, v in second.items() if k not in data
+        }
 
     def test_po_location_data(self, workspace, tetra):
         # step 3 on the physical-optics field of the tetrahedron, not the
