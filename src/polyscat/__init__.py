@@ -9,7 +9,6 @@ low-frequency measurement pins down the location.
 
 from .forward import (
     COMPLEX_E,
-    COMPLEX_H,
     MODULUS,
     FarFieldSamples,
     NoiseModel,

@@ -28,8 +28,7 @@ from .sphgrid import SphericalGrid, fibonacci_points
 
 MODULUS = "modulus"
 COMPLEX_E = "complex-E"
-COMPLEX_H = "complex-H"
-_KINDS = (MODULUS, COMPLEX_E, COMPLEX_H)
+_KINDS = (MODULUS, COMPLEX_E)
 # the keys of the wave header line and the count of numbers each takes
 _WAVE_KEYS = {"k": 1, "d": 3, "p": 3}
 
@@ -81,7 +80,7 @@ class NoiseModel:
     """Multiplicative relative noise ``(1 + delta * r)`` with seeded gaussians."""
 
     delta: float
-    seed: int = 0
+    seed: int
 
     def __post_init__(self):
         if not 0 <= self.delta < math.inf:
@@ -92,34 +91,31 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class FarFieldSamples:
-    """Far-field data on a spherical grid.
-
-    ``values`` holds nonnegative moduli (shape ``(N,)``) for kind
-    ``modulus`` or complex tangential vectors (shape ``(N, 3)``, radial to
-    1e-9 of the largest modulus) for the complex kinds.
+    """Far-field data on a spherical grid, of the kind its values are:
+    ``N`` real nonnegative moduli, shape ``(N,)``, are kind ``modulus``, and
+    ``N`` complex tangential vectors of the electric field, shape ``(N,
+    3)`` and radial to 1e-9 of the largest modulus, are kind ``complex-E``.
+    Values of any other shape, or complex moduli, are a ``ValueError``.
     """
 
     grid: SphericalGrid
     values: np.ndarray
     wave: PlaneWave
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown far-field kind {self.kind!r}")
-        vals = np.asarray(self.values)
+        n, vals = self.grid.size, np.asarray(self.values)
+        numeric = "biuf" if vals.ndim == 1 else "biufc"  # dtype kinds; no complex moduli
+        if vals.shape not in ((n,), (n, 3)) or vals.dtype.kind not in numeric:
+            raise ValueError(f"far-field values must be {n} real moduli or {n} complex "
+                             f"3-vectors, not {vals.dtype} values of shape {vals.shape}")
         if not np.isfinite(vals).all():
             raise ValueError("far-field samples must be finite (no NaN or inf)")
-        if self.kind == MODULUS:
+        if vals.ndim == 1:
             vals = vals.astype(float)
-            if vals.shape != (self.grid.size,):
-                raise ValueError("modulus samples must be one value per grid point")
             if vals.min() < 0.0:
                 raise ValueError("moduli must be nonnegative")
         else:
             vals = vals.astype(complex)
-            if vals.shape != (self.grid.size, 3):
-                raise ValueError("complex samples must be one 3-vector per point")
             radial = np.abs(np.einsum("ij,ij->i", self.grid.points, vals))
             if radial.max() > 1e-9 * float(np.abs(vals).max()):
                 raise ValueError("complex far fields must be tangential")
@@ -127,8 +123,12 @@ class FarFieldSamples:
         object.__setattr__(self, "values", vals)
 
     @property
+    def kind(self) -> str:
+        return COMPLEX_E if self.is_complex else MODULUS
+
+    @property
     def is_complex(self) -> bool:
-        return self.kind != MODULUS
+        return self.values.ndim == 2
 
 
 def _frozen3(v) -> np.ndarray:
@@ -254,20 +254,16 @@ def sample_phaseless(
 ) -> FarFieldSamples:
     """Phaseless samples ``|E(xhat)|`` over a full spherical grid."""
     E, _ = po_far_field_grid(poly, wave, grid.points)
-    return FarFieldSamples(
-        grid=grid, values=np.linalg.norm(E, axis=1), wave=wave, kind=MODULUS
-    )
+    return FarFieldSamples(grid=grid, values=np.linalg.norm(E, axis=1), wave=wave)
 
 
 def sample_complex(
-    poly: ConvexPolyhedron, wave: PlaneWave, grid: SphericalGrid, kind: str = COMPLEX_E
+    poly: ConvexPolyhedron, wave: PlaneWave, grid: SphericalGrid
 ) -> FarFieldSamples:
-    """Complex far-field samples of the requested kind over a grid."""
-    if kind not in (COMPLEX_E, COMPLEX_H):
-        raise WrongKind(f"cannot sample complex data of kind {kind!r}")
-    E, H = po_far_field_grid(poly, wave, grid.points)
-    values = E if kind == COMPLEX_E else H
-    return FarFieldSamples(grid=grid, values=values, wave=wave, kind=kind)
+    """Complex electric far-field samples ``E(xhat)`` over a grid; the
+    magnetic field ``xhat x E`` carries nothing more."""
+    E, _ = po_far_field_grid(poly, wave, grid.points)
+    return FarFieldSamples(grid=grid, values=E, wave=wave)
 
 
 def apply_translation_phase(samples: FarFieldSamples, z) -> FarFieldSamples:
@@ -279,12 +275,8 @@ def apply_translation_phase(samples: FarFieldSamples, z) -> FarFieldSamples:
     phase = np.exp(
         1j * samples.wave.k * ((samples.wave.d - samples.grid.points) @ z)
     )
-    return FarFieldSamples(
-        grid=samples.grid,
-        values=samples.values * phase[:, None],
-        wave=samples.wave,
-        kind=samples.kind,
-    )
+    return FarFieldSamples(grid=samples.grid, values=samples.values * phase[:, None],
+                           wave=samples.wave)
 
 
 def add_noise(samples: FarFieldSamples, noise: NoiseModel) -> FarFieldSamples:
@@ -297,12 +289,8 @@ def add_noise(samples: FarFieldSamples, noise: NoiseModel) -> FarFieldSamples:
         raise WrongKind("the noise model applies to modulus samples")
     rng = np.random.default_rng(noise.seed)
     factors = 1.0 + noise.delta * rng.standard_normal(samples.grid.size)
-    return FarFieldSamples(
-        grid=samples.grid,
-        values=np.maximum(samples.values * factors, 0.0),
-        wave=samples.wave,
-        kind=MODULUS,
-    )
+    return FarFieldSamples(grid=samples.grid, values=np.maximum(samples.values * factors, 0.0),
+                           wave=samples.wave)
 
 
 def save_far_field(samples: FarFieldSamples, path):
@@ -325,14 +313,14 @@ def save_far_field(samples: FarFieldSamples, path):
     return save_table(path, np.column_stack([samples.grid.points, values]), line, header)
 
 
-def save_table(path, rows, line, header=""):
+def save_table(path, rows, line, header):
     """Write ``rows`` as ``np.savetxt(path, rows, fmt=line, header=header,
     comments="")`` would, with one ``%`` over the whole block instead of one
     per row; ``line`` formats one row.  The file is rewritten in place by
     :func:`~polyscat.geometry.write_text`.  Returns ``path``."""
     rows = np.asarray(rows, dtype=float)
     text = (line + "\n") * len(rows) % tuple(rows.ravel().tolist())
-    return write_text(path, header + "\n" + text if header else text)
+    return write_text(path, header + "\n" + text)
 
 
 def load_far_field(path) -> FarFieldSamples:
@@ -376,13 +364,14 @@ def load_far_field(path) -> FarFieldSamples:
         if data.shape[1] != m:
             raise ValueError(f"{'modulus' if m == 1 else 'complex'} rows need {m + 3} columns")
         values = data[:, 0] if m == 1 else np.ascontiguousarray(data).view(complex)
-        return FarFieldSamples(grid=grid, values=values, wave=wave, kind=kind)
+        return FarFieldSamples(grid=grid, values=values, wave=wave)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def _header(lines) -> tuple:
-    """The kind and the wave of the ``#`` lines opening ``lines``."""
+    """The kind and the wave of the ``#`` lines opening ``lines``; a second
+    ``kind=`` line or a second wave line is a ``ValueError``."""
     kind = wave = None
     for raw in lines:
         line = raw.strip()
@@ -390,8 +379,12 @@ def _header(lines) -> tuple:
             break
         body = line[1:].strip()
         if body.startswith("kind="):
+            if kind is not None:
+                raise ValueError("header repeats its kind= line")
             kind = body[5:].strip()
         elif re.match(r"[kdp]=", body):
+            if wave is not None:
+                raise ValueError("header repeats its wave line")
             wave = _wave_header(body)
     if kind is None or wave is None:
         raise ValueError("missing kind/wave header lines")

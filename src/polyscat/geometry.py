@@ -60,7 +60,7 @@ class EmptyInterior(GeometryError):
     """Some half-space offset is non-positive, so the origin is not interior."""
 
 
-def unit_vector(v, name="vector"):
+def unit_vector(v, name):
     """Return ``v`` normalized to unit length, rejecting near-zero input."""
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import COMPLEX_E, FarFieldSamples, PlaneWave, WrongKind
+from .forward import FarFieldSamples, PlaneWave, WrongKind, apply_translation_phase
 from .sphgrid import SphericalGrid, in_own_unit, points_for_degree
 
 
@@ -216,14 +216,11 @@ _ORACLE_WEIGHTS = (1.0, 0.7, 0.4, 0.8, 0.5, 0.3)
 
 def degree_one_oracle(grid: SphericalGrid, wave: PlaneWave, z0) -> FarFieldSamples:
     """Synthetic low-frequency far field: a fixed degree-1 tangential
-    combination carrying the translation phase of an obstacle at ``z0``.
+    combination, moved to an obstacle at ``z0`` by
+    :func:`~polyscat.forward.apply_translation_phase`.
 
     This is the measurement model the locator is exact for; the true
     low-frequency field of a small scatterer is degree-1 dominated.
     """
-    z0 = np.asarray(z0, dtype=float)
     combo = np.tensordot(_ORACLE_WEIGHTS, _degree_one_basis(grid.points), axes=1)
-    phase = np.exp(1j * wave.k * ((wave.d - grid.points) @ z0))
-    return FarFieldSamples(
-        grid=grid, values=combo * phase[:, None], wave=wave, kind=COMPLEX_E
-    )
+    return apply_translation_phase(FarFieldSamples(grid=grid, values=combo, wave=wave), z0)

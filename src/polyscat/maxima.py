@@ -73,9 +73,9 @@ class RecoveryThresholds:
     band limit of the smoothed patterns, not a selection knob.
     """
 
-    e_tol: float = 0.5
-    cluster_angle: float = math.radians(5.0)
-    cutoff: int = 10
+    e_tol: float
+    cluster_angle: float
+    cutoff: int
 
     def __post_init__(self):
         for name in ("e_tol", "cluster_angle"):

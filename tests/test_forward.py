@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -12,7 +13,6 @@ from conftest import TETRA_FACE_AREA, angle_deg
 from polyscat import forward, sphgrid
 from polyscat.forward import (
     COMPLEX_E,
-    COMPLEX_H,
     MODULUS,
     FarFieldSamples,
     NoiseModel,
@@ -296,12 +296,9 @@ class TestSamplesOps:
             apply_translation_phase(s, [1.0, 0, 0])
 
     def test_complex_ops_reject_the_other_kind(self, tetra):
-        g = build_grid(50)
-        with pytest.raises(WrongKind, match="^cannot sample complex data of kind 'modulus'$"):
-            sample_complex(tetra, wave(0.5), g, kind=MODULUS)
-        s = sample_complex(tetra, wave(0.5), g)
+        s = sample_complex(tetra, wave(0.5), build_grid(50))
         with pytest.raises(WrongKind, match="^the noise model applies to modulus samples$"):
-            add_noise(s, NoiseModel(0.1))
+            add_noise(s, NoiseModel(0.1, 0))
 
     def test_noise_zero_and_determinism(self, tetra):
         g = build_grid(500)
@@ -423,7 +420,7 @@ class TestSamplesOps:
         points = g.points.copy()
         points[7, 0] = np.nextafter(points[7, 0], 2.0)  # one ulp
         nudged = FarFieldSamples(
-            grid=SphericalGrid(points=points), values=s.values, wave=s.wave, kind=MODULUS
+            grid=SphericalGrid(points=points), values=s.values, wave=s.wave
         )
         path = tmp_path / "modulus.txt"
         save_far_field(nudged, path)
@@ -432,17 +429,15 @@ class TestSamplesOps:
         assert np.array_equal(loaded.grid.points, points)
 
     @pytest.mark.parametrize("n", [12, 500, 1000])
-    @pytest.mark.parametrize("kind", [MODULUS, COMPLEX_E, COMPLEX_H])
+    @pytest.mark.parametrize("kind", [MODULUS, COMPLEX_E])
     def test_lattice_file_parses_only_its_values(
         self, tetra, tmp_path, whole_file_parses, n, kind
     ):
         # the writer and the lattice recognition share one row layout: what
         # save_far_field writes loads with neither np.loadtxt nor grid_of
         g = build_grid(n)
-        if kind == MODULUS:
-            s = sample_phaseless(tetra, wave(0.5), g)
-        else:
-            s = sample_complex(tetra, wave(0.5), g, kind)
+        sampler = sample_phaseless if kind == MODULUS else sample_complex
+        s = sampler(tetra, wave(0.5), g)
         path = tmp_path / "samples.txt"
         save_far_field(s, path)
         full = np.loadtxt(path, comments="#", ndmin=2)
@@ -523,7 +518,7 @@ class TestSamplesOps:
         values = sample_phaseless(tetra, wave(0.5), g).values.copy()
         if layout == "three-digit exponent":
             values[7] = 1e-120  # written as a 24-character cell
-        s = FarFieldSamples(grid=g, values=values, wave=wave(0.5), kind=MODULUS)
+        s = FarFieldSamples(grid=g, values=values, wave=wave(0.5))
         path = tmp_path / "modulus.txt"
         save_far_field(s, path)
         path.write_bytes(self.LAYOUTS[layout](path.read_text()).encode())
@@ -593,7 +588,6 @@ class TestSamplesOps:
             grid=SphericalGrid(points=points),
             values=sample_phaseless(tetra, wave(0.5), g).values[::-1],
             wave=wave(0.5),
-            kind=MODULUS,
         )
         path = tmp_path / "modulus.txt"
         save_far_field(s, path)
@@ -656,7 +650,7 @@ class TestSamplesOps:
     # short row and a long row; a non-numeric k, a 2-component d, a trailing
     # number, two k numbers, a repeated d, a missing p, an unknown key, a
     # line break and a non-numeric line after the wave, a
-    # negative k, a non-unit d and an unknown kind in the header
+    # negative k, a non-unit d and two unknown kinds in the header
     MALFORMED = [
         (5, "0.5 0.5 abc  1.0", ""),
         (5, "{coordinates}  abc", ""),
@@ -676,6 +670,9 @@ class TestSamplesOps:
         (1, "# k=inf d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),
         (1, "# k=12 d=1 1 0 p=0 0 1", "unit vector"),
         (0, "# kind=foo", "kind 'foo'"),
+        # the magnetic far field xhat x E carries nothing the electric one
+        # lacks, and no file kind holds it
+        (0, "# kind=complex-H", "unknown far-field kind 'complex-H'"),
     ]
 
     @pytest.mark.parametrize(
@@ -710,6 +707,29 @@ class TestSamplesOps:
             w.k, w.d.tolist(), w.p.tolist()
         )
         assert got.values.tobytes() == written.values.tobytes()
+
+    # a header that says a thing twice, the same or not, on either side of
+    # the other header line or of a comment, is read neither way
+    REPEATED_HEADERS = {
+        "two kinds": (["# kind=complex-E", "# kind=modulus", "{wave}"], "kind= line"),
+        "one kind twice": (["# kind=modulus", "{wave}", "# kind=modulus"], "kind= line"),
+        "two waves": (["# kind=modulus", "{wave}", "# k=2 d=1 0 0 p=0 0 1"], "wave line"),
+        "one wave twice": (["{wave}", "# a note", "{wave}", "# kind=modulus"], "wave line"),
+        "both twice": (["# kind=complex-E", "# kind=modulus", "# k=5 d=0 1 0 p=0 0 1",
+                        "# k=2 d=1 0 0 p=0 0 1"], "kind= line"),
+    }
+
+    @pytest.mark.parametrize("case", REPEATED_HEADERS)
+    def test_repeated_header_line_names_the_file(self, tetra, tmp_path, case):
+        header, line = self.REPEATED_HEADERS[case]
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), build_grid(50)), path)
+        lines = path.read_text().splitlines()
+        header = [row.format(wave=lines[1]) for row in header]
+        path.write_text("\n".join(header + lines[2:]) + "\n")
+        message = re.escape(f"{path}: header repeats its {line}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_far_field(path)
 
     def test_missing_header_names_the_file(self, tetra, tmp_path):
         path = tmp_path / "modulus.txt"
@@ -788,21 +808,41 @@ class TestSamplesOps:
         with pytest.raises(ValueError, match=f"^{reason}$"):
             NoiseModel(delta=delta, seed=seed)
 
-    @pytest.mark.parametrize(
-        "kind, values, reason",
-        [
-            ("phase", lambda m: m, "unknown far-field kind 'phase'"),
-            (MODULUS, lambda m: m[:-1], "modulus samples must be one value per grid point"),
-            (MODULUS, lambda m: -m, "moduli must be nonnegative"),
-            (COMPLEX_E, lambda m: m, "complex samples must be one 3-vector per point"),
-        ],
-        ids=["unknown-kind", "short-moduli", "negative-moduli", "complex-as-moduli"],
-    )
-    def test_samples_reject_malformed_values(self, kind, values, reason):
+    # values of neither kind, from the 50 moduli of build_grid(50): the kind
+    # is read off the values, so each is rejected by its shape or dtype; and
+    # negative moduli
+    NEITHER = "far-field values must be 50 real moduli or 50 complex 3-vectors, not "
+    MALFORMED_VALUES = {
+        "unknown-kind": (lambda m: np.column_stack([m, m]),
+                         NEITHER + "float64 values of shape (50, 2)"),
+        "short-moduli": (lambda m: m[:-1], NEITHER + "float64 values of shape (49,)"),
+        "complex-as-moduli": (lambda m: m + 0j, NEITHER + "complex128 values of shape (50,)"),
+        "column-of-moduli": (lambda m: m[:, None], NEITHER + "float64 values of shape (50, 1)"),
+        "short-vectors": (lambda m: np.zeros((49, 3), complex),
+                          NEITHER + "complex128 values of shape (49, 3)"),
+        "text-moduli": (lambda m: m.astype(str), NEITHER + "<U32 values of shape (50,)"),
+        "negative-moduli": (lambda m: -m, "moduli must be nonnegative"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED_VALUES)
+    def test_samples_reject_malformed_values(self, case):
+        values, reason = self.MALFORMED_VALUES[case]
         g = build_grid(50)
-        moduli = np.linspace(1.0, 2.0, g.size)
-        with pytest.raises(ValueError, match=f"^{reason}$"):
-            FarFieldSamples(grid=g, values=values(moduli), wave=wave(), kind=kind)
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            FarFieldSamples(grid=g, values=values(np.linspace(1.0, 2.0, g.size)), wave=wave())
+
+    def test_kind_follows_the_values(self, tetra):
+        g = build_grid(50)
+        moduli = FarFieldSamples(grid=g, values=np.linspace(1.0, 2.0, g.size), wave=wave())
+        # a real tangential field is a complex one with no imaginary part
+        field = FarFieldSamples(grid=g, values=np.cross(g.points, [0.0, 0.0, 1.0]), wave=wave())
+        assert (moduli.kind, moduli.is_complex, moduli.values.dtype) == (MODULUS, False, float)
+        assert (field.kind, field.is_complex, field.values.dtype) == (COMPLEX_E, True, complex)
+        assert sample_complex(tetra, wave(0.5), g).kind == COMPLEX_E
+        assert add_noise(moduli, NoiseModel(0.1, 0)).kind == MODULUS
+        assert [f.name for f in dataclasses.fields(FarFieldSamples)] == ["grid", "values", "wave"]
+        with pytest.raises(AttributeError):
+            moduli.kind = COMPLEX_E
 
     def test_tangential_validation(self):
         g = build_grid(50)
@@ -810,4 +850,4 @@ class TestSamplesOps:
         # the tolerance is relative to the field's largest modulus
         for values in (bad, bad * 1e-12):
             with pytest.raises(ValueError, match="^complex far fields must be tangential$"):
-                FarFieldSamples(grid=g, values=values, wave=wave(), kind=COMPLEX_E)
+                FarFieldSamples(grid=g, values=values, wave=wave())

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from polyscat.forward import (
-    COMPLEX_E,
     FarFieldSamples,
     PlaneWave,
     WrongKind,
@@ -48,9 +47,7 @@ def translated_samples(grid, tetra, wave, z0, data):
 class TestIndicator:
     def test_projection_onto_own_basis(self, grid):
         U = locator._degree_one_basis(grid.points)[2]
-        samples = FarFieldSamples(
-            grid=grid, values=U.astype(complex), wave=LOW_WAVE, kind=COMPLEX_E
-        )
+        samples = FarFieldSamples(grid=grid, values=U.astype(complex), wave=LOW_WAVE)
         assert abs(indicator_values(samples, [[0.0, 0.0, 0.0]])[0] - 1.0) <= 1e-2
 
     def test_the_fewest_exact_points_read_indicator_one(self):
@@ -70,9 +67,7 @@ class TestIndicator:
         grad -= 2.0 * (x * z)[:, None] * grid.points
         norm2 = np.sum(grid.point_weights * np.einsum("ij,ij->i", grad, grad))
         U2 = grad / np.sqrt(norm2)
-        samples = FarFieldSamples(
-            grid=grid, values=U2.astype(complex), wave=LOW_WAVE, kind=COMPLEX_E
-        )
+        samples = FarFieldSamples(grid=grid, values=U2.astype(complex), wave=LOW_WAVE)
         assert indicator_values(samples, [[0.0, 0.0, 0.0]])[0] <= 1e-2
 
     def test_oracle_peaks_at_translation(self, grid):
@@ -97,7 +92,6 @@ class TestIndicator:
             grid=grid,
             values=samples.values * np.exp(1j * 0.73),
             wave=LOW_WAVE,
-            kind=COMPLEX_E,
         )
         z = np.array([15.0, 25.0, 35.0])
         assert abs(
@@ -124,7 +118,6 @@ class TestIndicator:
             grid=grid,
             values=np.zeros((grid.size, 3), complex),
             wave=LOW_WAVE,
-            kind=COMPLEX_E,
         )
         with pytest.raises(ZeroField):
             indicator_values(zero, [[0.0, 0.0, 0.0]])

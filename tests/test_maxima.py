@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,9 @@ from polyscat.sphgrid import (
     harmonic_basis,
     sht_forward,
 )
+
+# the settings of a config that sets none of e_tol, cluster_angle_deg and cutoff
+THRESHOLDS = RecoveryThresholds(e_tol=0.5, cluster_angle=math.radians(5.0), cutoff=10)
 
 X1 = np.array([-1.0 / 3.0, 0.0, 2.0 * np.sqrt(2.0) / 3.0])
 D1 = np.array([1.0, 0.0, 0.0])
@@ -211,7 +215,7 @@ class TestPeakSearch:
         peaks = find_local_maxima([exp])
         # a constant has no isolated maxima: everything is flat and equal
         assert_allclose(peaks.values, peaks.values[0], atol=1e-9)
-        thresholds = RecoveryThresholds(e_tol=peaks.values[0] + 1.0)
+        thresholds = replace(THRESHOLDS, e_tol=peaks.values[0] + 1.0)
         assert len(select_critical_directions(peaks, D1, thresholds)) == 0
 
     def test_tetrahedron_two_major_peaks(self, tetra):
@@ -231,9 +235,7 @@ class TestPeakSearch:
         peaks = find_local_maxima(frozen_expansions())
         assert peaks.failed_starts == 0
         directions = np.array([d for d, _ in INCIDENT_TABLE])
-        out = select_critical_directions(
-            peaks, directions[peaks.source_indices], RecoveryThresholds()
-        )
+        out = select_critical_directions(peaks, directions[peaks.source_indices], THRESHOLDS)
         assert out.source_indices.tolist() == [row[0] for row in MULTISTART_PEAKS_L05]
         for xhat, val, (_, ref_xhat, ref_val) in zip(
             out.directions, out.values, MULTISTART_PEAKS_L05
@@ -331,13 +333,13 @@ class TestSelection:
 
     def test_excludes_incident_neighborhood(self):
         peaks = self._peaks([D1, X1], [0.9, 0.7])
-        out = select_critical_directions(peaks, D1, RecoveryThresholds())
+        out = select_critical_directions(peaks, D1, THRESHOLDS)
         assert len(out) == 1
         assert_allclose(out.directions[0], X1)
 
     def test_threshold(self):
         peaks = self._peaks([X1, [0.0, 1.0, 0.0]], [0.7, 0.2])
-        out = select_critical_directions(peaks, D1, RecoveryThresholds(e_tol=0.5))
+        out = select_critical_directions(peaks, D1, THRESHOLDS)
         assert len(out) == 1
 
     def test_keeps_a_peak_on_either_threshold(self, monkeypatch):
@@ -351,7 +353,7 @@ class TestSelection:
         while np.arccos(np.nextafter(cos, 2.0)) >= maxima._EXCLUSION_RADIUS:
             cos = np.nextafter(cos, 2.0)
         outer, inner = ([c, math.sqrt(1.0 - c * c), 0.0] for c in (cos, np.nextafter(cos, 2.0)))
-        thresholds = RecoveryThresholds(e_tol=0.5)
+        thresholds = THRESHOLDS
         peaks = self._peaks([outer, outer, inner], [0.5, np.nextafter(0.5, 0.0), 0.5])
         assert critical_mask(peaks, D1, thresholds).tolist() == [True, False, False]
         out = select_critical_directions(peaks, D1, thresholds)
@@ -363,7 +365,7 @@ class TestSelection:
 
     def test_empty_and_idempotent(self):
         empty = self._peaks(np.zeros((0, 3)), [])
-        thresholds = RecoveryThresholds()
+        thresholds = THRESHOLDS
         assert len(select_critical_directions(empty, D1, thresholds)) == 0
         peaks = self._peaks([X1, D1, [0, 1.0, 0]], [0.8, 0.9, 0.6])
         once = select_critical_directions(peaks, D1, thresholds)
@@ -374,7 +376,7 @@ class TestSelection:
     def test_peak_at_incident_direction_yields_no_face(self):
         # a peak exactly at d, which does not invert, is dropped by the
         # exclusion radius; no face results and nothing raises
-        thresholds = RecoveryThresholds()
+        thresholds = THRESHOLDS
         alone = self._peaks([D1], [0.9])
         assert len(select_critical_directions(alone, D1, thresholds)) == 0
         none = peaks_to_faces(alone, [D1], 0.5, thresholds)
@@ -389,7 +391,7 @@ class TestSelection:
         # the radius's chord 2 sin 0.15 is far above inversion's floor
         # |xhat - d| >= 2e-6, so the peaks that do not invert are dropped
         # with the others near d, and every peak kept inverts
-        thresholds = RecoveryThresholds(e_tol=0.0)
+        thresholds = replace(THRESHOLDS, e_tol=0.0)
         angles = np.array([0.0, 1.99e-6, 2.01e-6, 1e-3, 0.29, 0.31, 2.0, math.pi])
         xhat = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(len(angles))])
         peaks = self._peaks(xhat, np.ones(len(angles)))
@@ -404,7 +406,7 @@ class TestSelection:
     def test_one_direction_per_row_is_each_direction_alone(self):
         peaks = self._peaks([X1, D1, [0, 1.0, 0], X1, -D1], [0.8, 0.9, 0.6, 0.7, 0.9])
         directions = np.array([D1, [0, 0, 1.0], D1, -D1, [0, 1.0, 0]])
-        thresholds = RecoveryThresholds()
+        thresholds = THRESHOLDS
         per_row = critical_mask(peaks, directions, thresholds)
         alone = [critical_mask(peaks, d, thresholds)[k] for k, d in enumerate(directions)]
         assert per_row.tolist() == alone
@@ -413,7 +415,7 @@ class TestSelection:
         # each direction's selected peaks, inverted one at a time, give the
         # batch's rows bit for bit, in table order, tagged with the
         # direction's position in the batch
-        thresholds = RecoveryThresholds()
+        thresholds = THRESHOLDS
         peaks = find_local_maxima(frozen_expansions())
         directions = [d for d, _ in INCIDENT_TABLE]
         for order, positions in (
@@ -448,14 +450,14 @@ class TestSelection:
     @pytest.mark.parametrize("name", ["e_tol", "cluster_angle"])
     def test_thresholds_must_be_nonnegative_and_finite(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite$"):
-            RecoveryThresholds(**{name: value})
+            replace(THRESHOLDS, **{name: value})
 
     def test_tetrahedron_selection(self, tetra):
         g = build_grid(7518)
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         exp = sht_forward(g, sample_phaseless(tetra, w, g).values, 10)
         peaks = find_local_maxima([exp])
-        out = select_critical_directions(peaks, D1, RecoveryThresholds(e_tol=0.5))
+        out = select_critical_directions(peaks, D1, THRESHOLDS)
         assert len(out) == 1
         assert angle_deg(out.directions[0], X1) < 8.0
 
@@ -501,7 +503,7 @@ class TestSignificantFaceProperty:
         # peak near its specular direction and an area within 15%
         lam = 0.5
         g = build_grid(7518)
-        thresholds = RecoveryThresholds(e_tol=0.3, cutoff=10)
+        thresholds = replace(THRESHOLDS, e_tol=0.3)
         for d, p in (
             (D1, np.array([0.0, 0, 1.0])),
             (np.array([0.0, 0, 1.0]), np.array([1.0, 0, 0])),

@@ -1108,6 +1108,33 @@ class TestCli:
         assert not any(p.suffix == ".csv" for p in (workspace / "out").iterdir())
 
     @pytest.mark.parametrize(
+        "verb, name, header, message",
+        [
+            ("recover", "shape_00.txt", ["# kind=complex-E", "# kind=modulus", "{wave}",
+                                         "# k=2 d=1 0 0 p=0 0 1"], "header repeats its kind= line"),
+            ("recover", "shape_00.txt", ["# kind=modulus", "{wave}", "# k=2 d=1 0 0 p=0 0 1"],
+             "header repeats its wave line"),
+            ("locate", "location.txt", ["# kind=complex-H", "{wave}"],
+             "unknown far-field kind 'complex-H'"),
+        ],
+        ids=["two-kinds", "two-waves", "magnetic-location"],
+    )
+    def test_a_data_file_of_no_one_reading_is_rejected(
+        self, workspace, capsys, verb, name, header, message
+    ):
+        # a header that says two things, or names the magnetic far field,
+        # which no file kind holds: the file is read neither way
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
+        path = workspace / "out" / "data" / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([row.format(wave=lines[1]) for row in header] + lines[2:]) + "\n")
+        capsys.readouterr()
+        assert main([verb, str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
+        assert not any(p.suffix == ".csv" for p in (workspace / "out").iterdir())
+
+    @pytest.mark.parametrize(
         "verb, name, rows, message",
         [
             ("recover", "shape_00.txt", 6, "a grid needs at least 12 points, got 6"),

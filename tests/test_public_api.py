@@ -1,7 +1,8 @@
 """Every name the package exports, every public module-level function and
 class of its modules, and every public method and property of those
 classes, has a caller outside the tests; every defaulted parameter and every
-config key is set there too, or allowed with a reason."""
+config key is set there too, and no default is set by every call there, or
+allowed with a reason."""
 
 import ast
 import re
@@ -119,8 +120,10 @@ ALLOWED_UNSET = {
     ("fit_offsets", "alpha0"): "a second start, set only by test_minkowski; the "
     "ROADMAP keeps it",
     ("polygon_fourier_integral", "normal"): "acceptance criterion 1",
-    ("sample_complex", "kind"): "names the kind of file to sample",
 }
+
+# defaulted parameters that every call in src/, demos/ or perfbench/ sets, and why
+ALLOWED_ALWAYS_SET: dict = {}
 
 
 def _defaulted(args, skip_self):
@@ -182,17 +185,31 @@ def calls():
     return found
 
 
+def _sets(position, name, count, keywords):
+    """Whether a call of ``count`` positional arguments and ``keywords`` sets
+    the parameter ``name`` at ``position``."""
+    return name in keywords or None in keywords or (position is not None and count > position)
+
+
 def unset_defaults(path, found):
-    unset = []
-    for callee, position, name in defaulted_parameters(path):
-        if not any(
-            name in keywords
-            or None in keywords
-            or (position is not None and count > position)
-            for count, keywords in found.get(callee, ())
-        ):
-            unset.append((callee, name))
-    return unset
+    """``(callee, name)`` of each defaulted parameter of ``path`` that no
+    call in ``found`` sets."""
+    return [
+        (callee, name)
+        for callee, position, name in defaulted_parameters(path)
+        if not any(_sets(position, name, *call) for call in found.get(callee, ()))
+    ]
+
+
+def always_set_defaults(path, found):
+    """``(callee, name)`` of each defaulted parameter of ``path`` that every
+    call in ``found`` sets, at least one call of its callee being there."""
+    return [
+        (callee, name)
+        for callee, position, name in defaulted_parameters(path)
+        if found.get(callee)
+        and all(_sets(position, name, *call) for call in found[callee])
+    ]
 
 
 def test_scan_sees_defaulted_parameters(tmp_path):
@@ -219,6 +236,11 @@ def test_scan_sees_defaulted_parameters(tmp_path):
     ]
     found = {"shown": [(2, set())], "method": [(0, {"e"})], "Record": [(1, set())]}
     assert unset_defaults(path, found) == [("shown", "c"), ("Record", "h")]
+    # b is set by its one call and e by one of two; Record has no call
+    found = {"shown": [(2, set())], "method": [(0, {"e"}), (0, set())]}
+    assert always_set_defaults(path, found) == [("shown", "b")]
+    found["method"].pop()
+    assert always_set_defaults(path, found) == [("shown", "b"), ("method", "e")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
@@ -231,6 +253,20 @@ def test_every_allowed_default_is_unset():
     found = calls()
     unset = {entry for path in MODULES for entry in unset_defaults(path, found)}
     assert set(ALLOWED_UNSET) <= unset, "stale ALLOWED_UNSET entries"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_default_is_set_by_every_caller(path):
+    always = set(always_set_defaults(path, calls())) - set(ALLOWED_ALWAYS_SET)
+    assert not always, (
+        f"defaults every call in src/, demos/ or perfbench/ sets: {sorted(always)}"
+    )
+
+
+def test_every_allowed_always_set_default_is_set():
+    found = calls()
+    always = {entry for path in MODULES for entry in always_set_defaults(path, found)}
+    assert set(ALLOWED_ALWAYS_SET) <= always, "stale ALLOWED_ALWAYS_SET entries"
 
 
 # config keys that no config writer in perfbench/ or demos/ sets, and why
