@@ -14,7 +14,6 @@ import numpy as np
 from polyscat import (
     NoiseModel,
     PlaneWave,
-    RecoveryThresholds,
     SampleRegion,
     add_noise,
     build_grid,
@@ -42,27 +41,28 @@ incident = [
     ((0, 0, 1), (1, 0, 0)), ((0, 0, -1), (1, 0, 0)),
 ]
 lam = 0.5
-thresholds = RecoveryThresholds(e_tol=0.5, cluster_angle=math.radians(10.0), cutoff=6)
+# step 1's settings: the peak threshold, the merge angle and the band limit
+e_tol, cluster_angle, cutoff = 0.5, math.radians(10.0), 6
 noise = NoiseModel(delta=0.0, seed=7)
 
 # Step 1: normals and areas from phaseless backscattering peaks; the peaks
 # of all six directions are searched, selected and inverted in one batch
 grid = build_grid(7518)
-waves, expansions = [], []
+waves, coefficients = [], []
 for idx, (d, p) in enumerate(incident):
     wave = PlaneWave(d=np.array(d, float), p=np.array(p, float), k=2 * math.pi / lam)
     samples = sample_phaseless(tetra, wave, grid)
     if noise.delta > 0:
         samples = add_noise(samples, NoiseModel(noise.delta, noise.seed + idx))
     waves.append(wave)
-    expansions.append(sht_forward(samples.grid, samples.values, thresholds.cutoff))
-peaks = find_local_maxima(expansions)
-faces = peaks_to_faces(peaks, [w.d for w in waves], lam, thresholds)
+    coefficients.append(sht_forward(samples.grid, samples.values, cutoff))
+peaks = find_local_maxima(coefficients)
+faces = peaks_to_faces(peaks, [w.d for w in waves], lam, e_tol)
 for name, table in (("maxima", peaks), ("critical", faces)):
     per_direction = np.bincount(table.source_indices, minlength=len(waves))
     print(f"{name} per direction: {per_direction.tolist()}")
 
-effective = cluster_effective_normals(faces, thresholds.cluster_angle)
+effective = cluster_effective_normals(faces, cluster_angle)
 print("\neffective normals (recovered vs true):")
 for j in range(len(effective)):
     nu = effective.normals[j]

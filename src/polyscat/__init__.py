@@ -31,7 +31,6 @@ from .locator import SampleRegion, degree_one_oracle, locate
 from .maxima import (
     PeakSet,
     RecoveredFaceSet,
-    RecoveryThresholds,
     cluster_effective_normals,
     find_local_maxima,
     normal_and_area_from_peak,
@@ -40,11 +39,6 @@ from .maxima import (
 )
 from .minkowski import OffsetFit, balance_areas, fit_offsets
 from .pipeline import ExperimentConfig, parse_config, run_pipeline, synthesize_dataset
-from .sphgrid import (
-    HarmonicExpansion,
-    SphericalGrid,
-    build_grid,
-    sht_forward,
-)
+from .sphgrid import SphericalGrid, build_grid, sht_forward
 
 __version__ = "0.1.0"

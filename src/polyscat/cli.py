@@ -87,7 +87,7 @@ def _cmd_check(args) -> int:
     # the peak law: each lit face peaks at its specular direction
     values = poly.areas[faces] * c / config.lambda_shape
     peaks = maxima.PeakSet(maxima.specular_direction(nu, d), values, source)
-    seen = maxima.critical_mask(peaks, d, config.thresholds)
+    seen = maxima.critical_mask(peaks, d, config.e_tol)
     angles = np.degrees(2.0 * np.arcsin(np.minimum(c, 1.0)))
     seen_by = [[] for _ in range(poly.num_faces)]
     for i, j, value, angle, kept in zip(source, faces, peaks.values, angles, seen):

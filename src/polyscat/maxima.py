@@ -10,16 +10,17 @@ The backscattering peak of face ``j`` sits at the specular direction
 
 and the peak magnitude yields the face area ``A = lambda |E| / |d . nu|``.
 Every unit ``xhat != d`` inverts to a front face (``d . nu < 0``), so
-selection needs only the exclusion radius and the peak threshold.  The peak
-search sees only the expansion, and polishes peaks on exact derivatives of
-its Cartesian form; the incident direction and the wavelength go to the
-stages that use them.
+selection needs only the exclusion radius and the peak threshold
+``e_tol``.  The peak search sees only the harmonic coefficients of each
+pattern, bare arrays from :func:`~polyscat.sphgrid.sht_forward` whose
+length ``(cutoff + 1)^2`` gives the cutoff, and polishes peaks on exact
+derivatives of their Cartesian form; the incident direction and the
+wavelength go to the stages that use them.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
@@ -62,27 +63,6 @@ class RecoveredFaceSet:
 
     def __len__(self) -> int:
         return len(self.areas)
-
-
-@dataclass(frozen=True)
-class RecoveryThresholds:
-    """Settings of step 1.
-
-    ``e_tol`` deletes weak maxima and ``cluster_angle`` (radians) merges
-    near-duplicate normals.  ``cutoff``, an integer >= 0, is the harmonic
-    band limit of the smoothed patterns, not a selection knob.
-    """
-
-    e_tol: float
-    cluster_angle: float
-    cutoff: int
-
-    def __post_init__(self):
-        for name in ("e_tol", "cluster_angle"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
-        if not isinstance(self.cutoff, numbers.Integral) or self.cutoff < 0:
-            raise ValueError(f"cutoff must be an integer >= 0, got {self.cutoff!r}")
 
 
 def _dot(a, b) -> np.ndarray:
@@ -129,6 +109,10 @@ _STEP_TOL = 1e-9
 _MAX_ITERATIONS = 50
 # a gradient below this fraction of the pattern's largest value is flat
 _FLAT_GRADIENT = 1e-10
+# a pattern whose lattice values span at most this fraction of its largest
+# modulus is flat and has no maxima: a constant's ripples are the rounding
+# of its lattice values, about 2e-15 of them at cutoff 6
+_FLAT_SPAN = 1e-12
 # polished peaks closer than this (radians) are one peak
 _DEDUP_ANGLE = math.radians(1.0)
 
@@ -161,23 +145,25 @@ def _seed_lattice(cutoff: int):
     return points, pairs, basis
 
 
-def _grid_seeds(expansions, cutoff: int):
+def _grid_seeds(coefficients, cutoff: int):
     """Points of a raw Fibonacci lattice sized to the band limit whose
-    surrogate value is at least that of every lattice neighbour.
+    surrogate value is at least that of every lattice neighbour; none for a
+    surrogate flat to ``_FLAT_SPAN`` on the lattice.
 
-    Returns ``(seeds, owner, scale)``: the seeds of all expansions stacked
-    in order, the expansion of each, and each expansion's largest modulus
-    on the lattice.  One basis of the lattice serves every expansion.
+    Returns ``(seeds, owner, scale)``: the seeds of all patterns stacked
+    in order, the pattern of each, and each pattern's largest modulus on
+    the lattice.  One basis of the lattice serves every pattern.
     """
     points, (i, j), B = _seed_lattice(cutoff)
     seeds, scale = [], []
-    for expansion in expansions:
-        values = B @ expansion.coefficients
+    for c in coefficients:
+        values = B @ c
         neighbour_max = np.full(len(points), -np.inf)
         np.maximum.at(neighbour_max, i, values[j])
         np.maximum.at(neighbour_max, j, values[i])
-        seeds.append(points[values >= neighbour_max])
         scale.append(np.abs(values).max())
+        flat = np.ptp(values) <= _FLAT_SPAN * scale[-1]
+        seeds.append(points[(values >= neighbour_max) & ~flat])
     owner = np.repeat(np.arange(len(seeds)), [len(s) for s in seeds])
     return np.concatenate(seeds), owner, np.array(scale)
 
@@ -214,11 +200,11 @@ def _cartesian_form(cutoff: int):
     return exponents, form
 
 
-def _polish(expansions, cutoff: int, seeds, owner, scale):
-    """Projected Newton ascent of the seeds of all expansions at once.
+def _polish(coefficients, cutoff: int, seeds, owner, scale):
+    """Projected Newton ascent of the seeds of all patterns at once.
 
     Each iteration evaluates the surrogates' Cartesian forms at the active
-    points (one monomial matrix, one product per expansion) for values,
+    points (one monomial matrix, one product per pattern) for values,
     gradients ``g`` and Hessians ``H``: on the sphere, the gradient is ``P g``
     and the Hessian ``P H P - (x . g) P``, ``P = I - x x^T`` (Absil et al.
     2008, 5.5).  It takes the Newton step where the Hessian is negative
@@ -227,12 +213,12 @@ def _polish(expansions, cutoff: int, seeds, owner, scale):
     a step below ``_STEP_TOL``, valued as before that step.
 
     Returns ``(points, values, seed_index, owner, failed)``: converged
-    points, their values, the seed each came from, its expansion, and per
-    expansion the number of seeds still moving after ``_MAX_ITERATIONS``.
+    points, their values, the seed each came from, its pattern, and per
+    pattern the number of seeds still moving after ``_MAX_ITERATIONS``.
     """
     exponents, form = _cartesian_form(cutoff)
     # each surrogate in its own unit: exact, and |g|^2 stays finite
-    coefficients, unit = in_own_unit([e.coefficients for e in expansions], scale[:, None])
+    coefficients, unit = in_own_unit(coefficients, scale[:, None])
     forms = [form @ c for c in coefficients]  # (K, 13) each
     x = seeds
     index = np.arange(len(seeds))
@@ -241,8 +227,8 @@ def _polish(expansions, cutoff: int, seeds, owner, scale):
         if len(x) == 0:
             break
         M = _monomials(x, exponents)
-        # owner is sorted: each expansion's points are one block of M
-        rows = np.searchsorted(owner, np.arange(len(expansions) + 1))
+        # owner is sorted: each pattern's points are one block of M
+        rows = np.searchsorted(owner, np.arange(len(coefficients) + 1))
         f = np.concatenate([M[a:b] @ c for c, a, b in zip(forms, rows, rows[1:])])
         f0, radial = f[:, 0], np.einsum("ki,ki->k", x, f[:, 1:4])
         g = f[:, 1:4] - radial[:, None] * x
@@ -267,7 +253,7 @@ def _polish(expansions, cutoff: int, seeds, owner, scale):
         finished = flat | (length < _STEP_TOL)
         done.append((x[finished], f0[finished], index[finished], owner[finished]))
         x, index, owner = x[~finished], index[~finished], owner[~finished]
-    failed = np.bincount(owner, minlength=len(expansions))
+    failed = np.bincount(owner, minlength=len(coefficients))
     points, values, seed_index, source = (np.concatenate(column) for column in zip(*done))
     return points, np.ldexp(values, unit[source, 0]), seed_index, source, failed
 
@@ -284,27 +270,29 @@ def _suppress(directions: np.ndarray, order, angle: float) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
-def find_local_maxima(expansions) -> PeakSet:
-    """The local maxima of band-limited expansions, all found in one batch,
-    as one :class:`PeakSet` whose ``source_indices`` are the expansions'
-    positions; the expansions share one cutoff (else ``ValueError``).
+def find_local_maxima(coefficients) -> PeakSet:
+    """The local maxima of band-limited patterns, all found in one batch,
+    as one :class:`PeakSet` whose ``source_indices`` are the patterns'
+    positions in ``coefficients``, a sequence of harmonic coefficient arrays
+    of one length ``(cutoff + 1)^2`` (else ``ValueError``).
 
     Seeds are the discrete maxima of each surrogate on a raw Fibonacci
     lattice of ``20 (cutoff + 1)^2`` points, each at least as high as every
     lattice point a Fibonacci number away in index and within
     ``_SEED_REACH`` spacings; all seeds are then polished together by
-    projected Newton ascent on exact sphere derivatives.  Per expansion, end
+    projected Newton ascent on exact sphere derivatives.  Per pattern, end
     points closer than ``_DEDUP_ANGLE`` are merged keeping the higher value.
-    Seeds still moving after the iteration cap are only counted, in
-    ``failed_starts``, never fatal.
+    A pattern flat on the lattice has no maxima.  Seeds still moving after
+    the iteration cap are only counted, in ``failed_starts``, never fatal.
     """
-    cutoffs = sorted({e.cutoff for e in expansions})
-    if len(cutoffs) != 1:
-        raise ValueError(f"expansions must share one cutoff, got {cutoffs}")
-    seeded = _grid_seeds(expansions, cutoffs[0])
-    points, values, seed_index, owner, failed = _polish(expansions, cutoffs[0], *seeded)
+    lengths = sorted({len(c) for c in coefficients})
+    root = math.isqrt(lengths[0]) if len(lengths) == 1 else 0
+    if root == 0 or root * root != lengths[0]:
+        raise ValueError(f"coefficients need one length (cutoff + 1)^2, got lengths {lengths}")
+    seeded = _grid_seeds(coefficients, root - 1)
+    points, values, seed_index, owner, failed = _polish(coefficients, root - 1, *seeded)
     kept = []
-    for k in range(len(expansions)):
+    for k in range(len(coefficients)):
         mine = np.flatnonzero(owner == k)
         order = np.lexsort((seed_index[mine], -values[mine]))
         kept.append(mine[_suppress(points[mine], order, _DEDUP_ANGLE)])
@@ -318,31 +306,29 @@ def _rows(table, keep):
     return replace(table, **{k: v[keep] for k, v in columns.items() if isinstance(v, np.ndarray)})
 
 
-def critical_mask(peaks: PeakSet, d, thresholds: RecoveryThresholds) -> np.ndarray:
+def critical_mask(peaks: PeakSet, d, e_tol: float) -> np.ndarray:
     """Mask of the critical peaks of ``d`` (one, or one per peak), the one
     rule that drops a peak: at least ``_EXCLUSION_RADIUS`` from ``d`` and at
     least ``e_tol`` high.  Every such unit direction inverts to a front-face
     normal: the specular law gives ``d . nu = -|xhat - d| / 2 < 0``."""
     d = np.asarray(d, dtype=float)
     distance = np.arccos(np.clip(_dot(peaks.directions, d), -1.0, 1.0))
-    return (distance >= _EXCLUSION_RADIUS) & (peaks.values >= thresholds.e_tol)
+    return (distance >= _EXCLUSION_RADIUS) & (peaks.values >= e_tol)
 
 
-def select_critical_directions(peaks: PeakSet, d, thresholds: RecoveryThresholds) -> PeakSet:
+def select_critical_directions(peaks: PeakSet, d, e_tol: float) -> PeakSet:
     """The peaks that :func:`critical_mask` keeps.  Idempotent."""
-    return _rows(peaks, critical_mask(peaks, d, thresholds))
+    return _rows(peaks, critical_mask(peaks, d, e_tol))
 
 
-def peaks_to_faces(
-    peaks: PeakSet, directions, wavelength: float, thresholds: RecoveryThresholds
-) -> RecoveredFaceSet:
+def peaks_to_faces(peaks: PeakSet, directions, wavelength: float, e_tol: float) -> RecoveredFaceSet:
     """Select the critical peaks, each of ``directions[source]``, and invert
     them into one face set with their ``source_indices``; ``ValueError`` if
     a source has no direction."""
     directions = np.asarray(directions, dtype=float).reshape(-1, 3)
     if np.any(peaks.source_indices >= len(directions)):
         raise ValueError(f"a peak's source has none of the {len(directions)} directions")
-    kept = select_critical_directions(peaks, directions[peaks.source_indices], thresholds)
+    kept = select_critical_directions(peaks, directions[peaks.source_indices], e_tol)
     d = directions[kept.source_indices]
     normals, areas = normal_and_area_from_peak(kept.directions, kept.values, d, wavelength)
     return RecoveredFaceSet(normals, areas, kept.values, kept.source_indices)

@@ -20,7 +20,8 @@ Config files are flat ``key = value`` text with one repeated key::
     step3_oracle = true
     output_dir = out
 
-``cutoff`` and ``noise_seed`` are integers >= 0; ``grid_shape`` is an
+``cutoff`` and ``noise_seed`` are integers >= 0, ``e_tol`` and
+``cluster_angle_deg`` numbers >= 0; ``grid_shape`` is an
 integer >= 12 and at least the ``(cutoff + 1)^2`` coefficients of the
 shape transform, and ``grid_loc`` at least the 144 points
 (:data:`~polyscat.locator.MIN_GRID_POINTS`) whose weights are exact to
@@ -103,13 +104,20 @@ class ExperimentConfig:
     lambda_loc: float
     grid_shape: int
     grid_loc: int
-    thresholds: maxima.RecoveryThresholds
+    e_tol: float
+    cluster_angle: float  # radians, from cluster_angle_deg
+    cutoff: int
     noise: forward.NoiseModel
     location: np.ndarray
     region: locator.SampleRegion
     step3_oracle: bool
 
     def __post_init__(self):
+        step1 = {"e_tol": self.e_tol, "cluster_angle_deg": self.cluster_angle,
+                 "cutoff": self.cutoff}
+        for key, value in step1.items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{key} must be nonnegative and finite")
         if self.grid_shape < 12:
             raise ValueError("grid_shape needs at least 12 points")
         if self.grid_loc < locator.MIN_GRID_POINTS:
@@ -117,11 +125,11 @@ class ExperimentConfig:
                 f"grid_loc = {self.grid_loc} is fewer than the {locator.MIN_GRID_POINTS} "
                 "points whose weights are exact to degree 2, as step 3 needs"
             )
-        need = (self.thresholds.cutoff + 1) ** 2
+        need = (self.cutoff + 1) ** 2
         if self.grid_shape < need:
             raise ValueError(
                 f"grid_shape = {self.grid_shape} is fewer points than the {need} "
-                f"coefficients of cutoff {self.thresholds.cutoff}"
+                f"coefficients of cutoff {self.cutoff}"
             )
         try:
             self.region.axes(self.loc_wave.k)
@@ -225,11 +233,6 @@ def _read_config(path: Path) -> ExperimentConfig:
     shape_waves = tuple(_plane_wave(line, "lambda_shape", lambda_shape) for line in incident)
     loc_wave = _plane_wave(incident[0], "lambda_loc", lambda_loc)
     output_dir = take_path("output_dir", "out")
-    thresholds = maxima.RecoveryThresholds(
-        e_tol=take("e_tol", 0.5),
-        cluster_angle=math.radians(take("cluster_angle_deg", 5.0)),
-        cutoff=take("cutoff", 10, kind=int),
-    )
     multistart = raw.pop("multistart", None)
     if multistart is not None:
         shape = _numbers("multistart", multistart, None, int)
@@ -250,7 +253,9 @@ def _read_config(path: Path) -> ExperimentConfig:
         lambda_loc=lambda_loc,
         grid_shape=take("grid_shape", 7518, kind=int),
         grid_loc=take("grid_loc", 1878, kind=int),
-        thresholds=thresholds,
+        e_tol=take("e_tol", 0.5),
+        cluster_angle=math.radians(take("cluster_angle_deg", 5.0)),
+        cutoff=take("cutoff", 10, kind=int),
         noise=noise,
         location=np.array(take("location", "0 0 0", 3)),
         region=region,
@@ -275,10 +280,24 @@ def _data_file(config: ExperimentConfig, index: int):
     return data / "location.txt", config.loc_wave, False, 1
 
 
+@contextmanager
+def _finite(path: Path, key: str, value):
+    """Raise a floating-point overflow or invalid value in the block, which
+    would make the far field of data file ``path`` not finite, as a
+    ``ValueError`` naming ``path`` and the config key that set ``value``."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{path}: {key} = {value} gives a far field that is not "
+                         f"finite ({exc})") from None
+
+
 def synthesize_dataset(config: ExperimentConfig) -> list:
     """The one writer of ``output_dir/data/``: write every data file over any
     already there, the moduli of each shape wave and step 3's complex field,
-    deterministically from ``obstacle``; return their paths."""
+    deterministically from ``obstacle``; return their paths.  A field that
+    overflows is a ``ValueError`` naming its file and key (:func:`_finite`)."""
     if config.obstacle is None:
         raise ValueError("missing 'obstacle'")
     try:
@@ -291,15 +310,20 @@ def synthesize_dataset(config: ExperimentConfig) -> list:
         path, wave, modulus, _ = _data_file(config, i)
         grid = sphgrid.build_grid(config.grid_shape if modulus else config.grid_loc)
         if modulus:
-            samples = forward.sample_phaseless(poly, wave, grid)
+            with _finite(path, "lambda_shape", config.lambda_shape):
+                samples = forward.sample_phaseless(poly, wave, grid)
             if config.noise.delta > 0:
                 noise = forward.NoiseModel(config.noise.delta, config.noise.seed + i)
-                samples = forward.add_noise(samples, noise)
-        elif config.step3_oracle:
-            samples = locator.degree_one_oracle(grid, wave, config.location)
+                with _finite(path, "noise_delta", noise.delta):
+                    samples = forward.add_noise(samples, noise)
         else:
-            samples = forward.sample_complex(poly, wave, grid)
-            samples = forward.apply_translation_phase(samples, config.location)
+            with _finite(path, "location", " ".join(map(repr, config.location.tolist()))):
+                if config.step3_oracle:
+                    samples = locator.degree_one_oracle(grid, wave, config.location)
+                else:
+                    samples = forward.apply_translation_phase(
+                        forward.sample_complex(poly, wave, grid), config.location
+                    )
         written.append(forward.save_far_field(samples, path))
     return written
 
@@ -316,7 +340,7 @@ def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
             samples = forward.load_far_field(path)
         except FileNotFoundError:
             raise ValueError(f"{path}: no such data file; polyscat synth writes it") from None
-        got, cutoff = samples.wave, config.thresholds.cutoff
+        got, cutoff = samples.wave, config.cutoff
         if samples.is_complex == modulus:
             need = "a shape file needs kind=modulus" if modulus else "step 3 needs a complex kind"
             error = f"kind={samples.kind}; {need}"
@@ -392,15 +416,14 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
         shape_samples = [_read(config, i) for i in range(len(config.shape_waves))]
 
         # Step 1: peaks -> normals and areas, all incident directions in one batch
-        t = config.thresholds
         with _stage("step1"):
             peaks = maxima.find_local_maxima(
-                [sphgrid.sht_forward(s.grid, s.values, t.cutoff) for s in shape_samples]
+                [sphgrid.sht_forward(s.grid, s.values, config.cutoff) for s in shape_samples]
             )
             raw_faces = maxima.peaks_to_faces(
-                peaks, [s.wave.d for s in shape_samples], config.lambda_shape, t
+                peaks, [s.wave.d for s in shape_samples], config.lambda_shape, config.e_tol
             )
-            effective = maxima.cluster_effective_normals(raw_faces, t.cluster_angle)
+            effective = maxima.cluster_effective_normals(raw_faces, config.cluster_angle)
         header = "source_d_index,nu_x,nu_y,nu_z,peak_value,area"
         for name, f in (("recovered_faces.csv", raw_faces), ("effective_normals.csv", effective)):
             columns = [f.source_indices, f.normals, f.peak_values, f.areas]

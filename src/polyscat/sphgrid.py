@@ -18,7 +18,9 @@ associated Legendre functions ``Pbar``.  It is evaluated only as a design
 matrix over ``(N, 3)`` points, :func:`harmonic_basis`, which runs the
 stable three-term recurrence once per order and whose column
 ``n^2 + n + m`` is ``Y(n,m)``; the transform and step 1's evaluations
-are products with it.  The locator's degree-1 vector harmonics are plain
+are products with it.  The transform, :func:`sht_forward`, returns a bare
+coefficient array whose length ``(cutoff + 1)^2`` is its only record of
+the cutoff.  The locator's degree-1 vector harmonics are plain
 Cartesian fields and are built in closed form in :mod:`polyscat.locator`.
 """
 
@@ -202,29 +204,14 @@ def harmonic_basis(points, n_c: int) -> np.ndarray:
 # forward transform
 
 
-@dataclass(frozen=True)
-class HarmonicExpansion:
-    """Real spherical-harmonic coefficients up to a cut-off degree.
-
-    ``coefficients[n^2 + n + m]`` stores the (n, m) coefficient.
-    """
-
-    cutoff: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.cutoff + 1) ** 2
-        if len(self.coefficients) != expected:
-            raise ValueError(f"expected {expected} coefficients")
-
-
-def sht_forward(grid: SphericalGrid, values, cutoff: int) -> HarmonicExpansion:
-    """Coefficients up to degree ``cutoff`` of the real per-point ``values``
-    on ``grid``, by the grid's quadrature weights and its kept basis."""
+def sht_forward(grid: SphericalGrid, values, cutoff: int) -> np.ndarray:
+    """The ``(cutoff + 1)^2`` real harmonic coefficients of the per-point
+    ``values`` on ``grid``, read-only, ``[n^2 + n + m]`` the ``(n, m)`` one:
+    by the grid's quadrature weights and its kept basis."""
     B = grid.basis(cutoff)
     coeffs = B.T @ (grid.point_weights * np.asarray(values, dtype=float))
     coeffs.flags.writeable = False
-    return HarmonicExpansion(cutoff=cutoff, coefficients=coeffs)
+    return coeffs
 
 
 def in_own_unit(values, peak):

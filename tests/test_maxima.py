@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ from polyscat.maxima import (
     DegenerateDirection,
     PeakSet,
     RecoveredFaceSet,
-    RecoveryThresholds,
     _cartesian_form,
     _monomials,
     _seed_lattice,
@@ -33,22 +32,21 @@ from polyscat.maxima import (
 )
 from polyscat.sphgrid import (
     FOUR_PI,
-    HarmonicExpansion,
     build_grid,
     fibonacci_points,
     harmonic_basis,
     sht_forward,
 )
 
-# the settings of a config that sets none of e_tol, cluster_angle_deg and cutoff
-THRESHOLDS = RecoveryThresholds(e_tol=0.5, cluster_angle=math.radians(5.0), cutoff=10)
+# the e_tol of a config that sets none
+E_TOL = 0.5
 
 X1 = np.array([-1.0 / 3.0, 0.0, 2.0 * np.sqrt(2.0) / 3.0])
 D1 = np.array([1.0, 0.0, 0.0])
 
 # Selected peaks (incident index, direction, value) of the paper tetrahedron
 # at lambda = 0.5, cutoff 6 on a 1,000-point grid with the default
-# thresholds, as found by a 5 x 11 Nelder-Mead multistart in (theta, phi).
+# e_tol, as found by a 5 x 11 Nelder-Mead multistart in (theta, phi).
 # The expansions they came from are frozen under tests/data/ (the grid of
 # that time was Lloyd-relaxed, so rebuilding them today gives others).
 DATA = Path(__file__).parent / "data"
@@ -65,13 +63,13 @@ MULTISTART_PEAKS_L05 = [
 
 
 def load_frozen_expansion(path):
-    """Expansion from the ``n m c`` lines of a file under ``tests/data/``."""
+    """Coefficients from the ``n m c`` lines of a file under ``tests/data/``."""
     n, m, c = np.loadtxt(path, unpack=True)
     n, m = n.astype(int), m.astype(int)
     cutoff = int(n.max())
     coeffs = np.zeros((cutoff + 1) ** 2)
     coeffs[n * n + n + m] = c
-    return HarmonicExpansion(cutoff=cutoff, coefficients=coeffs)
+    return coeffs
 
 
 def frozen_expansions():
@@ -214,9 +212,8 @@ class TestPeakSearch:
         exp = sht_forward(g, np.ones(g.size), 0)
         peaks = find_local_maxima([exp])
         # a constant has no isolated maxima: everything is flat and equal
-        assert_allclose(peaks.values, peaks.values[0], atol=1e-9)
-        thresholds = replace(THRESHOLDS, e_tol=peaks.values[0] + 1.0)
-        assert len(select_critical_directions(peaks, D1, thresholds)) == 0
+        assert len(peaks) == 0 and peaks.directions.shape == (0, 3)
+        assert peaks.failed_starts == 0
 
     def test_tetrahedron_two_major_peaks(self, tetra):
         g = build_grid(7518)
@@ -235,7 +232,7 @@ class TestPeakSearch:
         peaks = find_local_maxima(frozen_expansions())
         assert peaks.failed_starts == 0
         directions = np.array([d for d, _ in INCIDENT_TABLE])
-        out = select_critical_directions(peaks, directions[peaks.source_indices], THRESHOLDS)
+        out = select_critical_directions(peaks, directions[peaks.source_indices], E_TOL)
         assert out.source_indices.tolist() == [row[0] for row in MULTISTART_PEAKS_L05]
         for xhat, val, (_, ref_xhat, ref_val) in zip(
             out.directions, out.values, MULTISTART_PEAKS_L05
@@ -266,10 +263,7 @@ class TestPeakSearch:
     @pytest.mark.parametrize("cutoff", [10, 16])
     def test_batch_equals_one_at_a_time_random(self, cutoff):
         rng = np.random.default_rng(cutoff)
-        expansions = [
-            HarmonicExpansion(cutoff, rng.normal(size=(cutoff + 1) ** 2))
-            for _ in range(3)
-        ]
+        expansions = [rng.normal(size=(cutoff + 1) ** 2) for _ in range(3)]
         singles = [find_local_maxima([e]) for e in expansions]
         self.assert_bit_equal(find_local_maxima(expansions), singles)
         self.assert_bit_equal(find_local_maxima(expansions[::-1]), singles[::-1])
@@ -280,11 +274,11 @@ class TestPeakSearch:
         # largest lattice value; a 9-point stencil's bias leaves 1.8e-8
         expansions = frozen_expansions()
         peaks = find_local_maxima(expansions)
-        for k, e in enumerate(expansions):
-            scale = np.abs(_seed_lattice(e.cutoff)[2] @ e.coefficients).max()
+        for k, c in enumerate(expansions):
+            scale = np.abs(_seed_lattice(6)[2] @ c).max()
             t = _H * np.arange(-2.0, 3.0)
             mine = peaks.directions[peaks.source_indices == k]
-            slopes = along_great_circles(mine, e.cutoff, t)[0] @ e.coefficients @ _D1
+            slopes = along_great_circles(mine, 6, t)[0] @ c @ _D1
             assert np.hypot(slopes[:, 0], slopes[:, 1]).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("cutoff", [*range(11), 16])
@@ -313,9 +307,16 @@ class TestPeakSearch:
                         atol=_H**4 / 90 * cutoff**6 * largest + np.abs(_D2).sum() * noise)
 
     def test_batch_with_mixed_cutoffs_rejected(self):
-        mixed = [HarmonicExpansion(c, np.ones((c + 1) ** 2)) for c in (6, 7)]
-        with pytest.raises(ValueError, match="cutoff"):
+        # the cutoff is read off the length: 49 and 64 are cutoffs 6 and 7
+        mixed = [np.ones((c + 1) ** 2) for c in (6, 7)]
+        with pytest.raises(ValueError, match=r"got lengths \[49, 64\]$"):
             find_local_maxima(mixed)
+
+    @pytest.mark.parametrize("lengths", [(5,), (0,), (8, 8), ()], ids=["5", "0", "8-8", "none"])
+    def test_coefficients_of_no_cutoff_rejected(self, lengths):
+        # a length that is no square (cutoff + 1)^2 >= 1 has no cutoff
+        with pytest.raises(ValueError, match=re.escape(f"got lengths {sorted(set(lengths))}")):
+            find_local_maxima([np.ones(n) for n in lengths])
 
     def test_peaks_unit_and_sorted(self, tetra):
         g = build_grid(3000)
@@ -333,13 +334,13 @@ class TestSelection:
 
     def test_excludes_incident_neighborhood(self):
         peaks = self._peaks([D1, X1], [0.9, 0.7])
-        out = select_critical_directions(peaks, D1, THRESHOLDS)
+        out = select_critical_directions(peaks, D1, E_TOL)
         assert len(out) == 1
         assert_allclose(out.directions[0], X1)
 
     def test_threshold(self):
         peaks = self._peaks([X1, [0.0, 1.0, 0.0]], [0.7, 0.2])
-        out = select_critical_directions(peaks, D1, THRESHOLDS)
+        out = select_critical_directions(peaks, D1, E_TOL)
         assert len(out) == 1
 
     def test_keeps_a_peak_on_either_threshold(self, monkeypatch):
@@ -353,36 +354,33 @@ class TestSelection:
         while np.arccos(np.nextafter(cos, 2.0)) >= maxima._EXCLUSION_RADIUS:
             cos = np.nextafter(cos, 2.0)
         outer, inner = ([c, math.sqrt(1.0 - c * c), 0.0] for c in (cos, np.nextafter(cos, 2.0)))
-        thresholds = THRESHOLDS
         peaks = self._peaks([outer, outer, inner], [0.5, np.nextafter(0.5, 0.0), 0.5])
-        assert critical_mask(peaks, D1, thresholds).tolist() == [True, False, False]
-        out = select_critical_directions(peaks, D1, thresholds)
+        assert critical_mask(peaks, D1, E_TOL).tolist() == [True, False, False]
+        out = select_critical_directions(peaks, D1, E_TOL)
         assert out.values.tolist() == [0.5]
         # no float's arccos is 0.3 here; with the radius on the outer peak's
         # own distance, that peak is still kept
         monkeypatch.setattr(maxima, "_EXCLUSION_RADIUS", float(np.arccos(cos)))
-        assert critical_mask(peaks, D1, thresholds).tolist() == [True, False, False]
+        assert critical_mask(peaks, D1, E_TOL).tolist() == [True, False, False]
 
     def test_empty_and_idempotent(self):
         empty = self._peaks(np.zeros((0, 3)), [])
-        thresholds = THRESHOLDS
-        assert len(select_critical_directions(empty, D1, thresholds)) == 0
+        assert len(select_critical_directions(empty, D1, E_TOL)) == 0
         peaks = self._peaks([X1, D1, [0, 1.0, 0]], [0.8, 0.9, 0.6])
-        once = select_critical_directions(peaks, D1, thresholds)
-        twice = select_critical_directions(once, D1, thresholds)
+        once = select_critical_directions(peaks, D1, E_TOL)
+        twice = select_critical_directions(once, D1, E_TOL)
         assert_allclose(once.directions, twice.directions)
         assert_allclose(once.values, twice.values)
 
     def test_peak_at_incident_direction_yields_no_face(self):
         # a peak exactly at d, which does not invert, is dropped by the
         # exclusion radius; no face results and nothing raises
-        thresholds = THRESHOLDS
         alone = self._peaks([D1], [0.9])
-        assert len(select_critical_directions(alone, D1, thresholds)) == 0
-        none = peaks_to_faces(alone, [D1], 0.5, thresholds)
+        assert len(select_critical_directions(alone, D1, E_TOL)) == 0
+        none = peaks_to_faces(alone, [D1], 0.5, E_TOL)
         assert len(none) == 0 and none.normals.shape == (0, 3)
         table = self._peaks([D1, D1, D1, D1, X1], [0.9] * 4 + [0.7], [0, 1, 2, 3, 3])
-        faces = peaks_to_faces(table, [D1] * 4, 0.5, thresholds)
+        faces = peaks_to_faces(table, [D1] * 4, 0.5, E_TOL)
         assert len(faces) == 1
         assert_allclose(faces.normals[0], normal_and_area_from_peak(X1, 0.7, D1, 0.5)[0])
         assert faces.source_indices.tolist() == [3]
@@ -391,31 +389,28 @@ class TestSelection:
         # the radius's chord 2 sin 0.15 is far above inversion's floor
         # |xhat - d| >= 2e-6, so the peaks that do not invert are dropped
         # with the others near d, and every peak kept inverts
-        thresholds = replace(THRESHOLDS, e_tol=0.0)
         angles = np.array([0.0, 1.99e-6, 2.01e-6, 1e-3, 0.29, 0.31, 2.0, math.pi])
         xhat = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(len(angles))])
         peaks = self._peaks(xhat, np.ones(len(angles)))
-        kept = critical_mask(peaks, D1, thresholds)
+        kept = critical_mask(peaks, D1, 0.0)
         assert kept.tolist() == [False] * 5 + [True] * 3
         with pytest.raises(DegenerateDirection):
             normal_and_area_from_peak(xhat[:2], 1.0, D1, 0.5)
-        faces = peaks_to_faces(peaks, [D1], 0.5, thresholds)
+        faces = peaks_to_faces(peaks, [D1], 0.5, 0.0)
         inverted, _ = normal_and_area_from_peak(xhat[kept], 1.0, D1, 0.5)
         assert faces.normals.tobytes() == inverted.tobytes()
 
     def test_one_direction_per_row_is_each_direction_alone(self):
         peaks = self._peaks([X1, D1, [0, 1.0, 0], X1, -D1], [0.8, 0.9, 0.6, 0.7, 0.9])
         directions = np.array([D1, [0, 0, 1.0], D1, -D1, [0, 1.0, 0]])
-        thresholds = THRESHOLDS
-        per_row = critical_mask(peaks, directions, thresholds)
-        alone = [critical_mask(peaks, d, thresholds)[k] for k, d in enumerate(directions)]
+        per_row = critical_mask(peaks, directions, E_TOL)
+        alone = [critical_mask(peaks, d, E_TOL)[k] for k, d in enumerate(directions)]
         assert per_row.tolist() == alone
 
     def test_batch_is_each_selected_peak_inverted_alone(self):
         # each direction's selected peaks, inverted one at a time, give the
         # batch's rows bit for bit, in table order, tagged with the
         # direction's position in the batch
-        thresholds = THRESHOLDS
         peaks = find_local_maxima(frozen_expansions())
         directions = [d for d, _ in INCIDENT_TABLE]
         for order, positions in (
@@ -431,12 +426,12 @@ class TestSelection:
             for position, d in enumerate(ds):
                 mine = sources == position
                 out = select_critical_directions(
-                    self._peaks(table.directions[mine], table.values[mine]), d, thresholds
+                    self._peaks(table.directions[mine], table.values[mine]), d, E_TOL
                 )
                 for xhat, value in zip(out.directions, out.values):
                     nu, area = normal_and_area_from_peak(xhat, value, d, 0.5)
                     expected.append((position, nu, area, value))
-            faces = peaks_to_faces(table, ds, 0.5, thresholds)
+            faces = peaks_to_faces(table, ds, 0.5, E_TOL)
             source, normals, areas, values = zip(*expected)
             assert faces.source_indices.tolist() == list(source) == positions
             assert faces.source_indices.dtype == int
@@ -444,20 +439,14 @@ class TestSelection:
             assert faces.areas.tobytes() == np.array(areas).tobytes()
             assert faces.peak_values.tobytes() == np.array(values).tobytes()
         with pytest.raises(ValueError, match="source"):
-            peaks_to_faces(peaks, directions[:5], 0.5, thresholds)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    @pytest.mark.parametrize("name", ["e_tol", "cluster_angle"])
-    def test_thresholds_must_be_nonnegative_and_finite(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite$"):
-            replace(THRESHOLDS, **{name: value})
+            peaks_to_faces(peaks, directions[:5], 0.5, E_TOL)
 
     def test_tetrahedron_selection(self, tetra):
         g = build_grid(7518)
         w = PlaneWave(d=D1, p=np.array([0.0, 0, 1.0]), k=4.0 * math.pi)
         exp = sht_forward(g, sample_phaseless(tetra, w, g).values, 10)
         peaks = find_local_maxima([exp])
-        out = select_critical_directions(peaks, D1, THRESHOLDS)
+        out = select_critical_directions(peaks, D1, E_TOL)
         assert len(out) == 1
         assert angle_deg(out.directions[0], X1) < 8.0
 
@@ -503,14 +492,13 @@ class TestSignificantFaceProperty:
         # peak near its specular direction and an area within 15%
         lam = 0.5
         g = build_grid(7518)
-        thresholds = replace(THRESHOLDS, e_tol=0.3)
         for d, p in (
             (D1, np.array([0.0, 0, 1.0])),
             (np.array([0.0, 0, 1.0]), np.array([1.0, 0, 0])),
         ):
             w = PlaneWave(d=d, p=p, k=2.0 * math.pi / lam)
-            exp = sht_forward(g, sample_phaseless(tetra, w, g).values, thresholds.cutoff)
-            faces = peaks_to_faces(find_local_maxima([exp]), [d], lam, thresholds)
+            exp = sht_forward(g, sample_phaseless(tetra, w, g).values, 10)
+            faces = peaks_to_faces(find_local_maxima([exp]), [d], lam, 0.3)
             front = [j for j in range(4) if tetra.normals[j] @ d < -0.1]
             for j in front:
                 angles = [

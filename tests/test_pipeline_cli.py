@@ -106,7 +106,7 @@ class TestConfig:
         config = parse_config(cfg)
         assert config.obstacle == (workspace / "tetra.obs").resolve()
         assert len(config.shape_waves) == 6
-        assert config.thresholds.cutoff == 6
+        assert config.cutoff == 6
         assert config.noise.delta == 0.5
         assert config.grid_shape == 2000
         assert config.step3_oracle is True
@@ -141,6 +141,18 @@ class TestConfig:
         bad.write_text(with_line(plain, f"cutoff = {value}"))
         with pytest.raises(ValueError, match=r"bad\.cfg: cutoff must be"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("value", ["-1", "inf", "nan"])
+    @pytest.mark.parametrize("key", ["e_tol", "cluster_angle_deg", "cutoff"])
+    def test_rejects_step1_setting_out_of_range(self, workspace, key, value):
+        # each of step 1's settings is a number >= 0, and the error names
+        # the key of the config, not the config's field (cluster_angle)
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        bad = workspace / "bad.cfg"
+        bad.write_text(with_line(plain, f"{key} = {value}"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: {key} must be "):
+            parse_config(bad)
+        assert main(["recover", str(bad)]) == 1
 
     @pytest.mark.parametrize(
         "line", ["grid_shape = 3", "grid_loc = 0", "grid_loc = 143", "grid_shape = 40"]
@@ -196,7 +208,7 @@ class TestConfig:
         cfg.write_text(block)
         config = parse_config(cfg)
         assert config.obstacle == (tmp_path / "tetrahedron.obs").resolve()
-        assert config.thresholds.cutoff == 10
+        assert config.cutoff == 10
         assert {wave.k for wave in config.shape_waves} == {2.0 * math.pi / 0.5}
         assert config.loc_wave.k == 2.0 * math.pi / 50.0
 
@@ -396,6 +408,32 @@ class TestSynth:
             )
             synthesize_dataset(parse_config(cfg))
         assert read_tree(workspace / "a") == read_tree(workspace / "b")
+
+    @pytest.mark.parametrize(
+        "key, value, name",
+        [
+            ("noise_delta", "1e308", "shape_00.txt"),
+            ("lambda_shape", "1e-300", "shape_00.txt"),
+            ("location", "1e308 1e308 1e308", "location.txt"),
+        ],
+    )
+    def test_a_far_field_that_overflows_names_its_file_and_key(
+        self, workspace, capsys, key, value, name
+    ):
+        # the noise factors 1 + 1e308 r, the wavevectors 2 pi / 1e-300 (d -
+        # xhat) and the phases k (d - xhat) . z at z = 1e308 overflow: exit 1,
+        # naming the data file and the key, and no RuntimeWarning, which
+        # the suite's warning filter would raise
+        plain = write_experiment_config(workspace / "plain.cfg", "tetra.obs", **FAST)
+        bad = workspace / "bad.cfg"
+        bad.write_text(with_line(plain, f"{key} = {value}"))
+        assert main(["synth", str(bad)]) == 1
+        path = workspace / "out" / "data" / name
+        shown = " ".join(repr(float(v)) for v in value.split())
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: {key} = {shown} gives a far field that is not finite ("
+        )
+        assert not path.exists()
 
     def test_rewrites_an_edited_data_file(self, workspace):
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
@@ -705,6 +743,19 @@ class TestRecover:
             run_pipeline(config)
         assert "step1" in str(err.value)
 
+    def test_flat_data_have_no_peaks(self, workspace, capsys):
+        # a constant modulus has no local maxima: its rounding-level ripples
+        # once gave hundreds of peaks and a body with exit 0
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        config = parse_config(cfg)
+        for path in synthesize_dataset(config)[:-1]:
+            samples = load_far_field(path)
+            flat = np.ones(samples.grid.size)
+            save_far_field(forward.FarFieldSamples(samples.grid, flat, samples.wave), path)
+        assert main(["recover", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error [step1] only 0 effective normals; need at least 4\n"
+
     def test_missing_obstacle_is_tagged_synth(self, workspace):
         cfg = write_experiment_config(workspace / "exp.cfg", "nope.obs", **FAST)
         with pytest.raises(PipelineError, match=r"^\[synth\] cannot load obstacle: ") as err:
@@ -827,11 +878,12 @@ class TestCli:
         seen = re.findall(r"^d(\d+) face (\d+): .*, seen$", capsys.readouterr().out, re.M)
         config = parse_config(cfg)
         samples = [load_far_field(path) for path in synthesize_dataset(config)[:-1]]
-        t = config.thresholds
         peaks = maxima.find_local_maxima(
-            [sht_forward(s.grid, s.values, t.cutoff) for s in samples]
+            [sht_forward(s.grid, s.values, config.cutoff) for s in samples]
         )
-        raw = maxima.peaks_to_faces(peaks, [s.wave.d for s in samples], config.lambda_shape, t)
+        raw = maxima.peaks_to_faces(
+            peaks, [s.wave.d for s in samples], config.lambda_shape, config.e_tol
+        )
         cos = raw.normals @ poly.normals.T
         near = cos.max(axis=1) >= math.cos(math.radians(10.0))
         found = zip(raw.source_indices[near], cos.argmax(axis=1)[near])
