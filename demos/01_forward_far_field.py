@@ -39,13 +39,13 @@ for j in lit:
     nu = tetra.normals[j]
     xj = specular_direction(nu, wave.d)
     law = tetra.areas[j] * abs(wave.d @ nu) / lam
-    E, _ = po_far_field_grid(tetra, wave, xj[None])
+    E = po_far_field_grid(tetra, wave, xj[None])
     print(
         f"face {j}: specular direction {np.round(xj, 4)}, "
         f"|E| there = {np.linalg.norm(E):.4f}, law |C||d.nu|/lambda = {law:.4f}"
     )
 
-E_d, _ = po_far_field_grid(tetra, wave, wave.d[None])
+E_d = po_far_field_grid(tetra, wave, wave.d[None])
 print(f"at xhat = d: |E| = {np.linalg.norm(E_d):.4f} (second major peak)")
 
 grid = build_grid(7518)

@@ -16,8 +16,10 @@ line per direction and lit face and one line per face naming the
 directions that see it, and exits with code 3 when some face is seen from
 none, since step 2 cannot rebuild it.
 
-Exit code 0 on success; a config or obstacle error exits 1, and a failed
-pipeline stage exits 2, with the message on stderr.
+Exit code 0 on success; a config or obstacle error, an ``OSError`` or a
+``ValueError`` naming its file or key, exits 1, and a failed pipeline stage,
+a :class:`~polyscat.pipeline.PipelineError` naming the stage, exits 2, with
+the message on stderr.
 """
 
 from __future__ import annotations

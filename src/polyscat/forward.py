@@ -1,11 +1,12 @@
 """Physical-optics far fields for convex polyhedral perfect conductors.
 
 Only illuminated (front) faces carry surface current; each face contributes
-a closed-form Fourier integral over its polygon.  The magnetic far field is
+a closed-form Fourier integral over its polygon.  The electric far field is
 
-    ``H(xhat) = (i k / 2 pi) sum_front xhat x [nu x (d x p)] * I(k(d - xhat))``
+    ``E(xhat) = (i k / 2 pi) sum_front [xhat x (nu x (d x p))] x xhat * I(k(d - xhat))``
 
-with ``I`` the polygon integral of ``exp(i q . y)``, and ``E = H x xhat``.
+with ``I`` the polygon integral of ``exp(i q . y)``; the magnetic far field
+``xhat x E`` carries nothing more.
 The polygon integral reduces by the in-plane divergence theorem to a sum of
 stable per-edge sinc terms; a per-triangle power series takes over when the
 tangential wavevector is small and the edge sum would cancel.
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import ConvexPolyhedron, DegenerateFace, area_floor, lit_faces, write_text
+from .geometry import ConvexPolyhedron, GeometryError, area_floor, lit_faces, write_text
 from . import sphgrid
 from .sphgrid import SphericalGrid, fibonacci_points
 
@@ -42,10 +43,6 @@ _CELL = "%+.16e"
 _CELL_WIDTH = len(_CELL % 0.0)
 _POINT_FORMAT = f"{_CELL} {_CELL} {_CELL}  "
 _POINT_WIDTH = len(_POINT_FORMAT % (0.0, 0.0, 0.0))
-
-
-class WrongKind(ValueError):
-    """Operation applied to far-field samples of an incompatible kind."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ def _polygon_integrals(vertices, normal, Q) -> np.ndarray:
     nvec = np.cross(V, np.roll(V, -1, axis=0)).sum(axis=0)
     area2 = np.linalg.norm(nvec)
     if 0.5 * area2 <= area_floor(V):
-        raise DegenerateFace(f"polygon area {0.5 * area2:.3g} is at or below {area_floor(V):.3g}")
+        raise GeometryError(f"polygon area {0.5 * area2:.3g} is at or below {area_floor(V):.3g}")
     nu = nvec / area2
     if normal is not None and abs(float(np.asarray(normal, dtype=float) @ nu)) < 0.99:
         raise ValueError("supplied normal is not perpendicular to the polygon")
@@ -230,11 +227,8 @@ def polygon_fourier_integral(vertices, q, normal=None) -> complex:
     return complex(_polygon_integrals(V, normal, np.asarray(q, dtype=float))[0])
 
 
-def po_far_field_grid(poly: ConvexPolyhedron, wave: PlaneWave, points):
-    """Electric and magnetic far-field vectors at many observation directions.
-
-    Returns ``(E, H)`` arrays of shape ``(M, 3)``.
-    """
+def po_far_field_grid(poly: ConvexPolyhedron, wave: PlaneWave, points) -> np.ndarray:
+    """The electric far field ``E`` at many observation directions, ``(M, 3)``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     Q = wave.k * (wave.d - pts)
     H = np.zeros((len(pts), 3), dtype=complex)
@@ -245,32 +239,29 @@ def po_far_field_grid(poly: ConvexPolyhedron, wave: PlaneWave, points):
         lever = np.cross(poly.normals[j], cross_dp)
         H += integral[:, None] * np.cross(pts, lever)
     H *= 1j * wave.k / (2.0 * math.pi)
-    E = np.cross(H, pts)
-    return E, H
+    return np.cross(H, pts)
 
 
 def sample_phaseless(
     poly: ConvexPolyhedron, wave: PlaneWave, grid: SphericalGrid
 ) -> FarFieldSamples:
     """Phaseless samples ``|E(xhat)|`` over a full spherical grid."""
-    E, _ = po_far_field_grid(poly, wave, grid.points)
+    E = po_far_field_grid(poly, wave, grid.points)
     return FarFieldSamples(grid=grid, values=np.linalg.norm(E, axis=1), wave=wave)
 
 
 def sample_complex(
     poly: ConvexPolyhedron, wave: PlaneWave, grid: SphericalGrid
 ) -> FarFieldSamples:
-    """Complex electric far-field samples ``E(xhat)`` over a grid; the
-    magnetic field ``xhat x E`` carries nothing more."""
-    E, _ = po_far_field_grid(poly, wave, grid.points)
-    return FarFieldSamples(grid=grid, values=E, wave=wave)
+    """Complex electric far-field samples ``E(xhat)`` over a grid."""
+    return FarFieldSamples(grid=grid, values=po_far_field_grid(poly, wave, grid.points), wave=wave)
 
 
 def apply_translation_phase(samples: FarFieldSamples, z) -> FarFieldSamples:
     """Far field of the obstacle translated by ``z``: multiply by the
     unimodular factor ``exp(i k (d - xhat) . z)``."""
     if not samples.is_complex:
-        raise WrongKind("translation phase applies to complex far fields only")
+        raise ValueError("translation phase applies to complex far fields only")
     z = np.asarray(z, dtype=float)
     phase = np.exp(
         1j * samples.wave.k * ((samples.wave.d - samples.grid.points) @ z)
@@ -286,7 +277,7 @@ def add_noise(samples: FarFieldSamples, noise: NoiseModel) -> FarFieldSamples:
     generator, so output is reproducible.
     """
     if samples.is_complex:
-        raise WrongKind("the noise model applies to modulus samples")
+        raise ValueError("the noise model applies to modulus samples")
     rng = np.random.default_rng(noise.seed)
     factors = 1.0 + noise.delta * rng.standard_normal(samples.grid.size)
     return FarFieldSamples(grid=samples.grid, values=np.maximum(samples.values * factors, 0.0),

@@ -37,27 +37,8 @@ MIN_FACE_AREA = 1e-12
 
 
 class GeometryError(ValueError):
-    """Base class for polyhedron construction and intersection failures."""
-
-
-class NonPlanarFace(GeometryError):
-    """A face's vertices do not lie on a common plane."""
-
-
-class NotConvex(GeometryError):
-    """A vertex lies strictly outside some face plane."""
-
-
-class DegenerateFace(GeometryError):
-    """A face has (near-)zero area or fewer than three distinct vertices."""
-
-
-class Unbounded(GeometryError):
-    """Half-space normals do not positively span space; intersection unbounded."""
-
-
-class EmptyInterior(GeometryError):
-    """Some half-space offset is non-positive, so the origin is not interior."""
+    """A body that does not exist: a face that is degenerate, not planar or
+    not convex, or half spaces that bound no solid around the origin."""
 
 
 def unit_vector(v, name):
@@ -190,7 +171,8 @@ def build_polyhedron(vertices, faces) -> ConvexPolyhedron:
 
     Raises
     ------
-    NonPlanarFace, NotConvex, DegenerateFace
+    GeometryError
+        If a face is degenerate, not planar or not convex.
     """
     V = np.asarray(vertices, dtype=float)
     if V.ndim != 2 or V.shape[1] != 3:
@@ -204,7 +186,7 @@ def build_polyhedron(vertices, faces) -> ConvexPolyhedron:
     faces_t = tuple(tuple(map(int, f)) for f in faces)
     for f in faces_t:
         if len(f) < 3 or len(set(f)) != len(f):
-            raise DegenerateFace(f"face {f} needs >= 3 distinct vertices")
+            raise GeometryError(f"face {f} needs >= 3 distinct vertices")
         if min(f) < 0 or max(f) >= len(V):
             raise ValueError(f"face {f} references a missing vertex")
     sizes = np.array([len(f) for f in faces_t])
@@ -245,11 +227,11 @@ def _polyhedron(V, flat, sizes, rel_tol: float) -> ConvexPolyhedron:
     if bad.any():
         # the first bad face, by its first failed check
         j = int(np.argmax(bad.any(axis=0)))
-        raise (
-            DegenerateFace(f"face {j} has area {areas[j]:.3g}"),
-            NonPlanarFace(f"face {j} deviates from its plane beyond {tol:.3g}"),
-            NotConvex(f"face {j} is not a convex counterclockwise cycle"),
-        )[int(np.argmax(bad[:, j]))]
+        raise GeometryError((
+            f"face {j} has area {areas[j]:.3g}",
+            f"face {j} deviates from its plane beyond {tol:.3g}",
+            f"face {j} is not a convex counterclockwise cycle",
+        )[int(np.argmax(bad[:, j]))])
 
     slack = V @ normals.T - offsets  # (nv, m), <= 0 inside
     worst = float(slack.max())
@@ -258,12 +240,10 @@ def _polyhedron(V, flat, sizes, rel_tol: float) -> ConvexPolyhedron:
         hint = ""
         if np.min(slack[:, j]) > -tol:
             hint = " (face cycle possibly clockwise)"
-        raise NotConvex(
-            f"vertex protrudes {worst:.3g} beyond face {j} plane{hint}"
-        )
+        raise GeometryError(f"vertex protrudes {worst:.3g} beyond face {j} plane{hint}")
     balance = areas @ normals
     if np.linalg.norm(balance) > rel_tol * areas.sum():
-        raise NotConvex("face set does not close up (area-weighted normals != 0)")
+        raise GeometryError("face set does not close up (area-weighted normals != 0)")
 
     return ConvexPolyhedron(
         vertices=_frozen(V),
@@ -309,10 +289,9 @@ def halfspace_intersection(normals, offsets) -> IntersectionResult:
     ------
     ValueError
         If the normals or offsets are malformed or not finite.
-    EmptyInterior
-        If some offset is non-positive.
-    Unbounded
-        If the intersection is not a bounded solid.
+    GeometryError
+        If some offset is non-positive or the intersection is not a
+        bounded solid.
     """
     return dual_hull(unit_normals(normals), offsets).body()
 
@@ -330,13 +309,13 @@ def unit_normals(normals) -> np.ndarray:
     if not np.isfinite(N).all():
         raise ValueError("normals must be finite")
     if len(N) < 4:
-        raise Unbounded("fewer than 4 half spaces cannot bound a solid")
+        raise GeometryError("fewer than 4 half spaces cannot bound a solid")
     norms = np.linalg.norm(N, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("normals must be unit vectors")
     N = N / norms[:, None]
     if np.linalg.matrix_rank(N, tol=1e-9) < 3:
-        raise Unbounded("normals do not span 3-space")
+        raise GeometryError("normals do not span 3-space")
     return N
 
 
@@ -397,10 +376,9 @@ def dual_hull(normals: np.ndarray, offsets) -> DualHull:
     ------
     ValueError
         If the offsets are malformed or not finite.
-    EmptyInterior
-        If some offset is non-positive.
-    Unbounded
-        If the intersection is not a bounded solid.
+    GeometryError
+        If some offset is non-positive or the intersection is not a
+        bounded solid.
     """
     a = np.asarray(offsets, dtype=float)
     if a.shape != (len(normals),):
@@ -408,16 +386,16 @@ def dual_hull(normals: np.ndarray, offsets) -> DualHull:
     if not np.isfinite(a).all():
         raise ValueError("offsets must be finite")
     if (a <= 0.0).any():
-        raise EmptyInterior("all offsets must be strictly positive")
+        raise GeometryError("all offsets must be strictly positive")
     dual = normals / a[:, None]
     try:
         hull = ConvexHull(dual)
     except QhullError as exc:
-        raise Unbounded("degenerate dual hull; normals do not positively span") from exc
+        raise GeometryError("degenerate dual hull; normals do not positively span") from exc
     eqs = hull.equations  # rows [n, b] with n.x + b <= 0 inside
     dual_scale = float(np.abs(dual).max())
     if (eqs[:, 3] > -1e-12 * dual_scale).any():
-        raise Unbounded("normals do not positively span 3-space")
+        raise GeometryError("normals do not positively span 3-space")
     # Each dual facet plane n.x = -b maps to the primal vertex n / (-b).
     prim = -eqs[:, :3] / eqs[:, 3:4]
     return DualHull(normals, hull.simplices, hull.neighbors, prim)
@@ -459,7 +437,8 @@ def write_text(path, text: str):
 
 
 def load_obstacle(path) -> ConvexPolyhedron:
-    """Parse the obstacle text format (1-based face indices, ``#`` comments)."""
+    """Parse the obstacle text format (1-based face indices, ``#`` comments).
+    Every ``ValueError`` names ``path``."""
     vertices = []
     faces = []
     with open(path) as fh:
@@ -479,4 +458,7 @@ def load_obstacle(path) -> ConvexPolyhedron:
                     raise ValueError("expected 'v x y z' or 'f i1 i2 ...'")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return build_polyhedron(np.array(vertices), faces)
+    try:
+        return build_polyhedron(np.array(vertices), faces)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -24,12 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import FarFieldSamples, PlaneWave, WrongKind, apply_translation_phase
+from .forward import FarFieldSamples, PlaneWave, apply_translation_phase
 from .sphgrid import SphericalGrid, in_own_unit, points_for_degree
-
-
-class ZeroField(ValueError):
-    """Far-field samples are 0 at every point; the indicator is undefined."""
 
 
 @dataclass(frozen=True)
@@ -95,11 +91,11 @@ def _degree_one_basis(points) -> np.ndarray:
 def _degree_one_projector(samples: FarFieldSamples):
     """Projections ``g_b[i] = w_i (E_i . W_b,i)`` and the norm, of ``E`` in its own unit."""
     if not samples.is_complex:
-        raise WrongKind("the indicator needs complex tangential samples")
+        raise ValueError("the indicator needs complex tangential samples")
     grid, w = samples.grid, samples.grid.point_weights
     E, _ = in_own_unit(samples.values, np.abs(samples.values).max())
     if not E.any():
-        raise ZeroField("far field is 0 at every sample")
+        raise ValueError("far field is 0 at every sample")
     norm2 = float(np.sum(w * np.einsum("ij,ij->i", E, E.conj()).real))
     G = w * np.einsum("ij,bij->bi", E, _degree_one_basis(grid.points))  # (6, N)
     K = samples.wave.k * (samples.wave.d - grid.points)  # (N, 3)

@@ -35,10 +35,6 @@ _MIN_CHORD = 2e-6  # |xhat - d| below which a peak gives no face
 _EXCLUSION_RADIUS = 0.3
 
 
-class DegenerateDirection(ValueError):
-    """Peak direction within ``_MIN_CHORD`` of the incident direction."""
-
-
 @dataclass(frozen=True)
 class PeakSet:
     """Local maxima of smoothed patterns, source after source, each by descending value."""
@@ -82,7 +78,7 @@ def normal_and_area_from_peak(xhat, value, d, wavelength):
 
     Raises
     ------
-    DegenerateDirection
+    ValueError
         If some ``|xhat - d| < _MIN_CHORD``: for unit ``xhat`` and ``d`` that
         is ``|d . nu| = |xhat - d| / 2 < 1e-6``, a normal nearly parallel to
         the incident direction and no meaningful area.
@@ -92,7 +88,7 @@ def normal_and_area_from_peak(xhat, value, d, wavelength):
     # |xhat - d| equals sqrt(2 (1 - xhat . d)) but has no cancellation
     chord = np.sqrt(_dot(delta, delta))
     if np.any(chord < _MIN_CHORD):
-        raise DegenerateDirection("peak direction within 2e-6 of the incident one")
+        raise ValueError("peak direction within 2e-6 of the incident one")
     nu = delta / chord[..., None]
     area = wavelength * value / np.abs(_dot(d, nu))
     return nu, area

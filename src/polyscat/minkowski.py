@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import INTERSECTION_REL_TOL, ConvexPolyhedron, DegenerateFace
-from .geometry import DualHull, GeometryError, NonPlanarFace, NotConvex
+from .geometry import INTERSECTION_REL_TOL, ConvexPolyhedron, DualHull, GeometryError
 from .geometry import area_floor, cross_rows, dual_hull, unit_normals
 
 
@@ -149,13 +148,13 @@ def _state(N: np.ndarray, tables, offsets: np.ndarray) -> _State:
     tol = INTERSECTION_REL_TOL * float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
     slack = vertices @ N.T - offsets  # (triangles, planes), <= 0 inside
     if np.abs(slack[np.arange(len(simplices))[:, None], simplices]).max() > tol:
-        raise NonPlanarFace(f"a vertex deviates from its planes beyond {tol:.3g}")
+        raise GeometryError(f"a vertex deviates from its planes beyond {tol:.3g}")
     if slack.max() > tol:
-        raise NotConvex(f"vertex protrudes {slack.max():.3g} beyond a face plane")
+        raise GeometryError(f"vertex protrudes {slack.max():.3g} beyond a face plane")
     if (areas[kept] < area_floor(vertices)).any():
-        raise DegenerateFace(f"a face has area {areas[kept].min():.3g}")
+        raise GeometryError(f"a face has area {areas[kept].min():.3g}")
     if np.linalg.norm(areas @ N) > INTERSECTION_REL_TOL * areas.sum():
-        raise NotConvex("face set does not close up (area-weighted normals != 0)")
+        raise GeometryError("face set does not close up (area-weighted normals != 0)")
 
     # 12 times the first moment, from the cones (origin, foot h_i nu_i of
     # face i, edge): with d = (h_j - h_i cos) / sin the signed distance from

@@ -38,16 +38,17 @@ indicator's maximum over ``region``, scanned half a wavelength of
 <n_phi>`` line from older configs is accepted and ignored with a warning:
 step 1 seeds its peak search from a lattice sized by ``cutoff``.
 
-:func:`synthesize_dataset` alone writes ``output_dir/data/``, and it and
-``polyscat check`` alone read ``obstacle``.  The recovery only reads the
-data, in the stages ``load``, ``step1``, ``step2`` and ``step3``, run in a
-straight line.  ``load`` rejects a missing file, naming ``polyscat synth``,
-and a file whose kind, ``k``, ``d`` or ``p`` is not what synthesis writes
-there: ``shape_NN.txt`` the moduli of shape wave ``NN``, ``location.txt``
-the complex field of step 3's wave.  A stage's failure raises a
-:class:`PipelineError` tagged with its name, and ``synth`` tags an
-obstacle that cannot be loaded.  A failed recovery removes every report
-file it did not write, so no file of an earlier run stays beside its own;
+:func:`synthesize_dataset` alone writes ``output_dir/data/``, every file or
+none, and it and ``polyscat check`` alone read ``obstacle``.  The recovery
+only reads the data, in the stages ``load``, ``step1``, ``step2`` and
+``step3``, run in a straight line.  ``load`` rejects a missing file, naming
+``polyscat synth``, and a file whose kind, ``k``, ``d`` or ``p`` is not what
+synthesis writes there: ``shape_NN.txt`` the moduli of shape wave ``NN``,
+``location.txt`` the complex field of step 3's wave.  A stage's failure
+raises a :class:`PipelineError` tagged with its name; an obstacle that
+cannot be loaded is a config error, naming the obstacle file.  A failed
+recovery removes every report file it did not write, so no file of an
+earlier run stays beside its own;
 a failed :func:`locate_obstacle` does the same with the two step-3 files,
 and leaves ``recovered_located.obs``, which only the recovery writes.
 
@@ -296,16 +297,15 @@ def _finite(path: Path, key: str, value):
 def synthesize_dataset(config: ExperimentConfig) -> list:
     """The one writer of ``output_dir/data/``: write every data file over any
     already there, the moduli of each shape wave and step 3's complex field,
-    deterministically from ``obstacle``; return their paths.  A field that
-    overflows is a ``ValueError`` naming its file and key (:func:`_finite`)."""
+    deterministically from ``obstacle``; return their paths.  Every file's
+    samples are computed before any is written, so an error, such as a
+    field that overflows (a ``ValueError`` naming its file and key, see
+    :func:`_finite`), leaves ``data/`` as it was; a failed write removes
+    every data file, so no file of an earlier run stays beside a new one."""
     if config.obstacle is None:
         raise ValueError("missing 'obstacle'")
-    try:
-        poly = geometry.load_obstacle(config.obstacle)
-    except (OSError, ValueError) as exc:
-        raise PipelineError("synth", f"cannot load obstacle: {exc}") from exc
-    (config.output_dir / "data").mkdir(parents=True, exist_ok=True)
-    written = []
+    poly = geometry.load_obstacle(config.obstacle)
+    files = []
     for i in range(len(config.shape_waves) + 1):
         path, wave, modulus, _ = _data_file(config, i)
         grid = sphgrid.build_grid(config.grid_shape if modulus else config.grid_loc)
@@ -324,8 +324,11 @@ def synthesize_dataset(config: ExperimentConfig) -> list:
                     samples = forward.apply_translation_phase(
                         forward.sample_complex(poly, wave, grid), config.location
                     )
-        written.append(forward.save_far_field(samples, path))
-    return written
+        files.append((path, samples))
+    (config.output_dir / "data").mkdir(parents=True, exist_ok=True)
+    # the block keeps no file it writes: a failed write removes them all
+    with _report_files(config.output_dir / "data", [path.name for path, _ in files]):
+        return [forward.save_far_field(samples, path) for path, samples in files]
 
 
 def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:

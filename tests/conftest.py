@@ -123,6 +123,16 @@ def prism():
     return make_prism()
 
 
+def write_clockwise_obstacle(path, poly, face):
+    """Write ``poly`` in the obstacle format with the cycle of ``face``
+    reversed, a file that lists no convex body; return ``path``."""
+    faces = [f[::-1] if j == face else f for j, f in enumerate(poly.faces)]
+    lines = ["v " + " ".join(map(repr, v)) for v in poly.vertices.tolist()]
+    lines += ["f " + " ".join(str(i + 1) for i in f) for f in faces]
+    Path(path).write_text("\n".join(lines) + "\n")
+    return Path(path)
+
+
 def angle_deg(u, v):
     u = np.asarray(u, float)
     v = np.asarray(v, float)

@@ -52,7 +52,7 @@ def maximize_far_field(poly, wave, start):
     """Local maximum of raw PO |E| from a starting direction."""
 
     def neg(x):
-        E, _ = po_far_field_grid(poly, wave, _sph(*x)[None, :])
+        E = po_far_field_grid(poly, wave, _sph(*x)[None, :])
         return -float(np.linalg.norm(E[0]))
 
     t0 = math.acos(np.clip(start[2], -1.0, 1.0))

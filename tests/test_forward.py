@@ -17,7 +17,6 @@ from polyscat.forward import (
     FarFieldSamples,
     NoiseModel,
     PlaneWave,
-    WrongKind,
     add_noise,
     apply_translation_phase,
     load_far_field,
@@ -27,7 +26,7 @@ from polyscat.forward import (
     sample_phaseless,
     save_far_field,
 )
-from polyscat.geometry import DegenerateFace, lit_faces
+from polyscat.geometry import GeometryError, lit_faces
 from polyscat.sphgrid import SphericalGrid, build_grid, fibonacci_points
 from quadrature_oracle import polygon_quadrature
 
@@ -99,7 +98,7 @@ class TestPolygonIntegral:
     @pytest.mark.parametrize(
         "vertices, normal, error, reason",
         [
-            ([[0, 0, 0], [1, 0, 0], [2, 0, 0]], None, DegenerateFace,
+            ([[0, 0, 0], [1, 0, 0], [2, 0, 0]], None, GeometryError,
              "polygon area 0 is at or below 4e-12"),
             ([[0, 0, 0], [1, 0, 0], [1, 1, 0]], [1.0, 0, 0], ValueError,
              "supplied normal is not perpendicular to the polygon"),
@@ -173,14 +172,13 @@ class TestPolygonIntegral:
 
 class TestFarField:
     def test_critical_direction_peak_value(self, tetra):
-        (E,), (H,) = po_far_field_grid(tetra, wave(0.5), X1[None])
+        (E,) = po_far_field_grid(tetra, wave(0.5), X1[None])
         law = TETRA_FACE_AREA * 0.81649658 / 0.5
         assert_allclose(np.linalg.norm(E), law, rtol=1e-7)
-        assert_allclose(np.linalg.norm(H), np.linalg.norm(E), rtol=1e-12)
 
     def test_incident_direction_value(self, tetra):
         w = wave(0.5)
-        (E,), _ = po_far_field_grid(tetra, w, w.d[None])
+        (E,) = po_far_field_grid(tetra, w, w.d[None])
         assert_allclose(np.linalg.norm(E), 0.70710678, rtol=1e-7)
 
     def test_field_identities(self, tetra):
@@ -188,11 +186,9 @@ class TestFarField:
         rng = np.random.default_rng(1)
         xs = rng.normal(size=(20, 3))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        for x, E, H in zip(xs, *po_far_field_grid(tetra, w, xs)):
-            assert abs(E @ x) < 1e-12
-            assert abs(H @ x) < 1e-12
-            assert abs(np.linalg.norm(E) - np.linalg.norm(H)) < 1e-12
-            assert np.linalg.norm(H - np.cross(x + 0j, E)) < 1e-12
+        E = po_far_field_grid(tetra, w, xs)
+        assert E.shape == (20, 3)
+        assert np.abs(np.einsum("ij,ij->i", E, xs)).max() < 1e-12
 
     def test_peak_law_within_ten_percent(self, tetra, cube):
         # side / lambda = 2: maximizing |E| near the specular direction
@@ -211,7 +207,7 @@ class TestFarField:
                         math.cos(x[0]),
                     ]
                 )
-                return -np.linalg.norm(po_far_field_grid(poly, w, pt[None, :])[0][0])
+                return -np.linalg.norm(po_far_field_grid(poly, w, pt[None, :])[0])
 
             res = minimize(neg, [t0, p0], method="Nelder-Mead")
             return -res.fun
@@ -292,12 +288,13 @@ class TestSamplesOps:
     def test_translation_phase_wrong_kind(self, tetra):
         g = build_grid(500)
         s = sample_phaseless(tetra, wave(0.5), g)
-        with pytest.raises(WrongKind):
+        message = "^translation phase applies to complex far fields only$"
+        with pytest.raises(ValueError, match=message):
             apply_translation_phase(s, [1.0, 0, 0])
 
     def test_complex_ops_reject_the_other_kind(self, tetra):
         s = sample_complex(tetra, wave(0.5), build_grid(50))
-        with pytest.raises(WrongKind, match="^the noise model applies to modulus samples$"):
+        with pytest.raises(ValueError, match="^the noise model applies to modulus samples$"):
             add_noise(s, NoiseModel(0.1, 0))
 
     def test_noise_zero_and_determinism(self, tetra):

@@ -14,14 +14,10 @@ from conftest import (
     TETRA_TRUE_NORMALS,
     TETRA_VOLUME,
     make_cube,
+    write_clockwise_obstacle,
 )
 from polyscat.geometry import (
-    DegenerateFace,
-    EmptyInterior,
     GeometryError,
-    NonPlanarFace,
-    NotConvex,
-    Unbounded,
     _distinct_rows,
     build_polyhedron,
     cross_rows,
@@ -63,7 +59,7 @@ def test_nonplanar_face_rejected():
         [[0, 0, 0], [1, 0, 0], [1, 1, 0.2], [0, 1, 0], [0.5, 0.5, -1.0]], float
     )
     faces = [(0, 3, 2, 1), (0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)]
-    with pytest.raises(NonPlanarFace):
+    with pytest.raises(GeometryError, match=r"^face 0 deviates from its plane beyond \S+$"):
         build_polyhedron(v, faces)
 
 
@@ -77,14 +73,15 @@ def test_nonconvex_rejected():
         (0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
         (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5),
     ]
-    with pytest.raises(NotConvex):
+    message = r"^vertex protrudes \S+ beyond face \d+ plane$"
+    with pytest.raises(GeometryError, match=message):
         build_polyhedron(v, faces)
 
 
 def test_degenerate_face_rejected():
     v = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]], float)
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (2, 4, 3), (0, 4, 2)]
-    with pytest.raises(DegenerateFace):
+    with pytest.raises(GeometryError, match=r"^face 0 has area 0$"):
         build_polyhedron(v, faces)
 
 
@@ -102,12 +99,12 @@ _MALFORMED_BUILDS = {
     ),
     "repeated-vertex": (
         lambda v, f: (v, [f[0], (0, 3, 3), *f[2:]]),
-        DegenerateFace,
+        GeometryError,
         r"face \(0, 3, 3\) needs >= 3 distinct vertices",
     ),
     "two-vertices": (
         lambda v, f: (v, [f[0], (0, 3), *f[2:]]),
-        DegenerateFace,
+        GeometryError,
         r"face \(0, 3\) needs >= 3 distinct vertices",
     ),
     "missing-vertex": (
@@ -126,12 +123,12 @@ _MALFORMED_BUILDS = {
     # every vertex lies inside every plane, but one face is listed twice
     "open-face-set": (
         lambda v, f: (v, [*f[:3], f[2]]),
-        NotConvex,
+        GeometryError,
         r"face set does not close up \(area-weighted normals != 0\)",
     ),
     "clockwise-face": (
         lambda v, f: (v, [*f[:2], f[2][::-1], f[3]]),
-        NotConvex,
+        GeometryError,
         r"vertex protrudes \S+ beyond face 2 plane \(face cycle possibly clockwise\)",
     ),
 }
@@ -157,11 +154,11 @@ def test_non_finite_vertices_rejected(tetra):
 # vertex cycles (indices past the tetrahedron's four vertices) of faces that
 # fail the per-face checks, with the error and message each must raise
 _BAD_FACES = {
-    "plane": ((4, 5, 6, 7), NonPlanarFace, "deviates from its plane"),
-    "area": ((8, 9, 10), DegenerateFace, "has area"),
-    "turn": ((11, 12, 13, 14, 15), NotConvex, "is not a convex counterclockwise cycle"),
+    "plane": ((4, 5, 6, 7), GeometryError, "deviates from its plane"),
+    "area": ((8, 9, 10), GeometryError, "has area"),
+    "turn": ((11, 12, 13, 14, 15), GeometryError, "is not a convex counterclockwise cycle"),
     # non-planar and not convex: the plane check comes first
-    "plane_and_turn": ((16, 17, 18, 19, 20), NonPlanarFace, "deviates from its plane"),
+    "plane_and_turn": ((16, 17, 18, 19, 20), GeometryError, "deviates from its plane"),
 }
 _BAD_VERTICES = [
     [0, 0, 0], [1, 0, 0], [1, 1, 0.3], [0, 1, 0],  # a lifted corner
@@ -236,16 +233,16 @@ def test_halfspace_vanished_plane(tetra):
 
 
 def test_halfspace_errors(tetra):
-    with pytest.raises(EmptyInterior):
+    with pytest.raises(GeometryError, match="^all offsets must be strictly positive$"):
         halfspace_intersection(tetra.normals, [0.2, 0.2, 0.2, -0.1])
     slab = np.array([[0, 0, 1.0], [0, 0, -1.0], [0, 1, 0], [0, -1, 0]])
-    with pytest.raises(Unbounded):
+    with pytest.raises(GeometryError, match="^normals do not span 3-space$"):
         halfspace_intersection(slab, np.ones(4))
     # the fourth plane passes through the corner where the other three meet,
     # so the dual points lie on the plane x + y + z = 1 and qhull builds no hull
     corner = np.vstack([np.eye(3), np.ones(3) / np.sqrt(3.0)])
     degenerate = "^degenerate dual hull; normals do not positively span$"
-    with pytest.raises(Unbounded, match=degenerate):
+    with pytest.raises(GeometryError, match=degenerate):
         halfspace_intersection(corner, [1.0, 1.0, 1.0, np.sqrt(3.0)])
     # non-finite input is a plain ValueError, which a fit does not take for
     # a rejected trial step
@@ -268,7 +265,7 @@ def test_halfspace_rejects_malformed_input(tetra):
         halfspace_intersection(tetra.normals, tetra.offsets[:3])
     with pytest.raises(ValueError, match=shapes):
         halfspace_intersection(tetra.normals[:, :2], tetra.offsets)
-    with pytest.raises(Unbounded, match="^fewer than 4 half spaces cannot bound a solid$"):
+    with pytest.raises(GeometryError, match="^fewer than 4 half spaces cannot bound a solid$"):
         halfspace_intersection(tetra.normals[:3], tetra.offsets[:3])
     with pytest.raises(ValueError, match="^normals must be unit vectors$") as info:
         halfspace_intersection(2.0 * tetra.normals, tetra.offsets)
@@ -474,6 +471,25 @@ def test_write_text_writes_through_a_symlink(tmp_path):
     dangling.symlink_to(tmp_path / "created.txt")
     write_text(dangling, "made\n")
     assert (tmp_path / "created.txt").read_text() == "made\n"
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda path, tetra: write_clockwise_obstacle(path, tetra, 2),
+         r"vertex protrudes \S+ beyond face 2 plane \(face cycle possibly clockwise\)"),
+        (lambda path, tetra: path.write_text("# no vertex, no face\n"),
+         r"vertices must be an \(n, 3\) array"),
+    ],
+    ids=["clockwise-face", "empty"],
+)
+def test_obstacle_file_of_no_body_names_the_file(tmp_path, tetra, write, message):
+    # a file whose every line parses can still list no body: the error of
+    # build_polyhedron names the file too
+    path = tmp_path / "bad.obs"
+    write(path, tetra)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_obstacle(path)
 
 
 def test_obstacle_file_comments_and_errors(tmp_path):

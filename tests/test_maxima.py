@@ -16,7 +16,6 @@ from conftest import (
 from polyscat import maxima
 from polyscat.forward import PlaneWave, sample_phaseless
 from polyscat.maxima import (
-    DegenerateDirection,
     PeakSet,
     RecoveredFaceSet,
     _cartesian_form,
@@ -43,6 +42,8 @@ E_TOL = 0.5
 
 X1 = np.array([-1.0 / 3.0, 0.0, 2.0 * np.sqrt(2.0) / 3.0])
 D1 = np.array([1.0, 0.0, 0.0])
+# the error of a peak that gives no face, within 2e-6 of its incident direction
+DEGENERATE = "^peak direction within 2e-6 of the incident one$"
 
 # Selected peaks (incident index, direction, value) of the paper tetrahedron
 # at lambda = 0.5, cutoff 6 on a 1,000-point grid with the default
@@ -151,7 +152,7 @@ class TestInversion:
             return np.array([math.cos(angle), math.sin(angle), 0.0])
 
         for chord in (0.0, 1.7e-6, 1.99e-6):
-            with pytest.raises(DegenerateDirection):
+            with pytest.raises(ValueError, match=DEGENERATE):
                 normal_and_area_from_peak(at_chord(chord), 1.0, D1, 0.5)
         nu, area = normal_and_area_from_peak(at_chord(2.01e-6), 1.0, D1, 0.5)
         assert 1e-6 <= abs(D1 @ nu) < 1.01e-6
@@ -169,7 +170,7 @@ class TestInversion:
         assert area.tobytes() == np.array([a for _, a in alone]).tobytes()
         # one row that does not invert fails the whole call
         xhat[7] = d[7]
-        with pytest.raises(DegenerateDirection):
+        with pytest.raises(ValueError, match=DEGENERATE):
             normal_and_area_from_peak(xhat, values, d, 0.5)
 
     def test_antipode_is_regular(self):
@@ -394,7 +395,7 @@ class TestSelection:
         peaks = self._peaks(xhat, np.ones(len(angles)))
         kept = critical_mask(peaks, D1, 0.0)
         assert kept.tolist() == [False] * 5 + [True] * 3
-        with pytest.raises(DegenerateDirection):
+        with pytest.raises(ValueError, match=DEGENERATE):
             normal_and_area_from_peak(xhat[:2], 1.0, D1, 0.5)
         faces = peaks_to_faces(peaks, [D1], 0.5, 0.0)
         inverted, _ = normal_and_area_from_peak(xhat[kept], 1.0, D1, 0.5)

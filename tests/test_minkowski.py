@@ -17,10 +17,7 @@ from conftest import (
 )
 from polyscat import geometry, minkowski
 from polyscat.geometry import (
-    EmptyInterior,
     GeometryError,
-    NotConvex,
-    Unbounded,
     dual_hull,
     halfspace_intersection,
     unit_normals,
@@ -106,7 +103,7 @@ class TestFacetAreas:
         normals = np.array(
             [[0, 0, 1.0], [0, 0, -1.0], [0, 1.0, 0], [0, -1.0, 0]]
         )
-        with pytest.raises(Unbounded):
+        with pytest.raises(GeometryError, match="^normals do not span 3-space$"):
             facet_areas(normals, np.ones(4))
 
 
@@ -149,12 +146,12 @@ class TestFitOffsets:
 
     def test_unbounded_trial_step_is_retried(self, monkeypatch):
         self._fit_with_failing_first_trial(
-            monkeypatch, Unbounded("half spaces do not enclose a bounded solid")
+            monkeypatch, GeometryError("half spaces do not enclose a bounded solid")
         )
 
     def test_not_convex_trial_step_is_retried(self, monkeypatch):
         self._fit_with_failing_first_trial(
-            monkeypatch, NotConvex("vertex protrudes beyond a face plane")
+            monkeypatch, GeometryError("vertex protrudes beyond a face plane")
         )
 
     def test_stall_ends_the_fit(self, monkeypatch):
@@ -165,7 +162,7 @@ class TestFitOffsets:
         def only_the_start(normals, offsets):
             calls.append(1)
             if len(calls) > 1:
-                raise Unbounded("half spaces do not enclose a bounded solid")
+                raise GeometryError("half spaces do not enclose a bounded solid")
             return dual_hull(normals, offsets)
 
         monkeypatch.setattr(minkowski, "dual_hull", only_the_start)
@@ -251,7 +248,8 @@ class TestFitOffsets:
             areas = rng.exponential(size=k) ** 2
             try:
                 fit = fit_offsets(normals, areas)
-            except Unbounded:  # the normals do not positively span
+            except GeometryError as exc:  # the normals do not positively span
+                assert "normals do not positively span" in str(exc)
                 continue
             result = halfspace_intersection(normals, fit.offsets)
             assert fit.vanished == result.vanished
@@ -260,7 +258,7 @@ class TestFitOffsets:
         assert vanishing >= 30
 
     def test_span_deficient(self):
-        with pytest.raises(Unbounded):
+        with pytest.raises(GeometryError, match="^normals do not span 3-space$"):
             fit_offsets(SQUARE_NORMALS, np.ones(4))
 
     @pytest.mark.parametrize("solve", [fit_offsets, halfspace_intersection])
@@ -271,7 +269,7 @@ class TestFitOffsets:
              "normals must be finite"),
             (CUBE_NORMALS[:, :2], ValueError,
              r"need matching \(k, 3\) normals and \(k,\) offsets"),
-            (SQUARE_NORMALS, Unbounded, "normals do not span 3-space"),
+            (SQUARE_NORMALS, GeometryError, "normals do not span 3-space"),
         ],
         ids=["nan", "two-columns", "rank-2"],
     )
@@ -401,6 +399,12 @@ def oracle_bodies():
         yield normals, offsets + 0.05 * rng.uniform(size=len(offsets))
 
 
+# what the intersection and the trial both raise
+POSITIVE = "all offsets must be strictly positive"
+SPANNING = "normals do not positively span 3-space"
+OFF_PLANE = "deviates from its plane"
+
+
 class TestTrial:
     def test_trial_matches_body_oracle(self):
         # areas, volume, centroid and Hessian read off the dual hull's edges
@@ -437,28 +441,29 @@ class TestTrial:
         monkeypatch.setattr(geometry, "ConvexHull", moved)
 
     @pytest.mark.parametrize(
-        "normals, offsets, factor, error",
+        "normals, offsets, factor, message",
         [
-            (CUBE_NORMALS, [0.5, 0.5, 0.5, 0.5, 0.5, 0.0], 1.0, EmptyInterior),
-            (CUBE_NORMALS, [0.5, 0.5, 0.5, 0.5, 0.5, -0.5], 1.0, EmptyInterior),
+            (CUBE_NORMALS, [0.5, 0.5, 0.5, 0.5, 0.5, 0.0], 1.0, POSITIVE),
+            (CUBE_NORMALS, [0.5, 0.5, 0.5, 0.5, 0.5, -0.5], 1.0, POSITIVE),
             # no plane bounds the body from below
-            (np.vstack([np.eye(3), -np.eye(3)[:2]]), np.ones(5), 1.0, Unbounded),
-            # a corner pushed out of its three planes
-            (CUBE_NORMALS, np.full(6, 0.5), 1.0 + 1e-3, GeometryError),
-            (CUBE_NORMALS, np.full(6, 0.5), 1.0 - 1e-3, GeometryError),
+            (np.vstack([np.eye(3), -np.eye(3)[:2]]), np.ones(5), 1.0, SPANNING),
+            # a corner pushed out of its three planes: a face of the body, or
+            # a vertex of the trial, leaves its plane
+            (CUBE_NORMALS, np.full(6, 0.5), 1.0 + 1e-3, OFF_PLANE),
+            (CUBE_NORMALS, np.full(6, 0.5), 1.0 - 1e-3, OFF_PLANE),
             # and moved within the tolerance
             (CUBE_NORMALS, np.full(6, 0.5), 1.0 + 1e-10, None),
         ],
     )
     def test_trial_raises_when_the_intersection_does(
-        self, monkeypatch, normals, offsets, factor, error
+        self, monkeypatch, normals, offsets, factor, message
     ):
         self.moved_vertex(monkeypatch, factor)
         for run in (halfspace_intersection, trial):
-            if error is None:
+            if message is None:
                 run(normals, offsets)
             else:
-                with pytest.raises(error):
+                with pytest.raises(GeometryError, match=message):
                     run(normals, offsets)
 
     def test_one_hull_per_state(self, monkeypatch):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import INCIDENT_TABLE, write_experiment_config
+from conftest import INCIDENT_TABLE, write_clockwise_obstacle, write_experiment_config
 from polyscat import cli, forward, geometry, locator, maxima, minkowski, pipeline, sphgrid
 from polyscat.cli import build_parser, main
 from polyscat.forward import (
@@ -435,6 +435,63 @@ class TestSynth:
         )
         assert not path.exists()
 
+    def test_missing_obstacle_exits_1(self, workspace, capsys):
+        # an obstacle that cannot be loaded is a config error, as in check:
+        # exit 1 naming the file, and no data file is written
+        cfg = write_experiment_config(workspace / "exp.cfg", "nope.obs", **FAST)
+        obstacle = parse_config(cfg).obstacle
+        with pytest.raises(FileNotFoundError, match=re.escape(str(obstacle))):
+            synthesize_dataset(parse_config(cfg))
+        assert main(["synth", str(cfg)]) == 1
+        message = f"error: [Errno 2] No such file or directory: '{obstacle}'\n"
+        assert capsys.readouterr() == ("", message)
+        assert not (workspace / "out").exists()
+
+    def test_a_failed_synth_leaves_the_data_of_the_last_run(self, workspace, capsys):
+        # the noisy moduli of the six shape files are computed, then the
+        # phase of location.txt overflows: no file is written, so recover
+        # reads the clean run's data and writes the clean run's report
+        clean = write_experiment_config(workspace / "clean.cfg", "tetra.obs", **FAST)
+        bad = write_experiment_config(
+            workspace / "bad.cfg", "tetra.obs", noise_delta=0.5, location=(1e308,) * 3, **FAST
+        )
+        assert main(["synth", str(clean)]) == 0
+        assert main(["recover", str(clean)]) == 0
+        tree = read_tree(workspace / "out")
+        assert main(["synth", str(bad)]) == 1
+        location = workspace / "out" / "data" / "location.txt"
+        assert capsys.readouterr().err.startswith(f"error: {location}: location = 1e+308 ")
+        assert read_tree(workspace / "out") == tree
+        assert main(["recover", str(bad)]) == 0
+        assert read_tree(workspace / "out") == tree
+
+    def test_a_failed_write_leaves_no_data_file(self, workspace, monkeypatch, capsys):
+        # a write that fails (here the fourth, as on a full disk) removes
+        # every data file, so recover fails at [load] and never reads a mix
+        # of noisy and clean files
+        clean = write_experiment_config(workspace / "clean.cfg", "tetra.obs", **FAST)
+        noisy = write_experiment_config(
+            workspace / "noisy.cfg", "tetra.obs", noise_delta=0.5, **FAST
+        )
+        assert main(["synth", str(clean)]) == 0
+        save, paths = forward.save_far_field, []
+
+        def full_disk(samples, path):
+            paths.append(path)
+            if len(paths) == 4:
+                raise OSError(28, "No space left on device", str(path))
+            return save(samples, path)
+
+        monkeypatch.setattr(forward, "save_far_field", full_disk)
+        assert main(["synth", str(noisy)]) == 1
+        assert len(paths) == 4
+        assert read_tree(workspace / "out") == {}
+        capsys.readouterr()
+        assert main(["recover", str(noisy)]) == 2
+        shape = workspace / "out" / "data" / "shape_00.txt"
+        message = f"error [load] {shape}: no such data file; polyscat synth writes it\n"
+        assert capsys.readouterr().err == message
+
     def test_rewrites_an_edited_data_file(self, workspace):
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
         assert main(["synth", str(cfg)]) == 0
@@ -756,12 +813,6 @@ class TestRecover:
         err = capsys.readouterr().err
         assert err == "error [step1] only 0 effective normals; need at least 4\n"
 
-    def test_missing_obstacle_is_tagged_synth(self, workspace):
-        cfg = write_experiment_config(workspace / "exp.cfg", "nope.obs", **FAST)
-        with pytest.raises(PipelineError, match=r"^\[synth\] cannot load obstacle: ") as err:
-            synthesize_dataset(parse_config(cfg))
-        assert err.value.stage == "synth"
-
     def test_malformed_data_is_tagged_load(self, workspace):
         # a non-numeric token in a shape file, then in the location file
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
@@ -823,7 +874,7 @@ class TestRecover:
 
     def test_fit_failure_is_tagged_step2(self, workspace, monkeypatch):
         def span_deficient(normals, areas):
-            raise geometry.Unbounded("normals do not span 3-space")
+            raise geometry.GeometryError("normals do not span 3-space")
 
         monkeypatch.setattr(minkowski, "fit_offsets", span_deficient)
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
@@ -919,6 +970,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error: ") == 2
+
+    @pytest.mark.parametrize("verb", ["synth", "check"])
+    def test_an_obstacle_of_no_body_exits_1_naming_its_file(
+        self, workspace, tetra, capsys, verb
+    ):
+        cfg = write_experiment_config(workspace / "exp.cfg", "clockwise.obs", **FAST)
+        obstacle = write_clockwise_obstacle(parse_config(cfg).obstacle, tetra, 2)
+        assert main([verb, str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        message = rf"error: {re.escape(str(obstacle))}: vertex protrudes \S+ beyond face 2 plane"
+        assert out == "" and re.match(message + r" \(face cycle possibly clockwise\)\n$", err)
+        assert not (workspace / "out").exists()
 
     def test_stage_failure_exits_2(self, workspace, capsys):
         cfg = write_experiment_config(

@@ -2,9 +2,11 @@
 class of its modules, and every public method and property of those
 classes, has a caller outside the tests; every defaulted parameter and every
 config key is set there too, and no default is set by every call there, or
-allowed with a reason."""
+allowed with a reason; and every exception class the package defines is
+caught by name in the package."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -331,3 +333,79 @@ def test_every_config_key_is_written_by_a_config_writer():
 def test_every_allowed_config_key_is_unwritten():
     unwritten = config_keys(PACKAGE / "pipeline.py") - written_keys(SCRIPTS)
     assert set(ALLOWED_UNWRITTEN) <= unwritten, "stale ALLOWED_UNWRITTEN entries"
+
+
+# exception classes the package defines that no except clause in it names, and why
+ALLOWED_UNCAUGHT: dict = {}
+
+
+def _base_name(node):
+    """The last name of a base or an except target: ``b`` of ``a.b``."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def exception_classes(paths):
+    """Classes defined at the top level of ``paths`` that derive, through
+    one another, from a built-in exception."""
+    classes = {
+        node.name: {_base_name(b) for b in node.bases}
+        for path in paths
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    found = set()
+    while True:
+        more = {
+            name for name, bases in classes.items()
+            if any(
+                b in found or isinstance(getattr(builtins, b or "", None), type)
+                and issubclass(getattr(builtins, b), BaseException)
+                for b in bases
+            )
+        }
+        if more <= found:
+            return found
+        found |= more
+
+
+def caught_names(paths):
+    """The names in the ``except`` clauses of ``paths``, tuples included."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                targets = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names.update(_base_name(t) for t in targets)
+    return names
+
+
+def test_scan_sees_exception_classes_and_handlers(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import errors\n"
+        "class Base(ValueError): ...\n"
+        "class Leaf(Base): ...\n"
+        "class Other(errors.Base): ...\n"
+        "class Plain: ...\n"
+        "class Record(Plain): ...\n"
+        "try:\n"
+        "    pass\n"
+        "except (OSError, errors.Leaf):\n"
+        "    pass\n"
+        "except Base as exc:\n"
+        "    pass\n"
+        "except:\n"
+        "    pass\n"
+    )
+    assert exception_classes([path]) == {"Base", "Leaf", "Other"}
+    assert caught_names([path]) == {"OSError", "Leaf", "Base"}
+
+
+def test_every_exception_class_is_caught():
+    uncaught = exception_classes(MODULES) - caught_names(MODULES) - set(ALLOWED_UNCAUGHT)
+    assert not uncaught, f"exception classes no except clause in src/ names: {sorted(uncaught)}"
+
+
+def test_every_allowed_exception_class_is_uncaught():
+    uncaught = exception_classes(MODULES) - caught_names(MODULES)
+    assert set(ALLOWED_UNCAUGHT) <= uncaught, "stale ALLOWED_UNCAUGHT entries"
