@@ -40,7 +40,7 @@ _FACTORIALS = np.array([math.factorial(k) for k in range(_SERIES_TERMS + 3)])
 # every number of a far-field row is one cell of 23 characters, exact to
 # the bit; a row is its three coordinate cells, two spaces, its value cells
 _CELL = "%+.16e"
-_CELL_WIDTH = len(_CELL % 0.0)
+_CELL_ZERO = (_CELL % 0.0).encode()
 _POINT_FORMAT = f"{_CELL} {_CELL} {_CELL}  "
 _POINT_WIDTH = len(_POINT_FORMAT % (0.0, 0.0, 0.0))
 
@@ -319,8 +319,9 @@ def load_far_field(path) -> FarFieldSamples:
 
     The header is the ``#`` lines opening the file.  A file whose rows are
     the ``n`` rows :func:`save_far_field` writes for the Fibonacci lattice,
-    byte for byte up to the value cells, has only its values parsed, by one
-    cast of the cells to floats (see :func:`_lattice_block`), and gets
+    byte for byte up to the value cells, each value a ``%+.16e`` cell with
+    a two-digit exponent, has only its values parsed, by one vectorized
+    exact conversion (see :func:`_decimal_cells`), and gets
     ``sphgrid.build_grid(n)``.  Any other file, one written in an earlier
     number format included, is parsed whole by ``np.loadtxt`` and gets
     :func:`~polyscat.sphgrid.grid_of` its points, which validates them.  Both
@@ -409,33 +410,84 @@ def _lattice_block(text: bytes, start: int):
     """The ``(n, m)`` values of the rows ``text[start:]`` when they are the
     ``n`` rows :func:`save_far_field` writes for ``fibonacci_points(n)``:
     each row's text up to its values is ``_lattice_text(n)``'s row, and then
-    come ``m`` cells of 23 bytes, each followed by a space and the last by
-    a newline.  ``None`` otherwise, so a file in another layout takes the
-    whole-file parse.  A cell holds no blank or control byte and no ``_``,
-    which ``float()`` would take and ``np.loadtxt`` would not, so the cast
-    of the cells gives the whole-file parse's values."""
+    come ``m`` cells in the grammar of :func:`_decimal_cells`, each followed
+    by a space and the last by a newline.  ``None`` otherwise, so a file in
+    another layout, or with another cell, takes the whole-file parse, which
+    reads the same values or rejects the file naming it."""
     end = text.find(b"\n", start)
     if end < 0:
         return None
     width = end + 1 - start  # the first row's, newline included
-    lead, step = _POINT_WIDTH, _CELL_WIDTH + 1
+    lead, step = _POINT_WIDTH, len(_CELL_ZERO) + 1
     m, gap = divmod(width - lead, step)
     n, rest = divmod(len(text) - start, width)
     if gap or rest or m < 1:
         return None
     rows = np.frombuffer(text, np.uint8, n * width, start).reshape(n, width)
-    if not np.array_equal(rows[:, :lead], _lattice_text(n)):
+    lattice = np.array_equal(rows[:, :lead], _lattice_text(n))
+    return _decimal_cells(rows[:, lead:]) if lattice else None
+
+
+# the most each byte of a cell and its blank may exceed _CELL_ZERO and a blank by
+_CELL_MAX = np.frombuffer(b"\2\11\0" + b"\11" * 16 + b"\0\2\11\11\0", np.uint8)
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into halves of 26 bits, ``a = a1 + a2``."""
+    a1 = 134217729.0 * a - (134217729.0 * a - a)  # 2^27 + 1
+    return a1, a - a1
+
+
+def _powers_of_ten() -> np.ndarray:
+    """Rows ``P, p, P1, P2`` for ``10^q``, ``q`` in ``[-115, 83]``: ``P + p`` its
+    double-double, each part rounded once by ``int`` true division, ``P1 + P2 = P``."""
+    table = []
+    for q in range(-115, 84):
+        num, den = 10 ** max(q, 0), 10 ** max(-q, 0)
+        a, b = (num / den).as_integer_ratio()
+        table.append((a / b, (num * b - a * den) / (den * b), *_split(a / b)))
+    return np.array(table).T
+
+
+def _decimal_cells(block: np.ndarray):
+    """``float()`` of each cell of the ``(n, 24 m)`` bytes ``block``, as an
+    ``(n, m)`` array, when every cell is ``%+.16e`` with a two-digit exponent
+    and a blank after it, a newline after each row's last; ``None`` otherwise.
+
+    A cell ``±d.dddddddddddddddde±ee`` is ``D 10^q``, ``q = ±ee - 16``.  Its 17
+    digits ``D = hi 10^8 + lo``, read 8 to a word (Lemire 2021), sum exactly to
+    ``S + e`` (``hi 10^8 = hi 5^8 2^8`` is exact, as ``hi 5^8 < 2^53``).  One
+    Dekker (1971) product with the double-double of ``10^q`` gives ``D 10^q`` to
+    about ``2^-100`` relative, rounded once.  A cell within about ``2^-70 |x|`` of
+    a midpoint between doubles, such as a tie, takes ``float()``; none printed from
+    a double does: it is within ``5e-17 |x|`` of it, a midpoint ``2^-54 |x|`` away."""
+    n, m = block.shape[0], block.shape[1] // (len(_CELL_ZERO) + 1)
+    zero = np.frombuffer(b" ".join([_CELL_ZERO] * m) + b"\n", np.uint8)
+    cells = (block - zero).reshape(n, m, -1)  # a byte below its template wraps high
+    sign, exp_sign = cells[..., 0], cells[..., 20]  # 0 for "+", 1 for ",", 2 for "-"
+    if (cells > _CELL_MAX).any() or (sign == 1).any() or (exp_sign == 1).any():
         return None
-    ends = rows[:, lead + _CELL_WIDTH::step]
-    if not ((ends[:, :-1] == 32).all() and (ends[:, -1] == 10).all()):
-        return None
-    if np.count_nonzero(rows[:, lead:] <= 32) != n * m or text.find(b"_", start) >= 0:
-        return None
-    cells = np.ndarray((n, m), f"S{_CELL_WIDTH}", text, start + lead, (width, step))
-    try:
-        return cells.astype(float)
-    except ValueError:
-        return None  # the whole-file parse raises its own error, naming the file
+    w = cells[..., 3:19].view("<u8")  # digits 2-9 and 10-17, first digit in the low byte
+    w = w * 2561 >> 8
+    w = (w & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    w = (w & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+    A, lo = (cells[..., 1] * 1e8 + w[..., 0]) * 1e8, w[..., 1]
+    S = A + lo
+    e = lo - (S - A)  # S + e = D (Fast2Sum)
+    ee = cells[..., 21] * 10 + cells[..., 22]  # uint8, as 99 + ee is at most 198
+    P, p, P1, P2 = _POW10.take(np.where(exp_sign, 99 - ee, 99 + ee), axis=1)
+    H, (S1, S2) = S * P, _split(S)
+    c = (((S1 * P1 - H) + S1 * P2 + S2 * P1) + S2 * P2) + (S * p + e * P)
+    x = H + c
+    r = (H - x) + c  # the rounding error of x, exact (Fast2Sum)
+    tie = x + r * (1 + 2.0**-17) != x + r * (1 - 2.0**-17)  # x + r near a midpoint
+    x = np.where(sign, -x, x)
+    if tie.any():
+        x[tie] = [float(cell) for cell in block.view(f"S{len(_CELL_ZERO) + 1}")[tie]]
+    return x
+
+
+_POW10 = _powers_of_ten()
 
 
 @lru_cache(maxsize=8)

@@ -163,14 +163,17 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
     not, never above one spacing.  Returns ``(z, value, scan)``: the refined
     point, its value (never below the scan's maximum) and the coarse scan,
     the indicator at the points of ``region.axes(k)``, ``k`` the wavenumber
-    of ``samples``, shaped by their lengths.
+    of ``samples``, shaped by their lengths.  Lengths are taken in the power
+    of two nearest ``1 / k``: no product of ``K`` over- or underflows, and a
+    problem scaled by a power of two has ``z`` scaled by it, bit for bit.
     """
-    lo, hi, axes = region.lower, region.upper, region.axes(samples.wave.k)
-    G, K, norm2 = _degree_one_projector(samples)
+    axes, (G, K, norm2) = region.axes(samples.wave.k), _degree_one_projector(samples)
+    unit = 2.0 ** -round(math.log2(samples.wave.k))
+    lo, hi, K = region.lower / unit, region.upper / unit, K * unit
     spacing = (hi - lo) / np.maximum([len(a) - 1 for a in axes], 1)
     scan = _scan(G, K, norm2, lo, spacing, [len(a) for a in axes])
     best = np.unravel_index(np.argmax(scan), scan.shape)
-    z, fz = np.array([a[i] for a, i in zip(axes, best)]), scan[best]
+    z, fz = np.array([a[i] for a, i in zip(axes, best)]) / unit, scan[best]
     cap = float(spacing.max())
     radius, evals = cap, 0
     for iters in range(1, _MAX_ITER + 1):
@@ -203,7 +206,7 @@ def locate(samples: FarFieldSamples, region: SampleRegion):
         log.debug("step 3: %d x %d x %d scan points, %d Newton iterations, %d trials, best "
                   "coarse cell ahead of the next by %.3e", *scan.shape, iters, evals,
                   np.ptp(np.sort(scan, axis=None)[-2:]))
-    return z, fz, scan
+    return z * unit, fz, scan
 
 
 # weights of U_1^-1, V_1^-1, U_1^0, V_1^0, U_1^1, V_1^1 in the oracle field

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm
@@ -55,14 +56,77 @@ def nudged(text: str, line: int) -> str:
     return "\n".join(lines)
 
 
-@given(st.lists(st.floats(-9.9e99, 9.9e99).filter(lambda x: x == 0 or abs(x) >= 1e-99),
-                min_size=1, max_size=64))
+def decimal_cells(cells, calls=None):
+    """The exact conversion of the 23-character ``cells``, as one block row,
+    next to ``float()`` of each; the cells it hands to ``float()`` are appended
+    to ``calls``."""
+    row = np.frombuffer((" ".join(cells) + "\n").encode(), np.uint8)[None]
+    with mock.patch.object(forward, "float", create=True, side_effect=float) as spy:
+        values = forward._decimal_cells(row)
+    if calls is not None:
+        calls += [bytes(call.args[0]) for call in spy.call_args_list]
+    return values.ravel(), np.array([float(cell) for cell in cells])
+
+
+# finite doubles of every size, and of the decades %+.16e writes with two exponent digits
+DOUBLES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e100, 1e100))
+
+
+@settings(max_examples=100)
+@given(st.lists(DOUBLES, min_size=1, max_size=64))
 def test_cells_cast_to_the_floats_they_print(xs):
-    # one S23 cast of %+.16e cells is float() of each, and exact to the bit
-    cells = np.array([(forward._CELL % x).encode() for x in xs])
-    assert cells.dtype == np.dtype("S23")
-    by_float = np.array([float(cell) for cell in cells])
-    assert cells.astype(float).tobytes() == by_float.tobytes() == np.array(xs).tobytes()
+    # the exact conversion of %+.16e cells with two exponent digits is float()
+    # of each, and the double printed, to the bit; a cell printed from a double
+    # lies at least about 2^-57 |x| from every midpoint, so none takes float()
+    xs = [x for x in xs if len(forward._CELL % x) == 23] or [0.0]
+    calls = []
+    values, by_float = decimal_cells([forward._CELL % x for x in xs], calls)
+    assert values.tobytes() == by_float.tobytes() == np.array(xs).tobytes()
+    assert calls == []
+
+
+CELL_PARTS = st.tuples(st.sampled_from("+-"), st.integers(0, 10**17 - 1),
+                       st.sampled_from("+-"), st.integers(0, 99))
+
+
+@settings(max_examples=100)
+@given(st.lists(CELL_PARTS, min_size=1, max_size=64))
+def test_any_cell_of_the_grammar_converts_as_float_does(parts):
+    cells = [f"{s}{d // 10**16}.{d % 10**16:016d}e{t}{e:02d}" for s, d, t, e in parts]
+    values, by_float = decimal_cells(cells)
+    assert values.tobytes() == by_float.tobytes()
+
+
+# (cell, whether it is near enough a midpoint between doubles to take float())
+KERNEL_CASES = [
+    ("+0.0000000000000000e+00", False),
+    ("-0.0000000000000000e+00", False),
+    ("+0.0000000000000000e-99", False),
+    ("+1.0000000000000000e-99", False),
+    ("+0.0000000000000001e-99", False),
+    ("+9.9999999999999999e+99", False),
+    ("-9.9999999999999999e+99", False),
+    ("+9.0071992547409930e+15", True),  # 2^53 + 1, a tie: to even, 2^53
+    ("-9.0071992547409950e+15", True),  # -(2^53 + 3), a tie: to even, -(2^53 + 4)
+    ("+1.8014398509481986e+16", True),  # 2^54 + 2, a tie: to even, 2^54
+    ("+9.0071992547409931e+15", False),  # a twentieth of a spacing past that tie
+    ("+9.0071992547409940e+15", False),  # 2^53 + 2, a double
+] + [
+    (forward._CELL % x, False)
+    for e in (-328, -1, 0, 1, 52, 53, 330)
+    for x in (np.nextafter(2.0**e, 0), 2.0**e, np.nextafter(2.0**e, np.inf), -(2.0**e))
+]
+
+
+def test_fixed_cells_convert_as_float_does():
+    cells = [cell for cell, _ in KERNEL_CASES]
+    calls = []
+    values, by_float = decimal_cells(cells, calls)
+    assert values.tobytes() == by_float.tobytes()
+    assert calls == [(cell + " ").encode() for cell, tie in KERNEL_CASES if tie]
+    assert math.copysign(1.0, values[1]) == -1.0
+    assert values[7] == 2.0**53 and values[8] == -(2.0**53 + 4) and values[9] == 2.0**54
+    assert values[10] == 2.0**53 + 2
 
 
 def wave(lam=0.5, d=(1.0, 0.0, 0.0), p=(0.0, 0.0, 1.0)):
@@ -499,12 +563,17 @@ class TestSamplesOps:
 
     # layouts that are no lattice block: each takes the whole-file parse and
     # loads the values save_far_field wrote, on the lattice's grid unless a
-    # point moved
+    # point moved; the last two keep the row width, with value cells outside
+    # the exact conversion's grammar
     LAYOUTS = {
         "three-digit exponent": lambda text: text,
         "CRLF": lambda text: text.replace("\n", "\r\n"),
         "trailing blank": lambda text: text[:-1] + " \n",
         "nudged coordinate": lambda text: nudged(text, 9),
+        "capital E": lambda text: re.sub(r"e([+-]\d\d)$", r"E\1", text, flags=re.M),
+        "two digits before the point": lambda text: text.replace(
+            "  +1.0000000000000000e+00\n", "  +01.000000000000000e+00\n"
+        ),
     }
 
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -515,6 +584,8 @@ class TestSamplesOps:
         values = sample_phaseless(tetra, wave(0.5), g).values.copy()
         if layout == "three-digit exponent":
             values[7] = 1e-120  # written as a 24-character cell
+        elif layout == "two digits before the point":
+            values[7] = 1.0
         s = FarFieldSamples(grid=g, values=values, wave=wave(0.5))
         path = tmp_path / "modulus.txt"
         save_far_field(s, path)
@@ -551,6 +622,19 @@ class TestSamplesOps:
         assert len(lines[5]) == len(row)
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{reason}.* at row"):
+            load_far_field(path)
+
+    @pytest.mark.parametrize("offset", [-24, -4])
+    def test_comma_for_a_sign_names_the_file(self, tetra, tmp_path, offset):
+        # "," lies between "+" and "-" byte for byte: the conversion refuses
+        # it in either sign, and the whole-file parse rejects the file
+        path = tmp_path / "modulus.txt"
+        save_far_field(sample_phaseless(tetra, wave(0.5), build_grid(500)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        i = len(lines[5]) + offset
+        lines[5] = lines[5][:i] + "," + lines[5][i + 1:]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*convert string.* at row"):
             load_far_field(path)
 
     def test_moved_value_is_rejected(self, tetra, tmp_path):

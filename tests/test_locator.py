@@ -364,6 +364,19 @@ class TestLocate:
         z2, _, _ = locate(degree_one_oracle(grid, half, z0), REGION)
         assert np.abs(z1 - z2).max() <= 1e-2
 
+    @pytest.mark.parametrize("power", [560, -560])
+    def test_a_problem_scaled_by_a_power_of_two_locates_the_scaled_point(self, grid, power):
+        # step 3 has no length scale of its own: with 1 / k, the box and the
+        # obstacle times 2^560, K^T K would underflow, times 2^-560 overflow
+        # (each a RuntimeWarning, an error under the suite's warning filter)
+        z0, scale = np.array([47.3, 52.8, 49.6]), 2.0**power
+        wave = PlaneWave(d=LOW_WAVE.d, p=LOW_WAVE.p, k=LOW_WAVE.k / scale)
+        region = SampleRegion(lower=REGION.lower * scale, upper=REGION.upper * scale)
+        z, value, scan = locate(degree_one_oracle(grid, LOW_WAVE, z0), REGION)
+        scaled = locate(degree_one_oracle(grid, wave, z0 * scale), region)
+        assert scaled[0].tobytes() == (z * scale).tobytes()
+        assert scaled[1] == value and scaled[2].tobytes() == scan.tobytes()
+
     def test_region_validation(self):
         with pytest.raises(ValueError):
             SampleRegion(lower=[0.0, 0.0, 0.0], upper=[1.0, -1.0, 1.0])

@@ -6,6 +6,7 @@ import re
 import textwrap
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -491,6 +492,22 @@ class TestSynth:
         shape = workspace / "out" / "data" / "shape_00.txt"
         message = f"error [load] {shape}: no such data file; polyscat synth writes it\n"
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("noise_delta", [0.0, 1.0])
+    def test_data_files_load_without_a_near_tie(self, workspace, noise_delta):
+        # every value synth writes is printed from a double, so it lies far
+        # from every midpoint between doubles: the exact conversion reads each
+        # file's block to the whole-file parse's bits and hands no cell to float()
+        cfg = write_experiment_config(
+            workspace / "exp.cfg", "tetra.obs", noise_delta=noise_delta, **FAST
+        )
+        for path in synthesize_dataset(parse_config(cfg)):
+            text = path.read_bytes()
+            start = text.index(b"\n", text.index(b"\n") + 1) + 1  # past the two header lines
+            with mock.patch.object(forward, "float", create=True, side_effect=float) as spy:
+                values = forward._lattice_block(text, start)
+            assert spy.call_count == 0
+            assert values.tobytes() == np.loadtxt(path, comments="#")[:, 3:].tobytes()
 
     def test_rewrites_an_edited_data_file(self, workspace):
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
