@@ -317,17 +317,18 @@ def save_table(path, rows, line, header):
 def load_far_field(path) -> FarFieldSamples:
     """Parse the far-field text format.
 
-    The header is the ``#`` lines opening the file.  A file whose rows are
-    the ``n`` rows :func:`save_far_field` writes for the Fibonacci lattice,
-    byte for byte up to the value cells, each value a ``%+.16e`` cell with
-    a two-digit exponent, has only its values parsed, by one vectorized
-    exact conversion (see :func:`_decimal_cells`), and gets
-    ``sphgrid.build_grid(n)``.  Any other file, one written in an earlier
-    number format included, is parsed whole by ``np.loadtxt`` and gets
-    :func:`~polyscat.sphgrid.grid_of` its points, which validates them.  Both
-    parses give the same values for the same numbers, and both grids need
-    at least 12 points.  Every ``ValueError`` of a malformed file names
-    ``path``.
+    The header is the run of lines that open the file with ``#`` at their
+    first byte, read by :func:`_header`; the rows are the rest.  Rows that
+    are the ``n`` rows :func:`save_far_field` writes for the Fibonacci
+    lattice, byte for byte up to the value cells, each value a ``%+.16e``
+    cell with a two-digit exponent, have only their values parsed, by one
+    vectorized exact conversion (see :func:`_decimal_cells`), and get
+    ``sphgrid.build_grid(n)``.  Any other rows, ones written in an earlier
+    number format included, are parsed by ``np.loadtxt`` and get
+    :func:`~polyscat.sphgrid.grid_of` their points, which validates them.
+    Both parses give the same values for the same numbers, and both grids
+    need at least 12 points.  Every ``ValueError`` of a malformed file
+    names ``path``.
     """
     with open(path, "rb") as fh:
         text = fh.read()
@@ -335,22 +336,16 @@ def load_far_field(path) -> FarFieldSamples:
         start = 0  # past the lines that open the file with "#"
         while text.startswith(b"#", start):
             start = text.find(b"\n", start) + 1 or len(text)
-        lines = text[:start].decode().splitlines()
-        data = None
-        # a block read alone needs the header the whole-file parse would read
-        if all(line.strip().startswith("#") for line in lines):
-            data = _lattice_block(text, start)
-        if data is None:
-            lines = text.decode().splitlines()
-        kind, wave = _header(lines)
+        kind, wave = _header(text[:start].decode().splitlines())
         m = 1 if kind == MODULUS else 6
+        data = _lattice_block(text, start)
         if data is not None:
             grid = sphgrid.build_grid(len(data))
         else:
             with warnings.catch_warnings():
                 # a file with no rows fails the grid's point floor instead
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(lines, comments="#", ndmin=2)
+                data = np.loadtxt(text[start:].decode().splitlines(), comments="#", ndmin=2)
             grid = sphgrid.grid_of(data[:, :3])
             data = data[:, 3:]
         if data.shape[1] != m:
@@ -362,13 +357,15 @@ def load_far_field(path) -> FarFieldSamples:
 
 
 def _header(lines) -> tuple:
-    """The kind and the wave of the ``#`` lines opening ``lines``; a second
-    ``kind=`` line or a second wave line is a ``ValueError``."""
+    """The kind and the wave of the header ``lines``.  Each line opens with
+    ``#``; a piece that a line separator other than ``\\n`` breaks off
+    without one is a ``ValueError``, as is a second ``kind=`` line or a
+    second wave line."""
     kind = wave = None
-    for raw in lines:
-        line = raw.strip()
+    for line in lines:
         if not line.startswith("#"):
-            break
+            raise ValueError(f"header line {line!r}, after a line separator, "
+                             "does not open with #")
         body = line[1:].strip()
         if body.startswith("kind="):
             if kind is not None:
@@ -411,9 +408,9 @@ def _lattice_block(text: bytes, start: int):
     ``n`` rows :func:`save_far_field` writes for ``fibonacci_points(n)``:
     each row's text up to its values is ``_lattice_text(n)``'s row, and then
     come ``m`` cells in the grammar of :func:`_decimal_cells`, each followed
-    by a space and the last by a newline.  ``None`` otherwise, so a file in
-    another layout, or with another cell, takes the whole-file parse, which
-    reads the same values or rejects the file naming it."""
+    by a space and the last by a newline.  ``None`` otherwise, so rows in
+    another layout, or with another cell, take the ``np.loadtxt`` parse,
+    which reads the same values or rejects the file naming it."""
     end = text.find(b"\n", start)
     if end < 0:
         return None

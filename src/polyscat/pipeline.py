@@ -369,15 +369,13 @@ def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Everything the pipeline recovered, plus where it was written."""
+    """What the pipeline recovered and located, plus where it was written."""
 
-    raw_faces: maxima.RecoveredFaceSet
     effective: maxima.RecoveredFaceSet
     fit: minkowski.OffsetFit
     reconstructed: geometry.ConvexPolyhedron
     location: np.ndarray
     indicator_value: float
-    located: geometry.ConvexPolyhedron
     files: tuple
 
 
@@ -458,13 +456,11 @@ def run_pipeline(config: ExperimentConfig) -> RecoveryReport:
         files.append(geometry.save_obstacle(located, out / "recovered_located.obs"))
 
         return RecoveryReport(
-            raw_faces=raw_faces,
             effective=effective,
             fit=fit,
             reconstructed=reconstructed,
             location=z_star,
             indicator_value=ind_val,
-            located=located,
             files=tuple(files),
         )
 

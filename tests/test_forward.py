@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -131,6 +132,38 @@ def test_fixed_cells_convert_as_float_does():
 
 def wave(lam=0.5, d=(1.0, 0.0, 0.0), p=(0.0, 0.0, 1.0)):
     return PlaneWave(d=np.array(d), p=np.array(p), k=2.0 * math.pi / lam)
+
+
+@pytest.fixture(scope="session")
+def lattice_samples(tetra):
+    """The tetrahedron's samples of each kind on the 500-point lattice."""
+    g = build_grid(500)
+    return {MODULUS: sample_phaseless(tetra, wave(0.5), g),
+            COMPLEX_E: sample_complex(tetra, wave(0.5), g)}
+
+
+# edits of a header: indent, swap or repeat a line, insert a # comment line,
+# or break a line with another line separator than "\n"
+HEADER_EDITS = ["indent", "swap", "repeat", "comment", "\r", "\x0c", "\u2028"]
+
+
+def edit_header(header, edit, i, j, at):
+    """Make ``edit`` to the list of lines ``header`` in place, at its lines
+    ``i`` and ``j`` (modulo its length) and at character ``at`` of line ``i``
+    (modulo the line's length plus one)."""
+    i, j = i % len(header), j % len(header)
+    line = header[i]
+    if edit == "indent":
+        header[i] = " " + line
+    elif edit == "swap":
+        header[i], header[j] = header[j], line
+    elif edit == "repeat":
+        header.insert(j, line)
+    elif edit == "comment":
+        header.insert(i, "# a note")
+    else:
+        at %= len(line) + 1
+        header[i] = line[:at] + edit + line[at:]
 
 
 def random_planar_polygon(rng):
@@ -731,7 +764,9 @@ class TestSamplesOps:
     # short row and a long row; a non-numeric k, a 2-component d, a trailing
     # number, two k numbers, a repeated d, a missing p, an unknown key, a
     # line break and a non-numeric line after the wave, a
-    # negative k, a non-unit d and two unknown kinds in the header
+    # negative k, a non-unit d and two unknown kinds in the header; an
+    # indented kind or wave line, which is no header line, and a line
+    # separator that breaks off a piece of a header line with no #
     MALFORMED = [
         (5, "0.5 0.5 abc  1.0", ""),
         (5, "{coordinates}  abc", ""),
@@ -745,7 +780,8 @@ class TestSamplesOps:
         (1, "# k=12 d=1 0 0 d=1 0 0 p=0 0 1", "wave header repeats d="),
         (1, "# k=12 d=1 0 0", "wave header misses p="),
         (1, "# k=12 d=1 0 0 p=0 0 1 q=1", "unknown wave header key q="),
-        (1, "# k=12 d=1 0 0 p=0 0 1\rjunk", "convert string 'junk'"),
+        (1, "# k=12 d=1 0 0 p=0 0 1\rjunk", "header line 'junk', after a line separator, "
+         "does not open with #"),
         (1, "# k=-12 d=1 0 0 p=0 0 1", "wavenumber"),
         (1, "# k=nan d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),
         (1, "# k=inf d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),
@@ -754,6 +790,12 @@ class TestSamplesOps:
         # the magnetic far field xhat x E carries nothing the electric one
         # lacks, and no file kind holds it
         (0, "# kind=complex-H", "unknown far-field kind 'complex-H'"),
+        (0, " # kind=modulus", "missing kind/wave header lines"),
+        (1, "  # k=12 d=1 0 0 p=0 0 1", "missing kind/wave header lines"),
+        (0, "# kind=\x0cmodulus", "header line 'modulus', after a line separator, "
+         "does not open with #"),
+        (1, "# k=12 d=1 0 0 p=0 0 1\u2028junk", "header line 'junk', after a line "
+         "separator, does not open with #"),
     ]
 
     @pytest.mark.parametrize(
@@ -765,7 +807,7 @@ class TestSamplesOps:
         save_far_field(sample_phaseless(tetra, wave(0.5), g), path)
         lines = path.read_text().splitlines()
         lines[index] = row.format(coordinates=lines[index].rsplit(None, 1)[0])
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(("\n".join(lines) + "\n").encode())
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
             load_far_field(path)
 
@@ -830,6 +872,40 @@ class TestSamplesOps:
         message = re.escape(f"{path}: missing kind/wave header lines")
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_far_field(path)
+
+    @settings(max_examples=150)
+    @given(
+        kind=st.sampled_from([MODULUS, COMPLEX_E]),
+        edits=st.lists(st.tuples(st.sampled_from(HEADER_EDITS), *[st.integers(0, 99)] * 3),
+                       min_size=1, max_size=3),
+        crlf=st.booleans(),
+    )
+    def test_header_edit_loads_the_same_or_names_the_file(
+        self, lattice_samples, tmp_path_factory, kind, edits, crlf
+    ):
+        # each edit either leaves the values and the wave as written, bit for
+        # bit, or is a ValueError naming the file; an edit that breaks no rule
+        # of the header (a swap, a # comment line, CRLF endings) always loads
+        written = lattice_samples[kind]
+        path = tmp_path_factory.getbasetemp() / f"header_edit_{kind}.txt"
+        save_far_field(written, path)
+        lines = path.read_text().split("\n")
+        header = lines[:2]
+        for edit in edits:
+            edit_header(header, *edit)
+        text = "\n".join(header + lines[2:])
+        path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                loaded = load_far_field(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                assert not {edit for edit, *_ in edits} <= {"swap", "comment"}
+                return
+        w, got = written.wave, loaded.wave
+        assert loaded.values.tobytes() == written.values.tobytes()
+        assert (got.k, got.d.tobytes(), got.p.tobytes()) == (w.k, w.d.tobytes(), w.p.tobytes())
 
     @pytest.mark.parametrize(
         "kind, reason", [(MODULUS, "modulus rows need 4"), (COMPLEX_E, "complex rows need 9")]

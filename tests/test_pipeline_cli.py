@@ -1075,6 +1075,21 @@ class TestCli:
         assert capsys.readouterr().err == f"error [load] {first}: {message}\n"
         assert not (workspace / "out" / "recovered_faces.csv").exists()
 
+    def test_indented_wave_line_is_rejected(self, workspace, capsys):
+        # the header is the lines that open with # at their first byte: an
+        # indented wave line is a comment, and the file has no wave
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
+        path = workspace / "out" / "data" / "shape_00.txt"
+        lines = path.read_text().splitlines()
+        lines[1] = "  " + lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["recover", str(cfg)]) == 2
+        message = "missing kind/wave header lines"
+        assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
+        assert not (workspace / "out" / "recovered_faces.csv").exists()
+
     def test_an_infinite_location_value_fails_at_load_without_a_warning(
         self, workspace, capsys
     ):

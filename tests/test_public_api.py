@@ -2,8 +2,9 @@
 class of its modules, and every public method and property of those
 classes, has a caller outside the tests; every defaulted parameter and every
 config key is set there too, and no default is set by every call there, or
-allowed with a reason; and every exception class the package defines is
-caught by name in the package."""
+allowed with a reason; every exception class the package defines is
+caught by name in the package; and every field of its dataclasses is read
+as an attribute outside the tests."""
 
 import ast
 import builtins
@@ -409,3 +410,91 @@ def test_every_exception_class_is_caught():
 def test_every_allowed_exception_class_is_uncaught():
     uncaught = exception_classes(MODULES) - caught_names(MODULES)
     assert set(ALLOWED_UNCAUGHT) <= uncaught, "stale ALLOWED_UNCAUGHT entries"
+
+
+# dataclass fields that no attribute load in src/, demos/ or perfbench/ reads, and why
+ALLOWED_UNREAD: dict = {}
+
+
+def dataclass_fields(paths):
+    """``(class, field)`` of each field of the dataclasses defined at the
+    top level of ``paths``, private ones included."""
+    return {
+        (node.name, item.target.id)
+        for path in paths
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def read_attributes(paths):
+    """The attribute names ``paths`` read: each ``x.name`` that is loaded,
+    not stored or deleted, and each ``getattr(x, "name")``.  A bare name is
+    no read, so a local variable that shares a field's name reads nothing."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                names.add(node.args[1].value)
+    return names
+
+
+def unread_fields(paths, readers):
+    """``(class, field)`` of each dataclass field of ``paths`` that ``readers`` never read."""
+    read = read_attributes(readers)
+    return {(cls, field) for cls, field in dataclass_fields(paths) if field not in read}
+
+
+def test_scan_sees_dataclass_fields_and_their_reads(tmp_path):
+    module, reader = tmp_path / "module.py", tmp_path / "reader.py"
+    module.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    shown: int\n"
+        "    fetched: int\n"
+        "    local: int\n"
+        "    stored: int = 0\n"
+        "    def method(self): ...\n"
+        "@dataclass\n"
+        "class _Private:\n"
+        "    hidden: int\n"
+        "class Plain:\n"
+        "    attribute: int = 1\n"
+    )
+    reader.write_text(
+        "local = 1\n"
+        "record.stored = local\n"
+        "del record.hidden\n"
+        "print(record.shown, getattr(record, 'fetched'), getattr(record, local))\n"
+    )
+    assert dataclass_fields([module]) == {
+        ("Record", "shown"), ("Record", "fetched"), ("Record", "local"),
+        ("Record", "stored"), ("_Private", "hidden"),
+    }
+    assert read_attributes([reader]) == {"shown", "fetched"}
+    assert unread_fields([module], [reader]) == {
+        ("Record", "local"), ("Record", "stored"), ("_Private", "hidden"),
+    }
+
+
+def test_every_dataclass_field_is_read():
+    unread = unread_fields(MODULES, [*MODULES, *SCRIPTS]) - set(ALLOWED_UNREAD)
+    assert not unread, (
+        f"dataclass fields no attribute load in src/, demos/ or perfbench/ reads: "
+        f"{sorted(unread)}"
+    )
+
+
+def test_every_allowed_field_is_unread():
+    unread = unread_fields(MODULES, [*MODULES, *SCRIPTS])
+    assert set(ALLOWED_UNREAD) <= unread, "stale ALLOWED_UNREAD entries"
