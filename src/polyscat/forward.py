@@ -30,8 +30,14 @@ from .sphgrid import SphericalGrid, fibonacci_points
 MODULUS = "modulus"
 COMPLEX_E = "complex-E"
 _KINDS = (MODULUS, COMPLEX_E)
-# the keys of the wave header line and the count of numbers each takes
-_WAVE_KEYS = {"k": 1, "d": 3, "p": 3}
+# the two header lines of a far-field file, which save_far_field formats and
+# load_far_field matches: there each field is a run of printable ASCII, each
+# line ends in "\n" or "\r\n", and no third "#" line follows (no literal
+# part of the template is special to re)
+_HEADER = "# kind={}\n# k={:.17g} d={:.17g} {:.17g} {:.17g} p={:.17g} {:.17g} {:.17g}"
+_HEADER_LINES = re.compile(
+    re.sub(r"\{.*?\}", "([!-~]+)", _HEADER + "\n").replace("\n", r"\r?\n").encode() + b"(?!#)"
+)
 
 # switch from the edge sum to the series once |w| * radius drops below this
 _SERIES_RADIUS = 0.5
@@ -285,20 +291,16 @@ def add_noise(samples: FarFieldSamples, noise: NoiseModel) -> FarFieldSamples:
 
 
 def save_far_field(samples: FarFieldSamples, path):
-    """Write the far-field text format: two header lines, then per point its
-    coordinates and its value (a modulus, or three complex components as
-    real and imaginary parts).  Every number of a row is one ``%+.16e``
-    cell of 23 characters, exact to the bit; the cells are one space apart
-    and the coordinates two spaces from the values, so all rows have one
-    length, which :func:`load_far_field` reads as one block.  Returns
-    ``path``."""
+    """Write the far-field text format: the two header lines ``_HEADER``,
+    ``# kind=<kind>`` and ``# k=<k> d=<dx dy dz> p=<px py pz>`` with every
+    number ``%.17g``, then per point its coordinates and its value (a
+    modulus, or three complex components as real and imaginary parts).
+    Every number of a row is one ``%+.16e`` cell of 23 characters, exact to
+    the bit; the cells are one space apart and the coordinates two spaces
+    from the values, so all rows have one length, which
+    :func:`load_far_field` reads as one block.  Returns ``path``."""
     w = samples.wave
-    header = (
-        f"# kind={samples.kind}\n"
-        "# k={:.17g} d={:.17g} {:.17g} {:.17g} p={:.17g} {:.17g} {:.17g}".format(
-            w.k, *w.d, *w.p
-        )
-    )
+    header = _HEADER.format(samples.kind, w.k, *w.d, *w.p)
     values = np.ascontiguousarray(samples.values).reshape(samples.grid.size, -1).view(float)
     line = _POINT_FORMAT + " ".join([_CELL] * values.shape[1])
     return save_table(path, np.column_stack([samples.grid.points, values]), line, header)
@@ -317,12 +319,15 @@ def save_table(path, rows, line, header):
 def load_far_field(path) -> FarFieldSamples:
     """Parse the far-field text format.
 
-    The header is the run of lines that open the file with ``#`` at their
-    first byte, read by :func:`_header`; the rows are the rest.  Rows that
-    are the ``n`` rows :func:`save_far_field` writes for the Fibonacci
-    lattice, byte for byte up to the value cells, each value a ``%+.16e``
-    cell with a two-digit exponent, have only their values parsed, by one
-    vectorized exact conversion (see :func:`_decimal_cells`), and get
+    The file opens with the two header lines :func:`save_far_field`
+    writes, each ended by ``\\n`` or ``\\r\\n``: a kind of ``_KINDS`` and the
+    seven numbers of the wave, each read by ``float()`` and checked by
+    :class:`PlaneWave`.  Any other header, a ``#`` line right after the two
+    included, is a ``ValueError``; the rows are the rest of the file.  Rows that are the ``n`` rows
+    :func:`save_far_field` writes for the Fibonacci lattice, byte for byte
+    up to the value cells, each value a ``%+.16e`` cell with a two-digit
+    exponent, have only their values parsed, by one vectorized exact
+    conversion (see :func:`_decimal_cells`), and get
     ``sphgrid.build_grid(n)``.  Any other rows, ones written in an earlier
     number format included, are parsed by ``np.loadtxt`` and get
     :func:`~polyscat.sphgrid.grid_of` their points, which validates them.
@@ -333,10 +338,16 @@ def load_far_field(path) -> FarFieldSamples:
     with open(path, "rb") as fh:
         text = fh.read()
     try:
-        start = 0  # past the lines that open the file with "#"
-        while text.startswith(b"#", start):
-            start = text.find(b"\n", start) + 1 or len(text)
-        kind, wave = _header(text[:start].decode().splitlines())
+        header = _HEADER_LINES.match(text)
+        if header is None:
+            raise ValueError("header is not the two lines synth writes: '# kind=<kind>' "
+                             "and '# k=<k> d=<dx dy dz> p=<px py pz>'")
+        kind, *numbers = (field.decode() for field in header.groups())
+        if kind not in _KINDS:
+            raise ValueError(f"unknown far-field kind {kind!r}")
+        k, *dp = map(float, numbers)
+        wave = PlaneWave(d=np.array(dp[:3]), p=np.array(dp[3:]), k=k)
+        start = header.end()
         m = 1 if kind == MODULUS else 6
         data = _lattice_block(text, start)
         if data is not None:
@@ -354,53 +365,6 @@ def load_far_field(path) -> FarFieldSamples:
         return FarFieldSamples(grid=grid, values=values, wave=wave)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _header(lines) -> tuple:
-    """The kind and the wave of the header ``lines``.  Each line opens with
-    ``#``; a piece that a line separator other than ``\\n`` breaks off
-    without one is a ``ValueError``, as is a second ``kind=`` line or a
-    second wave line."""
-    kind = wave = None
-    for line in lines:
-        if not line.startswith("#"):
-            raise ValueError(f"header line {line!r}, after a line separator, "
-                             "does not open with #")
-        body = line[1:].strip()
-        if body.startswith("kind="):
-            if kind is not None:
-                raise ValueError("header repeats its kind= line")
-            kind = body[5:].strip()
-        elif re.match(r"[kdp]=", body):
-            if wave is not None:
-                raise ValueError("header repeats its wave line")
-            wave = _wave_header(body)
-    if kind is None or wave is None:
-        raise ValueError("missing kind/wave header lines")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown far-field kind {kind!r}")
-    return kind, wave
-
-
-def _wave_header(body: str) -> PlaneWave:
-    """The wave of the header line ``k=<k> d=<dx dy dz> p=<px py pz>``, read
-    by key in any order; a missing, repeated or unknown key, or a key with
-    the wrong count of numbers, is a ``ValueError``."""
-    _, *pairs = re.split(r"(?:^|\s+)(\w+)=", body)
-    values = {}
-    for key, text in zip(pairs[::2], pairs[1::2]):
-        if key not in _WAVE_KEYS:
-            raise ValueError(f"unknown wave header key {key}=")
-        if key in values:
-            raise ValueError(f"wave header repeats {key}=")
-        values[key] = [float(t) for t in text.split()]
-        if len(values[key]) != _WAVE_KEYS[key]:
-            raise ValueError(f"wave header {key}= has {len(values[key])} numbers, "
-                             f"not {_WAVE_KEYS[key]}")
-    missing = [key for key in _WAVE_KEYS if key not in values]
-    if missing:
-        raise ValueError(f"wave header misses {'= '.join(missing)}=")
-    return PlaneWave(d=np.array(values["d"]), p=np.array(values["p"]), k=values["k"][0])
 
 
 def _lattice_block(text: bytes, start: int):

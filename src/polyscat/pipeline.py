@@ -119,8 +119,8 @@ class ExperimentConfig:
         for key, value in step1.items():
             if not 0 <= value < math.inf:
                 raise ValueError(f"{key} must be nonnegative and finite")
-        if self.grid_shape < 12:
-            raise ValueError("grid_shape needs at least 12 points")
+        if self.grid_shape < sphgrid.MIN_POINTS:
+            raise ValueError(f"grid_shape needs at least {sphgrid.MIN_POINTS} points")
         if self.grid_loc < locator.MIN_GRID_POINTS:
             raise ValueError(
                 f"grid_loc = {self.grid_loc} is fewer than the {locator.MIN_GRID_POINTS} "

@@ -36,6 +36,8 @@ FOUR_PI = 4.0 * math.pi
 _P00 = 1.0 / math.sqrt(FOUR_PI)
 # exact degree D of the weights: the largest with (D + 1)^2 <= N / 16
 _POINTS_PER_COEFFICIENT = 16
+# the fewest points a grid may have
+MIN_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ class SphericalGrid:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
-        if len(pts) < 12:
-            raise ValueError(f"a grid needs at least 12 points, got {len(pts)}")
+        if len(pts) < MIN_POINTS:
+            raise ValueError(f"a grid needs at least {MIN_POINTS} points, got {len(pts)}")
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("grid points must be an (N, 3) array")
         if not np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-9):

@@ -38,6 +38,10 @@ TETRA_FACE_AREA = np.sqrt(3.0) / 4.0  # 0.4330127
 TETRA_OFFSET = 1.0 / (2.0 * np.sqrt(6.0))  # inradius 0.2041241
 TETRA_VOLUME = 1.0 / (6.0 * np.sqrt(2.0))
 
+# the one message of a far-field header that is not the two lines synth writes
+NOT_THE_HEADER = ("header is not the two lines synth writes: '# kind=<kind>' and "
+                  "'# k=<k> d=<dx dy dz> p=<px py pz>'")
+
 # the six incident (direction, polarization) pairs of the experiments
 INCIDENT_TABLE = [
     (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
-from conftest import TETRA_FACE_AREA, angle_deg
+from conftest import NOT_THE_HEADER, TETRA_FACE_AREA, angle_deg
 from polyscat import forward, sphgrid
 from polyscat.forward import (
     COMPLEX_E,
@@ -765,8 +765,8 @@ class TestSamplesOps:
     # number, two k numbers, a repeated d, a missing p, an unknown key, a
     # line break and a non-numeric line after the wave, a
     # negative k, a non-unit d and two unknown kinds in the header; an
-    # indented kind or wave line, which is no header line, and a line
-    # separator that breaks off a piece of a header line with no #
+    # indented kind or wave line, and a line separator other than "\n" in
+    # a header line: the header is then not the two lines synth writes
     MALFORMED = [
         (5, "0.5 0.5 abc  1.0", ""),
         (5, "{coordinates}  abc", ""),
@@ -774,14 +774,13 @@ class TestSamplesOps:
         (5, "0.6 0.8 0.0", ""),
         (5, "0.6 0.8 0.0  1.0 2.0", ""),
         (1, "# k=abc d=1 0 0 p=0 0 1", ""),
-        (1, "# k=12 d=1 0 p=0 0 1", "wave header d= has 2 numbers, not 3"),
-        (1, "# k=12 d=1 0 0 p=0 0 1 9", "wave header p= has 4 numbers, not 3"),
-        (1, "# k=12 13 d=1 0 0 p=0 0 1", "wave header k= has 2 numbers, not 1"),
-        (1, "# k=12 d=1 0 0 d=1 0 0 p=0 0 1", "wave header repeats d="),
-        (1, "# k=12 d=1 0 0", "wave header misses p="),
-        (1, "# k=12 d=1 0 0 p=0 0 1 q=1", "unknown wave header key q="),
-        (1, "# k=12 d=1 0 0 p=0 0 1\rjunk", "header line 'junk', after a line separator, "
-         "does not open with #"),
+        (1, "# k=12 d=1 0 p=0 0 1", NOT_THE_HEADER),
+        (1, "# k=12 d=1 0 0 p=0 0 1 9", NOT_THE_HEADER),
+        (1, "# k=12 13 d=1 0 0 p=0 0 1", NOT_THE_HEADER),
+        (1, "# k=12 d=1 0 0 d=1 0 0 p=0 0 1", NOT_THE_HEADER),
+        (1, "# k=12 d=1 0 0", NOT_THE_HEADER),
+        (1, "# k=12 d=1 0 0 p=0 0 1 q=1", NOT_THE_HEADER),
+        (1, "# k=12 d=1 0 0 p=0 0 1\rjunk", NOT_THE_HEADER),
         (1, "# k=-12 d=1 0 0 p=0 0 1", "wavenumber"),
         (1, "# k=nan d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),
         (1, "# k=inf d=1 0 0 p=0 0 1", "wavenumber must be positive and finite"),
@@ -790,12 +789,10 @@ class TestSamplesOps:
         # the magnetic far field xhat x E carries nothing the electric one
         # lacks, and no file kind holds it
         (0, "# kind=complex-H", "unknown far-field kind 'complex-H'"),
-        (0, " # kind=modulus", "missing kind/wave header lines"),
-        (1, "  # k=12 d=1 0 0 p=0 0 1", "missing kind/wave header lines"),
-        (0, "# kind=\x0cmodulus", "header line 'modulus', after a line separator, "
-         "does not open with #"),
-        (1, "# k=12 d=1 0 0 p=0 0 1\u2028junk", "header line 'junk', after a line "
-         "separator, does not open with #"),
+        (0, " # kind=modulus", NOT_THE_HEADER),
+        (1, "  # k=12 d=1 0 0 p=0 0 1", NOT_THE_HEADER),
+        (0, "# kind=\x0cmodulus", NOT_THE_HEADER),
+        (1, "# k=12 d=1 0 0 p=0 0 1\u2028junk", NOT_THE_HEADER),
     ]
 
     @pytest.mark.parametrize(
@@ -808,13 +805,17 @@ class TestSamplesOps:
         lines = path.read_text().splitlines()
         lines[index] = row.format(coordinates=lines[index].rsplit(None, 1)[0])
         path.write_bytes(("\n".join(lines) + "\n").encode())
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + reason):
+        if reason == NOT_THE_HEADER:
+            message = f"^{re.escape(f'{path}: {reason}')}$"
+        else:
+            message = re.escape(str(path)) + ".*" + reason
+        with pytest.raises(ValueError, match=message):
             load_far_field(path)
 
     @pytest.mark.parametrize("order", ["k p d", "p k d", "d p k"])
-    def test_wave_header_keys_read_in_any_order(self, tetra, tmp_path, order):
-        # each number is read by its key, not its place: d and p given in
-        # the other order are not swapped
+    def test_wave_header_keys_in_another_order_are_rejected(self, tetra, tmp_path, order):
+        # the wave line is read in the one order synth writes: the same
+        # numbers under their keys in another order are no header
         path = tmp_path / "modulus.txt"
         written = sample_phaseless(tetra, wave(0.5), build_grid(500))
         save_far_field(written, path)
@@ -825,32 +826,29 @@ class TestSamplesOps:
         assert lines[1] == f"# k={text['k']} d={text['d']} p={text['p']}"
         lines[1] = "# " + " ".join(f"{key}={text[key]}" for key in order.split())
         path.write_text("\n".join(lines) + "\n")
-        got = load_far_field(path)
-        assert (got.wave.k, got.wave.d.tolist(), got.wave.p.tolist()) == (
-            w.k, w.d.tolist(), w.p.tolist()
-        )
-        assert got.values.tobytes() == written.values.tobytes()
+        message = re.escape(f"{path}: {NOT_THE_HEADER}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_far_field(path)
 
     # a header that says a thing twice, the same or not, on either side of
     # the other header line or of a comment, is read neither way
     REPEATED_HEADERS = {
-        "two kinds": (["# kind=complex-E", "# kind=modulus", "{wave}"], "kind= line"),
-        "one kind twice": (["# kind=modulus", "{wave}", "# kind=modulus"], "kind= line"),
-        "two waves": (["# kind=modulus", "{wave}", "# k=2 d=1 0 0 p=0 0 1"], "wave line"),
-        "one wave twice": (["{wave}", "# a note", "{wave}", "# kind=modulus"], "wave line"),
-        "both twice": (["# kind=complex-E", "# kind=modulus", "# k=5 d=0 1 0 p=0 0 1",
-                        "# k=2 d=1 0 0 p=0 0 1"], "kind= line"),
+        "two kinds": ["# kind=complex-E", "# kind=modulus", "{wave}"],
+        "one kind twice": ["# kind=modulus", "{wave}", "# kind=modulus"],
+        "two waves": ["# kind=modulus", "{wave}", "# k=2 d=1 0 0 p=0 0 1"],
+        "one wave twice": ["{wave}", "# a note", "{wave}", "# kind=modulus"],
+        "both twice": ["# kind=complex-E", "# kind=modulus", "# k=5 d=0 1 0 p=0 0 1",
+                       "# k=2 d=1 0 0 p=0 0 1"],
     }
 
     @pytest.mark.parametrize("case", REPEATED_HEADERS)
     def test_repeated_header_line_names_the_file(self, tetra, tmp_path, case):
-        header, line = self.REPEATED_HEADERS[case]
         path = tmp_path / "modulus.txt"
         save_far_field(sample_phaseless(tetra, wave(0.5), build_grid(50)), path)
         lines = path.read_text().splitlines()
-        header = [row.format(wave=lines[1]) for row in header]
+        header = [row.format(wave=lines[1]) for row in self.REPEATED_HEADERS[case]]
         path.write_text("\n".join(header + lines[2:]) + "\n")
-        message = re.escape(f"{path}: header repeats its {line}")
+        message = re.escape(f"{path}: {NOT_THE_HEADER}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_far_field(path)
 
@@ -859,17 +857,17 @@ class TestSamplesOps:
         save_far_field(sample_phaseless(tetra, wave(0.5), build_grid(500)), path)
         rows = path.read_text().splitlines()[2:]
         path.write_text("\n".join(rows) + "\n")
-        message = re.escape(f"{path}: missing kind/wave header lines")
+        message = re.escape(f"{path}: {NOT_THE_HEADER}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_far_field(path)
 
     def test_header_after_a_data_row_is_not_read(self, tetra, tmp_path):
-        # the header is the run of # lines that opens the file
+        # the header is the two lines that open the file
         path = tmp_path / "modulus.txt"
         save_far_field(sample_phaseless(tetra, wave(0.5), build_grid(500)), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[0], lines[2], lines[1]] + lines[3:]) + "\n")
-        message = re.escape(f"{path}: missing kind/wave header lines")
+        message = re.escape(f"{path}: {NOT_THE_HEADER}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_far_field(path)
 
@@ -883,9 +881,9 @@ class TestSamplesOps:
     def test_header_edit_loads_the_same_or_names_the_file(
         self, lattice_samples, tmp_path_factory, kind, edits, crlf
     ):
-        # each edit either leaves the values and the wave as written, bit for
-        # bit, or is a ValueError naming the file; an edit that breaks no rule
-        # of the header (a swap, a # comment line, CRLF endings) always loads
+        # a file loads, its values and wave bit for bit as written, exactly
+        # when it still opens with the two header lines as written, each
+        # ended by "\n" or "\r\n"; any other edit is a ValueError naming it
         written = lattice_samples[kind]
         path = tmp_path_factory.getbasetemp() / f"header_edit_{kind}.txt"
         save_far_field(written, path)
@@ -893,19 +891,56 @@ class TestSamplesOps:
         header = lines[:2]
         for edit in edits:
             edit_header(header, *edit)
-        text = "\n".join(header + lines[2:])
-        path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+        text, rows = "\n".join(header + lines[2:]), "\n".join(lines[2:])
+        if crlf:
+            text, rows = text.replace("\n", "\r\n"), rows.replace("\n", "\r\n")
+        path.write_bytes(text.encode())
+        ends = ("\n", "\r\n")
+        intact = text in {lines[0] + a + lines[1] + b + rows for a in ends for b in ends}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 loaded = load_far_field(path)
             except ValueError as exc:
                 assert str(exc).startswith(f"{path}: ")
-                assert not {edit for edit, *_ in edits} <= {"swap", "comment"}
+                assert not intact
                 return
+        assert intact
         w, got = written.wave, loaded.wave
         assert loaded.values.tobytes() == written.values.tobytes()
         assert (got.k, got.d.tobytes(), got.p.tobytes()) == (w.k, w.d.tobytes(), w.p.tobytes())
+
+    @settings(max_examples=100)
+    @given(
+        # every positive finite double, and the subnormals on their own
+        k=st.one_of(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                    st.floats(0.0, 2.0**-1022, exclude_min=True, exclude_max=True)),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([MODULUS, COMPLEX_E]),
+    )
+    def test_save_then_load_gives_the_wave_and_values_bit_for_bit(
+        self, tmp_path_factory, k, seed, kind
+    ):
+        # a random orthonormal d and p: the header the writer formats is the
+        # one the reader's pattern matches, and every number comes back
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        g = build_grid(50)
+        if kind == MODULUS:
+            values = rng.exponential(size=g.size)
+        else:
+            v = rng.normal(size=(g.size, 3)) + 1j * rng.normal(size=(g.size, 3))
+            values = v - np.einsum("ij,ij->i", v, g.points)[:, None] * g.points
+        w = PlaneWave(d=q[:, 0], p=q[:, 1], k=k)
+        path = tmp_path_factory.getbasetemp() / f"round_trip_{kind}.txt"
+        save_far_field(FarFieldSamples(grid=g, values=values, wave=w), path)
+        text = path.read_bytes()
+        header = text[: text.index(b"\n", text.index(b"\n") + 1) + 1]
+        assert forward._HEADER_LINES.match(text).end() == len(header)
+        loaded = load_far_field(path)
+        got = loaded.wave
+        assert (got.k, got.d.tobytes(), got.p.tobytes()) == (k, w.d.tobytes(), w.p.tobytes())
+        assert loaded.values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize(
         "kind, reason", [(MODULUS, "modulus rows need 4"), (COMPLEX_E, "complex rows need 9")]

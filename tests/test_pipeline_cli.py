@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import INCIDENT_TABLE, write_clockwise_obstacle, write_experiment_config
+from conftest import (
+    INCIDENT_TABLE,
+    NOT_THE_HEADER,
+    write_clockwise_obstacle,
+    write_experiment_config,
+)
 from polyscat import cli, forward, geometry, locator, maxima, minkowski, pipeline, sphgrid
 from polyscat.cli import build_parser, main
 from polyscat.forward import (
@@ -1076,8 +1081,8 @@ class TestCli:
         assert not (workspace / "out" / "recovered_faces.csv").exists()
 
     def test_indented_wave_line_is_rejected(self, workspace, capsys):
-        # the header is the lines that open with # at their first byte: an
-        # indented wave line is a comment, and the file has no wave
+        # the header is the two lines synth writes, each opening with # at
+        # its first byte: with an indented wave line the file has no header
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
         assert main(["synth", str(cfg)]) == 0
         path = workspace / "out" / "data" / "shape_00.txt"
@@ -1086,7 +1091,7 @@ class TestCli:
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["recover", str(cfg)]) == 2
-        message = "missing kind/wave header lines"
+        message = NOT_THE_HEADER
         assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
         assert not (workspace / "out" / "recovered_faces.csv").exists()
 
@@ -1258,9 +1263,9 @@ class TestCli:
         "verb, name, header, message",
         [
             ("recover", "shape_00.txt", ["# kind=complex-E", "# kind=modulus", "{wave}",
-                                         "# k=2 d=1 0 0 p=0 0 1"], "header repeats its kind= line"),
+                                         "# k=2 d=1 0 0 p=0 0 1"], NOT_THE_HEADER),
             ("recover", "shape_00.txt", ["# kind=modulus", "{wave}", "# k=2 d=1 0 0 p=0 0 1"],
-             "header repeats its wave line"),
+             NOT_THE_HEADER),
             ("locate", "location.txt", ["# kind=complex-H", "{wave}"],
              "unknown far-field kind 'complex-H'"),
         ],
