@@ -42,13 +42,14 @@ step 1 seeds its peak search from a lattice sized by ``cutoff``.
 none, and it and ``polyscat check`` alone read ``obstacle``.  The recovery
 only reads the data, in the stages ``load``, ``step1``, ``step2`` and
 ``step3``, run in a straight line.  ``load`` rejects a missing file, naming
-``polyscat synth``, and a file whose kind, ``k``, ``d`` or ``p`` is not what
-synthesis writes there: ``shape_NN.txt`` the moduli of shape wave ``NN``,
-``location.txt`` the complex field of step 3's wave.  A stage's failure
-raises a :class:`PipelineError` tagged with its name; an obstacle that
-cannot be loaded is a config error, naming the obstacle file.  A failed
-recovery removes every report file it did not write, so no file of an
-earlier run stays beside its own;
+``polyscat synth``, and a file whose kind, ``k``, ``d``, ``p`` or point count
+is not what synthesis writes there: ``shape_NN.txt`` the moduli of shape
+wave ``NN`` at ``grid_shape`` points, ``location.txt`` the complex field of
+step 3's wave at ``grid_loc``.  A stage's failure raises a
+:class:`PipelineError` tagged with its name; an obstacle that cannot be
+loaded is a config error, naming the obstacle file.  A failed recovery
+removes every report file it did not write, so no file of an earlier run
+stays beside its own;
 a failed :func:`locate_obstacle` does the same with the two step-3 files,
 and leaves ``recovered_located.obs``, which only the recovery writes.
 
@@ -272,13 +273,15 @@ def _read_config(path: Path) -> ExperimentConfig:
 
 
 def _data_file(config: ExperimentConfig, index: int):
-    """Data file ``index`` as ``(path, wave, modulus, line)``, ``line`` counting
-    ``incident`` lines from 1: ``shape_NN.txt`` holds the moduli of shape wave
-    ``NN`` and ``location.txt``, after the last, the complex field of step 3's."""
+    """Data file ``index`` as ``(path, wave, modulus, line, points)``, ``line``
+    counting ``incident`` lines from 1: ``shape_NN.txt`` holds the moduli of
+    shape wave ``NN`` at ``grid_shape`` points and ``location.txt``, after the
+    last, the complex field of step 3's at ``grid_loc``."""
     data = config.output_dir / "data"
     if index < len(config.shape_waves):
-        return data / f"shape_{index:02d}.txt", config.shape_waves[index], True, index + 1
-    return data / "location.txt", config.loc_wave, False, 1
+        return (data / f"shape_{index:02d}.txt", config.shape_waves[index], True, index + 1,
+                config.grid_shape)
+    return data / "location.txt", config.loc_wave, False, 1, config.grid_loc
 
 
 @contextmanager
@@ -307,8 +310,8 @@ def synthesize_dataset(config: ExperimentConfig) -> list:
     poly = geometry.load_obstacle(config.obstacle)
     files = []
     for i in range(len(config.shape_waves) + 1):
-        path, wave, modulus, _ = _data_file(config, i)
-        grid = sphgrid.build_grid(config.grid_shape if modulus else config.grid_loc)
+        path, wave, modulus, _, points = _data_file(config, i)
+        grid = sphgrid.build_grid(points)
         if modulus:
             with _finite(path, "lambda_shape", config.lambda_shape):
                 samples = forward.sample_phaseless(poly, wave, grid)
@@ -334,16 +337,16 @@ def synthesize_dataset(config: ExperimentConfig) -> list:
 def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
     """Load data file ``index``, naming ``polyscat synth`` if it is missing,
     and check it against :func:`_data_file`, in order: its kind; its wave's
-    ``k`` to 1e-12 relative; its ``d`` and ``p`` to 1e-12 absolute; and at
-    least the ``(cutoff + 1)^2`` points a shape file's transform seeks, or
-    the :data:`~polyscat.locator.MIN_GRID_POINTS` of ``location.txt``."""
-    path, wave, modulus, line = _data_file(config, index)
+    ``k`` to 1e-12 relative; its ``d`` and ``p`` to 1e-12 absolute; and its
+    point count, ``grid_shape`` or ``grid_loc``, whose floors the config
+    enforces.  The rows may be any points in any order."""
+    path, wave, modulus, line, points = _data_file(config, index)
     with _stage("load", OSError, ValueError):
         try:
             samples = forward.load_far_field(path)
         except FileNotFoundError:
             raise ValueError(f"{path}: no such data file; polyscat synth writes it") from None
-        got, cutoff = samples.wave, config.cutoff
+        got = samples.wave
         if samples.is_complex == modulus:
             need = "a shape file needs kind=modulus" if modulus else "step 3 needs a complex kind"
             error = f"kind={samples.kind}; {need}"
@@ -352,12 +355,9 @@ def _read(config: ExperimentConfig, index: int) -> forward.FarFieldSamples:
             error = f"k = {got.k!r} does not match {key} = {getattr(config, key)!r}"
         elif np.abs(np.r_[got.d - wave.d, got.p - wave.p]).max() > 1e-12:
             error = f"d = {got.d.tolist()}, p = {got.p.tolist()} do not match incident line {line}"
-        elif modulus and samples.grid.size < (cutoff + 1) ** 2:
-            error = (f"{samples.grid.size} points are fewer than the "
-                     f"{(cutoff + 1) ** 2} coefficients of cutoff {cutoff}")
-        elif not modulus and samples.grid.size < locator.MIN_GRID_POINTS:
-            error = (f"{samples.grid.size} points are fewer than the {locator.MIN_GRID_POINTS} "
-                     "whose weights are exact to degree 2, as step 3 needs")
+        elif samples.grid.size != points:
+            key = "grid_shape" if modulus else "grid_loc"
+            error = f"{samples.grid.size} points do not match {key} = {points}"
         else:
             return samples
         raise ValueError(f"{path}: {error}")

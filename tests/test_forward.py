@@ -942,6 +942,34 @@ class TestSamplesOps:
         assert (got.k, got.d.tobytes(), got.p.tobytes()) == (k, w.d.tobytes(), w.p.tobytes())
         assert loaded.values.tobytes() == values.tobytes()
 
+    @settings(max_examples=100, derandomize=True)
+    @given(kind=st.sampled_from([MODULUS, COMPLEX_E]), data=st.data())
+    def test_save_then_load_gives_every_finite_double_bit_for_bit(
+        self, tmp_path_factory, kind, data
+    ):
+        # values of every size, subnormals and +-0 among them: a value with a
+        # three-digit exponent is a 24-character %+.16e cell, so its file is
+        # no lattice text and takes the np.loadtxt parse, as extreme-scale
+        # synth output does; each value comes back to the bit either way
+        g = build_grid(data.draw(st.integers(12, 40)))
+        if kind == MODULUS:
+            xs = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                             min_size=g.size, max_size=g.size)))
+            values = np.where(xs == 0.0, xs, np.abs(xs))  # keeps -0
+        else:
+            # tangential from the start, a e1 + b e2, each part of a and b at
+            # most half the largest double so that no sum overflows
+            half = np.finfo(float).max / 2
+            parts = data.draw(st.lists(st.floats(-half, half), min_size=4 * g.size,
+                                       max_size=4 * g.size))
+            a, b = np.array(parts).view(complex).reshape(g.size, 2).T
+            e1 = np.cross([0.0, 0.0, 1.0], g.points)
+            e1 /= np.linalg.norm(e1, axis=1)[:, None]
+            values = a[:, None] * e1 + b[:, None] * np.cross(g.points, e1)
+        path = tmp_path_factory.getbasetemp() / f"every_double_{kind}.txt"
+        save_far_field(FarFieldSamples(grid=g, values=values, wave=wave(0.5)), path)
+        assert load_far_field(path).values.tobytes() == values.tobytes()
+
     @pytest.mark.parametrize(
         "kind, reason", [(MODULUS, "modulus rows need 4"), (COMPLEX_E, "complex rows need 9")]
     )

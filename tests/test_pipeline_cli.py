@@ -1315,14 +1315,15 @@ class TestCli:
         self, workspace, capsys, tetra
     ):
         # 20 points cannot fix the 49 coefficients of cutoff 6; the config
-        # cannot ask for them, so the file is written here
+        # cannot ask for them, so the file is written here, and it fails the
+        # count check that subsumes that floor
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
         config = parse_config(cfg)
         path = workspace / "out" / "data" / "shape_00.txt"
         path.parent.mkdir(parents=True)
         save_far_field(sample_phaseless(tetra, config.shape_waves[0], build_grid(20)), path)
         assert main(["recover", str(cfg)]) == 2
-        message = "20 points are fewer than the 49 coefficients of cutoff 6"
+        message = "20 points do not match grid_shape = 2000"
         assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
 
     def test_a_location_file_of_fewer_points_than_degree_two_needs_is_rejected(
@@ -1330,7 +1331,7 @@ class TestCli:
     ):
         # on 143 points the six degree-1 fields are not orthonormal and the
         # indicator can exceed 1; the config cannot ask for them, so the file
-        # is written here
+        # is written here, and it fails the count check that subsumes that floor
         cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
         config = parse_config(cfg)
         path = workspace / "out" / "data" / "location.txt"
@@ -1338,9 +1339,44 @@ class TestCli:
         oracle = locator.degree_one_oracle(build_grid(143), config.loc_wave, config.location)
         save_far_field(oracle, path)
         assert main(["locate", str(cfg)]) == 2
-        message = "143 points are fewer than the 144 whose weights are exact to degree 2"
-        assert capsys.readouterr().err == f"error [load] {path}: {message}, as step 3 needs\n"
+        message = "143 points do not match grid_loc = 500"
+        assert capsys.readouterr().err == f"error [load] {path}: {message}\n"
         assert not (workspace / "out" / "location.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, count, name, verbs",
+        [
+            ("grid_shape", 1500, "shape_00.txt", ["recover"]),
+            ("grid_loc", 300, "location.txt", ["locate", "recover"]),
+        ],
+        ids=["grid_shape", "grid_loc"],
+    )
+    def test_data_of_another_point_count_is_rejected(
+        self, workspace, capsys, key, count, name, verbs
+    ):
+        # a config edited to another valid count after synth: the files hold
+        # the points synth wrote at the first, and the verb ends at [load]
+        # instead of recovering from them
+        cfg = write_experiment_config(workspace / "exp.cfg", "tetra.obs", **FAST)
+        assert main(["synth", str(cfg)]) == 0
+        assert main(["recover", str(cfg)]) == 0
+        cfg.write_text(with_line(cfg, f"{key} = {count}"))
+        out = workspace / "out"
+        path = out / "data" / name
+        message = f"error [load] {path}: {FAST[key]} points do not match {key} = {count}\n"
+        # what each failed run leaves: recover keeps only the report files it
+        # wrote, locate removes only its own two
+        step3 = {*pipeline._LOCATE_FILES, "recovered_located.obs"}
+        kept = {
+            ("grid_shape", "recover"): set(),
+            ("grid_loc", "locate"): set(pipeline._REPORT_FILES) - set(pipeline._LOCATE_FILES),
+            ("grid_loc", "recover"): set(pipeline._REPORT_FILES) - step3,
+        }
+        for verb in verbs:
+            capsys.readouterr()
+            assert main([verb, str(cfg)]) == 2
+            assert capsys.readouterr().err == message
+            assert {p.name for p in out.iterdir() if p.is_file()} == kept[key, verb]
 
     @pytest.mark.parametrize("source", ["README.md", "cli docstring"])
     def test_documented_verbs_match_the_parser(self, source):
